@@ -5,7 +5,6 @@ momentum -> trajectory family x(t; a, b) -> node / wavelength analysis ->
 independent residual validation.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .action import ReducedAction
 from .analysis import (
     NodeReport,

@@ -77,6 +77,21 @@ def build_basis(cfg: RunConfig, setup: PhysicalSetup, pot, method=None):
     )
 
 
+def _oscillatory_constant(cfg: RunConfig, setup: PhysicalSetup) -> bool:
+    ev = setup.E - cfg.u0
+    return cfg.potential_kind == "constant" and ev * ev > setup.rest_sq
+
+
+def _cluster_radius(cfg: RunConfig, setup: PhysicalSetup, trajs) -> float:
+    """Merge radius for node detection across the trajectory family."""
+    if _oscillatory_constant(cfg, setup):
+        return 0.02 * node_period(setup, cfg.u0)
+    # linear-case node clusters drift; merge within a few percent of the
+    # common window
+    span = min(t.t[-1] for t in trajs) - max(t.t[0] for t in trajs)
+    return 0.04 * span
+
+
 def _header(cfg: RunConfig, extra=()):
     return [f"config_hash: {cfg.hash}", *extra]
 
@@ -91,11 +106,7 @@ def run_basis(cfg: RunConfig, compare_methods: bool = False) -> dict:
         ["euler", "rk4"] if compare_methods else [cfg.method]
     )
     for method in methods:
-        basis = (
-            solve_constant(setup, cfg.u0, build_grid(cfg))
-            if method == "analytic"
-            else build_basis(cfg, setup, pot, method=method)
-        )
+        basis = build_basis(cfg, setup, pot, method=method)
         path = out / f"basis_{method}.csv"
         basis.to_csv(path, header=_header(cfg, [f"method: {method}"]))
         drift = wronskian_drift(basis)
@@ -107,9 +118,7 @@ def run_basis(cfg: RunConfig, compare_methods: bool = False) -> dict:
 
 def _trace_one(cfg: RunConfig, setup, pot, basis, hp: HiddenParams):
     if cfg.potential_kind == "constant":
-        ev = setup.E - cfg.u0
-        disc = ev * ev - setup.rest_sq
-        if disc > 0:
+        if _oscillatory_constant(cfg, setup):
             return trace_constant_oscillatory(
                 setup, cfg.u0, hp, cfg.x0, (cfg.t_min, cfg.t_max), cfg.samples
             )
@@ -187,26 +196,18 @@ def _trace_objects(cfg: RunConfig):
     return setup, pot, basis, trajs
 
 
-def run_analyze(cfg: RunConfig, cluster_radius=None) -> dict:
+def run_analyze(cfg: RunConfig) -> dict:
     setup, pot, basis, trajs = _trace_objects(cfg)
     out = Path(cfg.out_dir)
-    ev = setup.E - cfg.u0
-    oscillatory_const = cfg.potential_kind == "constant" and ev * ev > setup.rest_sq
+    oscillatory_const = _oscillatory_constant(cfg, setup)
 
     manifest = {"command": "analyze", "config_hash": cfg.hash, "files": []}
     summary = []
 
     nodes = None
     if len(trajs) >= 2:
-        if cluster_radius is None:
-            if oscillatory_const:
-                cluster_radius = 0.02 * node_period(setup, cfg.u0)
-            else:
-                # linear-case node clusters drift; merge within a few percent
-                # of the common window
-                span = min(t.t[-1] for t in trajs) - max(t.t[0] for t in trajs)
-                cluster_radius = 0.04 * span
-        nodes = detect_nodes(trajs, cluster_radius=cluster_radius, basis=basis)
+        nodes = detect_nodes(trajs, cluster_radius=_cluster_radius(cfg, setup, trajs),
+                             basis=basis)
         nodes_path = out / "nodes_detected.json"
         payload = nodes.to_dict()
         payload["config_hash"] = cfg.hash
@@ -230,6 +231,8 @@ def run_analyze(cfg: RunConfig, cluster_radius=None) -> dict:
         summary.append(("de Broglie wavelength [fm]", f"{lam:.6g}"))
         summary.append(("dx == lambda/2", "pass" if abs(2 * node_spacing(setup, cfg.u0) / lam - 1) < 1e-12 else "FAIL"))
 
+    # the quantum-HJ check needs a basis; closed-form traces carry none
+    hj_basis = build_basis(cfg, setup, pot) if oscillatory_const else basis
     validation = {"config_hash": cfg.hash, "per_set": []}
     for (a, b), tr in zip(cfg.param_sets, trajs):
         entry = {"a": a, "b": b}
@@ -238,13 +241,8 @@ def run_analyze(cfg: RunConfig, cluster_radius=None) -> dict:
             entry["first_integral_max"] = firqnl_residual(tr, stride=4 if basis is not None else 1).max_residual
         except RqtError as exc:
             entry["first_integral_error"] = str(exc)
-        if basis is not None:
-            ra = ReducedAction(basis, HiddenParams(a, b), setup)
-            entry["quantum_hj_max"] = rqshje_residual(ra, setup, pot).max_residual
-        elif oscillatory_const:
-            ra = ReducedAction(
-                solve_constant(setup, cfg.u0, build_grid(cfg)), HiddenParams(a, b), setup
-            )
+        if hj_basis is not None:
+            ra = ReducedAction(hj_basis, HiddenParams(a, b), setup)
             entry["quantum_hj_max"] = rqshje_residual(ra, setup, pot).max_residual
         validation["per_set"].append(entry)
         summary.append((f"closure max (a={a:g}, b={b:g})", f"{entry['closure_max']:.3e}"))
@@ -308,16 +306,15 @@ def run_figure(cfg: RunConfig, figure: int) -> dict:
     else:
         # node markers
         setup_nodes = None
-        if cfg.potential_kind == "constant":
-            ev = setup.E - cfg.u0
-            if ev * ev > setup.rest_sq:
-                count = int((cfg.t_max - cfg.t_min) / node_period(setup, cfg.u0)) + 1
-                setup_nodes = nodes_closed_form(setup, cfg.u0, count=count, x0=cfg.x0)
-        else:
+        if _oscillatory_constant(cfg, setup):
+            count = int((cfg.t_max - cfg.t_min) / node_period(setup, cfg.u0)) + 1
+            setup_nodes = nodes_closed_form(setup, cfg.u0, count=count, x0=cfg.x0)
+        elif cfg.potential_kind != "constant":
             _, _, basis, trajs = _trace_objects(cfg)
             if len(trajs) >= 2:
-                span = min(t.t[-1] for t in trajs) - max(t.t[0] for t in trajs)
-                setup_nodes = detect_nodes(trajs, cluster_radius=0.04 * span, basis=basis)
+                setup_nodes = detect_nodes(
+                    trajs, cluster_radius=_cluster_radius(cfg, setup, trajs), basis=basis
+                )
         if setup_nodes is not None and len(setup_nodes.times):
             from .output import write_csv
 
