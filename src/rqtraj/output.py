@@ -1,8 +1,10 @@
 """Deterministic CSV/JSON writers.
 
-All floats go out at full double precision (17 significant digits) so the
-files can feed the residual validators; identical inputs produce
-byte-identical files.  Header comments carry provenance (config hash etc.).
+Every CSV value that is a float goes out as ``%.16e`` (17 significant digits,
+enough for the residual validators) and every other value as ``str()``; the
+dtype decides once per column, object columns decide per value.  Rows go
+through one ``%`` row template and are streamed in blocks of ``BLOCK_ROWS``.
+Identical inputs give byte-identical files; headers carry provenance.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from pathlib import Path
 import numpy as np
 
 
-def fmt(value: float) -> str:
-    return f"{float(value):.16e}"
+BLOCK_ROWS = 8192
 
 
 def config_hash(text: str) -> str:
@@ -24,21 +25,22 @@ def config_hash(text: str) -> str:
 
 def write_csv(path, header_comments, columns, footer_comments=()):
     """columns: list of (name, array); arrays must share a length."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     names = [name for name, _ in columns]
     arrays = [np.asarray(arr) for _, arr in columns]
     n = len(arrays[0]) if arrays else 0
-    lines = [f"# {c}" for c in header_comments]
-    lines.append(",".join(names))
-    for i in range(n):
-        row = []
-        for arr in arrays:
-            v = arr[i]
-            row.append(fmt(v) if isinstance(v, (float, np.floating)) else str(v))
-        lines.append(",".join(row))
-    lines.extend(f"# {c}" for c in footer_comments)
-    path.write_text("\n".join(lines) + "\n")
+    for name, arr in zip(names, arrays):
+        if len(arr) != n:
+            raise ValueError(f"column {name!r} has {len(arr)} rows, {names[0]!r} has {n}")
+    template = ",".join("%.16e" if arr.dtype.kind == "f" else "%s" for arr in arrays)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write("".join(f"# {c}\n" for c in header_comments) + ",".join(names) + "\n")
+        for lo in range(0, n, BLOCK_ROWS):
+            block = [b.tolist() if b.dtype.kind in "fiubUS" else
+                     [f"{float(v):.16e}" if isinstance(v, (float, np.floating)) else str(v)
+                      for v in b] for b in (arr[lo:lo + BLOCK_ROWS] for arr in arrays)]
+            fh.write("\n".join(template % row for row in zip(*block)) + "\n")
+        fh.write("".join(f"# {c}\n" for c in footer_comments))
 
 
 def read_csv(path):
@@ -59,11 +61,10 @@ def read_csv(path):
         rows.append(line.split(","))
     cols = {}
     for j, name in enumerate(names or []):
-        vals = [r[j] for r in rows]
         try:
-            cols[name] = np.array([float(v) for v in vals])
+            cols[name] = np.array([float(r[j]) for r in rows])
         except ValueError:
-            cols[name] = np.array(vals)
+            cols[name] = np.array([r[j] for r in rows])
     return meta, cols
 
 

@@ -30,7 +30,7 @@ from .model import (
     PhysicalSetup,
     TabulatedPotential,
 )
-from .output import read_csv, write_json
+from .output import read_csv, write_csv, write_json
 from .trajectory import (
     classical_trace,
     node_period,
@@ -316,8 +316,6 @@ def run_figure(cfg: RunConfig, figure: int) -> dict:
                     trajs, cluster_radius=_cluster_radius(cfg, setup, trajs), basis=basis
                 )
         if setup_nodes is not None and len(setup_nodes.times):
-            from .output import write_csv
-
             nodes_path = out / "nodes.csv"
             write_csv(nodes_path, _header(cfg, ["curve: nodes"]),
                       [("t_s", setup_nodes.times), ("x_fm", setup_nodes.positions)])

@@ -1,0 +1,158 @@
+"""CSV writer: byte parity with the per-cell reference, and CLI round trips."""
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from rqtraj import pipeline
+from rqtraj.cli import main
+from rqtraj.config import RunConfig
+from rqtraj.output import BLOCK_ROWS, read_csv, write_csv
+
+
+def reference_csv(header_comments, columns, footer_comments=()):
+    """Per-cell writer the row-template writer must match byte for byte."""
+    def fmt(value: float) -> str:
+        return f"{float(value):.16e}"
+
+    names = [name for name, _ in columns]
+    arrays = [np.asarray(arr) for _, arr in columns]
+    n = len(arrays[0]) if arrays else 0
+    lines = [f"# {c}" for c in header_comments]
+    lines.append(",".join(names))
+    for i in range(n):
+        row = []
+        for arr in arrays:
+            v = arr[i]
+            row.append(fmt(v) if isinstance(v, (float, np.floating)) else str(v))
+        lines.append(",".join(row))
+    lines.extend(f"# {c}" for c in footer_comments)
+    return ("\n".join(lines) + "\n").encode()
+
+
+def assert_parity(path, header, columns, footer=()):
+    write_csv(path, header, columns, footer_comments=footer)
+    assert path.read_bytes() == reference_csv(header, columns, footer)
+
+
+SPECIAL = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324,
+                    1.7976931348623157e308, 0.1, -2.5e-17, 1.0])
+
+
+def test_parity_special_floats(tmp_path):
+    assert_parity(tmp_path / "s.csv", ["config_hash: abc"],
+                  [("v", SPECIAL), ("neg", -SPECIAL)])
+
+
+def test_parity_column_dtypes(tmp_path):
+    n = SPECIAL.size
+    with np.errstate(over="ignore"):
+        f32 = SPECIAL.astype(np.float32)
+    columns = [
+        ("f64", SPECIAL),
+        ("f32", f32),
+        ("i64", np.arange(-3, n - 3, dtype=np.int64)),
+        ("u8", np.arange(n, dtype=np.uint8)),
+        ("flag", np.arange(n) % 3 == 0),
+        ("unicode", np.array([f"s{i}" for i in range(n)])),
+        ("strobj", np.full(n, "oscillatory", dtype=object)),
+        ("mixed", np.array([1.5, 2, "turning", np.float32(0.1), True, None,
+                            np.float64(-0.0), np.int64(7), float("nan"), (1, 2)],
+                           dtype=object)),
+    ]
+    assert_parity(tmp_path / "d.csv", ["a: 1", "b: 2"], columns, footer=["halt: x"])
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                               2 * BLOCK_ROWS + 1])
+def test_parity_block_edges(tmp_path, n):
+    rng = np.random.default_rng(n)
+    columns = [
+        ("t_s", rng.standard_normal(n) * 1e-21),
+        ("branch_n", rng.integers(-5, 5, n)),
+        ("regime", np.full(n, "evanescent", dtype=object)),
+        ("x_fm", rng.standard_normal(n) * 1e3),
+    ]
+    assert_parity(tmp_path / "b.csv", ["h: 1"], columns, footer=["f: 1", "g: 2"])
+
+
+def test_parity_no_columns(tmp_path):
+    assert_parity(tmp_path / "e.csv", ["only: header"], [], footer=["end"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(0, 40), elements=st.floats(width=64)))
+def test_parity_random_float64(tmp_path_factory, values):
+    path = tmp_path_factory.mktemp("h") / "r.csv"
+    assert_parity(path, ["h: 1"], [("a", values), ("b", values[::-1].copy())])
+
+
+@pytest.mark.parametrize("second", [5, 3])
+def test_write_csv_rejects_ragged_columns(tmp_path, second):
+    path = tmp_path / "sub" / "ragged.csv"
+    with pytest.raises(ValueError, match="'x_fm'"):
+        write_csv(path, [], [("t_s", np.zeros(4)), ("x_fm", np.zeros(second))])
+    assert not path.exists()
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def assert_round_trip(path, columns):
+    meta, cols = read_csv(path)
+    assert list(cols) == [name for name, _ in columns]
+    for name, arr in columns:
+        arr = np.asarray(arr)
+        if arr.dtype.kind == "f":
+            np.testing.assert_array_equal(_bits(cols[name]), _bits(arr), err_msg=name)
+        else:
+            assert cols[name].tolist() == arr.tolist(), name
+    return meta
+
+
+def _linear_config(out_dir):
+    return RunConfig(potential_kind="linear", slope=1e-3, grid_min=-500.0, grid_max=500.0,
+                     grid_step=0.2, x0=-500.0, param_sets=[(4.0, 2.5), (8.0, -3.0)],
+                     sync="phi2_zero", out_dir=str(out_dir)).validate()
+
+
+def _evanescent_config(out_dir):
+    # the halt window sits inside the first branch, so sampling stops before t*
+    return RunConfig(energy=0.3, potential_kind="constant", u0=0.0,
+                     param_sets=[(0.25, 8.0)], t_min=0.0, t_max=1.9e-21, samples=2001,
+                     window=1500.0, out_dir=str(out_dir)).validate()
+
+
+@pytest.mark.parametrize("make_config", [_linear_config, _evanescent_config])
+def test_cli_csv_round_trip_bit_exact(tmp_path, make_config):
+    cfg = make_config(tmp_path / "out")
+    cfgp = tmp_path / "run.cfg"
+    cfg.to_file(cfgp)
+    runner = CliRunner()
+    for command in ("basis", "trace"):
+        result = runner.invoke(main, [command, "--config", str(cfgp)])
+        assert result.exit_code == 0, result.output
+
+    setup, pot, _, trajs = pipeline._trace_objects(cfg)
+    method = "analytic" if cfg.potential_kind == "constant" else cfg.method
+    basis = pipeline.build_basis(cfg, setup, pot)
+    assert_round_trip(tmp_path / "out" / f"basis_{method}.csv", [
+        ("x_fm", basis.grid), ("phi1", basis.phi1), ("dphi1_per_fm", basis.dphi1),
+        ("phi2", basis.phi2), ("dphi2_per_fm", basis.dphi2),
+        ("wronskian_per_fm", basis.wronskian_pointwise()),
+    ])
+    for i, tr in enumerate(trajs):
+        meta = assert_round_trip(tmp_path / "out" / f"trajectory_{i}.csv", [
+            ("t_s", tr.t), ("x_fm", tr.x), ("branch_n", tr.branch),
+            ("regime", tr.regime), ("P_MeV_per_c", tr.momentum),
+        ])
+        events = tr.meta.get("events", {})
+        if cfg.potential_kind == "constant":
+            assert meta["halt"] == events["halt"] == "DivergenceReached"
+            assert float(meta["divergence_time_s"]) == events["divergence_time_s"]
+            assert meta["divergence_kind"] == "tan_singularity"
+            assert tr.t[-1] < events["divergence_time_s"]
