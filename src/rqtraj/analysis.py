@@ -17,7 +17,7 @@ from .errors import InsufficientTrajectories, RegimeError, TooFewSamples
 from .kleingordon import SolutionBasis, wavenumber_sq
 from .model import ConstantPotential, HiddenParams, PhysicalSetup, Potential
 from .output import write_json
-from .trajectory import Trajectory, node_period, node_spacing
+from .trajectory import Trajectory, _zeros_of, node_period, node_spacing
 
 
 @dataclass
@@ -308,14 +308,6 @@ def detect_nodes(
         method="crossing-detection",
         extras=extras,
     )
-
-
-def _zeros_of(x, y):
-    s = np.sign(y)
-    idx = np.nonzero(s[:-1] * s[1:] < 0)[0]
-    if idx.size == 0:
-        return np.empty(0)
-    return x[idx] - y[idx] * (x[idx + 1] - x[idx]) / (y[idx + 1] - y[idx])
 
 
 def de_broglie(setup: PhysicalSetup, u0: float) -> float:

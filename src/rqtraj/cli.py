@@ -1,7 +1,9 @@
 """Command-line surface: basis / trace / analyze / figure.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (regime
-or tolerance details go to stderr).
+or tolerance details go to stderr).  Exit 2 also covers an unknown section
+or key, an empty ``sets``, a fractional ``samples`` and a nan or inf value,
+in the file or in an override such as ``--epsilon-hbar nan``.
 """
 
 from __future__ import annotations

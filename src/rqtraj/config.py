@@ -1,125 +1,99 @@
 """Run configuration: INI-style sections with explicit unit suffixes.
 
-Physical values must carry their unit (``energy = 2.0 MeV``); the parser
-rejects missing or wrong units with the offending line and key.  A config
-round-trips through ``canonical_text`` bit-exactly (floats via repr), and
-the sha256 of that text stamps every output file.
+The fields of ``RunConfig`` are the one table of config keys: each field's
+metadata holds its section, file key (where it differs from the attribute
+name), unit and allowed values, and parsing, ``canonical_text`` and
+``validate`` each loop over that table.  ``ConfigError`` names the line and
+key of a missing or wrong unit (``energy = 2.0 MeV``), an unknown section or
+key, nan or inf (also in ``sets``), an empty ``sets``, a fractional
+``samples`` or a value not allowed; ``validate`` repeats the per-key checks
+for values set later (CLI overrides).  ``canonical_text`` round-trips
+bit-exactly (floats via repr), and its sha256 stamps every output file.
 """
 
-from __future__ import annotations
-
+# no `from __future__ import annotations`: the loops dispatch on field.type classes
 import configparser
-import io
-from dataclasses import dataclass, field, asdict
+import math
+import re
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .constants import ELECTRON_MEV
 from .errors import ConfigError
 from .output import config_hash
 
-_UNITS = {
-    ("particle", "rest_energy"): "MeV",
-    ("particle", "energy"): "MeV",
-    ("potential", "u0"): "MeV",
-    ("potential", "slope"): "MeV/fm",
-    ("trajectories", "x0"): "fm",
-    ("trajectories", "t_min"): "s",
-    ("trajectories", "t_max"): "s",
-    ("trajectories", "window"): "fm",
-    ("numerics", "grid_min"): "fm",
-    ("numerics", "grid_max"): "fm",
-    ("numerics", "grid_step"): "fm",
-}
+
+def _parse_sets(raw: str) -> list:
+    sets = []
+    for i, chunk in enumerate((c for c in raw.split(";") if c.strip()), start=1):
+        parts = chunk.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"entry {i} must be 'a,b', got {chunk.strip()!r}")
+        sets.append((float(parts[0]), float(parts[1])))
+    return sets
+
+
+def _parse_direction(raw: str) -> int:
+    if raw not in ("+", "-", "+1", "-1"):
+        raise ValueError(f"must be + or -, got {raw!r}")
+    return 1 if raw.startswith("+") else -1
+
+
+def _key(section, default, unit=None, key=None, choices=None, above=None, codec=(None, None)):
+    """A dataclass field whose metadata is its row: allowed are ``choices`` or values > ``above``."""
+    meta = dict(section=section, unit=unit, key=key, choices=choices, above=above, codec=codec)
+    if isinstance(default, list):
+        return field(default_factory=lambda: list(default), metadata=meta)
+    return field(default=default, metadata=meta)
 
 
 @dataclass
 class RunConfig:
-    rest_energy: float = ELECTRON_MEV      # [MeV]
-    energy: float = 2.0                    # total E [MeV]
-    hbar_scale: float = 1.0
-    potential_kind: str = "constant"
-    u0: float = 0.0                        # [MeV]
-    slope: float = 1e-3                    # [MeV/fm]
-    table_file: str = ""
-    param_sets: list = field(default_factory=lambda: [(0.2, 0.0), (4.0 / 3.0, -1.05), (0.25, 8.0)])
-    x0: float = 0.0                        # [fm]
-    t_min: float = 0.0                     # [s]
-    t_max: float = 5.5e-21                 # [s]
-    samples: int = 20001
-    window: float = 2.0e4                  # evanescent halt window [fm]
-    direction: int = 1
-    sync: str = "psi_zero"
-    method: str = "rk4"
-    basis_init: str = "sincos"             # or "unit" for (0,1),(1,0)
-    grid_min: float = -2000.0              # [fm]
-    grid_max: float = 1200.0               # [fm]
-    grid_step: float = 0.05                # [fm]
-    out_dir: str = "out"
+    rest_energy: float = _key("particle", ELECTRON_MEV, "MeV", above=0)
+    energy: float = _key("particle", 2.0, "MeV")              # total E
+    hbar_scale: float = _key("particle", 1.0, above=0)
+    potential_kind: str = _key("potential", "constant", key="kind",
+                               choices=("constant", "linear", "tabulated"))
+    u0: float = _key("potential", 0.0, "MeV")
+    slope: float = _key("potential", 1e-3, "MeV/fm")
+    table_file: str = _key("potential", "", key="file")
+    param_sets: list = _key("trajectories", [(0.2, 0.0), (4.0 / 3.0, -1.05), (0.25, 8.0)], key="sets",
+                            codec=(lambda s: "; ".join(f"{a!r},{b!r}" for a, b in s), _parse_sets))
+    x0: float = _key("trajectories", 0.0, "fm")
+    t_min: float = _key("trajectories", 0.0, "s")
+    t_max: float = _key("trajectories", 5.5e-21, "s")
+    samples: int = _key("trajectories", 20001, above=1)
+    window: float = _key("trajectories", 2.0e4, "fm")         # evanescent halt window
+    direction: int = _key("trajectories", 1, choices=(1, -1),
+                          codec=(lambda d: "+" if d > 0 else "-", _parse_direction))
+    sync: str = _key("trajectories", "psi_zero", choices=("psi_zero", "phi2_zero", "exact"))
+    method: str = _key("numerics", "rk4", choices=("rk4", "euler"))
+    basis_init: str = _key("numerics", "sincos", choices=("sincos", "unit"))  # unit: (0,1),(1,0)
+    grid_min: float = _key("numerics", -2000.0, "fm")
+    grid_max: float = _key("numerics", 1200.0, "fm")
+    grid_step: float = _key("numerics", 0.05, "fm", above=0)
+    out_dir: str = _key("output", "out", key="dir")
 
     def validate(self):
-        if self.rest_energy <= 0:
-            raise ConfigError("[particle] rest_energy must be positive")
-        if self.hbar_scale <= 0:
-            raise ConfigError("[particle] hbar_scale must be positive")
-        if self.potential_kind not in ("constant", "linear", "tabulated"):
-            raise ConfigError(f"[potential] kind {self.potential_kind!r} unknown")
+        for f in fields(self):
+            try:
+                _check(f, getattr(self, f.name))
+            except ValueError as exc:
+                raise ConfigError(f"[{f.metadata['section']}] {_file_key(f)}: {exc}") from None
         if self.potential_kind == "tabulated" and not self.table_file:
             raise ConfigError("[potential] tabulated kind needs file = <path>")
-        for i, (a, b) in enumerate(self.param_sets):
-            if a == 0:
-                raise ConfigError(
-                    f"[trajectories] sets: entry {i + 1} has a = 0; the hidden "
-                    "parameter a must be non-zero (a = 0 collapses the reduced "
-                    "action to a constant)"
-                )
-        if self.direction not in (1, -1):
-            raise ConfigError("[trajectories] direction must be + or -")
-        if self.sync not in ("psi_zero", "phi2_zero", "exact"):
-            raise ConfigError(f"[trajectories] sync {self.sync!r} unknown")
-        if self.method not in ("rk4", "euler"):
-            raise ConfigError(f"[numerics] method {self.method!r} unknown")
-        if self.basis_init not in ("sincos", "unit"):
-            raise ConfigError(f"[numerics] basis_init {self.basis_init!r} unknown")
         if not self.grid_min < self.grid_max:
             raise ConfigError("[numerics] grid_min must lie below grid_max")
-        if self.grid_step <= 0:
-            raise ConfigError("[numerics] grid_step must be positive")
         if not self.t_min < self.t_max:
             raise ConfigError("[trajectories] t_min must lie below t_max")
-        if self.samples < 2:
-            raise ConfigError("[trajectories] samples must be at least 2")
         return self
 
     def canonical_text(self) -> str:
-        sets = "; ".join(f"{a!r},{b!r}" for a, b in self.param_sets)
-        return (
-            "[particle]\n"
-            f"rest_energy = {self.rest_energy!r} MeV\n"
-            f"energy = {self.energy!r} MeV\n"
-            f"hbar_scale = {self.hbar_scale!r}\n"
-            "\n[potential]\n"
-            f"kind = {self.potential_kind}\n"
-            f"u0 = {self.u0!r} MeV\n"
-            f"slope = {self.slope!r} MeV/fm\n"
-            f"file = {self.table_file}\n"
-            "\n[trajectories]\n"
-            f"sets = {sets}\n"
-            f"x0 = {self.x0!r} fm\n"
-            f"t_min = {self.t_min!r} s\n"
-            f"t_max = {self.t_max!r} s\n"
-            f"samples = {self.samples}\n"
-            f"window = {self.window!r} fm\n"
-            f"direction = {'+' if self.direction > 0 else '-'}\n"
-            f"sync = {self.sync}\n"
-            "\n[numerics]\n"
-            f"method = {self.method}\n"
-            f"basis_init = {self.basis_init}\n"
-            f"grid_min = {self.grid_min!r} fm\n"
-            f"grid_max = {self.grid_max!r} fm\n"
-            f"grid_step = {self.grid_step!r} fm\n"
-            "\n[output]\n"
-            f"dir = {self.out_dir}\n"
-        )
+        sections = {}
+        for f in fields(self):
+            line = f"{_file_key(f)} = {_format(f, getattr(self, f.name))}\n"
+            sections.setdefault(f.metadata["section"], []).append(line)
+        return "\n".join(f"[{name}]\n" + "".join(lines) for name, lines in sections.items())
 
     @property
     def hash(self) -> str:
@@ -129,115 +103,98 @@ class RunConfig:
         Path(path).write_text(self.canonical_text())
 
 
-def _line_of(text: str, key: str) -> int:
+def _file_key(f) -> str:
+    return f.metadata["key"] or f.name
+
+
+_TABLE = {(f.metadata["section"], _file_key(f)): f for f in fields(RunConfig)}
+
+
+def _format(f, value) -> str:
+    if f.metadata["codec"][0]:
+        return f.metadata["codec"][0](value)
+    text = repr(value) if f.type is float else str(value)
+    return f"{text} {f.metadata['unit']}" if f.metadata["unit"] else text
+
+
+def _parse(f, raw: str):
+    meta = f.metadata
+    if meta["codec"][1]:
+        return meta["codec"][1](raw)
+    if meta["unit"]:
+        parts = raw.split()
+        if len(parts) != 2 or parts[1] != meta["unit"]:
+            raise ValueError(f"must be '<value> {meta['unit']}', got {raw!r}")
+        raw = parts[0]
+    if f.type is str:
+        return raw
+    value = float(raw)
+    if f.type is int and not value.is_integer():
+        raise ValueError(f"must be a whole number, got {raw!r}")
+    return f.type(value)
+
+
+def _check(f, value):
+    """Raise ValueError unless ``value`` is finite and allowed for key ``f``."""
+    meta = f.metadata
+    numbers = [value] if f.type is float else []
+    if f.name == "param_sets":
+        if not value:
+            raise ValueError("needs at least one 'a,b' entry")
+        numbers = [v for pair in value for v in pair]
+        zero_a = [i for i, (a, _) in enumerate(value, start=1) if a == 0]
+        if zero_a:
+            raise ValueError(f"entry {zero_a[0]} has a = 0; the hidden parameter a must be "
+                             "non-zero (a = 0 collapses the reduced action to a constant)")
+    for v in numbers:
+        if not math.isfinite(v):
+            raise ValueError(f"{v!r} is not a finite number")
+    if meta["choices"] and value not in meta["choices"]:
+        raise ValueError(f"must be one of {', '.join(map(str, meta['choices']))}, got {value!r}")
+    if meta["above"] is not None and not value > meta["above"]:
+        raise ValueError(f"must be above {meta['above']}, got {value!r}")
+
+
+def _line_of(text: str, section: str, key: str = None) -> int:
+    """1-based line of ``[section]``, or of ``key`` in it in any case; 0 if absent."""
+    current = None
     for i, line in enumerate(text.splitlines(), start=1):
-        if line.strip().startswith(key):
+        header = re.match(r"\s*\[(.+)\]", line)
+        current = header.group(1) if header else current
+        name = None if header else re.split(r"[=:]", line, maxsplit=1)[0].strip().lower()
+        if current == section and name == key:
             return i
     return 0
 
 
-def _float_with_unit(text, section, key, raw, unit):
-    parts = raw.split()
-    if len(parts) != 2 or parts[1] != unit:
-        raise ConfigError(
-            f"config line {_line_of(text, key)}: [{section}] {key} must be "
-            f"'<value> {unit}', got {raw!r}"
-        )
-    try:
-        return float(parts[0])
-    except ValueError as exc:
-        raise ConfigError(
-            f"config line {_line_of(text, key)}: [{section}] {key}: {exc}"
-        ) from None
-
-
-def _plain_float(text, section, key, raw):
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"config line {_line_of(text, key)}: [{section}] {key}: {exc}"
-        ) from None
-
-
 def parse_config(path) -> RunConfig:
-    text = Path(path).read_text()
-    return parse_config_text(text)
+    return parse_config_text(Path(path).read_text())
 
 
 def parse_config_text(text: str) -> RunConfig:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # [DEFAULT] is an ordinary (so unknown) section, and '%' an ordinary character
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), default_section=None,
+                                   interpolation=None)
     try:
-        cp.read_file(io.StringIO(text))
+        cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from None
 
     cfg = RunConfig()
-
-    def fget(section, key, default):
-        if cp.has_option(section, key):
-            raw = cp.get(section, key).strip()
-            unit = _UNITS.get((section, key))
-            if unit:
-                return _float_with_unit(text, section, key, raw, unit)
-            return _plain_float(text, section, key, raw)
-        return default
-
-    cfg.rest_energy = fget("particle", "rest_energy", cfg.rest_energy)
-    cfg.energy = fget("particle", "energy", cfg.energy)
-    cfg.hbar_scale = fget("particle", "hbar_scale", cfg.hbar_scale)
-
-    if cp.has_option("potential", "kind"):
-        cfg.potential_kind = cp.get("potential", "kind").strip()
-    cfg.u0 = fget("potential", "u0", cfg.u0)
-    cfg.slope = fget("potential", "slope", cfg.slope)
-    if cp.has_option("potential", "file"):
-        cfg.table_file = cp.get("potential", "file").strip()
-
-    if cp.has_option("trajectories", "sets"):
-        raw = cp.get("trajectories", "sets")
-        sets = []
-        for i, chunk in enumerate(c for c in raw.split(";") if c.strip()):
-            parts = chunk.split(",")
-            if len(parts) != 2:
-                raise ConfigError(
-                    f"config line {_line_of(text, 'sets')}: [trajectories] sets: "
-                    f"entry {i + 1} must be 'a,b', got {chunk.strip()!r}"
-                )
+    for section in cp.sections():
+        if section not in {s for s, _ in _TABLE}:
+            raise ConfigError(f"config line {_line_of(text, section)}: unknown section [{section}]")
+        for key, raw in cp.items(section):
+            f = _TABLE.get((section, key))
             try:
-                sets.append((float(parts[0]), float(parts[1])))
+                if f is None:
+                    raise ValueError("unknown key")
+                value = _parse(f, raw.strip())
+                _check(f, value)
             except ValueError as exc:
-                raise ConfigError(
-                    f"config line {_line_of(text, 'sets')}: [trajectories] sets: {exc}"
-                ) from None
-        cfg.param_sets = sets
-    cfg.x0 = fget("trajectories", "x0", cfg.x0)
-    cfg.t_min = fget("trajectories", "t_min", cfg.t_min)
-    cfg.t_max = fget("trajectories", "t_max", cfg.t_max)
-    cfg.samples = int(fget("trajectories", "samples", cfg.samples))
-    cfg.window = fget("trajectories", "window", cfg.window)
-    if cp.has_option("trajectories", "direction"):
-        raw = cp.get("trajectories", "direction").strip()
-        if raw not in ("+", "-", "+1", "-1"):
-            raise ConfigError(
-                f"config line {_line_of(text, 'direction')}: [trajectories] "
-                f"direction must be + or -, got {raw!r}"
-            )
-        cfg.direction = 1 if raw.startswith("+") else -1
-    if cp.has_option("trajectories", "sync"):
-        cfg.sync = cp.get("trajectories", "sync").strip()
-
-    if cp.has_option("numerics", "method"):
-        cfg.method = cp.get("numerics", "method").strip()
-    if cp.has_option("numerics", "basis_init"):
-        cfg.basis_init = cp.get("numerics", "basis_init").strip()
-    cfg.grid_min = fget("numerics", "grid_min", cfg.grid_min)
-    cfg.grid_max = fget("numerics", "grid_max", cfg.grid_max)
-    cfg.grid_step = fget("numerics", "grid_step", cfg.grid_step)
-
-    if cp.has_option("output", "dir"):
-        cfg.out_dir = cp.get("output", "dir").strip()
-
+                line = _line_of(text, section, key)
+                raise ConfigError(f"config line {line}: [{section}] {key}: {exc}") from None
+            setattr(cfg, f.name, value)
     return cfg.validate()
 
 

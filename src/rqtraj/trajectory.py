@@ -316,15 +316,18 @@ def trace_constant_evanescent(
     )
 
 
+def _zeros_of(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Sign-change zeros of ``y`` on the grid ``x``, linearly interpolated."""
+    s = np.sign(y)
+    idx = np.nonzero(s[:-1] * s[1:] < 0)[0]
+    return x[idx] - y[idx] * (x[idx + 1] - x[idx]) / (y[idx + 1] - y[idx])
+
+
 def _zero_near(grid: np.ndarray, values: np.ndarray, x_target: float, what: str) -> float:
     """Position of the sign-change zero of ``values`` nearest x_target."""
-    s = np.sign(values)
-    flips = np.nonzero(s[:-1] * s[1:] < 0)[0]
-    if flips.size == 0:
+    xz = _zeros_of(grid, values)
+    if xz.size == 0:
         raise BasisGapError(f"no zero of {what} inside the basis grid")
-    xz = grid[flips] - values[flips] * (grid[flips + 1] - grid[flips]) / (
-        values[flips + 1] - values[flips]
-    )
     return float(xz[np.argmin(np.abs(xz - x_target))])
 
 

@@ -117,7 +117,7 @@ def test_detect_nodes_linear_potential(electron2):
     assert np.median(offs) < 0.25 * np.median(rep.dx)
     # spacing trend: grows toward the turning point
     assert rep.dx[1] > rep.dx[0]
-    from rqtraj.analysis import _zeros_of
+    from rqtraj.trajectory import _zeros_of
 
     zeros = _zeros_of(basis.grid, basis.phi2)
     assert np.all(np.diff(np.diff(zeros)) > 0)

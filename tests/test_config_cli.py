@@ -6,10 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rqtraj as rq
 from rqtraj.cli import main
-from rqtraj.config import RunConfig, parse_config_text
+from rqtraj.config import RunConfig, parse_config, parse_config_text
 from rqtraj.errors import ConfigError
 from rqtraj.output import read_csv
 
@@ -47,6 +49,131 @@ def test_config_round_trip_bit_exact(tmp_path):
     assert back.hash == cfg.hash
 
 
+def canonical_text_oracle(cfg):
+    """The hand-written canonical text the table-driven one replaced, verbatim."""
+    self = cfg
+    sets = "; ".join(f"{a!r},{b!r}" for a, b in self.param_sets)
+    return (
+        "[particle]\n"
+        f"rest_energy = {self.rest_energy!r} MeV\n"
+        f"energy = {self.energy!r} MeV\n"
+        f"hbar_scale = {self.hbar_scale!r}\n"
+        "\n[potential]\n"
+        f"kind = {self.potential_kind}\n"
+        f"u0 = {self.u0!r} MeV\n"
+        f"slope = {self.slope!r} MeV/fm\n"
+        f"file = {self.table_file}\n"
+        "\n[trajectories]\n"
+        f"sets = {sets}\n"
+        f"x0 = {self.x0!r} fm\n"
+        f"t_min = {self.t_min!r} s\n"
+        f"t_max = {self.t_max!r} s\n"
+        f"samples = {self.samples}\n"
+        f"window = {self.window!r} fm\n"
+        f"direction = {'+' if self.direction > 0 else '-'}\n"
+        f"sync = {self.sync}\n"
+        "\n[numerics]\n"
+        f"method = {self.method}\n"
+        f"basis_init = {self.basis_init}\n"
+        f"grid_min = {self.grid_min!r} fm\n"
+        f"grid_max = {self.grid_max!r} fm\n"
+        f"grid_step = {self.grid_step!r} fm\n"
+        "\n[output]\n"
+        f"dir = {self.out_dir}\n"
+    )
+
+
+EDGE_FLOATS = [-0.0, 5e-324, 1e300, 0.1]
+# edge values first, so shrinking lands on them; then any finite double
+any_float = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+positive = st.sampled_from([5e-324, 1e300, 0.1]) | st.floats(min_value=5e-324, allow_infinity=False)
+ordered = st.tuples(any_float, any_float).filter(lambda p: p[0] != p[1]).map(sorted)
+nonzero = any_float.filter(lambda v: v != 0)
+path_text = st.text(alphabet="abcXYZ019/_.-%", min_size=1, max_size=12)
+
+
+@st.composite
+def run_configs(draw):
+    grid_min, grid_max = draw(ordered)
+    t_min, t_max = draw(ordered)
+    return RunConfig(
+        rest_energy=draw(positive), energy=draw(any_float), hbar_scale=draw(positive),
+        potential_kind=draw(st.sampled_from(["constant", "linear", "tabulated"])),
+        u0=draw(any_float), slope=draw(any_float), table_file=draw(path_text),
+        param_sets=draw(st.lists(st.tuples(nonzero, any_float), min_size=1, max_size=4)),
+        x0=draw(any_float), t_min=t_min, t_max=t_max,
+        samples=draw(st.integers(2, 10**9)), window=draw(any_float),
+        direction=draw(st.sampled_from([1, -1])),
+        sync=draw(st.sampled_from(["psi_zero", "phi2_zero", "exact"])),
+        method=draw(st.sampled_from(["rk4", "euler"])),
+        basis_init=draw(st.sampled_from(["sincos", "unit"])),
+        grid_min=grid_min, grid_max=grid_max, grid_step=draw(positive),
+        out_dir=draw(path_text),
+    ).validate()
+
+
+@given(cfg=run_configs())
+@settings(max_examples=300, deadline=None)
+def test_canonical_text_matches_oracle_and_round_trips(cfg):
+    text = cfg.canonical_text()
+    assert text == canonical_text_oracle(cfg)
+    assert parse_config_text(text).canonical_text() == text
+
+
+@pytest.mark.parametrize("field, values", [
+    ("potential_kind", ["constant", "linear", "tabulated"]),
+    ("direction", [1, -1]),
+    ("sync", ["psi_zero", "phi2_zero", "exact"]),
+    ("method", ["rk4", "euler"]),
+    ("basis_init", ["sincos", "unit"]),
+])
+def test_canonical_text_every_choice(field, values):
+    for value in values:
+        cfg = RunConfig(table_file="v.tab", **{field: value}).validate()
+        text = cfg.canonical_text()
+        assert text == canonical_text_oracle(cfg)
+        assert getattr(parse_config_text(text), field) == value
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("fig1", "6f63c3b0aff241fb17b58e7f6c9c265c0701c36676b91cd77d6b1cfb48b6af45"),
+    ("fig2", "960390210b612cbc988c806ca3f1288390f6b2499eb2a683e1fb2d8e58a7c4fc"),
+    ("fig3", "ef4387cf1191801d358c0e89a5e5cc148cdaaf19743f5a495c4f256e9c2d2190"),
+])
+def test_committed_config_hashes_are_pinned(name, digest):
+    assert parse_config(CONFIGS / f"{name}.cfg").hash == digest
+
+
+@pytest.mark.parametrize("text, line, words", [
+    ("[particle]\nenergy = nan MeV\n", 2, "energy.*not a finite number"),
+    ("[particle]\nenergy = 2.0 MeV\nhbar_scale = inf\n", 3, "hbar_scale.*not a finite"),
+    ("[trajectories]\nx0 = 0.0 fm\nsets = 0.2,0; 1.0,nan\n", 3, "sets.*not a finite"),
+    ("[numerics]\ngrid_stpe = 5.0 fm\n", 2, "unknown key"),
+    ("[particle]\nenergy = 2.0 MeV\n\n[numerisc]\ngrid_step = 5.0 fm\n", 4, r"unknown section \[numerisc\]"),
+    ("[DEFAULT]\nenergy = 2.0 MeV\n", 1, r"unknown section \[DEFAULT\]"),
+    ("[trajectories]\nsets = \n", 2, "sets.*at least one"),
+    ("[trajectories]\nsets = ;\n", 2, "sets.*at least one"),
+    ("[trajectories]\nsamples = 2.9\n", 2, "samples.*whole number"),
+    ("[trajectories]\nsamples = 1\n", 2, "samples.*above 1"),
+    ("[particle]\nrest_energy = 0.0 MeV\n", 2, "rest_energy.*above 0"),
+    ("[numerics]\nmethod = rk5\n", 2, "method.*one of"),
+    ("# energy first\n[particle]\nEnergy = 2.0\n", 3, "energy.*MeV"),
+    ("[particle]\nrest_energy = 0.5 MeV\nENERGY  : 2.0 GeV\n", 3, "energy.*MeV"),
+])
+def test_config_rejections_name_the_line(text, line, words):
+    with pytest.raises(ConfigError, match=rf"^config line {line}: .*{words}"):
+        parse_config_text(text)
+
+
+def test_config_whole_float_samples_still_parse():
+    assert parse_config_text("[trajectories]\nsamples = 20001.0\n").samples == 20001
+
+
+def test_config_percent_sign_is_literal():
+    # canonical_text writes paths verbatim, so no interpolation on the way back
+    assert parse_config_text("[output]\ndir = runs/100%\n").out_dir == "runs/100%"
+
+
 def test_config_requires_units():
     with pytest.raises(ConfigError, match=r"line \d+.*energy.*MeV"):
         parse_config_text("[particle]\nenergy = 2.0\n")
@@ -70,6 +197,33 @@ def test_cli_exit_code_2_on_bad_config(tmp_path):
     result = CliRunner().invoke(main, ["trace", "--config", str(bad)])
     assert result.exit_code == 2
     assert "non-zero" in (result.output + str(result.stderr_bytes or b""))
+
+
+@pytest.mark.parametrize("text, extra", [
+    ("[particle]\nenergy = nan MeV\n", []),
+    ("[particle]\nenergy = 2.0 MeV\n", ["--epsilon-hbar", "nan"]),
+    ("[numerics]\ngrid_stpe = 5.0 fm\n", []),
+    ("[numerisc]\ngrid_step = 5.0 fm\n", []),
+    ("[trajectories]\nsamples = 2.9\n", []),
+])
+def test_cli_exit_code_2_on_malformed_config(tmp_path, text, extra):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    result = CliRunner().invoke(main, ["trace", "--config", str(bad),
+                                       "--out", str(tmp_path / "out"), *extra])
+    assert result.exit_code == 2, result.output
+    assert "config error" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_figure_exit_code_2_on_empty_sets(tmp_path):
+    text = (CONFIGS / "fig2.cfg").read_text().replace("sets = 0.25,8", "sets = ")
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    result = CliRunner().invoke(main, ["figure", "--config", str(bad), "--figure", "2",
+                                       "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert "config error" in result.output and "sets" in result.output
 
 
 def test_cli_exit_code_3_on_numerical_failure(tmp_path):
