@@ -335,35 +335,54 @@ def mean_momentum(ra: ReducedAction, x_a: float, x_b: float) -> float:
 # residual validators
 # ----------------------------------------------------------------------
 
-def _stencil_derivatives(t, x, half: int = 3, stride: int = 1):
-    """First three derivatives of x(t) by local degree-6 interpolation on 7 samples.
+# Centred 7-point weights on offsets -3..3 (Fornberg 1988): the first three
+# derivatives at 0 of the degree-6 interpolant, in units of the step.  The
+# integer numerators are exact in binary; each sum is divided by its
+# denominator once.
+_STENCIL_WEIGHTS = (
+    ((-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0), 60.0),
+    ((2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0), 180.0),
+    ((1.0, -8.0, 13.0, 0.0, -13.0, 8.0, -1.0), 8.0),
+)
+# Largest spread max|dt - h| accepted as uniform, in ulps of max|t|: linspace
+# and arange grids stay within a few ulps; anything else needs weights of
+# its own.
+_UNIFORM_ULPS = 256
 
-    Works on non-uniform abscissae; windows are shifted and scaled before
-    the Vandermonde solve for conditioning.  ``stride`` widens the stencil
-    (every stride-th sample) to trade truncation error against float-noise
-    amplification.  Returns arrays aligned with t[half*stride : -half*stride].
+
+def _stencil_derivatives(t, x, stride: int = 1):
+    """First three derivatives of x(t) on uniformly spaced t, 7-point stencil.
+
+    Applies the fixed centred weights of the degree-6 interpolant on every
+    stride-th sample (offsets -3*stride..3*stride) to the window-centred
+    values x[j] - x[centre], so the sums see the variation, not the offset.
+    ``stride`` trades truncation error against float-noise amplification.
+    The step h = (t[-1] - t[0]) / (n - 1) is signed, so descending t works.
+    Raises TooFewSamples below 6*stride + 1 samples and RegimeError when t
+    is not uniform to _UNIFORM_ULPS ulps of max|t|.  Returns arrays aligned
+    with t[3*stride : -3*stride].
     """
     n = t.size
-    if n < 2 * half * stride + 1:
-        raise TooFewSamples(f"need at least {2 * half * stride + 1} samples")
-    m = n - 2 * half * stride
-    w = 2 * half + 1
-    idx = np.arange(m)[:, None] + stride * np.arange(w)[None, :]
-    tw = t[idx]
-    xw = x[idx]
-    tc = tw[:, half][:, None]
-    s = tw - tc
-    r = np.max(np.abs(s), axis=1, keepdims=True)
-    sn = s / r
-    # center x per window: the fit sees the variation, not the offset
-    xc = xw - xw[:, half][:, None]
-    powers = sn[:, :, None] ** np.arange(w)[None, None, :]
-    coef = np.linalg.solve(powers, xc[:, :, None])[:, :, 0]
-    r1 = r[:, 0]
-    xd = coef[:, 1] / r1
-    xdd = 2.0 * coef[:, 2] / r1**2
-    xddd = 6.0 * coef[:, 3] / r1**3
-    return xd, xdd, xddd
+    if n < 6 * stride + 1:
+        raise TooFewSamples(f"need at least {6 * stride + 1} samples")
+    h = (t[-1] - t[0]) / (n - 1)
+    spread = np.max(np.abs(np.diff(t) - h))
+    tol = _UNIFORM_ULPS * np.spacing(np.max(np.abs(t)))
+    if not (h != 0 and spread <= tol):
+        raise RegimeError(
+            f"stencil needs uniform samples: max|dt - h| = {spread:.3e} "
+            f"exceeds {tol:.3e} (h = {h:.6e})"
+        )
+    m = n - 6 * stride
+    centre = x[3 * stride : 3 * stride + m]
+    # the centre offset contributes nothing to window-centred values
+    offsets = (0, 1, 2, 4, 5, 6)
+    shifted = [x[j * stride : j * stride + m] - centre for j in offsets]
+    out = []
+    for k, (weights, denom) in enumerate(_STENCIL_WEIGHTS, start=1):
+        acc = sum(weights[j] * d for j, d in zip(offsets, shifted))
+        out.append(acc / (denom * (h * stride) ** k))
+    return tuple(out)
 
 
 def closure_residual(traj: Trajectory, setup: PhysicalSetup = None, pot: Potential = None) -> ValidationReport:
@@ -388,16 +407,25 @@ def firqnl_residual(
 ) -> ValidationReport:
     """Normalized residual of the third-order first integral of the motion.
 
-    Five terms are evaluated per interior sample (derivatives from 7-point
-    local polynomial fits) and the sum is divided by the largest term
-    magnitude.  For constant potentials the potential-derivative terms are
-    identically zero and are flagged as exact in the notes.
+    Five terms are evaluated per interior sample (derivatives from the fixed
+    7-point centred stencil, see ``_stencil_derivatives``) and the sum is
+    divided by the largest term magnitude.  For constant potentials the
+    potential-derivative terms are identically zero and are flagged as exact
+    in the notes.
 
     Derivatives are taken along whichever variable the trace samples
-    uniformly: t(x) windows for quadrature output (uniform x), x(t) windows
-    for closed forms (uniform t).  Both give the same kinematics; the choice
-    only controls where float noise is amplified.
+    uniformly: t(x) windows for quadrature output (uniform basis grid x),
+    x(t) windows for closed forms (linspace t).  ``independent_var`` is
+    "auto" (choose by the trace's method), "t" or "x"; ``stride`` is a
+    positive int spacing the stencil over every stride-th sample.  The
+    chosen variable must be uniformly sampled: otherwise RegimeError, and
+    TooFewSamples below 6*stride + 1 samples.  An unknown
+    ``independent_var`` or a bad ``stride`` raises ValueError.
     """
+    if independent_var not in ("auto", "t", "x"):
+        raise ValueError(f"independent_var must be 'auto', 't' or 'x', not {independent_var!r}")
+    if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
+        raise ValueError(f"stride must be a positive int, not {stride!r}")
     setup = setup or traj.setup
     pot = pot or traj.potential
     if independent_var == "auto":

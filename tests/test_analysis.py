@@ -1,9 +1,20 @@
+import dataclasses
+import json
+import math
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import rqtraj as rq
+from rqtraj import pipeline
+from rqtraj.analysis import _stencil_derivatives
+from rqtraj.config import parse_config
 from rqtraj.errors import InsufficientTrajectories, RegimeError, TooFewSamples
 from tests.conftest import oscillatory_wavenumber
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 FIG1_SETS = ((0.2, 0.0), (4 / 3, -1.05), (0.25, 8.0))
 FIG3_SETS = ((4.0, 2.5), (8.0, -3.0), (5.0, 2.0))
@@ -217,6 +228,141 @@ def test_first_integral_too_few_samples(electron2):
                                        0.0, (0.0, dt), 5)
     with pytest.raises(TooFewSamples):
         rq.firqnl_residual(tr)
+
+
+def test_first_integral_rejects_bad_arguments(electron2):
+    dt = rq.node_period(electron2, 0.0)
+    tr = rq.trace_constant_oscillatory(electron2, 0.0, rq.HiddenParams(0.2, 0.0),
+                                       0.0, (0.0, dt), 201)
+    with pytest.raises(ValueError, match="independent_var"):
+        rq.firqnl_residual(tr, independent_var="X")
+    for stride in (0, -1, 2.5, True, "2"):
+        with pytest.raises(ValueError, match="stride"):
+            rq.firqnl_residual(tr, stride=stride)
+    assert (rq.firqnl_residual(tr, stride=np.int64(2)).max_residual
+            == rq.firqnl_residual(tr, stride=2).max_residual)
+
+
+def test_first_integral_rejects_non_uniform_samples(electron2):
+    dt = rq.node_period(electron2, 0.0)
+    tr = rq.trace_constant_oscillatory(electron2, 0.0, rq.HiddenParams(4 / 3, -1.05),
+                                       0.0, (0.0, 3 * dt), 2501)
+    t = tr.t.copy()
+    t[1000] += 1e-6 * (t[1] - t[0])
+    with pytest.raises(RegimeError, match="uniform"):
+        rq.firqnl_residual(dataclasses.replace(tr, t=t))
+
+    _, _, trajs = linear_pipeline(electron2, lo=-600.0, hi=200.0, h=0.1, x0=-200.0)
+    tr = trajs[0]
+    x = tr.x.copy()
+    x[x.size // 2] += 1e-6 * (x[1] - x[0])
+    with pytest.raises(RegimeError, match="uniform"):
+        rq.firqnl_residual(dataclasses.replace(tr, x=x), stride=4)
+
+
+def test_analyze_records_non_uniform_trace(tmp_path, monkeypatch):
+    """A non-uniform trace becomes first_integral_error, not a number."""
+    cfg = dataclasses.replace(parse_config(CONFIGS / "fig1.cfg"), samples=2001,
+                              out_dir=str(tmp_path))
+    trace_one = pipeline._trace_one
+
+    def skewed(cfg, setup, pot, basis, hp):
+        tr = trace_one(cfg, setup, pot, basis, hp)
+        if hp.b == -1.05:
+            t = tr.t.copy()
+            t[1000] += 1e-6 * (t[1] - t[0])
+            tr = dataclasses.replace(tr, t=t)
+        return tr
+
+    monkeypatch.setattr(pipeline, "_trace_one", skewed)
+    manifest = pipeline.run_analyze(cfg)
+    per_set = json.loads((tmp_path / "validation.json").read_text())["per_set"]
+    assert [("first_integral_max" in e, "first_integral_error" in e) for e in per_set] == [
+        (True, False), (False, True), (True, False)]
+    assert "uniform" in per_set[1]["first_integral_error"]
+    labels = [label for label, _ in manifest["summary"]]
+    assert "first-integral max (a=1.33333, b=-1.05)" not in labels
+    assert "first-integral max (a=0.2, b=0)" in labels
+
+
+def _exact_weights(k):
+    """k-th derivative at 0 of the Lagrange basis on offsets -3..3, exactly."""
+    nodes = range(-3, 4)
+    weights = []
+    for j in nodes:
+        poly = [Fraction(1)]  # coefficients of L_j(s), lowest power first
+        for i in nodes:
+            if i != j:
+                shifted = [Fraction(0)] + poly
+                poly = [(shifted[p] - i * (poly[p] if p < len(poly) else 0)) / (j - i)
+                        for p in range(len(shifted))]
+        weights.append(math.factorial(k) * poly[k])
+    return weights
+
+
+def stencil_oracle(t, x, stride):
+    """The 7-point stencil in exact rational arithmetic on float64 samples."""
+    n = t.size
+    hs = (Fraction(t[-1]) - Fraction(t[0])) / (n - 1) * stride
+    xs = [Fraction(v) for v in x]
+    out = []
+    for k in (1, 2, 3):
+        w = _exact_weights(k)
+        out.append([
+            sum(w[j] * (xs[i + (j - 3) * stride] - xs[i]) for j in range(7)) / hs**k
+            for i in range(3 * stride, n - 3 * stride)
+        ])
+    return out
+
+
+def _relative_errors(t, x, stride):
+    oracle = stencil_oracle(t, x, stride)
+    got = _stencil_derivatives(t, x, stride=stride)
+    return [
+        float(max(abs(Fraction(g) - o) for g, o in zip(d.tolist(), ref)) / max(abs(o) for o in ref))
+        for d, ref in zip(got, oracle)
+    ]
+
+
+@pytest.mark.parametrize("direction", [+1, -1])
+def test_stencil_matches_exact_oracle(electron2, direction):
+    setup = electron2.with_direction(direction)
+    # fig1-like closed form: uniform t, stride 1
+    tr = rq.trace_constant_oscillatory(setup, 0.0, rq.HiddenParams(4 / 3, -1.05), 0.0,
+                                       (0.0, 5.5e-21), 50001)
+    cut = slice(20000, 20300)
+    errs = _relative_errors(tr.t[cut], tr.x[cut], 1)
+    assert errs[0] <= 1e-14 and errs[1] <= 1e-11 and errs[2] <= 1e-9, errs
+    # quadrature: uniform x (descending for direction -), stride 4
+    _, _, trajs = linear_pipeline(setup)
+    tr = trajs[0]
+    assert np.sign(tr.x[-1] - tr.x[0]) == direction
+    cut = slice(30000, 30300)
+    errs = _relative_errors(tr.x[cut], tr.t[cut], 4)
+    assert errs[0] <= 1e-14 and errs[1] <= 1e-11 and errs[2] <= 1e-9, errs
+
+
+@pytest.mark.parametrize("stride", [1, 4])
+@pytest.mark.parametrize("order", [1, -1])
+def test_stencil_exact_on_degree_six_polynomial(stride, order):
+    """Samples, differences and sums are exact here: only the final division rounds."""
+    t = np.arange(-150, 150)[::order] / 16.0
+    x = 3 * t**6 - 5 * t**5 + t**4 - 7 * t**3 + 2 * t**2 - t + 11
+    for err in _relative_errors(t, x, stride):
+        assert err <= 4 * np.finfo(float).eps, err
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("fig1", (6.029220e-4, 3.932358e-4, 2.762079e-2)),
+    ("fig3", (5.940112e-5, 4.273197e-4, 6.815012e-5)),
+])
+def test_first_integral_committed_configs(tmp_path, name, expected):
+    """Per-set maxima pinned at the exact-arithmetic stencil's values."""
+    cfg = dataclasses.replace(parse_config(CONFIGS / f"{name}.cfg"), out_dir=str(tmp_path))
+    pipeline.run_analyze(cfg)
+    per_set = json.loads((tmp_path / "validation.json").read_text())["per_set"]
+    got = [e["first_integral_max"] for e in per_set]
+    assert got == pytest.approx(expected, rel=1e-6)
 
 
 def test_quantum_hj_analytic_basis(electron2, const_basis, const_pot):
