@@ -14,7 +14,7 @@ import numpy as np
 
 from .action import ReducedAction
 from .errors import InsufficientTrajectories, RegimeError, TooFewSamples
-from .kleingordon import SolutionBasis, wavenumber_sq
+from .kleingordon import UNIFORM_REL_TOL, SolutionBasis, uniform_step, wavenumber_sq
 from .model import ConstantPotential, HiddenParams, PhysicalSetup, Potential
 from .output import write_json
 from .trajectory import Trajectory, _zeros_of, node_period, node_spacing
@@ -344,44 +344,58 @@ _STENCIL_WEIGHTS = (
     ((2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0), 180.0),
     ((1.0, -8.0, 13.0, 0.0, -13.0, 8.0, -1.0), 8.0),
 )
-# Largest spread max|dt - h| accepted as uniform, in ulps of max|t|: linspace
-# and arange grids stay within a few ulps; anything else needs weights of
-# its own.
-_UNIFORM_ULPS = 256
 
 
 def _stencil_derivatives(t, x, stride: int = 1):
     """First three derivatives of x(t) on uniformly spaced t, 7-point stencil.
 
     Applies the fixed centred weights of the degree-6 interpolant on every
-    stride-th sample (offsets -3*stride..3*stride) to the window-centred
-    values x[j] - x[centre], so the sums see the variation, not the offset.
-    ``stride`` trades truncation error against float-noise amplification.
-    The step h = (t[-1] - t[0]) / (n - 1) is signed, so descending t works.
+    stride-th sample (offsets -3*stride..3*stride, step hs = h * stride with
+    the signed mean step h, so descending t works) to the window-centred
+    values x[j] - x[centre].  ``stride`` trades truncation error against
+    float-noise amplification.
+
+    A uniform float grid is not exactly uniform: linspace or arange put
+    sample j of a window off its ideal place t[centre] + offset * hs by
+    delta_j, up to an ulp of max|t|, and the fixed weights would turn that
+    into a relative error (delta / hs) (L / hs)^(k-1) in the k-th
+    derivative, L the length on which x varies.  So every sample is moved
+    onto its ideal place to first order, x[j] - xd[j] * delta_j, with xd
+    from np.gradient on the actual t; what is left is second order in
+    delta / hs.  The correction is summed apart from the window-centred
+    values, whose weighted sums stay exact where x varies smoothly.
+
     Raises TooFewSamples below 6*stride + 1 samples and RegimeError when t
-    is not uniform to _UNIFORM_ULPS ulps of max|t|.  Returns arrays aligned
+    is not uniform by ``kleingordon.uniform_step``.  Returns arrays aligned
     with t[3*stride : -3*stride].
     """
     n = t.size
     if n < 6 * stride + 1:
         raise TooFewSamples(f"need at least {6 * stride + 1} samples")
-    h = (t[-1] - t[0]) / (n - 1)
-    spread = np.max(np.abs(np.diff(t) - h))
-    tol = _UNIFORM_ULPS * np.spacing(np.max(np.abs(t)))
-    if not (h != 0 and spread <= tol):
+    h = uniform_step(t)
+    if h is None:
         raise RegimeError(
-            f"stencil needs uniform samples: max|dt - h| = {spread:.3e} "
-            f"exceeds {tol:.3e} (h = {h:.6e})"
+            f"stencil needs uniform samples: steps within {UNIFORM_REL_TOL:g} "
+            "of their mean"
         )
+    hs = h * stride
+    xd = np.gradient(x, t, edge_order=2)
     m = n - 6 * stride
-    centre = x[3 * stride : 3 * stride + m]
+    tc = t[3 * stride : 3 * stride + m]
+    xc = x[3 * stride : 3 * stride + m]
     # the centre offset contributes nothing to window-centred values
     offsets = (0, 1, 2, 4, 5, 6)
-    shifted = [x[j * stride : j * stride + m] - centre for j in offsets]
+    values, shifts = [], []
+    for j in offsets:
+        win = slice(j * stride, j * stride + m)
+        delta = (t[win] - tc) - (j - 3) * hs
+        values.append(x[win] - xc)
+        shifts.append(xd[win] * delta)
     out = []
     for k, (weights, denom) in enumerate(_STENCIL_WEIGHTS, start=1):
-        acc = sum(weights[j] * d for j, d in zip(offsets, shifted))
-        out.append(acc / (denom * (h * stride) ** k))
+        acc = sum(weights[j] * d for j, d in zip(offsets, values))
+        acc -= sum(weights[j] * s for j, s in zip(offsets, shifts))
+        out.append(acc / (denom * hs**k))
     return tuple(out)
 
 
@@ -414,10 +428,11 @@ def firqnl_residual(
     in the notes.
 
     Derivatives are taken along whichever variable the trace samples
-    uniformly: t(x) windows for quadrature output (uniform basis grid x),
-    x(t) windows for closed forms (linspace t).  ``independent_var`` is
-    "auto" (choose by the trace's method), "t" or "x"; ``stride`` is a
-    positive int spacing the stencil over every stride-th sample.  The
+    uniformly (``kleingordon.uniform_step``): x(t) windows for closed forms
+    (linspace t), t(x) windows for quadrature and for classical linear or
+    tabulated traces (uniform x).  ``independent_var`` is "t", "x" or
+    "auto", which takes t when t is uniform and x otherwise; ``stride`` is
+    a positive int spacing the stencil over every stride-th sample.  The
     chosen variable must be uniformly sampled: otherwise RegimeError, and
     TooFewSamples below 6*stride + 1 samples.  An unknown
     ``independent_var`` or a bad ``stride`` raises ValueError.
@@ -429,7 +444,7 @@ def firqnl_residual(
     setup = setup or traj.setup
     pot = pot or traj.potential
     if independent_var == "auto":
-        independent_var = "x" if traj.meta.get("method") == "quadrature-simpson" else "t"
+        independent_var = "t" if uniform_step(traj.t) is not None else "x"
     if independent_var == "x":
         tp, tpp, tppp = _stencil_derivatives(traj.x, traj.t, stride=stride)
         xd = 1.0 / tp

@@ -24,7 +24,7 @@ import numpy as np
 
 from .action import ReducedAction
 from .errors import BasisGapError, RegimeError, TurningPointSingular
-from .kleingordon import SolutionBasis, wavenumber_sq
+from .kleingordon import SolutionBasis, uniform_step, wavenumber_sq
 from .model import (
     ConstantPotential,
     HiddenParams,
@@ -370,9 +370,9 @@ def trace_quadrature(
     xs = grid[sel]
     if xs.size < 3:
         raise BasisGapError("fewer than 3 basis points inside the x range")
-    h = float(xs[1] - xs[0])
-    if not np.allclose(np.diff(xs), h, rtol=1e-8):
+    if uniform_step(xs) is None:
         raise ValueError("quadrature requires a uniform basis grid")
+    h = float(xs[1] - xs[0])
 
     ev = setup.E - np.asarray(pot.v(xs), dtype=float)
     kin = ev - setup.rest_sq / ev                     # [MeV]
