@@ -2,15 +2,39 @@
 
 Every CSV value that is a float goes out as ``%.16e`` (17 significant digits,
 enough for the residual validators) and every other value as ``str()``; the
-dtype decides once per column, object columns decide per value.  Rows go
-through one ``%`` row template and are streamed in blocks of ``BLOCK_ROWS``.
-Identical inputs give byte-identical files; headers carry provenance.
+dtype decides once per column, object columns decide per value.  Identical
+inputs give byte-identical files; headers carry provenance.
+
+Rows are streamed in blocks of ``BLOCK_ROWS`` and each block becomes bytes
+through numpy array operations.  A float column is cast to float64 (exact,
+the same ``float()`` the ``%`` operator applies) and each value's 17 digits
+are computed exactly: with k = floor(log10|v|), y = |v| * 10**(16 - k) is
+formed as a double-double product (Dekker's exact product against a table
+of 10**q split into a correctly rounded double and its correctly rounded
+remainder) and rounded to the nearest integer D.  A value takes the
+per-value ``'%.16e' % v`` instead when that rounding cannot be proved
+correct or the fast path does not apply: y's fraction within 1e-6 of one
+half (exact ties round half to even there), floor(y) below 10**16 or D at
+10**17 (log10 was off by one, or D carries into the next power of ten), or
+v zero, non-finite, subnormal or outside [1e-280, 1e280].  int, uint and
+bool columns are cast to bytes (the text of ``str()``), ASCII str columns
+are taken code by code, and object, bytes and non-ASCII str columns keep
+the per-value rule.  Each value becomes a NUL-padded field; a block joins
+its fields with ',' and '\\n' and drops the padding.  Files are written in
+binary mode as UTF-8.
+
+A value or a column name whose text holds ',', NUL or a line break, and a
+comment holding a line break, would change the rows ``read_csv`` sees;
+``write_csv`` raises ``ValueError`` naming the column or comment before
+any file or directory is created.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +42,132 @@ import numpy as np
 
 BLOCK_ROWS = 8192
 
+# the boundaries str.splitlines() splits at, as read_csv does
+LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_BREAKS = re.compile(f"[,\0{LINE_BREAKS}]")
+_BREAK_CODES = np.array([ord(c) for c in "," + LINE_BREAKS], dtype=np.uint32)
+
+# fast-path range of |v|: 10**(16 - k) and its remainder stay normal doubles
+FAST_MIN, FAST_MAX = 1e-280, 1e280
+_K_MIN, _K_MAX = -281, 280        # floor(log10|v|) over the range, one low at its end
+_SPLIT = 134217729.0              # 2**27 + 1, Veltkamp's splitting factor
+
 
 def config_hash(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+@functools.cache
+def _powers():
+    """(hi, hh, hl, lo) by k - _K_MIN: 10**(16 - k) = hi + lo, hi = hh + hl.
+
+    hi is 10**(16 - k) correctly rounded and lo the remainder correctly
+    rounded (int true division is), hh and hl hi's Veltkamp halves.  Built
+    on first use.
+    """
+    hi, lo = [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        num, den = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
+        h = num / den
+        hn, hd = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * hd - hn * den) / (den * hd))
+    hi, lo = np.array(hi), np.array(lo)
+    t = hi * _SPLIT
+    hh = t - (t - hi)
+    return hi, hh, hi - hh, lo
+
+
+@functools.cache
+def _texts():
+    """uint32 text tables, built on first use: 'e+05' padded to 8 bytes by
+    k - _K_MIN, '1.' and '-1.' padded to 4 bytes by digit + 10 * sign, and
+    the 10 000 four-digit groups."""
+    exps = b"".join((b"e%+03d" % k).ljust(8, b"\0") for k in range(_K_MIN, _K_MAX + 1))
+    lead = b"".join(b"%d.\0\0" % d for d in range(10)) + b"".join(b"-%d.\0" % d for d in range(10))
+    digits = b"".join(b"%04d" % g for g in range(10000))
+    return (np.frombuffer(exps, np.uint32).reshape(-1, 2), np.frombuffer(lead, np.uint32),
+            np.frombuffer(digits, np.uint32))
+
+
+def _fast_digits(v):
+    """(d, k, ok): |v| = d * 10**(k - 16) rounded to 17 digits, where ok.
+
+    v is float64; d and k are int64 and hold 10**16 and 0 where not ok.
+    """
+    hi, hh, hl, lo = _powers()
+    a = np.abs(v)
+    fast = (a >= FAST_MIN) & (a <= FAST_MAX)
+    a = np.where(fast, a, 1.0)
+    k = np.clip(np.floor(np.log10(a)).astype(np.int64), _K_MIN, _K_MAX)
+    i = k - _K_MIN
+    # y = a * (hi + lo) = p + c: p = fl(a * hi), c its exact error plus a * lo
+    p = a * hi[i]
+    t = a * _SPLIT
+    ah = t - (t - a)
+    al = a - ah
+    c = ((ah * hh[i] - p) + ah * hl[i] + al * hh[i]) + al * hl[i] + a * lo[i]
+    whole = np.floor(c)
+    frac = c - whole
+    d = p.astype(np.int64) + whole.astype(np.int64)
+    ok = fast & (np.abs(frac - 0.5) > 1e-6) & (d >= 10 ** 16)
+    d += frac > 0.5
+    ok &= d < 10 ** 17
+    return np.where(ok, d, 10 ** 16), np.where(ok, k, 0), ok
+
+
+def _float_fields(v):
+    """'%.16e' of each float64 in v as (n, 28) NUL-padded bytes."""
+    exps, lead, digits = _texts()
+    d, k, ok = _fast_digits(v)
+    # the first 9 and last 8 digits as int32, which divides faster than int64
+    top = d // 10 ** 8
+    low = (d - top * 10 ** 8).astype(np.int32)
+    top = top.astype(np.int32)
+    mid, lowmid = top // 10 ** 4, low // 10 ** 4
+    first = mid // 10 ** 4
+    fields = np.empty((len(v), 7), np.uint32)
+    fields[:, 0] = lead[first + 10 * np.signbit(v)]
+    fields[:, 1] = digits[mid - first * 10 ** 4]
+    fields[:, 2] = digits[top - mid * 10 ** 4]
+    fields[:, 3] = digits[lowmid]
+    fields[:, 4] = digits[low - lowmid * 10 ** 4]
+    fields[:, 5:] = exps[k - _K_MIN]
+    slow = np.flatnonzero(~ok)
+    if slow.size:
+        text = np.array([("%.16e" % x).encode() for x in v[slow].tolist()], dtype="S28")
+        fields[slow] = text.view(np.uint32).reshape(-1, 7)
+    return fields.view(np.uint8)
+
+
+def _text_column(name, arr):
+    """A column that is not numeric as str; refuses text that would break a row."""
+    if arr.dtype.kind != "U":
+        texts = [f"{float(v):.16e}" if isinstance(v, (float, np.floating)) else str(v)
+                 for v in arr]
+        if any(map(_BREAKS.search, texts)):
+            raise ValueError(f"column {name!r} has a value holding ',', NUL or a line break")
+        arr = np.array(texts, dtype=str)
+    arr = np.ascontiguousarray(arr)
+    codes = arr.view(np.uint32).reshape(len(arr), arr.itemsize // 4)
+    # a NUL before a later character is inside the text; trailing NULs are padding
+    if (np.isin(codes, _BREAK_CODES, kind="table").any()
+            or ((codes[:, :-1] == 0) & (codes[:, 1:] != 0)).any()):
+        raise ValueError(f"column {name!r} has a value holding ',', NUL or a line break")
+    return arr
+
+
+def _field_bytes(block):
+    """One column's block as (rows, width) NUL-padded bytes."""
+    kind = block.dtype.kind
+    if kind == "f":
+        return _float_fields(block.astype(np.float64))
+    if kind == "U":
+        codes = block.view(np.uint32).reshape(len(block), -1)
+        if not (codes >= 128).any():
+            return codes.astype(np.uint8)
+    text = block.astype("S") if kind in "iub" else np.char.encode(block, "utf-8")
+    return text.view(np.uint8).reshape(len(block), -1)
 
 
 def write_csv(path, header_comments, columns, footer_comments=()):
@@ -31,16 +178,27 @@ def write_csv(path, header_comments, columns, footer_comments=()):
     for name, arr in zip(names, arrays):
         if len(arr) != n:
             raise ValueError(f"column {name!r} has {len(arr)} rows, {names[0]!r} has {n}")
-    template = ",".join("%.16e" if arr.dtype.kind == "f" else "%s" for arr in arrays)
+        if _BREAKS.search(name):
+            raise ValueError(f"column name {name!r} holds ',', NUL or a line break")
+    for c in (*header_comments, *footer_comments):
+        if any(b in f"{c}" for b in LINE_BREAKS):
+            raise ValueError(f"comment {c!r} holds a line break")
+    header = "".join(f"# {c}\n" for c in header_comments)
+    footer = "".join(f"# {c}\n" for c in footer_comments)
+    arrays = [arr if arr.dtype.kind in "fiub" else _text_column(name, arr)
+              for name, arr in zip(names, arrays)]
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write("".join(f"# {c}\n" for c in header_comments) + ",".join(names) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((header + ",".join(names) + "\n").encode("utf-8"))
         for lo in range(0, n, BLOCK_ROWS):
-            block = [b.tolist() if b.dtype.kind in "fiubUS" else
-                     [f"{float(v):.16e}" if isinstance(v, (float, np.floating)) else str(v)
-                      for v in b] for b in (arr[lo:lo + BLOCK_ROWS] for arr in arrays)]
-            fh.write("\n".join(template % row for row in zip(*block)) + "\n")
-        fh.write("".join(f"# {c}\n" for c in footer_comments))
+            rows = min(BLOCK_ROWS, n - lo)
+            comma = np.full((rows, 1), ord(","), np.uint8)
+            parts = []
+            for arr in arrays:
+                parts += [_field_bytes(arr[lo:lo + rows]), comma]
+            parts[-1] = np.full((rows, 1), ord("\n"), np.uint8)
+            fh.write(np.concatenate(parts, axis=1).tobytes().translate(None, b"\0"))
+        fh.write(footer.encode("utf-8"))
 
 
 def read_csv(path):
@@ -48,7 +206,7 @@ def read_csv(path):
     meta = {}
     names = None
     rows = []
-    for line in Path(path).read_text().splitlines():
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
         if line.startswith("#"):
             body = line[1:].strip()
             if ":" in body:

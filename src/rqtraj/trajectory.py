@@ -193,7 +193,7 @@ def trace_constant_oscillatory(
         t=t,
         x=x,
         branch=n_branch,
-        regime=np.full(t.shape, "oscillatory", dtype=object),
+        regime=np.full(t.shape, "oscillatory"),
         momentum=momentum,
         meta={
             "setup": setup,
@@ -301,7 +301,7 @@ def trace_constant_evanescent(
         t=t,
         x=x,
         branch=np.zeros(t.shape, dtype=int),
-        regime=np.full(t.shape, "evanescent", dtype=object),
+        regime=np.full(t.shape, "evanescent"),
         momentum=momentum,
         meta={
             "setup": setup,
@@ -424,7 +424,7 @@ def trace_quadrature(
         t=tt,
         x=xs_o,
         branch=branch,
-        regime=regime.astype(object),
+        regime=regime,
         momentum=pc,
         meta={
             "setup": setup,
@@ -509,7 +509,7 @@ def classical_trace(
         t=t,
         x=x,
         branch=np.zeros(t.shape, dtype=int),
-        regime=np.full(t.shape, "oscillatory", dtype=object),
+        regime=np.full(t.shape, "oscillatory"),
         momentum=pc,
         meta={
             "setup": setup,

@@ -1,5 +1,7 @@
 """CSV writer: byte parity with the per-cell reference, and CLI round trips."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -9,8 +11,8 @@ from hypothesis.extra import numpy as hnp
 
 from rqtraj import pipeline
 from rqtraj.cli import main
-from rqtraj.config import RunConfig
-from rqtraj.output import BLOCK_ROWS, read_csv, write_csv
+from rqtraj.config import RunConfig, parse_config
+from rqtraj.output import BLOCK_ROWS, FAST_MAX, FAST_MIN, _fast_digits, read_csv, write_csv
 
 
 def reference_csv(header_comments, columns, footer_comments=()):
@@ -30,7 +32,7 @@ def reference_csv(header_comments, columns, footer_comments=()):
             row.append(fmt(v) if isinstance(v, (float, np.floating)) else str(v))
         lines.append(",".join(row))
     lines.extend(f"# {c}" for c in footer_comments)
-    return ("\n".join(lines) + "\n").encode()
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def assert_parity(path, header, columns, footer=()):
@@ -60,7 +62,7 @@ def test_parity_column_dtypes(tmp_path):
         ("unicode", np.array([f"s{i}" for i in range(n)])),
         ("strobj", np.full(n, "oscillatory", dtype=object)),
         ("mixed", np.array([1.5, 2, "turning", np.float32(0.1), True, None,
-                            np.float64(-0.0), np.int64(7), float("nan"), (1, 2)],
+                            np.float64(-0.0), np.int64(7), float("nan"), 1 + 2j],
                            dtype=object)),
     ]
     assert_parity(tmp_path / "d.csv", ["a: 1", "b: 2"], columns, footer=["halt: x"])
@@ -90,12 +92,114 @@ def test_parity_random_float64(tmp_path_factory, values):
     assert_parity(path, ["h: 1"], [("a", values), ("b", values[::-1].copy())])
 
 
+def test_parity_random_bit_patterns(tmp_path):
+    """Every 64-bit pattern is a float64 (both signs, nan, inf, subnormals)."""
+    bits = np.random.default_rng(20261018).integers(0, 2**64, 2**20, dtype=np.uint64)
+    values = bits.view(np.float64)
+    assert np.signbit(values).any() and not np.signbit(values).all()
+    assert_parity(tmp_path / "bits.csv", [], [("v", values)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                min_size=1, max_size=20))
+def test_parity_any_float(tmp_path_factory, values):
+    path = tmp_path_factory.mktemp("f") / "f.csv"
+    assert_parity(path, [], [("v", np.array(values)), ("w", -np.array(values))])
+
+
+def _neighbours(values):
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([values, np.nextafter(values, 0), np.nextafter(values, np.inf)])
+
+
+NAMED = {
+    "zeros": [0.0, -0.0],
+    "subnormal and normal minimum": [2.0**-1074, 2.0**-1022],
+    "largest double": [np.finfo(np.float64).max],
+    "powers of ten": _neighbours([10.0**q for q in range(-30, 31)]),
+    "exponent width": _neighbours([1e-100, 1e-99, 1e99, 1e100]),
+    "fast range ends": _neighbours([FAST_MIN, FAST_MAX, 1e-281, 1e281]),
+    "ties": [1500000000000000.25, 1500000000000000.75, -2000000000000000.75],
+    "just below their power of ten": [1e-79, 1e-175, 1e23, 1e-280],
+}
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_parity_named_floats(tmp_path, name):
+    values = np.asarray(NAMED[name], dtype=np.float64)
+    assert_parity(tmp_path / "n.csv", [], [("v", values), ("neg", -values)])
+
+
+def test_parity_when_log10_rounds_low(tmp_path, monkeypatch):
+    """A log10 one ulp low puts powers of ten at D = 10**17: they fall back."""
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), -np.inf))
+    values = np.concatenate([NAMED["powers of ten"], NAMED["just below their power of ten"]])
+    assert_parity(tmp_path / "p.csv", [], [("v", values)])
+
+
+def test_fallback_fires_on_a_handful_of_fig3_basis_values(tmp_path):
+    """The per-value fallback is exercised by real output, and rarely."""
+    cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / "fig3.cfg")
+    basis = pipeline.build_basis(cfg, pipeline.build_setup(cfg), pipeline.build_potential(cfg))
+    columns = [("x_fm", basis.grid), ("phi1", basis.phi1), ("dphi1_per_fm", basis.dphi1),
+               ("phi2", basis.phi2), ("dphi2_per_fm", basis.dphi2),
+               ("wronskian_per_fm", basis.wronskian_pointwise())]
+    slow = np.zeros(basis.grid.size, dtype=bool)
+    for _, values in columns:
+        slow |= ~_fast_digits(values)[2]
+    assert 1 <= slow.sum() <= 12, slow.sum()     # 4 of 822 006 values when written
+    rows = np.flatnonzero(np.convolve(slow, np.ones(5), mode="same"))
+    assert_parity(tmp_path / "basis.csv", [],
+                  [(name, values[rows]) for name, values in columns])
+
+
 @pytest.mark.parametrize("second", [5, 3])
 def test_write_csv_rejects_ragged_columns(tmp_path, second):
     path = tmp_path / "sub" / "ragged.csv"
     with pytest.raises(ValueError, match="'x_fm'"):
         write_csv(path, [], [("t_s", np.zeros(4)), ("x_fm", np.zeros(second))])
     assert not path.exists()
+
+
+@pytest.mark.parametrize("values", [
+    np.array(["a", "a,b"]), np.array(["a\nb", "c"]), np.array(["a\rb", "c"]),
+    np.array(["a\0b", "c"]), np.array(["a", "b\u2028c"]),
+    np.array(["a", "a,b"], dtype=object), np.array([(1, 2), 3], dtype=object),
+    np.array(["ok", "nul\0"], dtype=object), np.array([b"a,b", b"c"]),
+])
+def test_write_csv_rejects_values_that_break_rows(tmp_path, values):
+    path = tmp_path / "sub" / "bad.csv"
+    with pytest.raises(ValueError, match="'tag'"):
+        write_csv(path, [], [("t_s", np.zeros(2)), ("tag", values)])
+    assert not path.parent.exists()
+
+
+@pytest.mark.parametrize("header, footer, name, match", [
+    (["line1\nx,y"], [], "x", "comment 'line1"),
+    ([], ["halt: a\rb"], "x", "comment 'halt"),
+    (["ok"], [], "x,y", "column name"),
+    (["ok"], [], "x\ny", "column name"),
+])
+def test_write_csv_rejects_comments_and_names_that_break_rows(tmp_path, header, footer,
+                                                              name, match):
+    path = tmp_path / "sub" / "bad.csv"
+    with pytest.raises(ValueError, match=match):
+        write_csv(path, header, [(name, np.zeros(2))], footer_comments=footer)
+    assert not path.parent.exists()
+
+
+def test_utf8_round_trip(tmp_path):
+    path = tmp_path / "u.csv"
+    columns = [("x_fm", np.array([1.0, -2.5, 0.1])),
+               ("label", np.array(["ψ₂ node", "naïve", "ascii"])),
+               ("tag", np.array(["Schrödinger", 7, 0.5], dtype=object))]
+    assert_parity(path, ["note: ħc = 197.327 MeV fm"], columns, footer=["end: ∎"])
+    meta, cols = read_csv(path)
+    assert meta == {"note": "ħc = 197.327 MeV fm", "end": "∎"}
+    assert cols["label"].tolist() == ["ψ₂ node", "naïve", "ascii"]
+    assert cols["tag"].tolist() == ["Schrödinger", "7", "5.0000000000000000e-01"]
 
 
 def _bits(a):
