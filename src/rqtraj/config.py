@@ -9,6 +9,17 @@ key, nan or inf (also in ``sets``), an empty ``sets``, a fractional
 ``samples`` or a value not allowed; ``validate`` repeats the per-key checks
 for values set later (CLI overrides).  ``canonical_text`` round-trips
 bit-exactly (floats via repr), and its sha256 stamps every output file.
+
+``samples``, ``t_min`` and ``t_max`` bound what each ``trajectory_i.csv``
+holds, by one rule for every trace: of the trace rows with
+t_min <= t <= t_max, every k-th from the first and the last, with
+k = ceil((n - 1) / (samples - 1)) for n such rows, so at most ``samples``
+rows, each a computed row, never resampled (``Trajectory.window_rows``).
+Closed-form traces are sampled with ``samples`` points on [t_min, t_max],
+so for them the rule keeps every row; a quadrature trace covers the basis
+grid and is cropped and thinned.  Fewer than two rows in the window is a
+``TooFewSamples`` error for that set.  Node detection and the validators
+run on the full trace.
 """
 
 # no `from __future__ import annotations`: the loops dispatch on field.type classes

@@ -46,7 +46,7 @@ class InsufficientTrajectories(RqtError):
 
 
 class TooFewSamples(RqtError):
-    """Not enough samples for the differentiation stencil."""
+    """Not enough samples for the differentiation stencil or a trajectory file."""
 
 
 class BranchResolutionError(RqtError):

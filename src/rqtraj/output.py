@@ -16,12 +16,12 @@ per-value ``'%.16e' % v`` instead when that rounding cannot be proved
 correct or the fast path does not apply: y's fraction within 1e-6 of one
 half (exact ties round half to even there), floor(y) below 10**16 or D at
 10**17 (log10 was off by one, or D carries into the next power of ten), or
-v zero, non-finite, subnormal or outside [1e-280, 1e280].  int, uint and
-bool columns are cast to bytes (the text of ``str()``), ASCII str columns
-are taken code by code, and object, bytes and non-ASCII str columns keep
-the per-value rule.  Each value becomes a NUL-padded field; a block joins
-its fields with ',' and '\\n' and drops the padding.  Files are written in
-binary mode as UTF-8.
+v zero, non-finite, subnormal or outside [1e-280, 1e280].  An int, uint
+or bool block formats each of its distinct values once with ``str()`` and
+gathers the texts by index, ASCII str columns are taken code by code, and
+object, bytes and non-ASCII str columns keep the per-value rule.  Each
+value becomes a NUL-padded field; a block joins its fields with ',' and
+'\\n' and drops the padding.  Files are written in binary mode as UTF-8.
 
 A value or a column name whose text holds ',', NUL or a line break, and a
 comment holding a line break, would change the rows ``read_csv`` sees;
@@ -162,11 +162,15 @@ def _field_bytes(block):
     kind = block.dtype.kind
     if kind == "f":
         return _float_fields(block.astype(np.float64))
-    if kind == "U":
+    if kind in "iub":
+        # str() once per distinct value of the block, then a gather
+        values, inverse = np.unique(block, return_inverse=True)
+        text = np.array([str(v).encode() for v in values.tolist()])[inverse]
+    else:
         codes = block.view(np.uint32).reshape(len(block), -1)
         if not (codes >= 128).any():
             return codes.astype(np.uint8)
-    text = block.astype("S") if kind in "iub" else np.char.encode(block, "utf-8")
+        text = np.char.encode(block, "utf-8")
     return text.view(np.uint8).reshape(len(block), -1)
 
 

@@ -143,6 +143,7 @@ def run_trace(cfg: RunConfig) -> dict:
         entry = {"a": a, "b": b}
         try:
             tr = _trace_one(cfg, setup, pot, basis, HiddenParams(a, b))
+            rows = tr.window_rows(cfg.t_min, cfg.t_max, cfg.samples)
             path = out / f"trajectory_{i}.csv"
             footer = []
             ev = tr.meta.get("events", {})
@@ -155,7 +156,7 @@ def run_trace(cfg: RunConfig) -> dict:
                     f"prose_divergence_time_s: {ev['prose_divergence_time_s']:.16e}"
                 )
             tr.to_csv(path, header=_header(cfg, [f"a: {a!r}", f"b: {b!r}"]),
-                      footer=footer)
+                      footer=footer, rows=rows)
             entry["file"] = str(path)
             entry["status"] = "ok"
             entry.update({k: v for k, v in ev.items()})

@@ -14,6 +14,8 @@ peaks, since no time stepping is involved).
 
 Every emitted sample carries the conjugate momentum so validators can test
 the closure xdot * P = sigma * [E - V - (m0c2)^2/(E-V)] sample by sample.
+A trajectory file holds ``window_rows`` of the trace: computed rows only,
+never resampled.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .action import ReducedAction
-from .errors import BasisGapError, RegimeError, TurningPointSingular
+from .errors import BasisGapError, RegimeError, TooFewSamples, TurningPointSingular
 from .kleingordon import SolutionBasis, uniform_step, wavenumber_sq
 from .model import (
     ConstantPotential,
@@ -68,16 +70,39 @@ class Trajectory:
         dt = self.t[2:] - self.t[:-2]
         return (self.x[2:] - self.x[:-2]) / dt
 
-    def to_csv(self, path, header=(), footer=()):
+    def window_rows(self, t_min: float, t_max: float, samples: int):
+        """At most ``samples`` rows with t_min <= t <= t_max, as a row index.
+
+        Of the n rows inside the window this keeps every k-th from the first,
+        k = ceil((n - 1) / (samples - 1)), and the last; when the n rows fit
+        (k = 1) that is all of them.  Returns a slice when the stride ends on
+        the last row (a column indexed by it is a view, not a copy), else an
+        index array.  Raises TooFewSamples when fewer than two rows lie
+        inside.
+        """
+        lo = int(np.searchsorted(self.t, t_min, side="left"))
+        hi = int(np.searchsorted(self.t, t_max, side="right"))
+        if hi - lo < 2:
+            raise TooFewSamples(
+                f"{max(hi - lo, 0)} of {self.t.size} trace rows lie inside "
+                f"[{t_min!r}, {t_max!r}] s; a trajectory file needs 2"
+            )
+        k = -(-(hi - 1 - lo) // (samples - 1))
+        if (hi - 1 - lo) % k == 0:
+            return slice(lo, hi, k)
+        return np.append(np.arange(lo, hi - 1, k), hi - 1)
+
+    def to_csv(self, path, header=(), footer=(), rows=slice(None)):
+        """Write the ``rows`` (a slice or an index array) of the trace as CSV."""
         write_csv(
             path,
             header,
             [
-                ("t_s", self.t),
-                ("x_fm", self.x),
-                ("branch_n", self.branch),
-                ("regime", self.regime),
-                ("P_MeV_per_c", self.momentum),
+                ("t_s", self.t[rows]),
+                ("x_fm", self.x[rows]),
+                ("branch_n", self.branch[rows]),
+                ("regime", self.regime[rows]),
+                ("P_MeV_per_c", self.momentum[rows]),
             ],
             footer_comments=footer,
         )

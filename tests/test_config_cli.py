@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rqtraj as rq
+from rqtraj import pipeline
 from rqtraj.cli import main
 from rqtraj.config import RunConfig, parse_config, parse_config_text
 from rqtraj.errors import ConfigError
@@ -304,6 +306,75 @@ def test_cli_trace_evanescent_divergence_marker(tmp_path):
     manifest = json.loads((tmp_path / "out" / "trace_manifest.json").read_text())
     assert manifest["sets"][0]["divergence_kind"] == "tan_singularity"
     assert cols["regime"][0] == "evanescent"
+
+
+def test_fig3_trace_writes_a_row_view_inside_the_window(tmp_path):
+    cfg = parse_config(CONFIGS / "fig3.cfg")
+    cfg.out_dir = str(tmp_path / "out")
+    manifest = pipeline.run_trace(cfg)
+    *_, trajs = pipeline._trace_objects(cfg)
+    for entry, tr in zip(manifest["sets"], trajs):
+        assert entry["status"] == "ok"
+        _, cols = read_csv(entry["file"])
+        t = cols["t_s"]
+        assert t[0] >= cfg.t_min and t[-1] <= cfg.t_max
+        assert t.size <= cfg.samples < tr.t.size
+        # first and last in-window rows of the full trace are both written
+        inside = np.flatnonzero((tr.t >= cfg.t_min) & (tr.t <= cfg.t_max))
+        assert t[0] == tr.t[inside[0]] and t[-1] == tr.t[inside[-1]]
+        # every written row is a row the trace computed
+        found = np.searchsorted(tr.t, t)
+        for name, full in (("t_s", tr.t), ("x_fm", tr.x), ("P_MeV_per_c", tr.momentum)):
+            assert np.array_equal(cols[name], full[found]), name
+        assert np.array_equal(cols["branch_n"], tr.branch[found])
+        assert cols["regime"].tolist() == tr.regime[found].tolist()
+
+
+def test_cli_trace_empty_window_is_a_per_set_error(tmp_path):
+    cfg = RunConfig(potential_kind="linear", grid_min=-500.0, grid_max=500.0, grid_step=0.2,
+                    x0=-500.0, param_sets=[(4.0, 2.5), (8.0, -3.0)], sync="phi2_zero",
+                    t_min=1.0, t_max=2.0, out_dir=str(tmp_path / "out")).validate()
+    cfgp = tmp_path / "c.cfg"
+    cfg.to_file(cfgp)
+    result = CliRunner().invoke(main, ["trace", "--config", str(cfgp)])
+    assert result.exit_code == 0, result.output
+    manifest = json.loads((tmp_path / "out" / "trace_manifest.json").read_text())
+    for entry in manifest["sets"]:
+        assert entry["status"] == "error"
+        assert entry["error"].startswith("TooFewSamples: 0 of 5001 trace rows")
+    assert not list((tmp_path / "out").glob("trajectory_*.csv"))
+
+
+@pytest.mark.parametrize("name, figure, digests", [
+    ("fig1", 1, {
+        "classical.csv": "88f052e42ef35da833c3cd1572b4f6ad4b1aab64bb31624709c8a63652f5306d",
+        "figure1.gp": "cc7228c3dbd68745de517e713c6a6c1730355f7929658d35702bad1c8b370c1a",
+        "figure1_manifest.json":
+            "ddbf0cff0e0a8bbda9a98376b255726466d2f0ceb9fc77c78d0d35259919f5c2",
+        "nodes.csv": "2bc36557dc888ad62baca192f978b243a6ab6d3f8d53c3182f338503b2271456",
+        "trace_manifest.json":
+            "9f71a8ac7e3a1663361dc2481db9d4b3141809f415df7c4f6a86e2e1f32164c7",
+        "trajectory_0.csv": "a7281471b0af7593e5853974f09e4779cf5e6112cee71f0d0cd4980aa68e60c8",
+        "trajectory_1.csv": "71769b89a09561176ef3884875817fe19344149bc90c8965bda55f47d7e30a86",
+        "trajectory_2.csv": "473b1cd331e272933f826db4121d78a4ea710eb09078bf3bfa73d0d7957c1c62",
+    }),
+    ("fig2", 2, {
+        "figure2.gp": "5cba4442b3bd0eb97c45a191c85fd6d0418b05c4ceefb90c3a7d9a136b1a2aa4",
+        "figure2_manifest.json":
+            "7b52c65c04fac94fea4632d0be89c1cceebcdcc97c8c32859f0928b400ae37f4",
+        "trace_manifest.json":
+            "9edc98a043c5c3c8d7e594b49d76ced983cd8ae742b83365d64d5390f6d35a7b",
+        "trajectory_0.csv": "c8637a4f0fcf7631837fb80a3f11766c192127389cf6e2d9c46de439a9a35dcf",
+    }),
+])
+def test_closed_form_figure_outputs_are_pinned(tmp_path, monkeypatch, name, figure, digests):
+    """Every closed-form row lies in its window, so the files keep their bytes."""
+    monkeypatch.chdir(tmp_path)              # the config's relative out dir
+    cfg = parse_config(CONFIGS / f"{name}.cfg")
+    pipeline.run_figure(cfg, figure)
+    written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in (tmp_path / cfg.out_dir).iterdir()}
+    assert written == digests
 
 
 def test_cli_outputs_are_deterministic(tmp_path):

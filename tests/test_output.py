@@ -81,6 +81,26 @@ def test_parity_block_edges(tmp_path, n):
     assert_parity(tmp_path / "b.csv", ["h: 1"], columns, footer=["f: 1", "g: 2"])
 
 
+INT64 = np.iinfo(np.int64)
+INT_COLUMNS = {
+    "random full-range int64": np.random.default_rng(7).integers(
+        INT64.min, INT64.max, 2 * BLOCK_ROWS + 3, dtype=np.int64, endpoint=True),
+    "int64 min and max": np.array([INT64.min, INT64.max, -1, 0, 1, INT64.min + 1,
+                                   INT64.max - 1, INT64.min], dtype=np.int64),
+    "uint64 above 2**63": np.array([2**63, 2**63 + 1, 2**64 - 1, 0, 2**63 - 1, 2**64 - 1],
+                                   dtype=np.uint64),
+    "bool": np.random.default_rng(8).integers(0, 2, BLOCK_ROWS + 5).astype(bool),
+    "every value distinct": np.random.default_rng(9).permutation(
+        np.arange(BLOCK_ROWS + 1, dtype=np.int64) * 1_000_003 - 10**12),
+}
+
+
+@pytest.mark.parametrize("name", INT_COLUMNS)
+def test_parity_int_columns(tmp_path, name):
+    values = INT_COLUMNS[name]
+    assert_parity(tmp_path / "i.csv", [], [("v", values), ("w", values[::-1].copy())])
+
+
 def test_parity_no_columns(tmp_path):
     assert_parity(tmp_path / "e.csv", ["only: header"], [], footer=["end"])
 
@@ -250,10 +270,16 @@ def test_cli_csv_round_trip_bit_exact(tmp_path, make_config):
         ("wronskian_per_fm", basis.wronskian_pointwise()),
     ])
     for i, tr in enumerate(trajs):
-        meta = assert_round_trip(tmp_path / "out" / f"trajectory_{i}.csv", [
-            ("t_s", tr.t), ("x_fm", tr.x), ("branch_n", tr.branch),
-            ("regime", tr.regime), ("P_MeV_per_c", tr.momentum),
+        # the file is the [t_min, t_max] row view of the full trace
+        rows = np.arange(tr.t.size)[tr.window_rows(cfg.t_min, cfg.t_max, cfg.samples)]
+        path = tmp_path / "out" / f"trajectory_{i}.csv"
+        meta = assert_round_trip(path, [
+            ("t_s", tr.t[rows]), ("x_fm", tr.x[rows]), ("branch_n", tr.branch[rows]),
+            ("regime", tr.regime[rows]), ("P_MeV_per_c", tr.momentum[rows]),
         ])
+        # and the written rows sit in the full trace at the selected indices
+        _, cols = read_csv(path)
+        assert np.array_equal(np.searchsorted(tr.t, cols["t_s"]), rows)
         events = tr.meta.get("events", {})
         if cfg.potential_kind == "constant":
             assert meta["halt"] == events["halt"] == "DivergenceReached"

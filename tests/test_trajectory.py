@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rqtraj as rq
-from rqtraj.errors import BasisGapError, RegimeError, TurningPointSingular
+from rqtraj.errors import BasisGapError, RegimeError, TooFewSamples, TurningPointSingular
 from tests.conftest import oscillatory_wavenumber
 
 
@@ -247,3 +249,42 @@ def test_trajectory_csv(tmp_path, electron2):
     assert meta["note"] == "test"
     assert list(cols) == ["t_s", "x_fm", "branch_n", "regime", "P_MeV_per_c"]
     assert cols["regime"][0] == "oscillatory"
+
+
+def _trace_at(t):
+    zeros = np.zeros(t.size)
+    return rq.Trajectory(t=t, x=zeros, branch=zeros.astype(int),
+                         regime=np.full(t.size, "oscillatory"), momentum=zeros)
+
+
+_EDGE = st.one_of(st.integers(-5, 3005).map(float), st.floats(-5.0, 3005.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(n=st.integers(1, 3000), samples=st.integers(2, 500), edges=st.tuples(_EDGE, _EDGE))
+def test_window_rows_rule(n, samples, edges):
+    """At most ``samples`` rows, first and last in-window rows kept, one stride."""
+    t = np.arange(n, dtype=float)
+    t_min, t_max = sorted(edges)
+    inside = np.flatnonzero((t >= t_min) & (t <= t_max))
+    tr = _trace_at(t)
+    if inside.size < 2:
+        with pytest.raises(TooFewSamples):
+            tr.window_rows(t_min, t_max, samples)
+        return
+    rows = np.arange(n)[tr.window_rows(t_min, t_max, samples)]
+    assert rows.size <= samples
+    assert rows[0] == inside[0] and rows[-1] == inside[-1]
+    assert np.all(np.diff(t[rows]) > 0)
+    steps = np.diff(rows)
+    k = -(-(inside.size - 1) // (samples - 1))
+    assert np.all(steps[:-1] == k) and 0 < steps[-1] <= k
+    if inside.size <= samples:
+        assert np.array_equal(rows, inside)      # the identity when the rows fit
+
+
+def test_window_rows_is_the_identity_for_closed_forms(electron2):
+    dt = rq.node_period(electron2, 0.0)
+    tr = rq.trace_constant_oscillatory(electron2, 0.0, rq.HiddenParams(0.2, 0.0),
+                                       0.0, (0.0, 3 * dt), 1001)
+    assert tr.window_rows(0.0, 3 * dt, 1001) == slice(0, 1001, 1)    # views, no copies
