@@ -8,6 +8,11 @@ derivative gives the closed-form momentum
     P c = hbar c * a W(x) / [phi2^2 + (a phi1 + b phi2)^2]   [MeV],
 
 which never vanishes (a != 0, W != 0, positive denominator).
+
+The unwrap (``unwrap_phase``) is bit-equal to ``np.unwrap``: it applies
+numpy's own correction at the few steps whose jump reaches pi and adds the
+cumulative sum of that sparse correction, instead of some dozen full
+passes over the grid.
 """
 
 from __future__ import annotations
@@ -18,6 +23,26 @@ from .errors import BranchResolutionError
 from .kleingordon import SolutionBasis
 from .model import HiddenParams, PhysicalSetup
 from .output import write_csv
+
+
+def unwrap_phase(p: np.ndarray) -> np.ndarray:
+    """``np.unwrap(p)`` for a 1-D float array, bit for bit.
+
+    Only steps d with |d| >= pi (or NaN) are corrected, each by numpy's
+    rule mod(d + pi, 2 pi) - pi - d, with a step of exactly +pi kept at +pi
+    (numpy's boundary rule); every other step's correction is exactly 0,
+    as in numpy, so the cumulative sum matches term by term.
+    """
+    d = np.diff(p)
+    jump = np.flatnonzero(~(np.abs(d) < np.pi))
+    dj = d[jump]
+    ddmod = np.mod(dj + np.pi, 2 * np.pi) - np.pi
+    ddmod[(ddmod == -np.pi) & (dj > 0)] = np.pi
+    correct = np.zeros(d.shape)
+    correct[jump] = ddmod - dj
+    out = p.copy()
+    out[1:] += np.cumsum(correct)
+    return out
 
 
 class ReducedAction:
@@ -37,7 +62,7 @@ class ReducedAction:
         # validation residuals see any solver drift
         w0 = basis.wronskian
 
-        theta = np.unwrap(np.arctan2(psi, basis.phi2))
+        theta = unwrap_phase(np.arctan2(psi, basis.phi2))
         jumps = np.abs(np.diff(theta))
         if jumps.size and np.max(jumps) > 0.95 * np.pi:
             raise BranchResolutionError(

@@ -346,6 +346,59 @@ _STENCIL_WEIGHTS = (
 )
 
 
+# Windows evaluated per block: a block's temporaries (about 20 arrays of
+# this many float64s) stay in the processor's caches, where whole-trace
+# arrays would stream through memory once per operation.
+STENCIL_BLOCK = 16384
+
+
+def _stencil_prepare(t, x, stride: int):
+    """Checks of ``_stencil_derivatives``; returns (hs, xd) for its blocks."""
+    n = t.size
+    if n < 6 * stride + 1:
+        raise TooFewSamples(f"need at least {6 * stride + 1} samples")
+    h = uniform_step(t)
+    if h is None:
+        raise RegimeError(
+            f"stencil needs uniform samples: steps within {UNIFORM_REL_TOL:g} "
+            "of their mean"
+        )
+    return h * stride, np.gradient(x, t, edge_order=2)
+
+
+def _stencil_block(t, x, xd, hs, stride: int, lo: int, hi: int):
+    """The three derivatives at windows lo..hi-1 (centres 3*stride + lo ...).
+
+    Sums run in place, term by term in the order of the whole-array
+    expression sum(w_j * d_j), so every value is the same to the bit.
+    """
+    c = 3 * stride
+    tc = t[c + lo : c + hi]
+    xc = x[c + lo : c + hi]
+    # the centre offset contributes nothing to window-centred values
+    offsets = (0, 1, 2, 4, 5, 6)
+    values, shifts = [], []
+    for j in offsets:
+        win = slice(j * stride + lo, j * stride + hi)
+        delta = t[win] - tc
+        delta -= (j - 3) * hs
+        delta *= xd[win]
+        values.append(x[win] - xc)
+        shifts.append(delta)
+    term = np.empty(hi - lo)
+    out = []
+    for k, (weights, denom) in enumerate(_STENCIL_WEIGHTS, start=1):
+        acc = np.zeros(hi - lo)
+        shift = np.zeros(hi - lo)
+        for j, d, s in zip(offsets, values, shifts):
+            acc += np.multiply(weights[j], d, out=term)
+            shift += np.multiply(weights[j], s, out=term)
+        acc -= shift
+        acc /= denom * hs**k
+        out.append(acc)
+    return out
+
+
 def _stencil_derivatives(t, x, stride: int = 1):
     """First three derivatives of x(t) on uniformly spaced t, 7-point stencil.
 
@@ -365,37 +418,19 @@ def _stencil_derivatives(t, x, stride: int = 1):
     delta / hs.  The correction is summed apart from the window-centred
     values, whose weighted sums stay exact where x varies smoothly.
 
-    Raises TooFewSamples below 6*stride + 1 samples and RegimeError when t
-    is not uniform by ``kleingordon.uniform_step``.  Returns arrays aligned
-    with t[3*stride : -3*stride].
+    Windows are evaluated in blocks of ``STENCIL_BLOCK``; every value is
+    computed by the same operations as on the whole array, so the result
+    does not depend on the block size.  Raises TooFewSamples below
+    6*stride + 1 samples and RegimeError when t is not uniform by
+    ``kleingordon.uniform_step``.  Returns arrays aligned with
+    t[3*stride : -3*stride].
     """
-    n = t.size
-    if n < 6 * stride + 1:
-        raise TooFewSamples(f"need at least {6 * stride + 1} samples")
-    h = uniform_step(t)
-    if h is None:
-        raise RegimeError(
-            f"stencil needs uniform samples: steps within {UNIFORM_REL_TOL:g} "
-            "of their mean"
-        )
-    hs = h * stride
-    xd = np.gradient(x, t, edge_order=2)
-    m = n - 6 * stride
-    tc = t[3 * stride : 3 * stride + m]
-    xc = x[3 * stride : 3 * stride + m]
-    # the centre offset contributes nothing to window-centred values
-    offsets = (0, 1, 2, 4, 5, 6)
-    values, shifts = [], []
-    for j in offsets:
-        win = slice(j * stride, j * stride + m)
-        delta = (t[win] - tc) - (j - 3) * hs
-        values.append(x[win] - xc)
-        shifts.append(xd[win] * delta)
-    out = []
-    for k, (weights, denom) in enumerate(_STENCIL_WEIGHTS, start=1):
-        acc = sum(weights[j] * d for j, d in zip(offsets, values))
-        acc -= sum(weights[j] * s for j, s in zip(offsets, shifts))
-        out.append(acc / (denom * hs**k))
+    hs, xd = _stencil_prepare(t, x, stride)
+    m = t.size - 6 * stride
+    out = np.empty((3, m))
+    for lo in range(0, m, STENCIL_BLOCK):
+        hi = min(lo + STENCIL_BLOCK, m)
+        out[:, lo:hi] = _stencil_block(t, x, xd, hs, stride, lo, hi)
     return tuple(out)
 
 
@@ -436,6 +471,13 @@ def firqnl_residual(
     chosen variable must be uniformly sampled: otherwise RegimeError, and
     TooFewSamples below 6*stride + 1 samples.  An unknown
     ``independent_var`` or a bad ``stride`` raises ValueError.
+
+    The derivative is taken once over the whole trace (np.gradient, for the
+    stencil's shift correction); the window sums and the five terms then run
+    block by block, ``STENCIL_BLOCK`` windows at a time, into one residual
+    array.  Every value comes from the same operations in the same order as
+    a whole-array evaluation, so the residuals are bit-identical to it and
+    do not depend on the block size.
     """
     if independent_var not in ("auto", "t", "x"):
         raise ValueError(f"independent_var must be 'auto', 't' or 'x', not {independent_var!r}")
@@ -445,15 +487,30 @@ def firqnl_residual(
     pot = pot or traj.potential
     if independent_var == "auto":
         independent_var = "t" if uniform_step(traj.t) is not None else "x"
-    if independent_var == "x":
-        tp, tpp, tppp = _stencil_derivatives(traj.x, traj.t, stride=stride)
-        xd = 1.0 / tp
-        xdd = -tpp / tp**3
-        xddd = (3.0 * tpp**2 - tppp * tp) / tp**5
-    else:
-        xd, xdd, xddd = _stencil_derivatives(traj.t, traj.x, stride=stride)
-    x_in = traj.x[3 * stride : -3 * stride]
+    u, y = (traj.x, traj.t) if independent_var == "x" else (traj.t, traj.x)
+    hs, yd = _stencil_prepare(u, y, stride)
+    m = u.size - 6 * stride
+    res = np.empty(m)
+    for lo in range(0, m, STENCIL_BLOCK):
+        hi = min(lo + STENCIL_BLOCK, m)
+        d1, d2, d3 = _stencil_block(u, y, yd, hs, stride, lo, hi)
+        if independent_var == "x":
+            xd = 1.0 / d1
+            xdd = -d2 / d1**3
+            xddd = (3.0 * d2**2 - d3 * d1) / d1**5
+        else:
+            xd, xdd, xddd = d1, d2, d3
+        x_in = traj.x[3 * stride + lo : 3 * stride + hi]
+        res[lo:hi] = _firqnl_terms(setup, pot, x_in, xd, xdd, xddd)
 
+    notes = {}
+    if isinstance(pot, ConstantPotential):
+        notes["exact_zero_terms"] = ["xdd*dV", "xd^2*d2V", "(xd*dV)^2"]
+    return _summary("first-integral", res, notes=notes)
+
+
+def _firqnl_terms(setup: PhysicalSetup, pot: Potential, x_in, xd, xdd, xddd):
+    """Normalized first-integral residual at positions x_in (one block)."""
     c = setup.c_fm_s
     hb = setup.hbar
     m2 = setup.rest_sq
@@ -461,35 +518,29 @@ def firqnl_residual(
     vp = np.asarray(pot.dv(x_in), dtype=float)
     vpp = np.asarray(pot.d2v(x_in), dtype=float)
     q = w * w - m2
+    # each subexpression once; every term keeps its order of operations
+    q3 = q**3
+    w2 = w**2
+    xd2 = xd**2
+    lorentz = 1.0 - xd2 / c**2
+    mw = m2 / w2
+    wq = (w**4 - m2**2) / w
+    r = xdd / xd
+    hq2 = (hb**2 / 2.0) * q**2
 
-    t1 = q**3 * ((1.0 - xd**2 / c**2) - m2 / w**2)
-    t2 = -(hb**2 / 2.0) * ((w**4 - m2**2) / w) * (xdd * vp)
-    t3 = -(hb**2 / 2.0) * ((w**4 - m2**2) / w) * (xd**2 * vpp)
-    t4 = (hb**2 / 2.0) * q**2 * (1.5 * (xdd / xd) ** 2 - xddd / xd)
-    t5 = -(hb**2 / 4.0) * (4.0 * m2 * (1.0 - m2 / w**2) + 3.0 * (w + m2 / w) ** 2) * (xd * vp) ** 2
-
-    total = t1 + t2 + t3 + t4 + t5
+    t2 = -(hb**2 / 2.0) * wq * (xdd * vp)
+    t3 = -(hb**2 / 2.0) * wq * (xd2 * vpp)
+    t5 = -(hb**2 / 4.0) * (4.0 * m2 * (1.0 - mw) + 3.0 * (w + m2 / w) ** 2) * (xd * vp) ** 2
+    total = q3 * (lorentz - mw) + t2 + t3
+    total += hq2 * (1.5 * r**2 - xddd / xd)
+    total += t5
     # normalize by the largest displayed piece; the q^3 m2/w^2 monomial never
     # vanishes, so the denominator is bounded away from zero even where the
     # signed terms cross zero together
-    pieces = np.stack(
-        [
-            np.abs(q**3 * (1.0 - xd**2 / c**2)),
-            np.abs(q**3 * m2 / w**2),
-            np.abs(t2),
-            np.abs(t3),
-            np.abs((hb**2 / 2.0) * q**2 * 1.5 * (xdd / xd) ** 2),
-            np.abs((hb**2 / 2.0) * q**2 * xddd / xd),
-            np.abs(t5),
-        ]
-    )
-    scale = np.max(pieces, axis=0)
-    res = np.abs(total) / scale
-
-    notes = {}
-    if isinstance(pot, ConstantPotential):
-        notes["exact_zero_terms"] = ["xdd*dV", "xd^2*d2V", "(xd*dV)^2"]
-    return _summary("first-integral", res, notes=notes)
+    scale = np.abs(q3 * lorentz)
+    for piece in (q3 * m2 / w2, t2, t3, hq2 * 1.5 * r**2, hq2 * xddd / xd, t5):
+        np.maximum(scale, np.abs(piece), out=scale)
+    return np.abs(total) / scale
 
 
 def rqshje_residual(

@@ -116,7 +116,8 @@ def run_basis(cfg: RunConfig, compare_methods: bool = False) -> dict:
     return manifest
 
 
-def _trace_one(cfg: RunConfig, setup, pot, basis, hp: HiddenParams):
+def _trace_one(cfg: RunConfig, setup, pot, basis, hp: HiddenParams, action=None):
+    """One set's trajectory; a quadrature trace reuses ``action`` if given."""
     if cfg.potential_kind == "constant":
         if _oscillatory_constant(cfg, setup):
             return trace_constant_oscillatory(
@@ -127,7 +128,8 @@ def _trace_one(cfg: RunConfig, setup, pot, basis, hp: HiddenParams):
             window_fm=cfg.window,
         )
     return trace_quadrature(
-        setup, pot, basis, hp, cfg.x0, (cfg.grid_min, cfg.grid_max), sync=cfg.sync
+        setup, pot, basis, hp, cfg.x0, (cfg.grid_min, cfg.grid_max), sync=cfg.sync,
+        action=action,
     )
 
 
@@ -197,10 +199,34 @@ def _trace_objects(cfg: RunConfig):
     return setup, pot, basis, trajs
 
 
+def _trace_and_hj(cfg: RunConfig, setup, pot, basis, hj_basis, hp: HiddenParams):
+    """One set's trajectory and quantum-HJ maximum from a single ReducedAction.
+
+    The action lives only for this call, so analyze holds one at a time.
+    Without a basis for the check (evanescent closed form) the maximum is
+    None.
+    """
+    if hj_basis is None:
+        return _trace_one(cfg, setup, pot, basis, hp), None
+    ra = ReducedAction(hj_basis, hp, setup)
+    tr = _trace_one(cfg, setup, pot, basis, hp, action=ra)
+    return tr, rqshje_residual(ra, setup, pot).max_residual
+
+
 def run_analyze(cfg: RunConfig) -> dict:
-    setup, pot, basis, trajs = _trace_objects(cfg)
+    setup = build_setup(cfg)
+    pot = build_potential(cfg)
+    basis = None if cfg.potential_kind == "constant" else build_basis(cfg, setup, pot)
     out = Path(cfg.out_dir)
     oscillatory_const = _oscillatory_constant(cfg, setup)
+
+    # the quantum-HJ check needs a basis; closed-form traces carry none
+    hj_basis = build_basis(cfg, setup, pot) if oscillatory_const else basis
+    trajs, hj_max = [], []
+    for a, b in cfg.param_sets:
+        tr, hj = _trace_and_hj(cfg, setup, pot, basis, hj_basis, HiddenParams(a, b))
+        trajs.append(tr)
+        hj_max.append(hj)
 
     manifest = {"command": "analyze", "config_hash": cfg.hash, "files": []}
     summary = []
@@ -232,19 +258,16 @@ def run_analyze(cfg: RunConfig) -> dict:
         summary.append(("de Broglie wavelength [fm]", f"{lam:.6g}"))
         summary.append(("dx == lambda/2", "pass" if abs(2 * node_spacing(setup, cfg.u0) / lam - 1) < 1e-12 else "FAIL"))
 
-    # the quantum-HJ check needs a basis; closed-form traces carry none
-    hj_basis = build_basis(cfg, setup, pot) if oscillatory_const else basis
     validation = {"config_hash": cfg.hash, "per_set": []}
-    for (a, b), tr in zip(cfg.param_sets, trajs):
+    for (a, b), tr, hj in zip(cfg.param_sets, trajs, hj_max):
         entry = {"a": a, "b": b}
         entry["closure_max"] = closure_residual(tr).max_residual
         try:
             entry["first_integral_max"] = firqnl_residual(tr, stride=4 if basis is not None else 1).max_residual
         except RqtError as exc:
             entry["first_integral_error"] = str(exc)
-        if hj_basis is not None:
-            ra = ReducedAction(hj_basis, HiddenParams(a, b), setup)
-            entry["quantum_hj_max"] = rqshje_residual(ra, setup, pot).max_residual
+        if hj is not None:
+            entry["quantum_hj_max"] = hj
         validation["per_set"].append(entry)
         summary.append((f"closure max (a={a:g}, b={b:g})", f"{entry['closure_max']:.3e}"))
         if "first_integral_max" in entry:

@@ -25,7 +25,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .action import ReducedAction
-from .errors import BasisGapError, RegimeError, TooFewSamples, TurningPointSingular
+from .errors import (
+    BasisGapError,
+    EnergyEqualsPotential,
+    RegimeError,
+    TooFewSamples,
+    TurningPointSingular,
+)
 from .kleingordon import SolutionBasis, uniform_step, wavenumber_sq
 from .model import (
     ConstantPotential,
@@ -123,13 +129,12 @@ def cumulative_simpson(f: np.ndarray, h: float) -> np.ndarray:
         return out
 
     npairs = (n - 1) // 2
-    i = 2 * np.arange(npairs)
-    pair_inc = h / 3.0 * (f[i] + 4.0 * f[i + 1] + f[i + 2])
-    even_vals = np.concatenate(([0.0], np.cumsum(pair_inc)))
-    out[2 * np.arange(npairs + 1)] = even_vals
-
-    j = 2 * np.arange(npairs)
-    out[j + 1] = out[j] + h / 12.0 * (5.0 * f[j] + 8.0 * f[j + 1] - f[j + 2])
+    f0 = f[0 : 2 * npairs : 2]
+    f1 = f[1 : 2 * npairs : 2]
+    f2 = f[2 : 2 * npairs + 1 : 2]
+    pair_inc = h / 3.0 * (f0 + 4.0 * f1 + f2)
+    out[0 : 2 * npairs + 1 : 2] = np.concatenate(([0.0], np.cumsum(pair_inc)))
+    out[1 : 2 * npairs : 2] = out[0 : 2 * npairs : 2] + h / 12.0 * (5.0 * f0 + 8.0 * f1 - f2)
     if n % 2 == 0:
         # trailing odd interval: right half of the last full parabola
         out[n - 1] = out[n - 2] + h / 12.0 * (
@@ -366,6 +371,7 @@ def trace_quadrature(
     direction: int = None,
     v_min_frac: float = 1e-6,
     sync: str = "exact",
+    action: ReducedAction = None,
 ) -> Trajectory:
     """Trajectory t(x) by composite Simpson quadrature of 1/v on the basis grid.
 
@@ -378,7 +384,17 @@ def trace_quadrature(
     Either zero convention makes a family share its nodes (exactly for a
     constant potential, to within a slow drift otherwise).  Integration
     truncates with a flag where |v| falls under v_min_frac * c (turning
-    point ahead).
+    point ahead).  ``action`` is the ReducedAction of ``basis`` and ``hp``
+    when the caller already holds it (ValueError if it is another's);
+    otherwise it is built here.
+
+    t(x) is monotone wherever 1/v keeps its sign, so the samples come out
+    in grid order or reversed, as views of the grid and of the action's
+    arrays, with no sort; a t(x) that is not strictly monotone (1/v
+    changing sign at a turning point the slow-zone test stepped over) is
+    still sorted by time.  E = V inside the traced range raises
+    EnergyEqualsPotential: the law of motion divides by E - V, and 1/v
+    changes sign there.
     """
     sigma = setup.direction if direction is None else direction
     lo, hi = float(min(x_range)), float(max(x_range))
@@ -387,10 +403,17 @@ def trace_quadrature(
     if not (lo <= x0 <= hi):
         raise BasisGapError("x0 outside the requested x range")
 
-    ra = ReducedAction(basis, hp, setup)
+    if action is None:
+        ra = ReducedAction(basis, hp, setup)
+    elif action.basis is basis and action.params == hp:
+        ra = action
+    else:
+        raise ValueError("action was built for another basis or (a, b)")
     grid = basis.grid
-    sel = (grid >= lo - 1e-12 * max(1.0, abs(lo))) & (
-        grid <= hi + 1e-12 * max(1.0, abs(hi))
+    # the grid is strictly increasing, so the selected points are one slice
+    sel = slice(
+        int(np.searchsorted(grid, lo - 1e-12 * max(1.0, abs(lo)), side="left")),
+        int(np.searchsorted(grid, hi + 1e-12 * max(1.0, abs(hi)), side="right")),
     )
     xs = grid[sel]
     if xs.size < 3:
@@ -400,25 +423,29 @@ def trace_quadrature(
     h = float(xs[1] - xs[0])
 
     ev = setup.E - np.asarray(pot.v(xs), dtype=float)
-    kin = ev - setup.rest_sq / ev                     # [MeV]
+    with np.errstate(divide="ignore"):                # E = V is checked below
+        kin = ev - setup.rest_sq / ev                 # [MeV]
     pc = ra.momentum_grid[sel]                        # [MeV/c]
     v = sigma * setup.c_fm_s * kin / pc               # [fm/s]
 
-    # regime tags and turning-point truncation
-    disc = ev * ev - setup.rest_sq
-    tol = REGIME_REL_TOL * setup.rest_sq
-    regime = np.where(disc > tol, "oscillatory", np.where(disc < -tol, "evanescent", "turning"))
-
+    # turning-point truncation
     slow = np.abs(v) < v_min_frac * setup.c_fm_s
     truncated = bool(np.any(slow))
-    if truncated:
-        cut = int(np.argmax(slow))
-        if cut < 3:
-            raise RegimeError("entire range is inside the slow/turning zone")
-        xs, v, pc, kin, regime = xs[:cut], v[:cut], pc[:cut], kin[:cut], regime[:cut]
-        sel_idx = np.nonzero(sel)[0][:cut]
-    else:
-        sel_idx = np.nonzero(sel)[0]
+    cut = int(np.argmax(slow)) if truncated else xs.size
+    if cut < 3:
+        raise RegimeError("entire range is inside the slow/turning zone")
+    xs, ev, v, pc = xs[:cut], ev[:cut], v[:cut], pc[:cut]
+    if not (ev.min() > 0.0 or ev.max() < 0.0):
+        raise EnergyEqualsPotential(
+            f"E - V vanishes or changes sign inside [{float(xs[0])!r}, {float(xs[-1])!r}] fm"
+        )
+
+    # regime tags; a disc within the tolerance of zero, or NaN, is "turning"
+    disc = ev * ev - setup.rest_sq
+    tol = REGIME_REL_TOL * setup.rest_sq
+    regime = np.full(xs.shape, "oscillatory")
+    regime[disc < -tol] = "evanescent"
+    regime[~(np.abs(disc) > tol)] = "turning"
 
     tt = cumulative_simpson(1.0 / v, h)
 
@@ -436,21 +463,26 @@ def trace_quadrature(
         raise ValueError(f"unknown sync mode {sync!r}")
     tt = tt - np.interp(anchor, xs, tt)
 
-    branch = ra.branch_grid[sel_idx]
+    branch = ra.branch_grid[sel][:cut]
 
-    order = np.argsort(tt)
-    tt, xs_o, branch, regime, pc = tt[order], xs[order], branch[order], regime[order], pc[order]
+    dt = np.diff(tt)
+    if np.all(dt > 0):
+        order = slice(None)
+    elif np.all(dt < 0):
+        order = slice(None, None, -1)
+    else:
+        order = np.argsort(tt)
 
     events = {}
     if truncated:
         events["halt"] = "TurningPointInRange"
 
     return Trajectory(
-        t=tt,
-        x=xs_o,
-        branch=branch,
-        regime=regime,
-        momentum=pc,
+        t=tt[order],
+        x=xs[order],
+        branch=branch[order],
+        regime=regime[order],
+        momentum=pc[order],
         meta={
             "setup": setup,
             "potential": pot,

@@ -1,9 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rqtraj as rq
+from rqtraj import pipeline
+from rqtraj.action import unwrap_phase
+from rqtraj.config import parse_config
 from rqtraj.errors import BranchResolutionError
 from tests.conftest import oscillatory_wavenumber
 
@@ -108,3 +113,40 @@ def test_action_csv(tmp_path, electron2, const_basis):
     meta, cols = read_csv(path)
     assert list(cols) == ["x_fm", "S0_MeV_s", "P_MeV_per_c", "branch_n"]
     assert meta["config_hash"] == "cafe"
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def test_unwrap_phase_matches_numpy_on_the_fig3_basis():
+    """The sparse unwrap is np.unwrap bit for bit on every fig3 set's phase."""
+    cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / "fig3.cfg")
+    setup = pipeline.build_setup(cfg)
+    pot = pipeline.build_potential(cfg)
+    basis = pipeline.build_basis(cfg, setup, pot)
+    for a, b in cfg.param_sets:
+        p = np.arctan2(a * basis.phi1 + b * basis.phi2, basis.phi2)
+        assert np.count_nonzero(np.abs(np.diff(p)) >= np.pi) > 0
+        assert np.array_equal(_bits(unwrap_phase(p)), _bits(np.unwrap(p))), (a, b)
+
+
+@pytest.mark.parametrize("p", [
+    np.linspace(-1.0, 1.0, 101),                       # no cut at all
+    np.array([0.0, np.pi, 0.0, -np.pi, 0.0]),          # steps of exactly +pi and -pi
+    np.array([1.0, 1.0 + np.pi, 1.0, 1.0 - np.pi]),    # the same away from zero
+    np.array([3.0, -3.0, 3.0, 2 * np.pi + 3.0, -7.0]),  # cuts and multi-period jumps
+    np.array([-0.0, -0.0, 0.5, -0.0]),                 # signed zeros
+    np.array([0.0, np.nan, 1.0, 5.0]),                 # nan spreads as in numpy
+    np.array([2.0]),
+    np.array([]),
+])
+def test_unwrap_phase_matches_numpy(p):
+    assert np.array_equal(_bits(unwrap_phase(p)), _bits(np.unwrap(p)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-20.0, 20.0), min_size=0, max_size=60))
+def test_unwrap_phase_matches_numpy_on_random_phases(values):
+    p = np.array(values, dtype=float)
+    assert np.array_equal(_bits(unwrap_phase(p)), _bits(np.unwrap(p)))

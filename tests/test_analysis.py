@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 import rqtraj as rq
-from rqtraj import pipeline
-from rqtraj.analysis import _stencil_derivatives
+from rqtraj import pipeline, trajectory
+from rqtraj.analysis import STENCIL_BLOCK, _STENCIL_WEIGHTS, _stencil_derivatives
 from rqtraj.kleingordon import UNIFORM_REL_TOL, uniform_step
-from rqtraj.config import parse_config
+from rqtraj.config import RunConfig, parse_config
 from rqtraj.errors import InsufficientTrajectories, RegimeError, TooFewSamples
 from tests.conftest import oscillatory_wavenumber
 
@@ -304,8 +304,8 @@ def test_analyze_records_non_uniform_trace(tmp_path, monkeypatch):
                               out_dir=str(tmp_path))
     trace_one = pipeline._trace_one
 
-    def skewed(cfg, setup, pot, basis, hp):
-        tr = trace_one(cfg, setup, pot, basis, hp)
+    def skewed(cfg, setup, pot, basis, hp, **kwargs):
+        tr = trace_one(cfg, setup, pot, basis, hp, **kwargs)
         if hp.b == -1.05:
             t = tr.t.copy()
             t[1000] += 1e-6 * (t[1] - t[0])
@@ -403,6 +403,130 @@ def test_stencil_at_the_uniformity_tolerance(steps_per_length):
     t = ideal + 2 * jitter
     with pytest.raises(RegimeError, match="uniform"):
         _stencil_derivatives(t, np.sin(t) + 0.3 * np.cos(1.7 * t))
+
+
+def stencil_whole_array(t, x, stride):
+    """``_stencil_derivatives`` as one pass over all windows, kept as the
+    oracle of the blocked evaluation (checks omitted)."""
+    n = t.size
+    h = uniform_step(t)
+    hs = h * stride
+    xd = np.gradient(x, t, edge_order=2)
+    m = n - 6 * stride
+    tc = t[3 * stride : 3 * stride + m]
+    xc = x[3 * stride : 3 * stride + m]
+    offsets = (0, 1, 2, 4, 5, 6)
+    values, shifts = [], []
+    for j in offsets:
+        win = slice(j * stride, j * stride + m)
+        delta = (t[win] - tc) - (j - 3) * hs
+        values.append(x[win] - xc)
+        shifts.append(xd[win] * delta)
+    out = []
+    for k, (weights, denom) in enumerate(_STENCIL_WEIGHTS, start=1):
+        acc = sum(weights[j] * d for j, d in zip(offsets, values))
+        acc -= sum(weights[j] * s for j, s in zip(offsets, shifts))
+        out.append(acc / (denom * hs**k))
+    return tuple(out)
+
+
+def firqnl_whole_array(traj, setup, pot, independent_var, stride):
+    """Per-sample residuals of ``firqnl_residual`` as whole-array operations,
+    kept as the oracle of the blocked evaluation."""
+    if independent_var == "x":
+        tp, tpp, tppp = stencil_whole_array(traj.x, traj.t, stride)
+        xd = 1.0 / tp
+        xdd = -tpp / tp**3
+        xddd = (3.0 * tpp**2 - tppp * tp) / tp**5
+    else:
+        xd, xdd, xddd = stencil_whole_array(traj.t, traj.x, stride)
+    x_in = traj.x[3 * stride : -3 * stride]
+    c = setup.c_fm_s
+    hb = setup.hbar
+    m2 = setup.rest_sq
+    w = setup.E - np.asarray(pot.v(x_in), dtype=float)
+    vp = np.asarray(pot.dv(x_in), dtype=float)
+    vpp = np.asarray(pot.d2v(x_in), dtype=float)
+    q = w * w - m2
+    t1 = q**3 * ((1.0 - xd**2 / c**2) - m2 / w**2)
+    t2 = -(hb**2 / 2.0) * ((w**4 - m2**2) / w) * (xdd * vp)
+    t3 = -(hb**2 / 2.0) * ((w**4 - m2**2) / w) * (xd**2 * vpp)
+    t4 = (hb**2 / 2.0) * q**2 * (1.5 * (xdd / xd) ** 2 - xddd / xd)
+    t5 = -(hb**2 / 4.0) * (4.0 * m2 * (1.0 - m2 / w**2) + 3.0 * (w + m2 / w) ** 2) * (xd * vp) ** 2
+    total = t1 + t2 + t3 + t4 + t5
+    pieces = np.stack([
+        np.abs(q**3 * (1.0 - xd**2 / c**2)),
+        np.abs(q**3 * m2 / w**2),
+        np.abs(t2),
+        np.abs(t3),
+        np.abs((hb**2 / 2.0) * q**2 * 1.5 * (xdd / xd) ** 2),
+        np.abs((hb**2 / 2.0) * q**2 * xddd / xd),
+        np.abs(t5),
+    ])
+    return np.abs(total) / np.max(pieces, axis=0)
+
+
+@pytest.fixture(scope="module")
+def block_traces():
+    """Traces long enough for 2 * STENCIL_BLOCK + 1 windows at stride 4:
+    a closed form (uniform t) and a linear-potential quadrature (uniform x),
+    and a tabulated potential whose dV and d2V are both non-zero."""
+    setup = rq.PhysicalSetup(E=2.0, m0c2=0.511)
+    n = 2 * STENCIL_BLOCK + 1 + 24
+    closed = rq.trace_constant_oscillatory(setup, 0.0, rq.HiddenParams(4 / 3, -1.05), 0.0,
+                                           (0.0, 4e-21), n)
+    lo = -1000.0
+    pot = rq.LinearPotential(1e-3)
+    grid = lo + 0.05 * np.arange(n)
+    k0 = oscillatory_wavenumber(setup, u0=float(pot.v(grid[:1])[0]))
+    basis = rq.solve_numeric(setup, pot, grid, init1=(0.0, k0), init2=(1.0, 0.0))
+    quad = rq.trace_quadrature(setup, pot, basis, rq.HiddenParams(4.0, 2.5), lo,
+                               (lo, float(grid[-1])))
+    xt = np.linspace(-2000.0, 2000.0, 4001)
+    tab = rq.TabulatedPotential(xt, 1e-3 * xt + 2e-7 * xt**2 + 0.05 * np.sin(xt / 300.0))
+    return setup, {"t": closed, "x": quad}, tab
+
+
+@pytest.mark.parametrize("stride", [1, 4])
+@pytest.mark.parametrize("windows", [1, STENCIL_BLOCK - 1, STENCIL_BLOCK, STENCIL_BLOCK + 1,
+                                     2 * STENCIL_BLOCK + 1])
+@pytest.mark.parametrize("var", ["t", "x"])
+def test_blocked_first_integral_is_bit_equal(block_traces, var, windows, stride):
+    setup, traces, tab = block_traces
+    full = traces[var]
+    rows = slice(0, windows + 6 * stride)
+    tr = dataclasses.replace(full, t=full.t[rows], x=full.x[rows], branch=full.branch[rows],
+                             regime=full.regime[rows], momentum=full.momentum[rows])
+    u, y = (tr.x, tr.t) if var == "x" else (tr.t, tr.x)
+    for got, ref in zip(_stencil_derivatives(u, y, stride=stride),
+                        stencil_whole_array(u, y, stride)):
+        assert got.size == windows
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    for pot in (tr.potential, tab):
+        got = rq.firqnl_residual(tr, pot=pot, independent_var=var, stride=stride).residuals
+        ref = firqnl_whole_array(tr, setup, pot, var, stride)
+        assert got.size == windows
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def test_analyze_builds_one_reduced_action_per_set(tmp_path, monkeypatch):
+    """The trace and the quantum-HJ check of a set share one ReducedAction."""
+    built = []
+
+    class Counted(rq.ReducedAction):
+        def __init__(self, basis, params, setup):
+            built.append((params.a, params.b))
+            super().__init__(basis, params, setup)
+
+    monkeypatch.setattr(pipeline, "ReducedAction", Counted)
+    monkeypatch.setattr(trajectory, "ReducedAction", Counted)
+    cfg = RunConfig(potential_kind="linear", grid_min=-500.0, grid_max=500.0, grid_step=0.2,
+                    x0=-500.0, param_sets=[(4.0, 2.5), (8.0, -3.0), (5.0, 2.0)],
+                    sync="phi2_zero", out_dir=str(tmp_path)).validate()
+    pipeline.run_analyze(cfg)
+    assert built == [(4.0, 2.5), (8.0, -3.0), (5.0, 2.0)]
+    per_set = json.loads((tmp_path / "validation.json").read_text())["per_set"]
+    assert all("quantum_hj_max" in e for e in per_set)
 
 
 @pytest.mark.parametrize("name, expected", [

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -375,6 +376,45 @@ def test_closed_form_figure_outputs_are_pinned(tmp_path, monkeypatch, name, figu
     written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                for f in (tmp_path / cfg.out_dir).iterdir()}
     assert written == digests
+
+
+FIG3_DIGESTS = {
+    "analyze_manifest.json": "919abb01b9524ea04c926dcc7d7432c633d964f0d9173880b8502bda15498f82",
+    "classical.csv": "71c9bb0191a2570f5df5ca08524077377245882df3e685fdc070c7e5ce717fb2",
+    "figure3.gp": "8aeec211273e5e0163275ae56bf544dc2887853a982c8f77e90aa42c3ecb2aa3",
+    "figure3_manifest.json": "2d931e85b2c798284d411dd1dcbdde049976f31bca31b227671b46cf4dd2d60c",
+    "nodes.csv": "cb6b6db3ac5a21c44155c4f4cdba0980956d8014836e07dd4e46e71e1648c3b9",
+    "nodes_detected.json": "f2eb1d1ec905839b404cdc68c0af9fd4724facf11e0ea054e9a3c54bce4bf149",
+    "trace_manifest.json": "3b53701e84bc83bd35058ed10497ab4f8ee53a4db3bb20bbf41eb29f1fd40d37",
+    "trajectory_0.csv": "26995557e7ddcb4fa3368ed4a1781e2a846d908ddd3ec0de601447510adc64b8",
+    "trajectory_1.csv": "ae273bc7a2231cdcc32769f47a06d7b6269a282f392e7d411043f2f7f78c83df",
+    "trajectory_2.csv": "6540b1657d840bc0e448e8310b125f0ef6d4ce255a93e9cf0783b319b4a14559",
+    "validation.json": "b1bb3c6ad7a5257371889a3c626769bba0cd0c5188f95318257a175494d096cb",
+}
+
+
+def test_quadrature_outputs_are_pinned(tmp_path, monkeypatch):
+    """fig3 analyze and figure 3: the quadrature trace, node detection and
+    validators keep every byte."""
+    monkeypatch.chdir(tmp_path)              # the config's relative out dir
+    cfg = parse_config(CONFIGS / "fig3.cfg")
+    pipeline.run_analyze(cfg)
+    pipeline.run_figure(cfg, 3)
+    written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in (tmp_path / cfg.out_dir).iterdir()}
+    assert written == FIG3_DIGESTS
+
+
+def test_energy_equals_potential_is_a_per_set_error(tmp_path):
+    """fig3 moved to [1600, 2400] fm: E - V changes sign at 2000 fm."""
+    cfg = parse_config(CONFIGS / "fig3.cfg")
+    cfg = dataclasses.replace(cfg, grid_min=1600.0, grid_max=2400.0, x0=1700.0,
+                              sync="exact", out_dir=str(tmp_path / "out")).validate()
+    manifest = pipeline.run_trace(cfg)
+    assert [e["status"] for e in manifest["sets"]] == ["error"] * 3
+    for entry in manifest["sets"]:
+        assert entry["error"].startswith("EnergyEqualsPotential: E - V vanishes")
+    assert not list((tmp_path / "out").glob("trajectory_*.csv"))
 
 
 def test_cli_outputs_are_deterministic(tmp_path):

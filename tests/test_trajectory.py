@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rqtraj as rq
-from rqtraj.errors import BasisGapError, RegimeError, TooFewSamples, TurningPointSingular
+from rqtraj.errors import (
+    BasisGapError,
+    EnergyEqualsPotential,
+    RegimeError,
+    TooFewSamples,
+    TurningPointSingular,
+)
 from tests.conftest import oscillatory_wavenumber
 
 
@@ -22,6 +28,36 @@ def test_cumulative_simpson_small_inputs():
     assert np.allclose(rq.cumulative_simpson(np.array([1.0]), 0.1), [0.0])
     two = rq.cumulative_simpson(np.array([1.0, 3.0]), 0.5)
     assert two == pytest.approx([0.0, 1.0])  # trapezoid fallback
+
+
+def cumulative_simpson_gather(f, h):
+    """The index-array form of ``cumulative_simpson`` kept as its oracle."""
+    n = f.size
+    out = np.zeros(n)
+    if n < 2:
+        return out
+    if n == 2:
+        out[1] = 0.5 * h * (f[0] + f[1])
+        return out
+    npairs = (n - 1) // 2
+    i = 2 * np.arange(npairs)
+    pair_inc = h / 3.0 * (f[i] + 4.0 * f[i + 1] + f[i + 2])
+    even_vals = np.concatenate(([0.0], np.cumsum(pair_inc)))
+    out[2 * np.arange(npairs + 1)] = even_vals
+    j = 2 * np.arange(npairs)
+    out[j + 1] = out[j] + h / 12.0 * (5.0 * f[j] + 8.0 * f[j + 1] - f[j + 2])
+    if n % 2 == 0:
+        out[n - 1] = out[n - 2] + h / 12.0 * (
+            -f[n - 3] + 8.0 * f[n - 2] + 5.0 * f[n - 1]
+        )
+    return out
+
+
+@pytest.mark.parametrize("n", [*range(0, 10), 100_001, 100_002])
+def test_cumulative_simpson_matches_gather_oracle(n):
+    f = np.random.default_rng(n).normal(size=n) * 1e-21
+    got = rq.cumulative_simpson(f, 0.05)
+    assert np.array_equal(got.view(np.int64), cumulative_simpson_gather(f, 0.05).view(np.int64))
 
 
 def test_classical_params_give_straight_line(electron2):
@@ -205,6 +241,109 @@ def test_quadrature_turning_point_truncation(electron2):
                              0.0, (-200.0, 1600.0))
     assert tr.meta["events"]["halt"] == "TurningPointInRange"
     assert tr.x[-1] < 1489.0
+
+
+def test_quadrature_descending_trace_comes_out_ascending(electron2):
+    """direction -1 makes t(x) decrease along the grid; the samples come out
+    reversed, t ascending, and mirror the direction +1 trace exactly."""
+    pot = rq.LinearPotential(1e-3)
+    grid = np.arange(-200.0, 400.0 + 0.025, 0.05)
+    k0 = oscillatory_wavenumber(electron2, u0=float(pot.v(np.array([-200.0]))[0]))
+    basis = rq.solve_numeric(electron2, pot, grid, init1=(0.0, k0), init2=(1.0, 0.0))
+    hp = rq.HiddenParams(4.0, 2.5)
+    up = rq.trace_quadrature(electron2, pot, basis, hp, 0.0, (-200.0, 400.0), direction=+1)
+    down = rq.trace_quadrature(electron2, pot, basis, hp, 0.0, (-200.0, 400.0), direction=-1)
+    assert np.all(np.diff(down.t) > 0) and np.all(np.diff(down.x) < 0)
+    assert np.array_equal(down.t, -up.t[::-1])
+    assert np.array_equal(down.x, up.x[::-1])
+    assert np.array_equal(down.momentum, up.momentum[::-1])
+    assert np.array_equal(down.branch, up.branch[::-1])
+    assert down.regime.tolist() == up.regime[::-1].tolist()
+
+
+@pytest.fixture
+def fig3_past_turning():
+    """fig3's particle and V = 1e-3 x on the grid -500 + 0.05 k fm up to 2400 fm:
+    turning point at 1489.001 fm, between grid points; E = V at 2000 fm."""
+    setup = rq.PhysicalSetup(E=2.0, m0c2=0.510999)
+    pot = rq.LinearPotential(1e-3)
+    grid = -500.0 + 0.05 * np.arange(58001)
+    k0 = oscillatory_wavenumber(setup, u0=float(pot.v(grid[:1])[0]))
+    return setup, pot, rq.solve_numeric(setup, pot, grid, init1=(0.0, k0), init2=(1.0, 0.0))
+
+
+def assert_regime_tags(setup, pot, tr, tags):
+    """Tags from np.full plus masks equal the nested np.where they replace."""
+    ev = setup.E - pot.v(tr.x)
+    disc = ev * ev - setup.rest_sq
+    tol = rq.model.REGIME_REL_TOL * setup.rest_sq
+    expected = np.where(disc > tol, "oscillatory",
+                        np.where(disc < -tol, "evanescent", "turning"))
+    assert tr.regime.dtype == np.dtype("<U11")
+    assert tr.regime.tolist() == expected.tolist()
+    assert set(tr.regime.tolist()) == tags
+
+
+@pytest.mark.parametrize("x_range, tags", [
+    ((-500.0, 1400.0), {"oscillatory"}),
+    ((1600.0, 1900.0), {"evanescent"}),
+])
+def test_quadrature_regime_tags_keep_dtype_and_values(fig3_past_turning, x_range, tags):
+    setup, pot, basis = fig3_past_turning
+    tr = rq.trace_quadrature(setup, pot, basis, rq.HiddenParams(2.0, 0.5),
+                             x_range[0] + 100.0, x_range)
+    assert_regime_tags(setup, pot, tr, tags)
+
+
+def test_quadrature_regime_tags_through_a_turning_point(electron2):
+    """Without the slow-zone cut the trace runs through the turning point at
+    1489 fm, which sits on a grid point: all three tags appear."""
+    pot = rq.LinearPotential(1e-3)
+    grid = np.arange(-200.0, 1600.0 + 0.05, 0.1)
+    k0 = oscillatory_wavenumber(electron2, u0=float(pot.v(np.array([-200.0]))[0]))
+    basis = rq.solve_numeric(electron2, pot, grid, init1=(0.0, k0), init2=(1.0, 0.0))
+    tr = rq.trace_quadrature(electron2, pot, basis, rq.HiddenParams(2.0, 0.5),
+                             0.0, (-200.0, 1600.0), v_min_frac=0.0)
+    assert_regime_tags(electron2, pot, tr, {"oscillatory", "turning", "evanescent"})
+
+
+def test_quadrature_not_monotone_is_still_sorted(fig3_past_turning):
+    """No grid point falls in the slow zone around the turning point, so 1/v
+    changes sign unflagged and t(x) is not monotone: the samples are still
+    sorted by time, as before."""
+    setup, pot, basis = fig3_past_turning
+    tr = rq.trace_quadrature(setup, pot, basis, rq.HiddenParams(2.0, 0.5),
+                             0.0, (-500.0, 1900.0))
+    assert not tr.meta["events"]
+    assert np.all(np.diff(tr.t) > 0)
+    assert not np.all(np.diff(tr.x) > 0)
+
+
+def test_quadrature_energy_equals_potential_is_an_error(electron2):
+    """E - V changes sign at x = 2000 fm inside the range: 1/v flips sign."""
+    pot = rq.LinearPotential(1e-3)
+    grid = np.arange(1600.0, 2400.0 + 0.025, 0.05)
+    basis = rq.solve_numeric(electron2, pot, grid, init1=(0.0, 1.0), init2=(1.0, 0.0))
+    with pytest.raises(EnergyEqualsPotential, match="vanishes or changes sign"):
+        rq.trace_quadrature(electron2, pot, basis, rq.HiddenParams(4.0, 2.5),
+                            1700.0, (1600.0, 2400.0))
+    # a range that stops short of E = V traces as before
+    tr = rq.trace_quadrature(electron2, pot, basis, rq.HiddenParams(4.0, 2.5),
+                             1700.0, (1600.0, 1900.0))
+    assert np.all(np.diff(tr.t) > 0)
+    assert set(tr.regime.tolist()) == {"evanescent"}
+
+
+def test_quadrature_takes_only_its_own_action(electron2, const_pot, const_basis):
+    hp = rq.HiddenParams(4 / 3, -1.05)
+    ra = rq.ReducedAction(const_basis, hp, electron2)
+    x_range = (0.0, float(const_basis.grid[-1]))
+    shared = rq.trace_quadrature(electron2, const_pot, const_basis, hp, 100.0, x_range, action=ra)
+    own = rq.trace_quadrature(electron2, const_pot, const_basis, hp, 100.0, x_range)
+    assert np.array_equal(shared.t, own.t) and np.array_equal(shared.momentum, own.momentum)
+    with pytest.raises(ValueError, match="another basis"):
+        rq.trace_quadrature(electron2, const_pot, const_basis, rq.HiddenParams(1.0, 0.0),
+                            100.0, x_range, action=ra)
 
 
 def test_quadrature_range_guards(electron2, const_pot, const_basis):
