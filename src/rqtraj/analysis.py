@@ -197,13 +197,13 @@ def _pairwise_crossings(t, xa, xb):
 def detect_nodes(
     trajectories,
     cluster_radius: float = None,
-    resample_n: int = None,
     basis: SolutionBasis = None,
 ) -> NodeReport:
     """Nodes from pairwise crossings of trajectories sharing setup and potential.
 
-    Crossings are found by sign change on a common time grid and refined by
-    linear interpolation; crossings from all pairs are merged into clusters
+    Crossings are found by sign change on a common time grid (as many
+    points as the longest trajectory has samples) and refined by linear
+    interpolation; crossings from all pairs are merged into clusters
     (radius defaults to 2 resampling steps).  Clusters hit by every pair
     count as nodes.  With ``basis`` given, the offset of each node position
     to the nearest zero of phi2 is reported (not asserted) in the extras.
@@ -221,9 +221,7 @@ def detect_nodes(
     t_hi = min(tr.t[-1] for tr in trajs)
     if t_hi <= t_lo:
         raise ValueError("trajectories have no common time window")
-    if resample_n is None:
-        resample_n = max(tr.t.size for tr in trajs)
-    tg = np.linspace(t_lo, t_hi, resample_n)
+    tg = np.linspace(t_lo, t_hi, max(tr.t.size for tr in trajs))
     xg = [np.interp(tg, tr.t, tr.x) for tr in trajs]
 
     dt_grid = tg[1] - tg[0]
@@ -352,20 +350,6 @@ _STENCIL_WEIGHTS = (
 STENCIL_BLOCK = 16384
 
 
-def _stencil_prepare(t, x, stride: int):
-    """Checks of ``_stencil_derivatives``; returns (hs, xd) for its blocks."""
-    n = t.size
-    if n < 6 * stride + 1:
-        raise TooFewSamples(f"need at least {6 * stride + 1} samples")
-    h = uniform_step(t)
-    if h is None:
-        raise RegimeError(
-            f"stencil needs uniform samples: steps within {UNIFORM_REL_TOL:g} "
-            "of their mean"
-        )
-    return h * stride, np.gradient(x, t, edge_order=2)
-
-
 def _stencil_block(t, x, xd, hs, stride: int, lo: int, hi: int):
     """The three derivatives at windows lo..hi-1 (centres 3*stride + lo ...).
 
@@ -399,6 +383,36 @@ def _stencil_block(t, x, xd, hs, stride: int, lo: int, hi: int):
     return out
 
 
+def _stencil_blocks(t, x, stride: int):
+    """The checked 7-point stencil: (m, an iterator of (lo, hi, (d1, d2, d3))).
+
+    Raises TooFewSamples below 6*stride + 1 samples and RegimeError when t
+    is not uniform by ``kleingordon.uniform_step``, and takes np.gradient of
+    x over the whole t (the shift correction of ``_stencil_block``), before
+    it returns, so a caller allocates its m-window output after the
+    gradient's temporaries are freed; the iterator then evaluates the
+    windows in blocks lo..hi-1 of at most ``STENCIL_BLOCK``.
+    """
+    n = t.size
+    if n < 6 * stride + 1:
+        raise TooFewSamples(f"need at least {6 * stride + 1} samples")
+    h = uniform_step(t)
+    if h is None:
+        raise RegimeError(
+            f"stencil needs uniform samples: steps within {UNIFORM_REL_TOL:g} "
+            "of their mean"
+        )
+    hs, xd = h * stride, np.gradient(x, t, edge_order=2)
+    m = n - 6 * stride
+
+    def blocks():
+        for lo in range(0, m, STENCIL_BLOCK):
+            hi = min(lo + STENCIL_BLOCK, m)
+            yield lo, hi, _stencil_block(t, x, xd, hs, stride, lo, hi)
+
+    return m, blocks()
+
+
 def _stencil_derivatives(t, x, stride: int = 1):
     """First three derivatives of x(t) on uniformly spaced t, 7-point stencil.
 
@@ -418,88 +432,74 @@ def _stencil_derivatives(t, x, stride: int = 1):
     delta / hs.  The correction is summed apart from the window-centred
     values, whose weighted sums stay exact where x varies smoothly.
 
-    Windows are evaluated in blocks of ``STENCIL_BLOCK``; every value is
+    Windows are evaluated in blocks (``_stencil_blocks``); every value is
     computed by the same operations as on the whole array, so the result
     does not depend on the block size.  Raises TooFewSamples below
-    6*stride + 1 samples and RegimeError when t is not uniform by
-    ``kleingordon.uniform_step``.  Returns arrays aligned with
-    t[3*stride : -3*stride].
+    6*stride + 1 samples and RegimeError when t is not uniform.  Returns
+    arrays aligned with t[3*stride : -3*stride].
     """
-    hs, xd = _stencil_prepare(t, x, stride)
-    m = t.size - 6 * stride
+    m, blocks = _stencil_blocks(t, x, stride)
     out = np.empty((3, m))
-    for lo in range(0, m, STENCIL_BLOCK):
-        hi = min(lo + STENCIL_BLOCK, m)
-        out[:, lo:hi] = _stencil_block(t, x, xd, hs, stride, lo, hi)
+    for lo, hi, block in blocks:
+        out[:, lo:hi] = block
     return tuple(out)
 
 
-def closure_residual(traj: Trajectory, setup: PhysicalSetup = None, pot: Potential = None) -> ValidationReport:
-    """Law-of-motion closure |xdot P / (sigma kin) - 1| with centered-difference xdot."""
-    setup = setup or traj.setup
-    pot = pot or traj.potential
+def closure_residual(traj: Trajectory) -> ValidationReport:
+    """Law-of-motion closure |xdot P / (sigma kin) - 1| with centered-difference xdot.
+
+    Setup (with the direction sign sigma) and potential are the trace's own,
+    ``traj.meta["setup"]`` and ``traj.meta["potential"]``.
+    """
+    setup, pot = traj.setup, traj.potential
     if traj.t.size < 3:
         raise TooFewSamples("closure needs at least 3 samples")
     xd = traj.velocity_centered()                       # [fm/s]
     x_in = traj.x[1:-1]
     pc = traj.momentum[1:-1]
-    sigma = traj.meta.get("direction", setup.direction)
     ev = setup.E - np.asarray(pot.v(x_in), dtype=float)
     kin = ev - setup.rest_sq / ev
-    res = np.abs(xd * pc / (sigma * setup.c_fm_s * kin) - 1.0)
+    res = np.abs(xd * pc / (setup.direction * setup.c_fm_s * kin) - 1.0)
     return _summary("closure", res)
 
 
-def firqnl_residual(
-    traj: Trajectory, setup: PhysicalSetup = None, pot: Potential = None,
-    independent_var: str = "auto", stride: int = 1,
-) -> ValidationReport:
+def firqnl_residual(traj: Trajectory, stride: int = 1) -> ValidationReport:
     """Normalized residual of the third-order first integral of the motion.
 
-    Five terms are evaluated per interior sample (derivatives from the fixed
-    7-point centred stencil, see ``_stencil_derivatives``) and the sum is
-    divided by the largest term magnitude.  For constant potentials the
-    potential-derivative terms are identically zero and are flagged as exact
-    in the notes.
+    Setup and potential are the trace's own, ``traj.meta["setup"]`` and
+    ``traj.meta["potential"]``.  Five terms are evaluated per interior
+    sample (derivatives from the fixed 7-point centred stencil, see
+    ``_stencil_derivatives``) and the sum is divided by the largest term
+    magnitude.  For constant potentials the potential-derivative terms are
+    identically zero and are flagged as exact in the notes.
 
-    Derivatives are taken along whichever variable the trace samples
-    uniformly (``kleingordon.uniform_step``): x(t) windows for closed forms
-    (linspace t), t(x) windows for quadrature and for classical linear or
-    tabulated traces (uniform x).  ``independent_var`` is "t", "x" or
-    "auto", which takes t when t is uniform and x otherwise; ``stride`` is
-    a positive int spacing the stencil over every stride-th sample.  The
-    chosen variable must be uniformly sampled: otherwise RegimeError, and
-    TooFewSamples below 6*stride + 1 samples.  An unknown
-    ``independent_var`` or a bad ``stride`` raises ValueError.
+    Derivatives are taken along the variable the trace samples uniformly
+    (``kleingordon.uniform_step``): x(t) windows when t is uniform (closed
+    forms, linspace t), t(x) windows otherwise (quadrature and classical
+    linear or tabulated traces, uniform x).  ``stride`` is a positive int
+    spacing the stencil over every stride-th sample; a bad ``stride``
+    raises ValueError.  When neither variable is uniform RegimeError is
+    raised, and TooFewSamples below 6*stride + 1 samples.
 
-    The derivative is taken once over the whole trace (np.gradient, for the
-    stencil's shift correction); the window sums and the five terms then run
-    block by block, ``STENCIL_BLOCK`` windows at a time, into one residual
-    array.  Every value comes from the same operations in the same order as
-    a whole-array evaluation, so the residuals are bit-identical to it and
-    do not depend on the block size.
+    The stencil runs block by block (``_stencil_blocks``), and so do the
+    five terms, into one residual array.  Every value comes from the same
+    operations in the same order as a whole-array evaluation, so the
+    residuals are bit-identical to it and do not depend on the block size.
     """
-    if independent_var not in ("auto", "t", "x"):
-        raise ValueError(f"independent_var must be 'auto', 't' or 'x', not {independent_var!r}")
     if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
         raise ValueError(f"stride must be a positive int, not {stride!r}")
-    setup = setup or traj.setup
-    pot = pot or traj.potential
-    if independent_var == "auto":
-        independent_var = "t" if uniform_step(traj.t) is not None else "x"
-    u, y = (traj.x, traj.t) if independent_var == "x" else (traj.t, traj.x)
-    hs, yd = _stencil_prepare(u, y, stride)
-    m = u.size - 6 * stride
+    setup, pot = traj.setup, traj.potential
+    along_t = uniform_step(traj.t) is not None
+    u, y = (traj.t, traj.x) if along_t else (traj.x, traj.t)
+    m, blocks = _stencil_blocks(u, y, stride)
     res = np.empty(m)
-    for lo in range(0, m, STENCIL_BLOCK):
-        hi = min(lo + STENCIL_BLOCK, m)
-        d1, d2, d3 = _stencil_block(u, y, yd, hs, stride, lo, hi)
-        if independent_var == "x":
+    for lo, hi, (d1, d2, d3) in blocks:
+        if along_t:
+            xd, xdd, xddd = d1, d2, d3
+        else:
             xd = 1.0 / d1
             xdd = -d2 / d1**3
             xddd = (3.0 * d2**2 - d3 * d1) / d1**5
-        else:
-            xd, xdd, xddd = d1, d2, d3
         x_in = traj.x[3 * stride + lo : 3 * stride + hi]
         res[lo:hi] = _firqnl_terms(setup, pot, x_in, xd, xdd, xddd)
 
@@ -550,7 +550,9 @@ def rqshje_residual(
 
     Terms (each in MeV^2): (Pc)^2, the Schwarzian-type correction
     -(hbar c)^2/2 [3/2 (Pc'/Pc)^2 - Pc''/Pc], and m2 - (E-V)^2.  Momentum
-    derivatives are closed-form (no differencing).
+    derivatives are closed-form (no differencing).  The grid, basis and
+    (a, b) are those of ``ra``; so is the setup unless ``setup`` is given.
+    ``pot`` is required.
     """
     setup = setup or ra.setup
     if pot is None:

@@ -34,7 +34,11 @@ class StepTooLarge(RqtError):
 
 
 class TurningPointInRange(RqtError):
-    """A turning point lies strictly inside the requested trace range."""
+    """A turning point lies inside the requested trace range.
+
+    Its name is the ``halt`` event of a quadrature trace that the turning
+    point ends; the trace is returned, not raised.
+    """
 
 
 class BasisGapError(RqtError):

@@ -116,21 +116,25 @@ def run_basis(cfg: RunConfig, compare_methods: bool = False) -> dict:
     return manifest
 
 
-def _trace_one(cfg: RunConfig, setup, pot, basis, hp: HiddenParams, action=None):
-    """One set's trajectory; a quadrature trace reuses ``action`` if given."""
-    if cfg.potential_kind == "constant":
-        if _oscillatory_constant(cfg, setup):
-            return trace_constant_oscillatory(
-                setup, cfg.u0, hp, cfg.x0, (cfg.t_min, cfg.t_max), cfg.samples
-            )
-        return trace_constant_evanescent(
+def _trace_one(cfg: RunConfig, setup, pot, basis, hp: HiddenParams):
+    """One set's trajectory and the ReducedAction of ``basis`` and (a, b).
+
+    A quadrature trace is built from that action; closed forms ignore it.
+    Without a basis the action is None.
+    """
+    ra = None if basis is None else ReducedAction(basis, hp, setup)
+    if cfg.potential_kind != "constant":
+        tr = trace_quadrature(ra, pot, cfg.x0, (cfg.grid_min, cfg.grid_max), sync=cfg.sync)
+    elif _oscillatory_constant(cfg, setup):
+        tr = trace_constant_oscillatory(
+            setup, cfg.u0, hp, cfg.x0, (cfg.t_min, cfg.t_max), cfg.samples
+        )
+    else:
+        tr = trace_constant_evanescent(
             setup, cfg.u0, hp, cfg.x0, (cfg.t_min, cfg.t_max), cfg.samples,
             window_fm=cfg.window,
         )
-    return trace_quadrature(
-        setup, pot, basis, hp, cfg.x0, (cfg.grid_min, cfg.grid_max), sync=cfg.sync,
-        action=action,
-    )
+    return tr, ra
 
 
 def run_trace(cfg: RunConfig) -> dict:
@@ -144,7 +148,7 @@ def run_trace(cfg: RunConfig) -> dict:
     for i, (a, b) in enumerate(cfg.param_sets):
         entry = {"a": a, "b": b}
         try:
-            tr = _trace_one(cfg, setup, pot, basis, HiddenParams(a, b))
+            tr = _trace_one(cfg, setup, pot, basis, HiddenParams(a, b))[0]
             rows = tr.window_rows(cfg.t_min, cfg.t_max, cfg.samples)
             path = out / f"trajectory_{i}.csv"
             footer = []
@@ -193,24 +197,9 @@ def _trace_objects(cfg: RunConfig):
     setup = build_setup(cfg)
     pot = build_potential(cfg)
     basis = None if cfg.potential_kind == "constant" else build_basis(cfg, setup, pot)
-    trajs = []
-    for a, b in cfg.param_sets:
-        trajs.append(_trace_one(cfg, setup, pot, basis, HiddenParams(a, b)))
+    trajs = [_trace_one(cfg, setup, pot, basis, HiddenParams(a, b))[0]
+             for a, b in cfg.param_sets]
     return setup, pot, basis, trajs
-
-
-def _trace_and_hj(cfg: RunConfig, setup, pot, basis, hj_basis, hp: HiddenParams):
-    """One set's trajectory and quantum-HJ maximum from a single ReducedAction.
-
-    The action lives only for this call, so analyze holds one at a time.
-    Without a basis for the check (evanescent closed form) the maximum is
-    None.
-    """
-    if hj_basis is None:
-        return _trace_one(cfg, setup, pot, basis, hp), None
-    ra = ReducedAction(hj_basis, hp, setup)
-    tr = _trace_one(cfg, setup, pot, basis, hp, action=ra)
-    return tr, rqshje_residual(ra, setup, pot).max_residual
 
 
 def run_analyze(cfg: RunConfig) -> dict:
@@ -224,9 +213,10 @@ def run_analyze(cfg: RunConfig) -> dict:
     hj_basis = build_basis(cfg, setup, pot) if oscillatory_const else basis
     trajs, hj_max = [], []
     for a, b in cfg.param_sets:
-        tr, hj = _trace_and_hj(cfg, setup, pot, basis, hj_basis, HiddenParams(a, b))
+        tr, ra = _trace_one(cfg, setup, pot, hj_basis, HiddenParams(a, b))
         trajs.append(tr)
-        hj_max.append(hj)
+        hj_max.append(None if ra is None else rqshje_residual(ra, pot=pot).max_residual)
+        del ra                                      # analyze holds one action at a time
 
     manifest = {"command": "analyze", "config_hash": cfg.hash, "files": []}
     summary = []

@@ -10,7 +10,11 @@ constant advances by pi at every node crossing; the node pattern
 (t_n, x_n) is shared by the whole (a, b) family.  For general potentials
 the right side depends on x only, so t(x) is accumulated by composite
 Simpson quadrature on the basis grid (no stiffness where the velocity
-peaks, since no time stepping is involved).
+peaks, since no time stepping is involved).  The quadrature reads setup,
+basis and (a, b) from the ReducedAction it is given.  A turning point ends
+it with a ``TurningPointInRange`` halt event, whether a grid point resolves
+it (|v| under SLOW_ZONE_FRAC * c) or 1/v changes sign between two grid
+points, so every quadrature trace has strictly monotone t and x.
 
 Every emitted sample carries the conjugate momentum so validators can test
 the closure xdot * P = sigma * [E - V - (m0c2)^2/(E-V)] sample by sample.
@@ -30,9 +34,10 @@ from .errors import (
     EnergyEqualsPotential,
     RegimeError,
     TooFewSamples,
+    TurningPointInRange,
     TurningPointSingular,
 )
-from .kleingordon import SolutionBasis, uniform_step, wavenumber_sq
+from .kleingordon import uniform_step
 from .model import (
     ConstantPotential,
     HiddenParams,
@@ -42,6 +47,10 @@ from .model import (
     REGIME_REL_TOL,
 )
 from .output import write_csv
+
+# A quadrature trace ends where |v| falls under this fraction of c: a
+# turning point on (or within rounding of) a grid point.
+SLOW_ZONE_FRAC = 1e-6
 
 
 @dataclass
@@ -230,7 +239,6 @@ def trace_constant_oscillatory(
             "potential": ConstantPotential(u0),
             "params": hp,
             "x0": x0,
-            "direction": sigma,
             "method": "closed-form",
             "node_period_s": node_period(setup, u0),
             "node_spacing_fm": node_spacing(setup, u0),
@@ -338,7 +346,6 @@ def trace_constant_evanescent(
             "potential": ConstantPotential(u0),
             "params": hp,
             "x0": x0,
-            "direction": sigma,
             "method": "closed-form-evanescent",
             "window_fm": window_fm,
             "events": events,
@@ -362,53 +369,43 @@ def _zero_near(grid: np.ndarray, values: np.ndarray, x_target: float, what: str)
 
 
 def trace_quadrature(
-    setup: PhysicalSetup,
+    action: ReducedAction,
     pot: Potential,
-    basis: SolutionBasis,
-    hp: HiddenParams,
     x0: float,
     x_range,
-    direction: int = None,
-    v_min_frac: float = 1e-6,
     sync: str = "exact",
-    action: ReducedAction = None,
 ) -> Trajectory:
     """Trajectory t(x) by composite Simpson quadrature of 1/v on the basis grid.
 
-    ``sync`` fixes the time origin: "exact" puts t = 0 at the grid point
-    nearest x0.  "psi_zero" puts t = 0 where a phi1 + b phi2 vanishes
-    nearest x0 (the convention of the constant-potential closed form, whose
-    t = 0 has a zero reduced action).  "phi2_zero" puts t = 0 at the zero of
-    phi2 nearest x0, a point all members of the (a, b) family cross at the
-    same phase, so every synced trajectory passes through it at t = 0.
-    Either zero convention makes a family share its nodes (exactly for a
-    constant potential, to within a slow drift otherwise).  Integration
-    truncates with a flag where |v| falls under v_min_frac * c (turning
-    point ahead).  ``action`` is the ReducedAction of ``basis`` and ``hp``
-    when the caller already holds it (ValueError if it is another's);
-    otherwise it is built here.
+    Setup, basis and (a, b) are those of ``action``, the direction sign
+    that of ``action.setup``.  ``sync`` fixes the time origin: "exact" puts
+    t = 0 at the grid point nearest x0.  "psi_zero" puts t = 0 where
+    a phi1 + b phi2 vanishes nearest x0 (the convention of the
+    constant-potential closed form, whose t = 0 has a zero reduced action).
+    "phi2_zero" puts t = 0 at the zero of phi2 nearest x0, a point all
+    members of the (a, b) family cross at the same phase, so every synced
+    trajectory passes through it at t = 0.  Either zero convention makes a
+    family share its nodes (exactly for a constant potential, to within a
+    slow drift otherwise).
 
-    t(x) is monotone wherever 1/v keeps its sign, so the samples come out
-    in grid order or reversed, as views of the grid and of the action's
-    arrays, with no sort; a t(x) that is not strictly monotone (1/v
-    changing sign at a turning point the slow-zone test stepped over) is
-    still sorted by time.  E = V inside the traced range raises
-    EnergyEqualsPotential: the law of motion divides by E - V, and 1/v
-    changes sign there.
+    A turning point ends the trace, with ``halt: TurningPointInRange`` in
+    the events: the trace stops before the first grid point where |v| falls
+    under SLOW_ZONE_FRAC * c, and, after the Simpson table, before the
+    first step whose dt is zero or has the opposite sign to the first step
+    (a turning point between grid points, where 1/v changes sign).  So t(x)
+    is strictly monotone, and the samples come out in grid order or
+    reversed, as views of the grid and of the action's arrays, with t
+    ascending and x strictly monotone.  E = V inside the range left by the
+    slow-zone cut raises EnergyEqualsPotential: the law of motion divides
+    by E - V, and 1/v changes sign there.
     """
-    sigma = setup.direction if direction is None else direction
+    setup, basis, hp = action.setup, action.basis, action.params
     lo, hi = float(min(x_range)), float(max(x_range))
     if not basis.covers(lo, hi):
         raise BasisGapError("basis grid does not cover the requested x range")
     if not (lo <= x0 <= hi):
         raise BasisGapError("x0 outside the requested x range")
 
-    if action is None:
-        ra = ReducedAction(basis, hp, setup)
-    elif action.basis is basis and action.params == hp:
-        ra = action
-    else:
-        raise ValueError("action was built for another basis or (a, b)")
     grid = basis.grid
     # the grid is strictly increasing, so the selected points are one slice
     sel = slice(
@@ -425,16 +422,15 @@ def trace_quadrature(
     ev = setup.E - np.asarray(pot.v(xs), dtype=float)
     with np.errstate(divide="ignore"):                # E = V is checked below
         kin = ev - setup.rest_sq / ev                 # [MeV]
-    pc = ra.momentum_grid[sel]                        # [MeV/c]
-    v = sigma * setup.c_fm_s * kin / pc               # [fm/s]
+    pc = action.momentum_grid[sel]                    # [MeV/c]
+    v = setup.direction * setup.c_fm_s * kin / pc     # [fm/s]
 
-    # turning-point truncation
-    slow = np.abs(v) < v_min_frac * setup.c_fm_s
-    truncated = bool(np.any(slow))
-    cut = int(np.argmax(slow)) if truncated else xs.size
+    # turning point on a grid point: the slow zone
+    slow = np.abs(v) < SLOW_ZONE_FRAC * setup.c_fm_s
+    cut = int(np.argmax(slow)) if slow.any() else xs.size
     if cut < 3:
         raise RegimeError("entire range is inside the slow/turning zone")
-    xs, ev, v, pc = xs[:cut], ev[:cut], v[:cut], pc[:cut]
+    xs, ev, v = xs[:cut], ev[:cut], v[:cut]
     if not (ev.min() > 0.0 or ev.max() < 0.0):
         raise EnergyEqualsPotential(
             f"E - V vanishes or changes sign inside [{float(xs[0])!r}, {float(xs[-1])!r}] fm"
@@ -448,6 +444,13 @@ def trace_quadrature(
     regime[~(np.abs(disc) > tol)] = "turning"
 
     tt = cumulative_simpson(1.0 / v, h)
+    # turning point between grid points: 1/v, and so dt, changes sign
+    turned = ~(np.diff(tt) * np.sign(tt[1] - tt[0]) > 0)
+    if turned.any():
+        cut = int(np.argmax(turned)) + 1
+        if cut < 3:
+            raise RegimeError("turning point within two grid steps of the range start")
+        xs, regime, tt = xs[:cut], regime[:cut], tt[:cut]
 
     # time origin
     if sync == "psi_zero":
@@ -463,33 +466,23 @@ def trace_quadrature(
         raise ValueError(f"unknown sync mode {sync!r}")
     tt = tt - np.interp(anchor, xs, tt)
 
-    branch = ra.branch_grid[sel][:cut]
-
-    dt = np.diff(tt)
-    if np.all(dt > 0):
-        order = slice(None)
-    elif np.all(dt < 0):
-        order = slice(None, None, -1)
-    else:
-        order = np.argsort(tt)
-
-    events = {}
-    if truncated:
-        events["halt"] = "TurningPointInRange"
+    rows = slice(sel.start, sel.start + xs.size)
+    order = slice(None) if tt[-1] > tt[0] else slice(None, None, -1)
+    halted = rows.stop < sel.stop
+    events = {"halt": TurningPointInRange.__name__} if halted else {}
 
     return Trajectory(
         t=tt[order],
         x=xs[order],
-        branch=branch[order],
+        branch=action.branch_grid[rows][order],
         regime=regime[order],
-        momentum=pc[order],
+        momentum=action.momentum_grid[rows][order],
         meta={
             "setup": setup,
             "potential": pot,
             "params": hp,
             "x0": x0,
             "anchor_x_fm": float(anchor),
-            "direction": sigma,
             "method": "quadrature-simpson",
             "sync": sync,
             "events": events,
@@ -559,8 +552,8 @@ def classical_trace(
         t = cumulative_simpson(1.0 / vel, h)
         t = t - np.interp(x0, x, t)
         pc = np.sqrt(disc)
-        order = np.argsort(t)
-        t, x, pc = t[order], x[order], pc[order]
+        # 1/v keeps the sign of sigma, so t(x) runs up for sigma = +1, down for -1
+        t, x, pc = t[::sigma], x[::sigma], pc[::sigma]
 
     return Trajectory(
         t=t,
@@ -573,7 +566,6 @@ def classical_trace(
             "potential": pot,
             "params": None,
             "x0": x0,
-            "direction": sigma,
             "method": "classical",
             "events": {},
         },

@@ -36,8 +36,8 @@ def linear_pipeline(setup, lo=-2000.0, hi=1200.0, h=0.05, x0=-400.0):
     k0 = oscillatory_wavenumber(setup, u0=float(pot.v(np.array([lo]))[0]))
     basis = rq.solve_numeric(setup, pot, grid, init1=(0.0, k0), init2=(1.0, 0.0))
     trajs = [
-        rq.trace_quadrature(setup, pot, basis, rq.HiddenParams(a, b), x0, (lo, hi),
-                            sync="phi2_zero")
+        rq.trace_quadrature(rq.ReducedAction(basis, rq.HiddenParams(a, b), setup), pot,
+                            x0, (lo, hi), sync="phi2_zero")
         for a, b in FIG3_SETS
     ]
     return pot, basis, trajs
@@ -235,8 +235,6 @@ def test_first_integral_rejects_bad_arguments(electron2):
     dt = rq.node_period(electron2, 0.0)
     tr = rq.trace_constant_oscillatory(electron2, 0.0, rq.HiddenParams(0.2, 0.0),
                                        0.0, (0.0, dt), 201)
-    with pytest.raises(ValueError, match="independent_var"):
-        rq.firqnl_residual(tr, independent_var="X")
     for stride in (0, -1, 2.5, True, "2"):
         with pytest.raises(ValueError, match="stride"):
             rq.firqnl_residual(tr, stride=stride)
@@ -265,37 +263,41 @@ def test_uniform_is_one_rule(electron2):
     """The numeric solve, the quadrature trace and the stencil accept and
     refuse the same grids."""
     pot, basis, _ = linear_pipeline(electron2, lo=-600.0, hi=200.0, h=0.1, x0=-200.0)
+    hp = rq.HiddenParams(*FIG3_SETS[0])
     grid = basis.grid
     h = (grid[-1] - grid[0]) / (grid.size - 1)
     for scale, uniform in ((0.5, True), (2.0, False)):
         bent = grid.copy()
         bent[grid.size // 2 :] += scale * UNIFORM_REL_TOL * h
         assert (uniform_step(bent) is not None) == uniform
+        ra = rq.ReducedAction(dataclasses.replace(basis, grid=bent), hp, electron2)
         if uniform:
             rq.solve_numeric(electron2, pot, bent)
-            rq.trace_quadrature(electron2, pot, dataclasses.replace(basis, grid=bent),
-                                rq.HiddenParams(*FIG3_SETS[0]), -200.0, (-600.0, 200.0))
+            rq.trace_quadrature(ra, pot, -200.0, (-600.0, 200.0))
             _stencil_derivatives(bent, np.sin(bent / 50.0))
         else:
             with pytest.raises(ValueError, match="uniform"):
                 rq.solve_numeric(electron2, pot, bent)
             with pytest.raises(ValueError, match="uniform"):
-                rq.trace_quadrature(electron2, pot, dataclasses.replace(basis, grid=bent),
-                                    rq.HiddenParams(*FIG3_SETS[0]), -200.0, (-600.0, 200.0))
+                rq.trace_quadrature(ra, pot, -200.0, (-600.0, 200.0))
             with pytest.raises(RegimeError, match="uniform"):
                 _stencil_derivatives(bent, np.sin(bent / 50.0))
 
 
 def test_first_integral_auto_takes_the_uniform_variable(electron2):
-    """A classical linear-potential arc is uniform in x, not in t."""
+    """A classical linear-potential arc is uniform in x, not in t: the check
+    differentiates t(x), and refuses a trace uniform in neither."""
     pot = rq.LinearPotential(1e-3)
     tr = rq.classical_trace(electron2, pot, 0.0, x_range=(0.0, 1000.0))
     assert uniform_step(tr.t) is None and uniform_step(tr.x) is not None
     auto = rq.firqnl_residual(tr)
-    assert auto.max_residual == rq.firqnl_residual(tr, independent_var="x").max_residual
+    ref = firqnl_whole_array(tr, electron2, pot, "x", 1)
+    assert np.array_equal(auto.residuals, ref)
     assert np.isfinite(auto.max_residual)
+    x = tr.x.copy()
+    x[x.size // 2] += 1e-6 * (x[1] - x[0])
     with pytest.raises(RegimeError, match="uniform"):
-        rq.firqnl_residual(tr, independent_var="t")
+        rq.firqnl_residual(dataclasses.replace(tr, x=x))
 
 
 def test_analyze_records_non_uniform_trace(tmp_path, monkeypatch):
@@ -304,13 +306,13 @@ def test_analyze_records_non_uniform_trace(tmp_path, monkeypatch):
                               out_dir=str(tmp_path))
     trace_one = pipeline._trace_one
 
-    def skewed(cfg, setup, pot, basis, hp, **kwargs):
-        tr = trace_one(cfg, setup, pot, basis, hp, **kwargs)
+    def skewed(cfg, setup, pot, basis, hp):
+        tr, ra = trace_one(cfg, setup, pot, basis, hp)
         if hp.b == -1.05:
             t = tr.t.copy()
             t[1000] += 1e-6 * (t[1] - t[0])
             tr = dataclasses.replace(tr, t=t)
-        return tr
+        return tr, ra
 
     monkeypatch.setattr(pipeline, "_trace_one", skewed)
     manifest = pipeline.run_analyze(cfg)
@@ -480,8 +482,8 @@ def block_traces():
     grid = lo + 0.05 * np.arange(n)
     k0 = oscillatory_wavenumber(setup, u0=float(pot.v(grid[:1])[0]))
     basis = rq.solve_numeric(setup, pot, grid, init1=(0.0, k0), init2=(1.0, 0.0))
-    quad = rq.trace_quadrature(setup, pot, basis, rq.HiddenParams(4.0, 2.5), lo,
-                               (lo, float(grid[-1])))
+    quad = rq.trace_quadrature(rq.ReducedAction(basis, rq.HiddenParams(4.0, 2.5), setup),
+                               pot, lo, (lo, float(grid[-1])))
     xt = np.linspace(-2000.0, 2000.0, 4001)
     tab = rq.TabulatedPotential(xt, 1e-3 * xt + 2e-7 * xt**2 + 0.05 * np.sin(xt / 300.0))
     return setup, {"t": closed, "x": quad}, tab
@@ -503,7 +505,8 @@ def test_blocked_first_integral_is_bit_equal(block_traces, var, windows, stride)
         assert got.size == windows
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))
     for pot in (tr.potential, tab):
-        got = rq.firqnl_residual(tr, pot=pot, independent_var=var, stride=stride).residuals
+        on_pot = dataclasses.replace(tr, meta={**tr.meta, "potential": pot})
+        got = rq.firqnl_residual(on_pot, stride=stride).residuals
         ref = firqnl_whole_array(tr, setup, pot, var, stride)
         assert got.size == windows
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))
@@ -545,7 +548,7 @@ def test_first_integral_committed_configs(tmp_path, name, expected):
 def test_quantum_hj_analytic_basis(electron2, const_basis, const_pot):
     for a, b in ((1.0, 0.0), (0.2, 0.0), (4 / 3, -1.05), (0.25, 8.0), (2.0, 0.5)):
         ra = rq.ReducedAction(const_basis, rq.HiddenParams(a, b), electron2)
-        assert rq.rqshje_residual(ra, electron2, const_pot).max_residual <= 1e-9, (a, b)
+        assert rq.rqshje_residual(ra, pot=const_pot).max_residual <= 1e-9, (a, b)
 
 
 def test_quantum_hj_rk4_convergence(electron2):
@@ -557,7 +560,7 @@ def test_quantum_hj_rk4_convergence(electron2):
         k0 = oscillatory_wavenumber(electron2, u0=float(pot.v(np.array([lo]))[0]))
         basis = rq.solve_numeric(electron2, pot, grid, init1=(0.0, k0), init2=(1.0, 0.0))
         ra = rq.ReducedAction(basis, rq.HiddenParams(4.0, 2.5), electron2)
-        res.append(rq.rqshje_residual(ra, electron2, pot).max_residual)
+        res.append(rq.rqshje_residual(ra, pot=pot).max_residual)
     assert res[0] / res[1] >= 3.9
     assert res[1] / res[2] >= 3.9
 

@@ -8,7 +8,9 @@ from rqtraj.errors import (
     BasisGapError,
     EnergyEqualsPotential,
     RegimeError,
+    RqtError,
     TooFewSamples,
+    TurningPointInRange,
     TurningPointSingular,
 )
 from tests.conftest import oscillatory_wavenumber
@@ -199,7 +201,7 @@ def test_quadrature_matches_closed_form(electron2, const_pot):
     h = 0.005 / k
     grid = np.arange(int(round(2.6 * np.pi / k / h))) * h  # > 5 node intervals
     basis = rq.solve_constant(electron2, 0.0, grid)
-    tq = rq.trace_quadrature(electron2, const_pot, basis, hp, 0.0,
+    tq = rq.trace_quadrature(rq.ReducedAction(basis, hp, electron2), const_pot, 0.0,
                              (grid[0], grid[-1]), sync="psi_zero")
 
     disc = 4.0 - 0.511**2
@@ -216,9 +218,8 @@ def test_quadrature_matches_closed_form(electron2, const_pot):
 
 def test_quadrature_velocity_identity(electron2, const_pot, const_basis):
     """Emitted v equals kinetic term over momentum pointwise."""
-    hp = rq.HiddenParams(4 / 3, -1.05)
-    tq = rq.trace_quadrature(electron2, const_pot, const_basis, hp, 100.0,
-                             (0.0, float(const_basis.grid[-1])))
+    ra = rq.ReducedAction(const_basis, rq.HiddenParams(4 / 3, -1.05), electron2)
+    tq = rq.trace_quadrature(ra, const_pot, 100.0, (0.0, float(const_basis.grid[-1])))
     kin = rq.kinetic_term(electron2, const_pot, tq.x)
     v_def = electron2.c_fm_s * kin / tq.momentum
     # centered-difference velocity agrees with the definition used to emit t
@@ -226,7 +227,6 @@ def test_quadrature_velocity_identity(electron2, const_pot, const_basis):
     xd = tq.velocity_centered()
     assert np.max(np.abs(xd / v_def[1:-1] - 1.0)) < 5e-4
     # and the algebraic identity v = kin/P holds to rounding on the stored data
-    ra = rq.ReducedAction(const_basis, hp, electron2)
     sel = np.isin(const_basis.grid, tq.x)
     assert np.allclose(ra.momentum_grid[sel], tq.momentum, rtol=1e-10)
 
@@ -237,8 +237,8 @@ def test_quadrature_turning_point_truncation(electron2):
     grid = np.arange(-200.0, 1600.0 + h / 2, h)  # crosses the turning point at 1489
     k0 = oscillatory_wavenumber(electron2, u0=float(pot.v(np.array([-200.0]))[0]))
     basis = rq.solve_numeric(electron2, pot, grid, init1=(0.0, k0), init2=(1.0, 0.0))
-    tr = rq.trace_quadrature(electron2, pot, basis, rq.HiddenParams(2.0, 0.5),
-                             0.0, (-200.0, 1600.0))
+    ra = rq.ReducedAction(basis, rq.HiddenParams(2.0, 0.5), electron2)
+    tr = rq.trace_quadrature(ra, pot, 0.0, (-200.0, 1600.0))
     assert tr.meta["events"]["halt"] == "TurningPointInRange"
     assert tr.x[-1] < 1489.0
 
@@ -251,8 +251,11 @@ def test_quadrature_descending_trace_comes_out_ascending(electron2):
     k0 = oscillatory_wavenumber(electron2, u0=float(pot.v(np.array([-200.0]))[0]))
     basis = rq.solve_numeric(electron2, pot, grid, init1=(0.0, k0), init2=(1.0, 0.0))
     hp = rq.HiddenParams(4.0, 2.5)
-    up = rq.trace_quadrature(electron2, pot, basis, hp, 0.0, (-200.0, 400.0), direction=+1)
-    down = rq.trace_quadrature(electron2, pot, basis, hp, 0.0, (-200.0, 400.0), direction=-1)
+    up, down = (
+        rq.trace_quadrature(rq.ReducedAction(basis, hp, electron2.with_direction(sign)),
+                            pot, 0.0, (-200.0, 400.0))
+        for sign in (+1, -1)
+    )
     assert np.all(np.diff(down.t) > 0) and np.all(np.diff(down.x) < 0)
     assert np.array_equal(down.t, -up.t[::-1])
     assert np.array_equal(down.x, up.x[::-1])
@@ -290,33 +293,63 @@ def assert_regime_tags(setup, pot, tr, tags):
 ])
 def test_quadrature_regime_tags_keep_dtype_and_values(fig3_past_turning, x_range, tags):
     setup, pot, basis = fig3_past_turning
-    tr = rq.trace_quadrature(setup, pot, basis, rq.HiddenParams(2.0, 0.5),
-                             x_range[0] + 100.0, x_range)
+    ra = rq.ReducedAction(basis, rq.HiddenParams(2.0, 0.5), setup)
+    tr = rq.trace_quadrature(ra, pot, x_range[0] + 100.0, x_range)
     assert_regime_tags(setup, pot, tr, tags)
 
 
-def test_quadrature_regime_tags_through_a_turning_point(electron2):
-    """Without the slow-zone cut the trace runs through the turning point at
-    1489 fm, which sits on a grid point: all three tags appear."""
-    pot = rq.LinearPotential(1e-3)
-    grid = np.arange(-200.0, 1600.0 + 0.05, 0.1)
-    k0 = oscillatory_wavenumber(electron2, u0=float(pot.v(np.array([-200.0]))[0]))
-    basis = rq.solve_numeric(electron2, pot, grid, init1=(0.0, k0), init2=(1.0, 0.0))
-    tr = rq.trace_quadrature(electron2, pot, basis, rq.HiddenParams(2.0, 0.5),
-                             0.0, (-200.0, 1600.0), v_min_frac=0.0)
-    assert_regime_tags(electron2, pot, tr, {"oscillatory", "turning", "evanescent"})
-
-
-def test_quadrature_not_monotone_is_still_sorted(fig3_past_turning):
-    """No grid point falls in the slow zone around the turning point, so 1/v
-    changes sign unflagged and t(x) is not monotone: the samples are still
-    sorted by time, as before."""
+def test_quadrature_unresolved_turning_point_halts(fig3_past_turning):
+    """No grid point falls in the slow zone around the turning point at
+    1489.001 fm, so 1/v changes sign between two grid points: the trace
+    ends before the first step whose dt turns, with a halt event, and t and
+    x stay strictly monotone (no sort, no jump in x)."""
     setup, pot, basis = fig3_past_turning
-    tr = rq.trace_quadrature(setup, pot, basis, rq.HiddenParams(2.0, 0.5),
-                             0.0, (-500.0, 1900.0))
-    assert not tr.meta["events"]
+    ra = rq.ReducedAction(basis, rq.HiddenParams(2.0, 0.5), setup)
+    tr = rq.trace_quadrature(ra, pot, 0.0, (-500.0, 1900.0))
+    assert tr.meta["events"] == {"halt": TurningPointInRange.__name__}
     assert np.all(np.diff(tr.t) > 0)
-    assert not np.all(np.diff(tr.x) > 0)
+    assert np.all(np.diff(tr.x) > 0)
+    assert tr.x[0] == -500.0 and 1488.0 < tr.x[-1] < 1489.001
+    assert np.shares_memory(tr.x, basis.grid)           # a view, not a sorted copy
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    slope=st.floats(2e-4, 3e-3).flatmap(lambda g: st.sampled_from([g, -g])),
+    a=st.floats(0.1, 10.0).flatmap(lambda a: st.sampled_from([a, -a])),
+    b=st.floats(-10.0, 10.0),
+    start=st.floats(-1.2, 0.3),
+    length=st.floats(20.0, 2500.0),
+    step=st.sampled_from([0.05, 0.1, 0.25]),
+    x0_frac=st.floats(0.0, 1.0),
+    direction=st.sampled_from([+1, -1]),
+    sync=st.sampled_from(["exact", "psi_zero", "phi2_zero"]),
+)
+def test_quadrature_trace_property(slope, a, b, start, length, step, x0_frac,
+                                   direction, sync):
+    """Linear potentials on ranges before, across and past the turning point
+    x_t = (E - m0c2) / g: a returned trace has strictly increasing t,
+    strictly monotone x and no NaN, and carries a halt event exactly when
+    its range was cut; anything else is a typed RqtError."""
+    setup = rq.PhysicalSetup(E=2.0, m0c2=0.510999, direction=direction)
+    pot = rq.LinearPotential(slope)
+    x_turn = (setup.E - setup.m0c2) / slope
+    lo = x_turn + start * abs(x_turn)
+    grid = lo + step * np.arange(int(min(length, 40000 * step) / step) + 1)
+    x_range = (float(grid[0]), float(grid[-1]))
+    x0 = x_range[0] + x0_frac * (x_range[1] - x_range[0])
+    try:
+        basis = rq.solve_numeric(setup, pot, grid)
+        ra = rq.ReducedAction(basis, rq.HiddenParams(a, b), setup)
+        tr = rq.trace_quadrature(ra, pot, x0, x_range, sync=sync)
+    except RqtError:
+        return
+    assert np.all(np.diff(tr.t) > 0)
+    dx = np.diff(tr.x)
+    assert np.all(dx > 0) or np.all(dx < 0)
+    for column in (tr.t, tr.x, tr.momentum):
+        assert not np.isnan(column).any()
+    assert ("halt" in tr.meta["events"]) == (tr.t.size < grid.size)
 
 
 def test_quadrature_energy_equals_potential_is_an_error(electron2):
@@ -324,35 +357,36 @@ def test_quadrature_energy_equals_potential_is_an_error(electron2):
     pot = rq.LinearPotential(1e-3)
     grid = np.arange(1600.0, 2400.0 + 0.025, 0.05)
     basis = rq.solve_numeric(electron2, pot, grid, init1=(0.0, 1.0), init2=(1.0, 0.0))
+    ra = rq.ReducedAction(basis, rq.HiddenParams(4.0, 2.5), electron2)
     with pytest.raises(EnergyEqualsPotential, match="vanishes or changes sign"):
-        rq.trace_quadrature(electron2, pot, basis, rq.HiddenParams(4.0, 2.5),
-                            1700.0, (1600.0, 2400.0))
+        rq.trace_quadrature(ra, pot, 1700.0, (1600.0, 2400.0))
     # a range that stops short of E = V traces as before
-    tr = rq.trace_quadrature(electron2, pot, basis, rq.HiddenParams(4.0, 2.5),
-                             1700.0, (1600.0, 1900.0))
+    tr = rq.trace_quadrature(ra, pot, 1700.0, (1600.0, 1900.0))
     assert np.all(np.diff(tr.t) > 0)
     assert set(tr.regime.tolist()) == {"evanescent"}
 
 
-def test_quadrature_takes_only_its_own_action(electron2, const_pot, const_basis):
+def test_quadrature_takes_only_its_own_action(const_pot, const_basis):
+    """Setup, direction, basis and (a, b) all come from the action: the
+    trace's samples are views of its grid and its arrays."""
+    setup = rq.PhysicalSetup(E=2.0, m0c2=0.511, direction=-1)
     hp = rq.HiddenParams(4 / 3, -1.05)
-    ra = rq.ReducedAction(const_basis, hp, electron2)
-    x_range = (0.0, float(const_basis.grid[-1]))
-    shared = rq.trace_quadrature(electron2, const_pot, const_basis, hp, 100.0, x_range, action=ra)
-    own = rq.trace_quadrature(electron2, const_pot, const_basis, hp, 100.0, x_range)
-    assert np.array_equal(shared.t, own.t) and np.array_equal(shared.momentum, own.momentum)
-    with pytest.raises(ValueError, match="another basis"):
-        rq.trace_quadrature(electron2, const_pot, const_basis, rq.HiddenParams(1.0, 0.0),
-                            100.0, x_range, action=ra)
+    ra = rq.ReducedAction(const_basis, hp, setup)
+    tr = rq.trace_quadrature(ra, const_pot, 100.0, (0.0, float(const_basis.grid[-1])))
+    assert tr.setup is setup and tr.meta["params"] is hp
+    assert np.all(np.diff(tr.x) < 0)                     # direction -1: x runs down
+    for got, own in ((tr.x, const_basis.grid), (tr.momentum, ra.momentum_grid),
+                     (tr.branch, ra.branch_grid)):
+        assert np.shares_memory(got, own)
 
 
 def test_quadrature_range_guards(electron2, const_pot, const_basis):
-    hp = rq.HiddenParams(1.0, 0.0)
+    ra = rq.ReducedAction(const_basis, rq.HiddenParams(1.0, 0.0), electron2)
     hi = float(const_basis.grid[-1])
     with pytest.raises(BasisGapError):
-        rq.trace_quadrature(electron2, const_pot, const_basis, hp, 0.0, (0.0, hi + 100.0))
+        rq.trace_quadrature(ra, const_pot, 0.0, (0.0, hi + 100.0))
     with pytest.raises(BasisGapError):
-        rq.trace_quadrature(electron2, const_pot, const_basis, hp, -50.0, (0.0, hi))
+        rq.trace_quadrature(ra, const_pot, -50.0, (0.0, hi))
 
 
 def test_classical_trace_constant_line(electron2, const_pot):
@@ -373,6 +407,20 @@ def test_classical_trace_linear_arc(electron2):
     # and the trace is hbar-independent
     tr2 = rq.classical_trace(electron2.scaled_hbar(0.25), pot, 0.0, x_range=(0.0, x_turn))
     assert np.array_equal(tr.t, tr2.t) and np.array_equal(tr.x, tr2.x)
+
+
+@pytest.mark.parametrize("direction", [+1, -1])
+def test_classical_trace_tabulated_is_monotone_without_a_sort(direction):
+    """The tabulated classical curve is a Simpson quadrature of 1/v, whose
+    sign is the direction's: the samples come out reversed for -1."""
+    setup = rq.PhysicalSetup(E=2.0, m0c2=0.511, direction=direction)
+    xt = np.linspace(-1000.0, 1000.0, 401)
+    pot = rq.TabulatedPotential(xt, 1e-4 * xt + 0.05 * np.sin(xt / 200.0))
+    tr = rq.classical_trace(setup, pot, 100.0, x_range=(-900.0, 900.0), n_samples=2001)
+    assert np.all(np.diff(tr.t) > 0)
+    assert np.all(direction * np.diff(tr.x) > 0)
+    assert tr.x[0] == -900.0 * direction
+    assert abs(np.interp(100.0, tr.x[::direction], tr.t[::direction])) < 1e-9 * (tr.t[-1] - tr.t[0])
 
 
 def test_trajectory_csv(tmp_path, electron2):
