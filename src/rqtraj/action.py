@@ -98,17 +98,19 @@ class ReducedAction:
     def branch(self, x) -> int:
         return int(self.branch_grid[self.basis.index_of(float(x))])
 
-    def momentum_derivatives(self, u_nodes: np.ndarray):
-        """(Pc, Pc', Pc'') on the grid, closed form [MeV, MeV/fm, MeV/fm^2].
+    def momentum_derivatives(self, u_nodes: np.ndarray, rows: slice = slice(None)):
+        """(Pc, Pc', Pc'') on grid[rows], closed form [MeV, MeV/fm, MeV/fm^2].
 
         Uses phi'' = u phi to express second derivatives through carried
-        state only; ``u_nodes`` is u(x) on the basis grid [1/fm^2].
+        state only; ``u_nodes`` is u(x) on grid[rows] [1/fm^2].  Each value
+        depends on its own grid point only.
         """
         b = self.basis
-        psi, dpsi, denom = self._psi, self._dpsi, self._denom
-        dd = 2.0 * (b.phi2 * b.dphi2 + psi * dpsi)
-        ddd = 2.0 * (b.dphi2**2 + u_nodes * b.phi2**2 + dpsi**2 + u_nodes * psi**2)
-        pc = self.momentum_grid
+        phi2, dphi2 = b.phi2[rows], b.dphi2[rows]
+        psi, dpsi, denom = self._psi[rows], self._dpsi[rows], self._denom[rows]
+        dd = 2.0 * (phi2 * dphi2 + psi * dpsi)
+        ddd = 2.0 * (dphi2**2 + u_nodes * phi2**2 + dpsi**2 + u_nodes * psi**2)
+        pc = self.momentum_grid[rows]
         pcp = -pc * dd / denom
         pcpp = pc * (2.0 * dd**2 / denom**2 - ddd / denom)
         return pc, pcp, pcpp

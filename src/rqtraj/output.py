@@ -6,22 +6,24 @@ dtype decides once per column, object columns decide per value.  Identical
 inputs give byte-identical files; headers carry provenance.
 
 Rows are streamed in blocks of ``BLOCK_ROWS`` and each block becomes bytes
-through numpy array operations.  A float column is cast to float64 (exact,
-the same ``float()`` the ``%`` operator applies) and each value's 17 digits
-are computed exactly: with k = floor(log10|v|), y = |v| * 10**(16 - k) is
-formed as a double-double product (Dekker's exact product against a table
-of 10**q split into a correctly rounded double and its correctly rounded
-remainder) and rounded to the nearest integer D.  A value takes the
-per-value ``'%.16e' % v`` instead when that rounding cannot be proved
-correct or the fast path does not apply: y's fraction within 1e-6 of one
-half (exact ties round half to even there), floor(y) below 10**16 or D at
-10**17 (log10 was off by one, or D carries into the next power of ten), or
-v zero, non-finite, subnormal or outside [1e-280, 1e280].  An int, uint
-or bool block formats each of its distinct values once with ``str()`` and
-gathers the texts by index, ASCII str columns are taken code by code, and
-object, bytes and non-ASCII str columns keep the per-value rule.  Each
-value becomes a NUL-padded field; a block joins its fields with ',' and
-'\\n' and drops the padding.  Files are written in binary mode as UTF-8.
+in one pass of numpy array operations.  The block's float columns are
+stacked into one (rows, k) float64 array (the cast is exact, the same
+``float()`` the ``%`` operator applies) and the exact digit kernel runs once
+on all of it: with k = floor(log10|v|), y = |v| * 10**(16 - k) is formed as
+a double-double product (Dekker's exact product against a table of 10**q
+split into a correctly rounded double and its correctly rounded remainder)
+and rounded to the nearest integer D.  A value takes the per-value
+``'%.16e' % v`` instead when that rounding cannot be proved correct or the
+fast path does not apply: y's fraction within 1e-6 of one half (exact ties
+round half to even there), floor(y) below 10**16 or D at 10**17 (log10 was
+off by one, or D carries into the next power of ten), or v zero,
+non-finite, subnormal or outside [1e-280, 1e280].  An int, uint or bool
+block formats each of its distinct values once with ``str()`` and gathers
+the texts by index, ASCII str columns are taken code by code, and object,
+bytes and non-ASCII str columns keep the per-value rule.  Each value
+becomes a NUL-padded field whose last byte is its separator, ',' or '\\n'
+after the last column; a block is its fields side by side, with the
+padding dropped.  Files are written in binary mode as UTF-8.
 
 A value or a column name whose text holds ',', NUL or a line break, and a
 comment holding a line break, would change the rows ``read_csv`` sees;
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import re
 from pathlib import Path
@@ -45,7 +48,10 @@ BLOCK_ROWS = 8192
 # the boundaries str.splitlines() splits at, as read_csv does
 LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 _BREAKS = re.compile(f"[,\0{LINE_BREAKS}]")
-_BREAK_CODES = np.array([ord(c) for c in "," + LINE_BREAKS], dtype=np.uint32)
+# True at the code of ',' and of each line break; the last entry, False, is
+# where np.take(..., mode="clip") puts every higher code
+_BREAK_TABLE = np.zeros(ord(max(LINE_BREAKS)) + 2, dtype=bool)
+_BREAK_TABLE[[ord(c) for c in "," + LINE_BREAKS]] = True
 
 # fast-path range of |v|: 10**(16 - k) and its remainder stay normal doubles
 FAST_MIN, FAST_MAX = 1e-280, 1e280
@@ -80,13 +86,17 @@ def _powers():
 
 @functools.cache
 def _texts():
-    """uint32 text tables, built on first use: 'e+05' padded to 8 bytes by
-    k - _K_MIN, '1.' and '-1.' padded to 4 bytes by digit + 10 * sign, and
-    the 10 000 four-digit groups."""
+    """uint32 text tables, built on first use: 'e+05' padded to 8 bytes,
+    its first word by k - _K_MIN and its second word by k - _K_MIN with ','
+    in the last byte, then again with '\\n' there; '1.' and '-1.' padded
+    to 4 bytes by digit + 10 * sign; and the 10 000 four-digit groups."""
     exps = b"".join((b"e%+03d" % k).ljust(8, b"\0") for k in range(_K_MIN, _K_MAX + 1))
     lead = b"".join(b"%d.\0\0" % d for d in range(10)) + b"".join(b"-%d.\0" % d for d in range(10))
     digits = b"".join(b"%04d" % g for g in range(10000))
-    return (np.frombuffer(exps, np.uint32).reshape(-1, 2), np.frombuffer(lead, np.uint32),
+    exps = np.frombuffer(exps, np.uint32).reshape(-1, 2)
+    exp_ends = np.concatenate([exps[:, 1], exps[:, 1]])
+    exp_ends.view(np.uint8).reshape(2, -1, 4)[:, :, 3] = [[ord(",")], [ord("\n")]]
+    return (np.ascontiguousarray(exps[:, 0]), exp_ends, np.frombuffer(lead, np.uint32),
             np.frombuffer(digits, np.uint32))
 
 
@@ -116,9 +126,17 @@ def _fast_digits(v):
     return np.where(ok, d, 10 ** 16), np.where(ok, k, 0), ok
 
 
-def _float_fields(v):
-    """'%.16e' of each float64 in v as (n, 28) NUL-padded bytes."""
-    exps, lead, digits = _texts()
+def _float_fields(v, newline):
+    """'%.16e' of each float64 in the (rows, k) array v as (rows, k, 28)
+    NUL-padded bytes.
+
+    Each field's last byte is its separator: ',', or '\\n' in the last
+    column when ``newline``.  The 7 words of all fields are gathered word by
+    word into one buffer, then transposed once into field order.
+    """
+    exps, exp_ends, lead, digits = _texts()
+    rows, cols = v.shape
+    v = v.reshape(-1)
     d, k, ok = _fast_digits(v)
     # the first 9 and last 8 digits as int32, which divides faster than int64
     top = d // 10 ** 8
@@ -126,18 +144,25 @@ def _float_fields(v):
     top = top.astype(np.int32)
     mid, lowmid = top // 10 ** 4, low // 10 ** 4
     first = mid // 10 ** 4
-    fields = np.empty((len(v), 7), np.uint32)
-    fields[:, 0] = lead[first + 10 * np.signbit(v)]
-    fields[:, 1] = digits[mid - first * 10 ** 4]
-    fields[:, 2] = digits[top - mid * 10 ** 4]
-    fields[:, 3] = digits[lowmid]
-    fields[:, 4] = digits[low - lowmid * 10 ** 4]
-    fields[:, 5:] = exps[k - _K_MIN]
+    words = np.empty((7, v.size), np.uint32)
+    np.take(lead, first + 10 * np.signbit(v), out=words[0])
+    np.take(digits, mid - first * 10 ** 4, out=words[1])
+    np.take(digits, top - mid * 10 ** 4, out=words[2])
+    np.take(digits, lowmid, out=words[3])
+    np.take(digits, low - lowmid * 10 ** 4, out=words[4])
+    k -= _K_MIN
+    np.take(exps, k, out=words[5])
+    if newline:
+        k.reshape(rows, cols)[:, -1] += len(exps)
+    np.take(exp_ends, k, out=words[6])
+    fields = np.ascontiguousarray(words.T)
     slow = np.flatnonzero(~ok)
     if slow.size:
-        text = np.array([("%.16e" % x).encode() for x in v[slow].tolist()], dtype="S28")
-        fields[slow] = text.view(np.uint32).reshape(-1, 7)
-    return fields.view(np.uint8)
+        seps = np.where(newline & (slow % cols == cols - 1), b"\n", b",").tolist()
+        text = [("%.16e" % x).encode().ljust(27, b"\0") + sep
+                for x, sep in zip(v[slow].tolist(), seps)]
+        fields[slow] = np.array(text, dtype="S28").view(np.uint32).reshape(-1, 7)
+    return fields.view(np.uint8).reshape(rows, cols, 28)
 
 
 def _text_column(name, arr):
@@ -151,27 +176,41 @@ def _text_column(name, arr):
     arr = np.ascontiguousarray(arr)
     codes = arr.view(np.uint32).reshape(len(arr), arr.itemsize // 4)
     # a NUL before a later character is inside the text; trailing NULs are padding
-    if (np.isin(codes, _BREAK_CODES, kind="table").any()
+    if (np.take(_BREAK_TABLE, codes, mode="clip").any()
             or ((codes[:, :-1] == 0) & (codes[:, 1:] != 0)).any()):
         raise ValueError(f"column {name!r} has a value holding ',', NUL or a line break")
     return arr
 
 
-def _field_bytes(block):
-    """One column's block as (rows, width) NUL-padded bytes."""
-    kind = block.dtype.kind
-    if kind == "f":
-        return _float_fields(block.astype(np.float64))
-    if kind in "iub":
+def _field_bytes(block, end):
+    """A column's block that is not float as (rows, width) NUL-padded bytes,
+    each field ending in the separator ``end``."""
+    if block.dtype.kind in "iub":
         # str() once per distinct value of the block, then a gather
         values, inverse = np.unique(block, return_inverse=True)
-        text = np.array([str(v).encode() for v in values.tolist()])[inverse]
-    else:
-        codes = block.view(np.uint32).reshape(len(block), -1)
-        if not (codes >= 128).any():
-            return codes.astype(np.uint8)
-        text = np.char.encode(block, "utf-8")
-    return text.view(np.uint8).reshape(len(block), -1)
+        text = np.array([str(v).encode() + end for v in values.tolist()])[inverse]
+        return text.view(np.uint8).reshape(len(block), -1)
+    text = block.view(np.uint32).reshape(len(block), -1)
+    if (text >= 128).any():
+        text = np.char.encode(block, "utf-8").view(np.uint8).reshape(len(block), -1)
+    fields = np.empty((len(block), text.shape[1] + 1), np.uint8)
+    fields[:, :-1] = text
+    fields[:, -1] = ord(end)
+    return fields
+
+
+def _block_fields(floats, parts, newline, lo, rows):
+    """Rows lo..lo+rows-1 as (rows, width) NUL-padded bytes.  ``parts`` are
+    slices of the float columns' fields and (column, separator) pairs of the
+    other columns; what the block is built from is freed on return."""
+    if floats:
+        v = np.empty((rows, len(floats)))
+        for j, arr in enumerate(floats):
+            v[:, j] = arr[lo:lo + rows]
+        fields = _float_fields(v, newline)
+    block = [fields[:, part].reshape(rows, -1) if isinstance(part, slice)
+             else _field_bytes(part[0][lo:lo + rows], part[1]) for part in parts]
+    return block[0] if len(block) == 1 else np.concatenate(block, axis=1)
 
 
 def write_csv(path, header_comments, columns, footer_comments=()):
@@ -191,17 +230,26 @@ def write_csv(path, header_comments, columns, footer_comments=()):
     footer = "".join(f"# {c}\n" for c in footer_comments)
     arrays = [arr if arr.dtype.kind in "fiub" else _text_column(name, arr)
               for name, arr in zip(names, arrays)]
+    floats = [arr for arr in arrays if arr.dtype.kind == "f"]
+    ends = [b","] * (len(arrays) - 1) + [b"\n"]
+    # a run of adjacent float columns is one part of each block, a slice of
+    # the block's float fields; every other column is a part of its own
+    parts, f = [], 0
+    for is_float, run in itertools.groupby(zip(arrays, ends), lambda c: c[0].dtype.kind == "f"):
+        run = list(run)
+        if is_float:
+            parts.append(slice(f, f + len(run)))
+            f += len(run)
+        else:
+            parts += run
+    newline = bool(parts) and isinstance(parts[-1], slice)
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write((header + ",".join(names) + "\n").encode("utf-8"))
         for lo in range(0, n, BLOCK_ROWS):
-            rows = min(BLOCK_ROWS, n - lo)
-            comma = np.full((rows, 1), ord(","), np.uint8)
-            parts = []
-            for arr in arrays:
-                parts += [_field_bytes(arr[lo:lo + rows]), comma]
-            parts[-1] = np.full((rows, 1), ord("\n"), np.uint8)
-            fh.write(np.concatenate(parts, axis=1).tobytes().translate(None, b"\0"))
+            # one expression, so no name holds a block while the next is built
+            fh.write(_block_fields(floats, parts, newline, lo, min(BLOCK_ROWS, n - lo))
+                     .tobytes().translate(None, b"\0"))
         fh.write(footer.encode("utf-8"))
 
 

@@ -395,9 +395,11 @@ def trace_quadrature(
     (a turning point between grid points, where 1/v changes sign).  So t(x)
     is strictly monotone, and the samples come out in grid order or
     reversed, as views of the grid and of the action's arrays, with t
-    ascending and x strictly monotone.  E = V inside the range left by the
-    slow-zone cut raises EnergyEqualsPotential: the law of motion divides
-    by E - V, and 1/v changes sign there.
+    ascending and x strictly monotone.  E = V on the rows the trace keeps,
+    or between the last of them and the first row it drops, raises
+    EnergyEqualsPotential: the law of motion divides by E - V, and 1/v
+    changes sign there.  So a range that reaches past a turning point
+    halts there whether or not a grid point falls in the slow zone.
     """
     setup, basis, hp = action.setup, action.basis, action.params
     lo, hi = float(min(x_range)), float(max(x_range))
@@ -430,14 +432,10 @@ def trace_quadrature(
     cut = int(np.argmax(slow)) if slow.any() else xs.size
     if cut < 3:
         raise RegimeError("entire range is inside the slow/turning zone")
-    xs, ev, v = xs[:cut], ev[:cut], v[:cut]
-    if not (ev.min() > 0.0 or ev.max() < 0.0):
-        raise EnergyEqualsPotential(
-            f"E - V vanishes or changes sign inside [{float(xs[0])!r}, {float(xs[-1])!r}] fm"
-        )
+    xs, v = xs[:cut], v[:cut]
 
     # regime tags; a disc within the tolerance of zero, or NaN, is "turning"
-    disc = ev * ev - setup.rest_sq
+    disc = ev[:cut] * ev[:cut] - setup.rest_sq
     tol = REGIME_REL_TOL * setup.rest_sq
     regime = np.full(xs.shape, "oscillatory")
     regime[disc < -tol] = "evanescent"
@@ -446,11 +444,18 @@ def trace_quadrature(
     tt = cumulative_simpson(1.0 / v, h)
     # turning point between grid points: 1/v, and so dt, changes sign
     turned = ~(np.diff(tt) * np.sign(tt[1] - tt[0]) > 0)
-    if turned.any():
-        cut = int(np.argmax(turned)) + 1
-        if cut < 3:
-            raise RegimeError("turning point within two grid steps of the range start")
-        xs, regime, tt = xs[:cut], regime[:cut], tt[:cut]
+    cut = int(np.argmax(turned)) + 1 if turned.any() else xs.size
+    # E = V on the kept rows or between the last of them and the first row
+    # dropped: either cut can come from the sign change of E - V itself
+    ev = ev[:cut + 1]
+    if not (ev.min() > 0.0 or ev.max() < 0.0):
+        end = float(grid[sel.start + ev.size - 1])
+        raise EnergyEqualsPotential(
+            f"E - V vanishes or changes sign inside [{float(xs[0])!r}, {end!r}] fm"
+        )
+    if cut < 3:
+        raise RegimeError("turning point within two grid steps of the range start")
+    xs, regime, tt = xs[:cut], regime[:cut], tt[:cut]
 
     # time origin
     if sync == "psi_zero":

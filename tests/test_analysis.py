@@ -10,7 +10,7 @@ import pytest
 import rqtraj as rq
 from rqtraj import pipeline, trajectory
 from rqtraj.analysis import STENCIL_BLOCK, _STENCIL_WEIGHTS, _stencil_derivatives
-from rqtraj.kleingordon import UNIFORM_REL_TOL, uniform_step
+from rqtraj.kleingordon import UNIFORM_REL_TOL, uniform_step, wavenumber_sq
 from rqtraj.config import RunConfig, parse_config
 from rqtraj.errors import InsufficientTrajectories, RegimeError, TooFewSamples
 from tests.conftest import oscillatory_wavenumber
@@ -563,6 +563,35 @@ def test_quantum_hj_rk4_convergence(electron2):
         res.append(rq.rqshje_residual(ra, pot=pot).max_residual)
     assert res[0] / res[1] >= 3.9
     assert res[1] / res[2] >= 3.9
+
+
+def rqshje_whole_array(ra, pot):
+    """The whole-grid quantum-HJ residual that the blocked one must equal."""
+    setup = ra.setup
+    x = ra.grid
+    pc, pcp, pcpp = ra.momentum_derivatives(-wavenumber_sq(setup, pot, x))
+    ev = setup.E - np.asarray(pot.v(x), dtype=float)
+    t1 = pc * pc
+    t2 = -(setup.hbar_c**2 / 2.0) * (1.5 * (pcp / pc) ** 2 - pcpp / pc)
+    t3 = setup.rest_sq - ev * ev
+    scale = np.max(np.abs(np.stack([t1, t2, t3])), axis=0)
+    return np.abs(t1 + t2 + t3) / scale
+
+
+@pytest.mark.parametrize("n", [STENCIL_BLOCK - 1, STENCIL_BLOCK, STENCIL_BLOCK + 1,
+                               2 * STENCIL_BLOCK + 1])
+@pytest.mark.parametrize("kind", ["linear", "tabulated"])
+def test_blocked_quantum_hj_is_bit_equal(electron2, n, kind):
+    xt = np.linspace(-2000.0, 2000.0, 4001)
+    pot = rq.LinearPotential(1e-3) if kind == "linear" else rq.TabulatedPotential(
+        xt, 1e-3 * xt + 2e-7 * xt**2 + 0.05 * np.sin(xt / 300.0))
+    grid = -1000.0 + 0.05 * np.arange(n)
+    k0 = oscillatory_wavenumber(electron2, u0=float(pot.v(grid[:1])[0]))
+    basis = rq.solve_numeric(electron2, pot, grid, init1=(0.0, k0), init2=(1.0, 0.0))
+    ra = rq.ReducedAction(basis, rq.HiddenParams(4.0, 2.5), electron2)
+    got = rq.rqshje_residual(ra, pot=pot).residuals
+    assert got.size == n
+    assert np.array_equal(got.view(np.int64), rqshje_whole_array(ra, pot).view(np.int64))
 
 
 def test_pp0_bound_and_scaling(electron2):

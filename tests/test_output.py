@@ -12,7 +12,9 @@ from hypothesis.extra import numpy as hnp
 from rqtraj import pipeline
 from rqtraj.cli import main
 from rqtraj.config import RunConfig, parse_config
-from rqtraj.output import BLOCK_ROWS, FAST_MAX, FAST_MIN, _fast_digits, read_csv, write_csv
+from rqtraj.output import (
+    BLOCK_ROWS, FAST_MAX, FAST_MIN, LINE_BREAKS, _fast_digits, read_csv, write_csv,
+)
 
 
 def reference_csv(header_comments, columns, footer_comments=()):
@@ -110,6 +112,54 @@ def test_parity_no_columns(tmp_path):
 def test_parity_random_float64(tmp_path_factory, values):
     path = tmp_path_factory.mktemp("h") / "r.csv"
     assert_parity(path, ["h: 1"], [("a", values), ("b", values[::-1].copy())])
+
+
+ROW_COUNTS = [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]
+_BREAKING = ",\0" + LINE_BREAKS
+# each kind of column: its dtype and the values a column of it is drawn from
+KINDS = {
+    "float64": (np.float64, st.floats()),       # subnormals, nan and +-inf included
+    "float32": (np.float32, st.floats(width=32)),
+    "int64": (np.int64, st.integers(INT64.min, INT64.max)),
+    "uint64": (np.uint64, st.integers(0, 2**64 - 1)),
+    "bool": (bool, st.booleans()),
+    "ascii": (str, st.text(st.characters(max_codepoint=127, exclude_characters=_BREAKING),
+                           max_size=12)),
+    "unicode": (str, st.text(st.characters(codec="utf-8", exclude_characters=_BREAKING),
+                             max_size=12)),
+    "object": (object, st.one_of(
+        st.floats(), st.integers(-2**70, 2**70),
+        st.text(st.characters(codec="utf-8", exclude_characters=_BREAKING), max_size=6))),
+}
+
+
+@st.composite
+def tables(draw):
+    """1-7 columns, 1-3 of them float, placed first, in the middle or last;
+    each column tiles a drawn pool of values over one of ROW_COUNTS rows."""
+    n = draw(st.sampled_from(ROW_COUNTS))
+    floats = draw(st.lists(st.sampled_from(["float64", "float32"]), min_size=1, max_size=3))
+    others = draw(st.lists(st.sampled_from([k for k in KINDS if not k.startswith("float")]),
+                           max_size=4))
+    place = draw(st.sampled_from(["first", "middle", "last"]))
+    at = {"first": 0, "middle": len(others) // 2, "last": len(others)}[place]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for j, kind in enumerate(others[:at] + floats + others[at:]):
+        dtype, values = KINDS[kind]
+        pool = draw(st.lists(values, min_size=1, max_size=20))
+        if kind == "unicode":
+            pool[0] += "\u03c8"
+        pool = np.array(pool, dtype=dtype)
+        columns.append((f"{kind}_{j}", pool[rng.permutation(np.arange(n) % pool.size)]))
+    return columns
+
+
+@settings(max_examples=40, deadline=None)
+@given(tables())
+def test_parity_mixed_tables(tmp_path_factory, columns):
+    path = tmp_path_factory.mktemp("t") / "t.csv"
+    assert_parity(path, ["h: 1"], columns, footer=["f: 1"])
 
 
 def test_parity_random_bit_patterns(tmp_path):

@@ -366,6 +366,29 @@ def test_quadrature_energy_equals_potential_is_an_error(electron2):
     assert set(tr.regime.tolist()) == {"evanescent"}
 
 
+@pytest.mark.parametrize("m0c2", [0.510999, 0.511])
+def test_quadrature_past_energy_equals_potential_halts_at_the_turning_point(m0c2):
+    """fig3's potential on -500 + 0.05 k fm up to 2400 fm, E = V at 2000 fm.
+    With m0c2 = 0.511 MeV the turning point 1489 fm is a grid point (the
+    slow-zone cut ends the trace), with 0.510999 MeV it lies between grid
+    points (the dt cut ends it): either way the trace halts there, and E = V
+    beyond the cut is no error.  A range that starts past the turning point
+    still meets E = V and raises."""
+    setup = rq.PhysicalSetup(E=2.0, m0c2=m0c2)
+    pot = rq.LinearPotential(1e-3)
+    grid = -500.0 + 0.05 * np.arange(58001)
+    k0 = oscillatory_wavenumber(setup, u0=float(pot.v(grid[:1])[0]))
+    basis = rq.solve_numeric(setup, pot, grid, init1=(0.0, k0), init2=(1.0, 0.0))
+    ra = rq.ReducedAction(basis, rq.HiddenParams(2.0, 0.5), setup)
+    x_turn = (setup.E - m0c2) / 1e-3
+    tr = rq.trace_quadrature(ra, pot, 0.0, (-500.0, 2400.0))
+    assert tr.meta["events"] == {"halt": TurningPointInRange.__name__}
+    assert np.all(np.diff(tr.t) > 0) and np.all(np.diff(tr.x) > 0)
+    assert x_turn - 0.15 < tr.x[-1] < x_turn
+    with pytest.raises(EnergyEqualsPotential, match=r"inside \[1600.0, 2000.05"):
+        rq.trace_quadrature(ra, pot, 1700.0, (1600.0, 2400.0))
+
+
 def test_quadrature_takes_only_its_own_action(const_pot, const_basis):
     """Setup, direction, basis and (a, b) all come from the action: the
     trace's samples are views of its grid and its arrays."""
