@@ -13,11 +13,8 @@ from .analysis import (
     de_broglie,
     detect_nodes,
     firqnl_residual,
-    limit_checks,
     mean_momentum,
     nodes_closed_form,
-    pp0_bound,
-    pp0_distance,
     rqshje_residual,
 )
 from .constants import C_M_PER_S, ELECTRON_MEV, FM_PER_M, HBAR_MEV_S, HBARC_MEV_FM

@@ -22,7 +22,6 @@ import numpy as np
 from .errors import BranchResolutionError
 from .kleingordon import SolutionBasis
 from .model import HiddenParams, PhysicalSetup
-from .output import write_csv
 
 
 def unwrap_phase(p: np.ndarray) -> np.ndarray:
@@ -95,9 +94,6 @@ class ReducedAction:
         """Conjugate momentum at a grid point [MeV/c]."""
         return float(self.momentum_grid[self.basis.index_of(float(x))])
 
-    def branch(self, x) -> int:
-        return int(self.branch_grid[self.basis.index_of(float(x))])
-
     def momentum_derivatives(self, u_nodes: np.ndarray, rows: slice = slice(None)):
         """(Pc, Pc', Pc'') on grid[rows], closed form [MeV, MeV/fm, MeV/fm^2].
 
@@ -114,15 +110,3 @@ class ReducedAction:
         pcp = -pc * dd / denom
         pcpp = pc * (2.0 * dd**2 / denom**2 - ddd / denom)
         return pc, pcp, pcpp
-
-    def to_csv(self, path, header=()):
-        write_csv(
-            path,
-            header,
-            [
-                ("x_fm", self.grid),
-                ("S0_MeV_s", self.s0_grid),
-                ("P_MeV_per_c", self.momentum_grid),
-                ("branch_n", self.branch_grid),
-            ],
-        )

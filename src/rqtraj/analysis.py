@@ -15,8 +15,7 @@ import numpy as np
 from .action import ReducedAction
 from .errors import InsufficientTrajectories, RegimeError, TooFewSamples
 from .kleingordon import UNIFORM_REL_TOL, SolutionBasis, uniform_step, wavenumber_sq
-from .model import ConstantPotential, HiddenParams, PhysicalSetup, Potential
-from .output import write_json
+from .model import ConstantPotential, PhysicalSetup, Potential, kinetic_term
 from .trajectory import Trajectory, _zeros_of, node_period, node_spacing
 
 
@@ -60,9 +59,6 @@ class NodeReport:
             },
         }
 
-    def to_json(self, path):
-        write_json(path, self.to_dict())
-
 
 @dataclass
 class ValidationReport:
@@ -87,9 +83,6 @@ class ValidationReport:
             "n_samples": int(np.size(self.residuals)),
             "notes": self.notes,
         }
-
-    def to_json(self, path):
-        write_json(path, self.to_dict())
 
 
 def _summary(kind, residuals, tol=None, notes=None) -> ValidationReport:
@@ -353,6 +346,16 @@ STENCIL_BLOCK = 16384
 def _stencil_block(t, x, xd, hs, stride: int, lo: int, hi: int):
     """The three derivatives at windows lo..hi-1 (centres 3*stride + lo ...).
 
+    A uniform float grid is not exactly uniform: linspace or arange put
+    sample j of a window off its ideal place t[centre] + offset * hs by
+    delta_j, up to an ulp of max|t|, and the fixed weights would turn that
+    into a relative error (delta / hs) (L / hs)^(k-1) in the k-th
+    derivative, L the length on which x varies.  So every sample is moved
+    onto its ideal place to first order, x[j] - xd[j] * delta_j, with xd
+    from np.gradient on the actual t; what is left is second order in
+    delta / hs.  The correction is summed apart from the window-centred
+    values, whose weighted sums stay exact where x varies smoothly.
+
     Sums run in place, term by term in the order of the whole-array
     expression sum(w_j * d_j), so every value is the same to the bit.
     """
@@ -413,38 +416,6 @@ def _stencil_blocks(t, x, stride: int):
     return m, blocks()
 
 
-def _stencil_derivatives(t, x, stride: int = 1):
-    """First three derivatives of x(t) on uniformly spaced t, 7-point stencil.
-
-    Applies the fixed centred weights of the degree-6 interpolant on every
-    stride-th sample (offsets -3*stride..3*stride, step hs = h * stride with
-    the signed mean step h, so descending t works) to the window-centred
-    values x[j] - x[centre].  ``stride`` trades truncation error against
-    float-noise amplification.
-
-    A uniform float grid is not exactly uniform: linspace or arange put
-    sample j of a window off its ideal place t[centre] + offset * hs by
-    delta_j, up to an ulp of max|t|, and the fixed weights would turn that
-    into a relative error (delta / hs) (L / hs)^(k-1) in the k-th
-    derivative, L the length on which x varies.  So every sample is moved
-    onto its ideal place to first order, x[j] - xd[j] * delta_j, with xd
-    from np.gradient on the actual t; what is left is second order in
-    delta / hs.  The correction is summed apart from the window-centred
-    values, whose weighted sums stay exact where x varies smoothly.
-
-    Windows are evaluated in blocks (``_stencil_blocks``); every value is
-    computed by the same operations as on the whole array, so the result
-    does not depend on the block size.  Raises TooFewSamples below
-    6*stride + 1 samples and RegimeError when t is not uniform.  Returns
-    arrays aligned with t[3*stride : -3*stride].
-    """
-    m, blocks = _stencil_blocks(t, x, stride)
-    out = np.empty((3, m))
-    for lo, hi, block in blocks:
-        out[:, lo:hi] = block
-    return tuple(out)
-
-
 def closure_residual(traj: Trajectory) -> ValidationReport:
     """Law-of-motion closure |xdot P / (sigma kin) - 1| with centered-difference xdot.
 
@@ -457,8 +428,7 @@ def closure_residual(traj: Trajectory) -> ValidationReport:
     xd = traj.velocity_centered()                       # [fm/s]
     x_in = traj.x[1:-1]
     pc = traj.momentum[1:-1]
-    ev = setup.E - np.asarray(pot.v(x_in), dtype=float)
-    kin = ev - setup.rest_sq / ev
+    kin = kinetic_term(setup, pot, x_in)
     res = np.abs(xd * pc / (setup.direction * setup.c_fm_s * kin) - 1.0)
     return _summary("closure", res)
 
@@ -469,7 +439,7 @@ def firqnl_residual(traj: Trajectory, stride: int = 1) -> ValidationReport:
     Setup and potential are the trace's own, ``traj.meta["setup"]`` and
     ``traj.meta["potential"]``.  Five terms are evaluated per interior
     sample (derivatives from the fixed 7-point centred stencil, see
-    ``_stencil_derivatives``) and the sum is divided by the largest term
+    ``_stencil_blocks``) and the sum is divided by the largest term
     magnitude.  For constant potentials the potential-derivative terms are
     identically zero and are flagged as exact in the notes.
 
@@ -574,104 +544,3 @@ def rqshje_residual(
         scale = np.max(np.abs(np.stack([t1, t2, t3])), axis=0)
         res[rows] = np.abs(total) / scale
     return _summary("quantum-hj", res)
-
-
-# ----------------------------------------------------------------------
-# classical-limit metrics
-# ----------------------------------------------------------------------
-
-# plot-convention scales for distances in the (t, x) plane
-T_SCALE_S = 1e-20
-X_SCALE_FM = 1e3     # 1e-12 m
-
-
-def pp0_distance(
-    traj: Trajectory,
-    x0: float,
-    slope_fm_s: float,
-    t_scale: float = T_SCALE_S,
-    x_scale: float = X_SCALE_FM,
-) -> np.ndarray:
-    """Per-sample distance to the classical line x = x0 + slope * t.
-
-    Measured in the scaled (t/t_scale, x/x_scale) plane, i.e. the plotting
-    convention in which the projection construction is stated.
-    """
-    v = slope_fm_s * t_scale / x_scale
-    dev = (traj.x - (x0 + slope_fm_s * traj.t)) / x_scale
-    return np.abs(dev) / np.sqrt(1.0 + v * v)
-
-
-def pp0_bound(
-    setup: PhysicalSetup,
-    u0: float,
-    t_scale: float = T_SCALE_S,
-    x_scale: float = X_SCALE_FM,
-) -> float:
-    """sqrt(1 + 1/v^2) * node period, an upper bound for any PP0 distance."""
-    ev = setup.E - u0
-    disc = ev * ev - setup.rest_sq
-    v = setup.c_fm_s * np.sqrt(disc) / ev * t_scale / x_scale
-    return float(np.sqrt(1.0 + 1.0 / v**2) * node_period(setup, u0) / t_scale)
-
-
-def limit_checks(
-    setup: PhysicalSetup,
-    u0: float = 0.0,
-    hp: HiddenParams = None,
-    c_scales=(1.0, 2.0, 4.0, 8.0),
-    eps_scales=(1.0, 0.5, 0.25, 0.125),
-    kinetic_ratio: float = 1e-3,
-) -> ValidationReport:
-    """Two limit studies: the low-speed reduction and the small-hbar scaling.
-
-    (i) With kinetic energy T fixed and the rest energy scaled up like c^2,
-    the law-of-motion right side approaches 2T; the relative gap must track
-    T / (2 m0c2) linearly.  (ii) With hbar scaled by eps the node spacings
-    scale exactly linearly and the maximal distance to the classical line
-    decreases monotonically.
-    """
-    from .trajectory import trace_constant_oscillatory
-
-    hp = hp or HiddenParams(a=0.25, b=8.0)
-
-    t_kin = kinetic_ratio * setup.m0c2
-    gaps, ratios = [], []
-    for s in c_scales:
-        m0c2 = setup.m0c2 * s * s
-        ev = m0c2 + t_kin
-        kin = ev - m0c2 * m0c2 / ev
-        gaps.append(abs(kin / (2.0 * t_kin) - 1.0))
-        ratios.append(gaps[-1] / (t_kin / m0c2))
-    nonrel_linear = all(0.4 <= r <= 0.6 for r in ratios)
-    nonrel_monotone = all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))
-
-    dx1 = node_spacing(setup, u0)
-    dt1 = node_period(setup, u0)
-    dx_ratio_err = []
-    pp0_max = []
-    t_end = 5.0 * dt1
-    v_cl = setup.c_fm_s * np.sqrt((setup.E - u0) ** 2 - setup.rest_sq) / (setup.E - u0)
-    for eps in eps_scales:
-        se = setup.scaled_hbar(eps)
-        dx_ratio_err.append(abs(node_spacing(se, u0) / dx1 - eps))
-        dx_ratio_err.append(abs(node_period(se, u0) / dt1 - eps))
-        tr = trace_constant_oscillatory(se, u0, hp, 0.0, (0.0, t_end), n_samples=20001)
-        pp0_max.append(float(np.max(pp0_distance(tr, 0.0, v_cl))))
-    eps_linear = max(dx_ratio_err) <= 1e-9
-    pp0_monotone = all(pp0_max[i + 1] < pp0_max[i] for i in range(len(pp0_max) - 1))
-
-    passed = nonrel_linear and nonrel_monotone and eps_linear and pp0_monotone
-    notes = {
-        "nonrel_gaps": [float(g) for g in gaps],
-        "nonrel_gap_over_ratio": [float(r) for r in ratios],
-        "nonrel_linear": nonrel_linear,
-        "eps_scales": list(eps_scales),
-        "eps_spacing_error_max": float(max(dx_ratio_err)),
-        "pp0_max_per_eps": [float(p) for p in pp0_max],
-        "pp0_monotone_decreasing": pp0_monotone,
-    }
-    residuals = np.array(gaps + dx_ratio_err)
-    report = _summary("limit-checks", residuals, notes=notes)
-    report.passed = passed
-    return report

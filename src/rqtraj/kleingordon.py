@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BasisGapError, DependentInitials, StepTooLarge, TurningPointSingular
-from .model import PhysicalSetup, Potential, ConstantPotential, REGIME_REL_TOL
+from .model import PhysicalSetup, Potential, REGIME_REL_TOL
 from .output import write_csv
 
 

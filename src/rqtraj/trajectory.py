@@ -45,6 +45,7 @@ from .model import (
     PhysicalSetup,
     Potential,
     REGIME_REL_TOL,
+    kinetic_term,
 )
 from .output import write_csv
 
@@ -300,10 +301,11 @@ def trace_constant_evanescent(
     if m_gap < 0:
         raise RegimeError("evanescent trace requested with oscillatory parameters")
 
+    # [MeV], negative for 0 < E-U0 < m0c2; E = U0 raises EnergyEqualsPotential
+    kin = kinetic_term(setup, ConstantPotential(u0), x0)
     kappa2 = np.sqrt(m_gap)                   # sqrt(m2 - (E-U0)^2) [MeV]
     scale = setup.hbar_c / (2.0 * kappa2)     # [fm]
     omega_e = m_gap / (setup.hbar * ev)       # [1/s]
-    kin = ev - setup.rest_sq / ev             # [MeV], negative for 0 < E-U0 < m0c2
     sigma = setup.direction
 
     if window_fm is None:
@@ -421,6 +423,8 @@ def trace_quadrature(
         raise ValueError("quadrature requires a uniform basis grid")
     h = float(xs[1] - xs[0])
 
+    # model.kinetic_term inline: its E = V check would look at every row of
+    # the range, where the one below looks at the rows the trace keeps
     ev = setup.E - np.asarray(pot.v(xs), dtype=float)
     with np.errstate(divide="ignore"):                # E = V is checked below
         kin = ev - setup.rest_sq / ev                 # [MeV]

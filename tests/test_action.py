@@ -104,17 +104,6 @@ def test_s0_increment_between_nodes_is_pi_hbar(electron2, const_basis):
     assert s_b - s_a == pytest.approx(np.pi * electron2.hbar, rel=1e-4)
 
 
-def test_action_csv(tmp_path, electron2, const_basis):
-    ra = rq.ReducedAction(const_basis, rq.HiddenParams(1.0, 0.0), electron2)
-    path = tmp_path / "action.csv"
-    ra.to_csv(path, header=["config_hash: cafe"])
-    from rqtraj.output import read_csv
-
-    meta, cols = read_csv(path)
-    assert list(cols) == ["x_fm", "S0_MeV_s", "P_MeV_per_c", "branch_n"]
-    assert meta["config_hash"] == "cafe"
-
-
 def _bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.int64)
 

@@ -9,10 +9,11 @@ import pytest
 
 import rqtraj as rq
 from rqtraj import pipeline, trajectory
-from rqtraj.analysis import STENCIL_BLOCK, _STENCIL_WEIGHTS, _stencil_derivatives
+from rqtraj.analysis import STENCIL_BLOCK, _STENCIL_WEIGHTS, _stencil_blocks
 from rqtraj.kleingordon import UNIFORM_REL_TOL, uniform_step, wavenumber_sq
 from rqtraj.config import RunConfig, parse_config
 from rqtraj.errors import InsufficientTrajectories, RegimeError, TooFewSamples
+from rqtraj.output import write_json
 from tests.conftest import oscillatory_wavenumber
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -259,6 +260,16 @@ def test_first_integral_rejects_non_uniform_samples(electron2):
         rq.firqnl_residual(dataclasses.replace(tr, x=x), stride=4)
 
 
+def stencil_derivatives(t, x, stride: int = 1):
+    """First three derivatives of x(t) on uniform t, arrays aligned with
+    t[3*stride : -3*stride]: the blocks of ``_stencil_blocks`` put together."""
+    m, blocks = _stencil_blocks(t, x, stride)
+    out = np.empty((3, m))
+    for lo, hi, block in blocks:
+        out[:, lo:hi] = block
+    return tuple(out)
+
+
 def test_uniform_is_one_rule(electron2):
     """The numeric solve, the quadrature trace and the stencil accept and
     refuse the same grids."""
@@ -274,14 +285,14 @@ def test_uniform_is_one_rule(electron2):
         if uniform:
             rq.solve_numeric(electron2, pot, bent)
             rq.trace_quadrature(ra, pot, -200.0, (-600.0, 200.0))
-            _stencil_derivatives(bent, np.sin(bent / 50.0))
+            stencil_derivatives(bent, np.sin(bent / 50.0))
         else:
             with pytest.raises(ValueError, match="uniform"):
                 rq.solve_numeric(electron2, pot, bent)
             with pytest.raises(ValueError, match="uniform"):
                 rq.trace_quadrature(ra, pot, -200.0, (-600.0, 200.0))
             with pytest.raises(RegimeError, match="uniform"):
-                _stencil_derivatives(bent, np.sin(bent / 50.0))
+                stencil_derivatives(bent, np.sin(bent / 50.0))
 
 
 def test_first_integral_auto_takes_the_uniform_variable(electron2):
@@ -352,7 +363,7 @@ def lagrange_oracle(t, x, stride):
 
 def _relative_errors(t, x, stride):
     oracle = lagrange_oracle(t, x, stride)
-    got = _stencil_derivatives(t, x, stride=stride)
+    got = stencil_derivatives(t, x, stride=stride)
     return [
         float(max(abs(Fraction(g) - o) for g, o in zip(d.tolist(), ref)) / max(abs(o) for o in ref))
         for d, ref in zip(got, oracle)
@@ -404,11 +415,11 @@ def test_stencil_at_the_uniformity_tolerance(steps_per_length):
         assert err <= 10 * UNIFORM_REL_TOL, err
     t = ideal + 2 * jitter
     with pytest.raises(RegimeError, match="uniform"):
-        _stencil_derivatives(t, np.sin(t) + 0.3 * np.cos(1.7 * t))
+        stencil_derivatives(t, np.sin(t) + 0.3 * np.cos(1.7 * t))
 
 
 def stencil_whole_array(t, x, stride):
-    """``_stencil_derivatives`` as one pass over all windows, kept as the
+    """``stencil_derivatives`` as one pass over all windows, kept as the
     oracle of the blocked evaluation (checks omitted)."""
     n = t.size
     h = uniform_step(t)
@@ -500,7 +511,7 @@ def test_blocked_first_integral_is_bit_equal(block_traces, var, windows, stride)
     tr = dataclasses.replace(full, t=full.t[rows], x=full.x[rows], branch=full.branch[rows],
                              regime=full.regime[rows], momentum=full.momentum[rows])
     u, y = (tr.x, tr.t) if var == "x" else (tr.t, tr.x)
-    for got, ref in zip(_stencil_derivatives(u, y, stride=stride),
+    for got, ref in zip(stencil_derivatives(u, y, stride=stride),
                         stencil_whole_array(u, y, stride)):
         assert got.size == windows
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))
@@ -594,41 +605,13 @@ def test_blocked_quantum_hj_is_bit_equal(electron2, n, kind):
     assert np.array_equal(got.view(np.int64), rqshje_whole_array(ra, pot).view(np.int64))
 
 
-def test_pp0_bound_and_scaling(electron2):
-    """Any trajectory point stays within the projection bound; the maximal
-    distance to the classical line shrinks monotonically with hbar."""
-    dt = rq.node_period(electron2, 0.0)
-    hp = rq.HiddenParams(0.25, 8.0)
-    v_cl = rq.classical_velocity(electron2, rq.ConstantPotential(0.0), 0.0) * rq.FM_PER_M
-    t_end = 5 * dt
-    maxima = []
-    for eps in (1.0, 0.5, 0.25):
-        s = electron2.scaled_hbar(eps)
-        tr = rq.trace_constant_oscillatory(s, 0.0, hp, 0.0, (0.0, t_end), 40001)
-        d = rq.pp0_distance(tr, 0.0, v_cl)
-        assert np.max(d) <= rq.pp0_bound(s, 0.0)
-        maxima.append(float(np.max(d)))
-    assert maxima[0] > maxima[1] > maxima[2]
-    assert maxima[2] < 0.3 * maxima[0]
-
-
-def test_limit_checks_pass(electron2):
-    rep = rq.limit_checks(electron2, 0.0)
-    assert rep.passed
-    assert rep.notes["nonrel_linear"]
-    assert rep.notes["pp0_monotone_decreasing"]
-    assert rep.notes["eps_spacing_error_max"] <= 1e-9
-
-
 def test_validation_report_json(tmp_path, electron2):
     dt = rq.node_period(electron2, 0.0)
     tr = rq.trace_constant_oscillatory(electron2, 0.0, rq.HiddenParams(0.2, 0.0),
                                        0.0, (0.0, 2 * dt), 2001)
     rep = rq.closure_residual(tr)
     path = tmp_path / "val.json"
-    rep.to_json(path)
-    import json
-
+    write_json(path, rep.to_dict())
     data = json.loads(path.read_text())
     assert data["kind"] == "closure"
     assert "units" in data
@@ -638,9 +621,7 @@ def test_validation_report_json(tmp_path, electron2):
 def test_node_report_json(tmp_path, electron2):
     rep = rq.nodes_closed_form(electron2, 0.0, count=4)
     path = tmp_path / "nodes.json"
-    rep.to_json(path)
-    import json
-
+    write_json(path, rep.to_dict())
     data = json.loads(path.read_text())
     assert data["units"]["positions"] == "fm"
     assert len(data["times"]) == 4

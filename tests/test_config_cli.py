@@ -229,6 +229,24 @@ def test_cli_figure_exit_code_2_on_empty_sets(tmp_path):
     assert "config error" in result.output and "sets" in result.output
 
 
+def test_cli_energy_equals_constant_potential(tmp_path):
+    """fig2 with U0 = E: trace records the typed error per set, analyze
+    exits 3 with it, and neither ends in a traceback."""
+    cfg = parse_config(CONFIGS / "fig2.cfg")
+    cfg = dataclasses.replace(cfg, u0=cfg.energy, out_dir=str(tmp_path / "out")).validate()
+    path = tmp_path / "e_eq_u0.cfg"
+    cfg.to_file(path)
+    result = CliRunner().invoke(main, ["trace", "--config", str(path)])
+    assert result.exit_code == 0, result.output
+    manifest = json.loads((tmp_path / "out" / "trace_manifest.json").read_text())
+    assert [e["status"] for e in manifest["sets"]] == ["error"]
+    assert manifest["sets"][0]["error"].startswith("EnergyEqualsPotential: ")
+    result = CliRunner().invoke(main, ["analyze", "--config", str(path)])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "numerical failure: EnergyEqualsPotential" in result.output
+
+
 def test_cli_exit_code_3_on_numerical_failure(tmp_path):
     cfg = RunConfig(potential_kind="linear", slope=1e-3, grid_min=-500.0,
                     grid_max=500.0, grid_step=40.0, out_dir=str(tmp_path / "o"))
@@ -403,6 +421,32 @@ def test_quadrature_outputs_are_pinned(tmp_path, monkeypatch):
     written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                for f in (tmp_path / cfg.out_dir).iterdir()}
     assert written == FIG3_DIGESTS
+
+
+@pytest.mark.parametrize("name, digests", [
+    ("fig1", {
+        "analyze_manifest.json":
+            "176b6628ec3a500937bb9ea0f3b4e2361dd67a92930f96b8bb33604bc06546c7",
+        "nodes_closed_form.json":
+            "c9ba3f7b8d5485940a1a6bf17e49270861a1fb68916dfac0aa0d3894dd198c92",
+        "nodes_detected.json":
+            "ab710bc00673a266984973d1a038061d310714abc2ce32759e872c1a55d5e127",
+        "validation.json": "4f0c312243b379c5f081439ec353a1dbc87a454ed28bcb8dd39efecc6e3757c0",
+    }),
+    ("fig2", {
+        "analyze_manifest.json":
+            "0def5046f980ece91084af3239895421dcd758242eb46ba9f30990ad61d069f1",
+        "validation.json": "35cef0ff37fbcba5ca572761d66ca00c991a5d2819aa6399be8292c6808c97d0",
+    }),
+])
+def test_closed_form_analyze_outputs_are_pinned(tmp_path, monkeypatch, name, digests):
+    """fig1 and fig2 analyze: node reports and validators keep every byte."""
+    monkeypatch.chdir(tmp_path)              # the config's relative out dir
+    cfg = parse_config(CONFIGS / f"{name}.cfg")
+    pipeline.run_analyze(cfg)
+    written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in (tmp_path / cfg.out_dir).iterdir()}
+    assert written == digests
 
 
 def test_energy_equals_potential_is_a_per_set_error(tmp_path):

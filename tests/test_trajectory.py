@@ -130,6 +130,10 @@ def test_oscillatory_regime_guards(electron2, evanescent03):
     with pytest.raises(RegimeError):
         rq.trace_constant_evanescent(electron2, 0.0, rq.HiddenParams(1.0, 0.0),
                                      0.0, (0.0, 1e-21))
+    # E = U0 is typed, not a division by E - U0
+    with pytest.raises(EnergyEqualsPotential):
+        rq.trace_constant_evanescent(evanescent03, evanescent03.E, rq.HiddenParams(1.0, 0.0),
+                                     0.0, (0.0, 1e-21))
 
 
 def test_hbar_scaling_self_similarity(electron2):
