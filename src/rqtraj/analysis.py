@@ -15,7 +15,7 @@ import numpy as np
 from .action import ReducedAction
 from .errors import InsufficientTrajectories, RegimeError, TooFewSamples
 from .kleingordon import UNIFORM_REL_TOL, SolutionBasis, uniform_step, wavenumber_sq
-from .model import ConstantPotential, PhysicalSetup, Potential, kinetic_term
+from .model import ConstantPotential, PhysicalSetup, Potential, Regime, constant_regime, kinetic_term
 from .trajectory import Trajectory, _zeros_of, node_period, node_spacing
 
 
@@ -303,9 +303,8 @@ def detect_nodes(
 
 def de_broglie(setup: PhysicalSetup, u0: float) -> float:
     """Wavelength h c / sqrt((E-U0)^2 - m2) = h/p for a constant potential [fm]."""
-    ev = setup.E - u0
-    disc = ev * ev - setup.rest_sq
-    if disc <= 0:
+    regime, _, disc = constant_regime(setup, u0)
+    if regime is not Regime.OSCILLATORY:
         raise RegimeError("de Broglie wavelength needs an oscillatory configuration")
     return float(2.0 * np.pi * setup.hbar_c / np.sqrt(disc))
 

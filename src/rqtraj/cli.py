@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (regime
 or tolerance details go to stderr).  Exit 2 also covers an unknown section
-or key, an empty ``sets``, a fractional ``samples`` and a nan or inf value,
-in the file or in an override such as ``--epsilon-hbar nan``.
+or key, an empty ``sets``, a fractional ``samples``, a nan or inf value
+such as ``hbar_scale = nan`` and a grid of fewer than two points.  Every
+run parameter is a config key; ``--out`` only moves the output directory.
 """
 
 from __future__ import annotations
@@ -17,29 +18,17 @@ from .config import parse_config
 from .errors import ConfigError, RqtError
 
 
-def _load_config(path, epsilon_hbar, method, direction, out):
+def _load_config(path, out):
     cfg = parse_config(path)
-    if epsilon_hbar is not None:
-        cfg.hbar_scale = epsilon_hbar
-    if method is not None:
-        cfg.method = method
-    if direction is not None:
-        cfg.direction = 1 if direction == "+" else -1
     if out is not None:
         cfg.out_dir = out
-    return cfg.validate()
+    return cfg
 
 
 def _common(fn):
     fn = click.option("--config", "config_path", required=True,
                       type=click.Path(exists=True, dir_okay=False),
                       help="Run configuration file.")(fn)
-    fn = click.option("--epsilon-hbar", type=float, default=None,
-                      help="Scale factor on hbar (classical-limit studies).")(fn)
-    fn = click.option("--method", type=click.Choice(["euler", "rk4"]), default=None,
-                      help="Integrator for numeric bases.")(fn)
-    fn = click.option("--direction", type=click.Choice(["+", "-"]), default=None,
-                      help="Trajectory direction sign.")(fn)
     fn = click.option("--out", type=click.Path(file_okay=False), default=None,
                       help="Output directory (overrides config).")(fn)
     return fn
@@ -70,10 +59,9 @@ def _run(cfg_args, runner, *extra):
 @_common
 @click.option("--compare-methods", is_flag=True,
               help="Emit both Euler and RK4 bases with a drift comparison.")
-def basis(config_path, epsilon_hbar, method, direction, out, compare_methods):
+def basis(config_path, out, compare_methods):
     """Solve the wave-equation basis and export it as CSV."""
-    manifest = _run((config_path, epsilon_hbar, method, direction, out),
-                    pipeline.run_basis, compare_methods)
+    manifest = _run((config_path, out), pipeline.run_basis, compare_methods)
     click.echo("wronskian drift by method:")
     for m, d in manifest["drift"].items():
         click.echo(f"  {m:>8s}: {d:.6e}")
@@ -83,10 +71,9 @@ def basis(config_path, epsilon_hbar, method, direction, out, compare_methods):
 
 @main.command()
 @_common
-def trace(config_path, epsilon_hbar, method, direction, out):
+def trace(config_path, out):
     """Trace one trajectory per hidden-parameter set."""
-    manifest = _run((config_path, epsilon_hbar, method, direction, out),
-                    pipeline.run_trace)
+    manifest = _run((config_path, out), pipeline.run_trace)
     for entry in manifest["sets"]:
         if entry["status"] == "ok":
             note = ""
@@ -101,10 +88,9 @@ def trace(config_path, epsilon_hbar, method, direction, out):
 
 @main.command()
 @_common
-def analyze(config_path, epsilon_hbar, method, direction, out):
+def analyze(config_path, out):
     """Detect nodes, compute spacings/wavelengths, run the validators."""
-    manifest = _run((config_path, epsilon_hbar, method, direction, out),
-                    pipeline.run_analyze)
+    manifest = _run((config_path, out), pipeline.run_analyze)
     width = max(len(k) for k, _ in manifest["summary"]) if manifest["summary"] else 0
     for key, val in manifest["summary"]:
         click.echo(f"  {key:<{width}s}  {val}")
@@ -116,10 +102,9 @@ def analyze(config_path, epsilon_hbar, method, direction, out):
 @_common
 @click.option("--figure", "figure_n", type=click.IntRange(1, 3), required=True,
               help="Which figure to reconstruct (1, 2 or 3).")
-def figure(config_path, epsilon_hbar, method, direction, out, figure_n):
+def figure(config_path, out, figure_n):
     """Emit data CSVs plus a gnuplot script for one of the three figures."""
-    manifest = _run((config_path, epsilon_hbar, method, direction, out),
-                    pipeline.run_figure, figure_n)
+    manifest = _run((config_path, out), pipeline.run_figure, figure_n)
     click.echo(f"plot script: {manifest['plot_script']}")
     for f in manifest["files"]:
         click.echo(f"wrote {f}")

@@ -7,8 +7,10 @@ name), unit and allowed values, and parsing, ``canonical_text`` and
 key of a missing or wrong unit (``energy = 2.0 MeV``), an unknown section or
 key, nan or inf (also in ``sets``), an empty ``sets``, a fractional
 ``samples`` or a value not allowed; ``validate`` repeats the per-key checks
-for values set later (CLI overrides).  ``canonical_text`` round-trips
-bit-exactly (floats via repr), and its sha256 stamps every output file.
+for a config built or changed in code.  Every key is set in the config file
+only: the CLI takes the file and an output directory (``--out``), nothing
+else.  ``canonical_text`` round-trips bit-exactly (floats via repr), and its
+sha256 stamps every output file.
 
 ``samples``, ``t_min`` and ``t_max`` bound what each ``trajectory_i.csv``
 holds, by one rule for every trace: of the trace rows with

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BasisGapError, DependentInitials, StepTooLarge, TurningPointSingular
-from .model import PhysicalSetup, Potential, REGIME_REL_TOL
+from .errors import BasisGapError, DependentInitials, StepTooLarge
+from .model import PhysicalSetup, Potential, Regime, constant_regime
 from .output import write_csv
 
 
@@ -128,15 +128,12 @@ def solve_constant(setup: PhysicalSetup, u0: float, grid) -> SolutionBasis:
     """Closed-form basis for V = u0.
 
     Oscillatory: (sin kx, cos kx) with k = sqrt((E-u0)^2 - (m0c2)^2)/(hbar c),
-    W = k.  Evanescent: (sinh Kx, cosh Kx), W = K.  A turning-point
-    configuration has no two-solution oscillatory basis and raises.
+    W = k.  Evanescent: (sinh Kx, cosh Kx), W = K.  E = U0 and a
+    turning-point configuration raise (``model.constant_regime``).
     """
     grid = np.asarray(grid, dtype=float)
-    ev = setup.E - u0
-    disc = ev * ev - setup.rest_sq
-    if abs(disc) <= REGIME_REL_TOL * setup.rest_sq:
-        raise TurningPointSingular("(E-U0)^2 equals the rest-energy square")
-    if disc > 0:
+    regime, _, disc = constant_regime(setup, u0)
+    if regime is Regime.OSCILLATORY:
         k = np.sqrt(disc) / setup.hbar_c
         basis = SolutionBasis(
             grid=grid,
@@ -234,7 +231,6 @@ def solve_numeric(
     method: str = "rk4",
     init1=(0.0, 1.0),
     init2=(1.0, 0.0),
-    guard_step: bool = True,
 ) -> SolutionBasis:
     """Integrate the basis over a uniform grid as a first-order system.
 
@@ -273,10 +269,8 @@ def solve_numeric(
 
     u_nodes = -wavenumber_sq(setup, pot, grid)
     kmax = float(np.sqrt(np.max(np.abs(u_nodes))))
-    if guard_step and kmax * h > 0.1:
-        raise StepTooLarge(
-            f"|k h| = {kmax * h:.3g} > 0.1; refine the grid or pass guard_step=False"
-        )
+    if kmax * h > 0.1:
+        raise StepTooLarge(f"|k h| = {kmax * h:.3g} > 0.1; refine the grid")
 
     y0 = (float(init1[0]), float(init1[1]), float(init2[0]), float(init2[1]))
     u_mid = -wavenumber_sq(setup, pot, grid[:-1] + 0.5 * h) if method == "rk4" else None

@@ -10,6 +10,12 @@ Conventions used throughout the package:
   States with E - V < 0 but (E - V)^2 above the rest-energy square are
   treated as oscillatory (antiparticle-branch); the non-relativistic
   "E - V < 0 means forbidden" reading does not apply here.
+
+This module is the one home of that rule: ``regime_tags`` applies it to an
+array of E - V values (``classify_regime`` and the quadrature trace's
+regime column use it), and ``constant_regime`` is the one check of a
+constant potential V = U0, used by its closed-form basis, its traces, its
+node spacing and its de Broglie wavelength.
 """
 
 from __future__ import annotations
@@ -218,14 +224,39 @@ def regime_discriminant(setup: PhysicalSetup, pot: Potential, x):
     return _scalar(ev * ev - setup.rest_sq)
 
 
-def classify_regime(setup: PhysicalSetup, pot: Potential, x) -> Regime:
-    disc = regime_discriminant(setup, pot, float(x))
+def regime_tags(setup: PhysicalSetup, ev) -> np.ndarray:
+    """Regime value of each E - V in ``ev`` [MeV], as an array of strings.
+
+    disc = (E - V)^2 - (m0 c^2)^2 decides: a disc within
+    REGIME_REL_TOL * (m0 c^2)^2 of zero, or NaN, is "turning", otherwise
+    its sign gives "oscillatory" or "evanescent".
+    """
+    ev = np.asarray(ev, dtype=float)
+    disc = ev * ev - setup.rest_sq
     tol = REGIME_REL_TOL * setup.rest_sq
-    if disc > tol:
-        return Regime.OSCILLATORY
-    if disc < -tol:
-        return Regime.EVANESCENT
-    return Regime.TURNING_POINT
+    tags = np.full(disc.shape, Regime.OSCILLATORY.value)
+    tags[disc < -tol] = Regime.EVANESCENT.value
+    tags[~(np.abs(disc) > tol)] = Regime.TURNING_POINT.value
+    return tags
+
+
+def classify_regime(setup: PhysicalSetup, pot: Potential, x) -> Regime:
+    return Regime(str(regime_tags(setup, setup.E - np.asarray(pot.v(float(x)), dtype=float))))
+
+
+def constant_regime(setup: PhysicalSetup, u0: float):
+    """(regime, E - U0, disc) of the constant potential V = U0.
+
+    disc = (E - U0)^2 - (m0 c^2)^2 [MeV^2].  Raises EnergyEqualsPotential
+    at E = U0 (the check of ``kinetic_term``) and TurningPointSingular when
+    the regime is a turning point.
+    """
+    kinetic_term(setup, ConstantPotential(u0), 0.0)
+    ev = setup.E - u0
+    regime = Regime(str(regime_tags(setup, ev)))
+    if regime is Regime.TURNING_POINT:
+        raise TurningPointSingular("(E-U0)^2 equals the rest-energy square")
+    return regime, ev, ev * ev - setup.rest_sq
 
 
 def f_function(setup: PhysicalSetup, pot: Potential, x, momentum):
@@ -267,13 +298,12 @@ def classical_velocity(setup: PhysicalSetup, pot: Potential, x):
     undefined (RegimeError) in the evanescent region or for E - V <= 0.
     """
     ev = setup.E - float(pot.v(x))
-    disc = ev * ev - setup.rest_sq
-    tol = REGIME_REL_TOL * setup.rest_sq
-    if disc < -tol or ev <= 0:
+    regime = classify_regime(setup, pot, x)
+    if regime is Regime.EVANESCENT or ev <= 0:
         raise RegimeError("classical velocity needs an oscillatory point with E - V > 0")
-    if disc <= tol:
+    if regime is Regime.TURNING_POINT:
         return 0.0
-    return setup.c * math.sqrt(disc) / ev
+    return setup.c * math.sqrt(ev * ev - setup.rest_sq) / ev
 
 
 def classical_momentum(setup: PhysicalSetup, pot: Potential, x):

@@ -21,14 +21,17 @@ from .analysis import (
     rqshje_residual,
 )
 from .config import RunConfig, config_dict
-from .errors import RqtError
+from .errors import ConfigError, RqtError
 from .kleingordon import solve_constant, solve_numeric, wronskian_drift
 from .model import (
     ConstantPotential,
     HiddenParams,
     LinearPotential,
     PhysicalSetup,
+    Regime,
     TabulatedPotential,
+    constant_regime,
+    regime_discriminant,
 )
 from .output import read_csv, write_csv, write_json
 from .trajectory import (
@@ -58,6 +61,11 @@ def build_potential(cfg: RunConfig):
 
 def build_grid(cfg: RunConfig) -> np.ndarray:
     n = int(round((cfg.grid_max - cfg.grid_min) / cfg.grid_step)) + 1
+    if n < 2:
+        raise ConfigError(
+            f"[numerics] grid_step {cfg.grid_step!r} fm leaves {n} grid point on "
+            f"[{cfg.grid_min!r}, {cfg.grid_max!r}] fm; the grid needs at least 2"
+        )
     return cfg.grid_min + cfg.grid_step * np.arange(n)
 
 
@@ -66,9 +74,7 @@ def build_basis(cfg: RunConfig, setup: PhysicalSetup, pot, method=None):
     if cfg.potential_kind == "constant":
         return solve_constant(setup, cfg.u0, grid)
     if cfg.basis_init == "sincos":
-        ev0 = setup.E - float(np.asarray(pot.v(grid[:1]))[0])
-        disc0 = ev0 * ev0 - setup.rest_sq
-        k0 = np.sqrt(abs(disc0)) / setup.hbar_c
+        k0 = np.sqrt(abs(regime_discriminant(setup, pot, grid[0]))) / setup.hbar_c
         init1 = (0.0, k0)
     else:
         init1 = (0.0, 1.0)
@@ -78,8 +84,9 @@ def build_basis(cfg: RunConfig, setup: PhysicalSetup, pot, method=None):
 
 
 def _oscillatory_constant(cfg: RunConfig, setup: PhysicalSetup) -> bool:
-    ev = setup.E - cfg.u0
-    return cfg.potential_kind == "constant" and ev * ev > setup.rest_sq
+    # raises at E = U0 and at a turning point
+    return (cfg.potential_kind == "constant"
+            and constant_regime(setup, cfg.u0)[0] is Regime.OSCILLATORY)
 
 
 def _cluster_radius(cfg: RunConfig, setup: PhysicalSetup, trajs) -> float:
@@ -296,6 +303,9 @@ def run_figure(cfg: RunConfig, figure: int) -> dict:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = run_trace(cfg)
+    if not any(entry.get("file") for entry in manifest["sets"]):
+        errors = "; ".join(f"a={e['a']:g}, b={e['b']:g}: {e['error']}" for e in manifest["sets"])
+        raise RqtError(f"figure {figure} has no trajectory to plot ({errors})")
     manifest["command"] = f"figure{figure}"
     setup = build_setup(cfg)
 

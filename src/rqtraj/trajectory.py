@@ -35,7 +35,6 @@ from .errors import (
     RegimeError,
     TooFewSamples,
     TurningPointInRange,
-    TurningPointSingular,
 )
 from .kleingordon import uniform_step
 from .model import (
@@ -44,8 +43,10 @@ from .model import (
     LinearPotential,
     PhysicalSetup,
     Potential,
-    REGIME_REL_TOL,
+    Regime,
+    constant_regime,
     kinetic_term,
+    regime_tags,
 )
 from .output import write_csv
 
@@ -59,7 +60,8 @@ class Trajectory:
     """Ordered (t, x) samples with branch index, regime tags and metadata.
 
     t in seconds, x in fm, momentum in MeV/c (signed).  ``meta`` carries the
-    producing setup/potential/params and any events (divergence, truncation).
+    producing ``setup``, ``potential`` and ``params`` and the ``events``
+    (divergence, halt).
     """
 
     t: np.ndarray
@@ -172,12 +174,8 @@ def _reduce_phase(theta: np.ndarray):
 
 
 def _constant_oscillatory_fields(setup: PhysicalSetup, u0: float):
-    ev = setup.E - u0
-    disc = ev * ev - setup.rest_sq
-    tol = REGIME_REL_TOL * setup.rest_sq
-    if abs(disc) <= tol:
-        raise TurningPointSingular("(E-U0)^2 equals the rest-energy square")
-    if disc < 0:
+    regime, ev, disc = constant_regime(setup, u0)
+    if regime is not Regime.OSCILLATORY:
         raise RegimeError("oscillatory trace requested with evanescent parameters")
     k = np.sqrt(disc) / setup.hbar_c          # [1/fm]
     omega = disc / (setup.hbar * ev)          # [1/s], sign follows E-U0
@@ -239,10 +237,6 @@ def trace_constant_oscillatory(
             "setup": setup,
             "potential": ConstantPotential(u0),
             "params": hp,
-            "x0": x0,
-            "method": "closed-form",
-            "node_period_s": node_period(setup, u0),
-            "node_spacing_fm": node_spacing(setup, u0),
             "events": {},
         },
     )
@@ -257,10 +251,11 @@ def evanescent_divergence_times(
     +infinity; the log argument crossing zero sends x to -infinity.  Also
     returns, for comparison only, the (2n+1) pi hbar (E-U0) / (4 ((E-U0)^2 - m2))
     value quoted in prose in the source literature, which does not match the
-    closed form (factor 2 and sign).
+    closed form (factor 2 and sign).  E = U0 and a turning point raise
+    (``model.constant_regime``).
     """
-    ev = setup.E - u0
-    m_gap = setup.rest_sq - ev * ev
+    _, ev, disc = constant_regime(setup, u0)
+    m_gap = -disc
     omega_e = m_gap / (setup.hbar * ev)
     events = []
     n = 0
@@ -273,7 +268,7 @@ def evanescent_divergence_times(
             events.append((t_log, "log_zero"))
         n += 1
     events.sort()
-    prose_value = abs(np.pi * setup.hbar * ev / (4.0 * (ev * ev - setup.rest_sq)))
+    prose_value = abs(np.pi * setup.hbar * ev / (4.0 * disc))
     return events[: 2 * count], prose_value
 
 
@@ -293,15 +288,12 @@ def trace_constant_evanescent(
     distance in finite time: sampling stops once |x - x0| exceeds the window
     and the analytic divergence time is reported in the metadata.
     """
-    ev = setup.E - u0
-    m_gap = setup.rest_sq - ev * ev
-    tol = REGIME_REL_TOL * setup.rest_sq
-    if abs(m_gap) <= tol:
-        raise TurningPointSingular("(E-U0)^2 equals the rest-energy square")
-    if m_gap < 0:
+    regime, ev, disc = constant_regime(setup, u0)
+    if regime is not Regime.EVANESCENT:
         raise RegimeError("evanescent trace requested with oscillatory parameters")
+    m_gap = -disc
 
-    # [MeV], negative for 0 < E-U0 < m0c2; E = U0 raises EnergyEqualsPotential
+    # [MeV], negative for 0 < E-U0 < m0c2
     kin = kinetic_term(setup, ConstantPotential(u0), x0)
     kappa2 = np.sqrt(m_gap)                   # sqrt(m2 - (E-U0)^2) [MeV]
     scale = setup.hbar_c / (2.0 * kappa2)     # [fm]
@@ -347,9 +339,6 @@ def trace_constant_evanescent(
             "setup": setup,
             "potential": ConstantPotential(u0),
             "params": hp,
-            "x0": x0,
-            "method": "closed-form-evanescent",
-            "window_fm": window_fm,
             "events": events,
         },
     )
@@ -438,12 +427,7 @@ def trace_quadrature(
         raise RegimeError("entire range is inside the slow/turning zone")
     xs, v = xs[:cut], v[:cut]
 
-    # regime tags; a disc within the tolerance of zero, or NaN, is "turning"
-    disc = ev[:cut] * ev[:cut] - setup.rest_sq
-    tol = REGIME_REL_TOL * setup.rest_sq
-    regime = np.full(xs.shape, "oscillatory")
-    regime[disc < -tol] = "evanescent"
-    regime[~(np.abs(disc) > tol)] = "turning"
+    regime = regime_tags(setup, ev[:cut])
 
     tt = cumulative_simpson(1.0 / v, h)
     # turning point between grid points: 1/v, and so dt, changes sign
@@ -490,10 +474,6 @@ def trace_quadrature(
             "setup": setup,
             "potential": pot,
             "params": hp,
-            "x0": x0,
-            "anchor_x_fm": float(anchor),
-            "method": "quadrature-simpson",
-            "sync": sync,
             "events": events,
         },
     )
@@ -574,8 +554,6 @@ def classical_trace(
             "setup": setup,
             "potential": pot,
             "params": None,
-            "x0": x0,
-            "method": "classical",
             "events": {},
         },
     )

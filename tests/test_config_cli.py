@@ -204,16 +204,17 @@ def test_cli_exit_code_2_on_bad_config(tmp_path):
 
 @pytest.mark.parametrize("text, extra", [
     ("[particle]\nenergy = nan MeV\n", []),
-    ("[particle]\nenergy = 2.0 MeV\n", ["--epsilon-hbar", "nan"]),
+    ("[particle]\nenergy = 2.0 MeV\n", ["hbar_scale = nan"]),
     ("[numerics]\ngrid_stpe = 5.0 fm\n", []),
     ("[numerisc]\ngrid_step = 5.0 fm\n", []),
     ("[trajectories]\nsamples = 2.9\n", []),
 ])
 def test_cli_exit_code_2_on_malformed_config(tmp_path, text, extra):
+    """``extra`` lines go at the end of the file."""
     bad = tmp_path / "bad.cfg"
-    bad.write_text(text)
+    bad.write_text(text + "".join(f"{line}\n" for line in extra))
     result = CliRunner().invoke(main, ["trace", "--config", str(bad),
-                                       "--out", str(tmp_path / "out"), *extra])
+                                       "--out", str(tmp_path / "out")])
     assert result.exit_code == 2, result.output
     assert "config error" in result.output
     assert not (tmp_path / "out").exists()
@@ -229,13 +230,19 @@ def test_cli_figure_exit_code_2_on_empty_sets(tmp_path):
     assert "config error" in result.output and "sets" in result.output
 
 
+def edited_config(tmp_path, name, **changes):
+    """Committed config ``name`` with ``changes``, written to tmp_path/out."""
+    cfg = parse_config(CONFIGS / f"{name}.cfg")
+    cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / "out"), **changes).validate()
+    path = tmp_path / f"{name}_edited.cfg"
+    cfg.to_file(path)
+    return path
+
+
 def test_cli_energy_equals_constant_potential(tmp_path):
     """fig2 with U0 = E: trace records the typed error per set, analyze
     exits 3 with it, and neither ends in a traceback."""
-    cfg = parse_config(CONFIGS / "fig2.cfg")
-    cfg = dataclasses.replace(cfg, u0=cfg.energy, out_dir=str(tmp_path / "out")).validate()
-    path = tmp_path / "e_eq_u0.cfg"
-    cfg.to_file(path)
+    path = edited_config(tmp_path, "fig2", u0=0.3)
     result = CliRunner().invoke(main, ["trace", "--config", str(path)])
     assert result.exit_code == 0, result.output
     manifest = json.loads((tmp_path / "out" / "trace_manifest.json").read_text())
@@ -245,6 +252,50 @@ def test_cli_energy_equals_constant_potential(tmp_path):
     assert result.exit_code == 3, result.output
     assert isinstance(result.exception, SystemExit)
     assert "numerical failure: EnergyEqualsPotential" in result.output
+
+
+@pytest.mark.parametrize("name, figure, changes, error", [
+    ("fig2", 2, {"u0": 0.3}, "EnergyEqualsPotential"),
+    ("fig1", 1, {"energy": 0.510999 * (1 - 1e-14)}, "TurningPointSingular"),
+])
+def test_cli_figure_without_a_curve_exits_3(tmp_path, name, figure, changes, error):
+    path = edited_config(tmp_path, name, **changes)
+    result = CliRunner().invoke(main, ["figure", "--config", str(path),
+                                       "--figure", str(figure)])
+    assert result.exit_code == 3, result.output
+    assert f"numerical failure: RqtError: figure {figure} has no trajectory to plot (" \
+        in result.output
+    assert f"a=0.25, b=8: {error}: " in result.output
+    assert not (tmp_path / "out" / f"figure{figure}.gp").exists()
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_cli_turning_band_is_one_behaviour(tmp_path, sign):
+    """fig1 with E - U0 = m0c2 (1 +- 1e-14): every set is a typed error on
+    both sides of the band, and analyze and figure exit 3."""
+    path = edited_config(tmp_path, "fig1", energy=0.510999 * (1 + sign * 1e-14))
+    runner = CliRunner()
+    result = runner.invoke(main, ["trace", "--config", str(path)])
+    assert result.exit_code == 0, result.output
+    manifest = json.loads((tmp_path / "out" / "trace_manifest.json").read_text())
+    assert len(manifest["sets"]) == 3
+    for entry in manifest["sets"]:
+        assert entry["status"] == "error"
+        assert entry["error"].startswith("TurningPointSingular: ")
+    result = runner.invoke(main, ["analyze", "--config", str(path)])
+    assert result.exit_code == 3, result.output
+    assert "numerical failure: TurningPointSingular" in result.output
+    result = runner.invoke(main, ["figure", "--config", str(path), "--figure", "1"])
+    assert result.exit_code == 3, result.output
+    assert not (tmp_path / "out" / "figure1.gp").exists()
+
+
+def test_cli_grid_of_one_point_is_a_config_error(tmp_path):
+    path = edited_config(tmp_path, "fig1", grid_step=5000.0)
+    result = CliRunner().invoke(main, ["basis", "--config", str(path)])
+    assert result.exit_code == 2, result.output
+    assert "config error: [numerics] grid_step 5000.0 fm leaves 1 grid point" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_exit_code_3_on_numerical_failure(tmp_path):
@@ -411,6 +462,34 @@ FIG3_DIGESTS = {
 }
 
 
+BASIS_DIGESTS = {
+    "fig1": {
+        "basis_analytic.csv": "e27af5b5c21b20157020a6285d7550cb1b1c7a4006e8c56ecf29f3c0e0003f58",
+        "basis_manifest.json": "63c59ec8e022bcb311971e17a0899345e1343f4831c1aaa677e77f63be462619",
+    },
+    "fig2": {
+        "basis_analytic.csv": "ca33a50c1769a39035865939929aa05ce6bd458503dc0f2f0a0b6d9edc67e561",
+        "basis_manifest.json": "7d8a04c5bec56e6e22a30bb7fe452f076a9e2c30d812eef1402836d3799f7162",
+    },
+    "fig3": {
+        "basis_euler.csv": "2d329a909ace270a1d6cb8d21303f7f8c9f969edfd11ae5fc4f9994bb915659e",
+        "basis_manifest.json": "5a02d178dfc6df16c5833cb2d4eb6a025d85dd64117ce371c2b7b81d5389d175",
+        "basis_rk4.csv": "4d2e9da6c19131b7d68a90c4ee89149f1923a25e6a03d27ebcca23462e3786c1",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(BASIS_DIGESTS))
+def test_basis_outputs_are_pinned(tmp_path, monkeypatch, name):
+    """basis --compare-methods: the closed-form and RK4/Euler bases keep every byte."""
+    monkeypatch.chdir(tmp_path)              # the config's relative out dir
+    cfg = parse_config(CONFIGS / f"{name}.cfg")
+    pipeline.run_basis(cfg, compare_methods=True)
+    written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in (tmp_path / cfg.out_dir).iterdir()}
+    assert written == BASIS_DIGESTS[name]
+
+
 def test_quadrature_outputs_are_pinned(tmp_path, monkeypatch):
     """fig3 analyze and figure 3: the quadrature trace, node detection and
     validators keep every byte."""
@@ -496,14 +575,12 @@ def test_cli_analyze_summary(tmp_path):
 
 
 def test_cli_analyze_epsilon_scaling(tmp_path):
-    cfgp = tmp_path / "c.cfg"
-    small_const_config(tmp_path / "out1").to_file(cfgp)
     runner = CliRunner()
     dx = {}
     for eps, out in ((1.0, "out1"), (0.5, "out2")):
-        res = runner.invoke(main, ["analyze", "--config", str(cfgp),
-                                   "--epsilon-hbar", str(eps),
-                                   "--out", str(tmp_path / out)])
+        cfgp = tmp_path / f"{out}.cfg"
+        small_const_config(tmp_path / out, hbar_scale=eps).to_file(cfgp)
+        res = runner.invoke(main, ["analyze", "--config", str(cfgp)])
         assert res.exit_code == 0, res.output
         nodes = json.loads((tmp_path / out / "nodes_closed_form.json").read_text())
         dx[eps] = nodes["dx"][0]

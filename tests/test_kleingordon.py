@@ -54,7 +54,6 @@ def test_numeric_step_guard(electron2, const_pot):
     coarse = np.arange(0.0, 100.0, 0.2 / k)  # |k h| = 0.2 > 0.1
     with pytest.raises(StepTooLarge):
         rq.solve_numeric(electron2, const_pot, coarse)
-    rq.solve_numeric(electron2, const_pot, coarse, guard_step=False)
 
 
 def test_numeric_requires_uniform_grid(electron2, const_pot):

@@ -82,6 +82,49 @@ def test_classify_regime(electron2):
     assert rq.classify_regime(s2, pot0, 0.0) is rq.Regime.TURNING_POINT
 
 
+def test_regime_tags_rule():
+    """disc within REGIME_REL_TOL * m2 of zero, or NaN, is a turning point."""
+    s = rq.PhysicalSetup(E=2.0, m0c2=0.5)
+    tol = rq.model.REGIME_REL_TOL * s.rest_sq
+    disc = np.array([1.0, 2 * tol, 0.5 * tol, 0.0, -0.5 * tol, -2 * tol, -0.1, np.nan])
+    ev = np.sqrt(s.rest_sq + disc)
+    tags = rq.model.regime_tags(s, ev)
+    assert tags.dtype == np.dtype("<U11")
+    assert tags.tolist() == ["oscillatory", "oscillatory", "turning", "turning",
+                             "turning", "evanescent", "evanescent", "turning"]
+    # antiparticle branch: the sign of E - V plays no part
+    assert rq.model.regime_tags(s, -ev).tolist() == tags.tolist()
+    for e, tag in zip(ev, tags):
+        pot = rq.ConstantPotential(s.E - e)
+        assert rq.classify_regime(s, pot, 0.0) is rq.Regime(tag)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_turning_band_raises_on_both_sides(sign):
+    """E - U0 = m0c2 (1 +- 1e-14): disc = +-2e-14 m2, inside the band."""
+    s = rq.PhysicalSetup(E=0.511 * (1 + sign * 1e-14), m0c2=0.511)
+    hp = rq.HiddenParams(0.25, 8.0)
+    calls = [
+        lambda: rq.solve_constant(s, 0.0, np.linspace(0.0, 1.0, 5)),
+        lambda: rq.trace_constant_oscillatory(s, 0.0, hp, 0.0, (0.0, 1e-21)),
+        lambda: rq.trace_constant_evanescent(s, 0.0, hp, 0.0, (0.0, 1e-21)),
+        lambda: rq.node_period(s, 0.0),
+        lambda: rq.de_broglie(s, 0.0),
+    ]
+    for call in calls:
+        with pytest.raises(TurningPointSingular):
+            call()
+
+
+def test_energy_equals_constant_potential_is_typed():
+    s = rq.PhysicalSetup(E=0.3, m0c2=0.511)
+    hp = rq.HiddenParams(0.25, 8.0)
+    with pytest.raises(EnergyEqualsPotential):
+        rq.evanescent_divergence_times(s, 0.3, hp)
+    with pytest.raises(EnergyEqualsPotential):
+        rq.de_broglie(s, 0.3)
+
+
 def test_antiparticle_branch_is_oscillatory():
     # E - U0 = -2 has (E-V)^2 above the rest-energy square
     s = rq.PhysicalSetup(E=-2.0, m0c2=0.511)
