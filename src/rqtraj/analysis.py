@@ -15,7 +15,7 @@ import numpy as np
 from .action import ReducedAction
 from .errors import InsufficientTrajectories, RegimeError, TooFewSamples
 from .kleingordon import UNIFORM_REL_TOL, SolutionBasis, uniform_step, wavenumber_sq
-from .model import ConstantPotential, PhysicalSetup, Potential, Regime, constant_regime, kinetic_term
+from .model import PhysicalSetup, Potential, Regime, constant_regime, kinetic_term
 from .trajectory import Trajectory, _zeros_of, node_period, node_spacing
 
 
@@ -62,42 +62,16 @@ class NodeReport:
 
 @dataclass
 class ValidationReport:
-    """Per-sample normalized residuals with summary statistics."""
+    """Per-sample normalized residuals and their maximum."""
 
     kind: str
     residuals: np.ndarray
     max_residual: float
-    mean_residual: float
-    tolerance: float = None
-    passed: bool = None
-    notes: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "units": "dimensionless (normalized by largest term)",
-            "max_residual": float(self.max_residual),
-            "mean_residual": float(self.mean_residual),
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "n_samples": int(np.size(self.residuals)),
-            "notes": self.notes,
-        }
 
 
-def _summary(kind, residuals, tol=None, notes=None) -> ValidationReport:
+def _summary(kind, residuals) -> ValidationReport:
     residuals = np.asarray(residuals, dtype=float)
-    mx = float(np.max(residuals)) if residuals.size else 0.0
-    mn = float(np.mean(residuals)) if residuals.size else 0.0
-    return ValidationReport(
-        kind=kind,
-        residuals=residuals,
-        max_residual=mx,
-        mean_residual=mn,
-        tolerance=tol,
-        passed=None if tol is None else bool(mx <= tol),
-        notes=notes or {},
-    )
+    return ValidationReport(kind, residuals, float(np.max(residuals)) if residuals.size else 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -440,7 +414,7 @@ def firqnl_residual(traj: Trajectory, stride: int = 1) -> ValidationReport:
     sample (derivatives from the fixed 7-point centred stencil, see
     ``_stencil_blocks``) and the sum is divided by the largest term
     magnitude.  For constant potentials the potential-derivative terms are
-    identically zero and are flagged as exact in the notes.
+    identically zero.
 
     Derivatives are taken along the variable the trace samples uniformly
     (``kleingordon.uniform_step``): x(t) windows when t is uniform (closed
@@ -471,11 +445,7 @@ def firqnl_residual(traj: Trajectory, stride: int = 1) -> ValidationReport:
             xddd = (3.0 * d2**2 - d3 * d1) / d1**5
         x_in = traj.x[3 * stride + lo : 3 * stride + hi]
         res[lo:hi] = _firqnl_terms(setup, pot, x_in, xd, xdd, xddd)
-
-    notes = {}
-    if isinstance(pot, ConstantPotential):
-        notes["exact_zero_terms"] = ["xdd*dV", "xd^2*d2V", "(xd*dV)^2"]
-    return _summary("first-integral", res, notes=notes)
+    return _summary("first-integral", res)
 
 
 def _firqnl_terms(setup: PhysicalSetup, pot: Potential, x_in, xd, xdd, xddd):

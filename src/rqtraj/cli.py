@@ -5,6 +5,7 @@ or tolerance details go to stderr).  Exit 2 also covers an unknown section
 or key, an empty ``sets``, a fractional ``samples``, a nan or inf value
 such as ``hbar_scale = nan`` and a grid of fewer than two points.  Every
 run parameter is a config key; ``--out`` only moves the output directory.
+``figure`` exits 3 when no set traces, and then writes no file.
 """
 
 from __future__ import annotations

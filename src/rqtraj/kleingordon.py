@@ -245,23 +245,13 @@ def solve_numeric(
     the tests check max|difference| / max|loop| <= 1e-13 against that loop.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 1:
-        raise ValueError("grid must be a non-empty 1-D array")
+    if grid.ndim != 1 or grid.size < 2:
+        raise ValueError("grid must be a 1-D array of at least 2 points")
     w0 = init1[1] * init2[0] - init1[0] * init2[1]
     if w0 == 0.0:
         raise DependentInitials("initial conditions are linearly dependent")
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown method {method!r}")
-
-    if grid.size == 1:
-        return SolutionBasis(
-            grid=grid,
-            phi1=np.array([init1[0]], dtype=float),
-            dphi1=np.array([init1[1]], dtype=float),
-            phi2=np.array([init2[0]], dtype=float),
-            dphi2=np.array([init2[1]], dtype=float),
-            provenance={"method": method, "step": 0.0},
-        )
 
     if uniform_step(grid) is None:
         raise ValueError("numeric solve requires a uniform grid")

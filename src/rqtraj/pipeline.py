@@ -3,6 +3,13 @@
 Every pipeline returns a manifest dict (also written to JSON) listing the
 emitted files; every emitted file embeds the resolved config hash.  Runs
 are fully deterministic: identical configs produce byte-identical output.
+
+Each command traces the (a, b) family through ``_family``.  A set whose
+action or trace fails with an ``RqtError``: ``trace`` records the error in
+the set's manifest entry and goes on with the next set; ``figure`` does
+the same, plots the sets that traced and finds nodes among them, and
+raises before writing any file when no set traced; ``analyze`` raises at
+the first failed set.
 """
 
 from __future__ import annotations
@@ -89,16 +96,6 @@ def _oscillatory_constant(cfg: RunConfig, setup: PhysicalSetup) -> bool:
             and constant_regime(setup, cfg.u0)[0] is Regime.OSCILLATORY)
 
 
-def _cluster_radius(cfg: RunConfig, setup: PhysicalSetup, trajs) -> float:
-    """Merge radius for node detection across the trajectory family."""
-    if _oscillatory_constant(cfg, setup):
-        return 0.02 * node_period(setup, cfg.u0)
-    # linear-case node clusters drift; merge within a few percent of the
-    # common window
-    span = min(t.t[-1] for t in trajs) - max(t.t[0] for t in trajs)
-    return 0.04 * span
-
-
 def _header(cfg: RunConfig, extra=()):
     return [f"config_hash: {cfg.hash}", *extra]
 
@@ -123,41 +120,74 @@ def run_basis(cfg: RunConfig, compare_methods: bool = False) -> dict:
     return manifest
 
 
-def _trace_one(cfg: RunConfig, setup, pot, basis, hp: HiddenParams):
-    """One set's trajectory and the ReducedAction of ``basis`` and (a, b).
-
-    A quadrature trace is built from that action; closed forms ignore it.
-    Without a basis the action is None.
-    """
-    ra = None if basis is None else ReducedAction(basis, hp, setup)
-    if cfg.potential_kind != "constant":
-        tr = trace_quadrature(ra, pot, cfg.x0, (cfg.grid_min, cfg.grid_max), sync=cfg.sync)
-    elif _oscillatory_constant(cfg, setup):
-        tr = trace_constant_oscillatory(
-            setup, cfg.u0, hp, cfg.x0, (cfg.t_min, cfg.t_max), cfg.samples
-        )
-    else:
-        tr = trace_constant_evanescent(
-            setup, cfg.u0, hp, cfg.x0, (cfg.t_min, cfg.t_max), cfg.samples,
-            window_fm=cfg.window,
-        )
-    return tr, ra
-
-
-def run_trace(cfg: RunConfig) -> dict:
+def _stage(cfg: RunConfig):
+    """Setup, potential and the basis a quadrature trace needs (None for a
+    constant potential, whose traces are closed forms)."""
     setup = build_setup(cfg)
     pot = build_potential(cfg)
-    out = Path(cfg.out_dir)
     basis = None if cfg.potential_kind == "constant" else build_basis(cfg, setup, pot)
+    return setup, pot, basis
 
+
+def _family(cfg: RunConfig, setup, pot, basis):
+    """Per set: (HiddenParams, its trajectory or the RqtError that ended it,
+    its ReducedAction on ``basis``, or None without a basis).
+
+    A quadrature trace is built from the action; closed forms ignore it.
+    A set's action is dropped here before the next one is built, so one is
+    alive at a time as long as the caller drops the one it got.
+    """
+    for a, b in cfg.param_sets:
+        hp = HiddenParams(a, b)
+        ra = None
+        try:
+            if basis is not None:
+                ra = ReducedAction(basis, hp, setup)
+            if cfg.potential_kind != "constant":
+                tr = trace_quadrature(ra, pot, cfg.x0, (cfg.grid_min, cfg.grid_max),
+                                      sync=cfg.sync)
+            elif _oscillatory_constant(cfg, setup):
+                tr = trace_constant_oscillatory(
+                    setup, cfg.u0, hp, cfg.x0, (cfg.t_min, cfg.t_max), cfg.samples
+                )
+            else:
+                tr = trace_constant_evanescent(
+                    setup, cfg.u0, hp, cfg.x0, (cfg.t_min, cfg.t_max), cfg.samples,
+                    window_fm=cfg.window,
+                )
+        except RqtError as exc:
+            tr = exc.with_traceback(None)       # its frames would keep the action alive
+        yield hp, tr, ra
+
+
+def _detected_nodes(cfg: RunConfig, setup: PhysicalSetup, trajs, basis):
+    """Nodes where the traced curves meet; None below two curves."""
+    if len(trajs) < 2:
+        return None
+    if _oscillatory_constant(cfg, setup):
+        radius = 0.02 * node_period(setup, cfg.u0)
+    else:
+        # linear-case node clusters drift; merge within a few percent of the
+        # common window
+        radius = 0.04 * (min(t.t[-1] for t in trajs) - max(t.t[0] for t in trajs))
+    return detect_nodes(trajs, cluster_radius=radius, basis=basis)
+
+
+def _trace_sets(cfg: RunConfig):
+    """Write each set's trajectory CSV: the trace manifest so far, setup and potential."""
+    setup, pot, basis = _stage(cfg)
+    out = Path(cfg.out_dir)
     manifest = {"command": "trace", "config_hash": cfg.hash,
                 "config": config_dict(cfg), "sets": [], "files": []}
-    for i, (a, b) in enumerate(cfg.param_sets):
-        entry = {"a": a, "b": b}
+    # no enumerate: its cached result tuple would keep the last action alive
+    for hp, tr, ra in _family(cfg, setup, pot, basis):
+        del ra                                  # one action alive at a time
+        entry = {"a": hp.a, "b": hp.b}
         try:
-            tr = _trace_one(cfg, setup, pot, basis, HiddenParams(a, b))[0]
+            if isinstance(tr, RqtError):
+                raise tr
             rows = tr.window_rows(cfg.t_min, cfg.t_max, cfg.samples)
-            path = out / f"trajectory_{i}.csv"
+            path = out / f"trajectory_{len(manifest['sets'])}.csv"
             footer = []
             ev = tr.meta.get("events", {})
             if ev.get("halt"):
@@ -168,19 +198,23 @@ def run_trace(cfg: RunConfig) -> dict:
                 footer.append(
                     f"prose_divergence_time_s: {ev['prose_divergence_time_s']:.16e}"
                 )
-            tr.to_csv(path, header=_header(cfg, [f"a: {a!r}", f"b: {b!r}"]),
+            tr.to_csv(path, header=_header(cfg, [f"a: {hp.a!r}", f"b: {hp.b!r}"]),
                       footer=footer, rows=rows)
             entry["file"] = str(path)
             entry["status"] = "ok"
-            entry.update({k: v for k, v in ev.items()})
+            entry.update(ev)
         except RqtError as exc:
             entry["status"] = "error"
             entry["error"] = f"{type(exc).__name__}: {exc}"
         manifest["sets"].append(entry)
         if entry.get("file"):
             manifest["files"].append(entry["file"])
+    return manifest, setup, pot
 
-    # classical reference curve when the region is classically allowed
+
+def _close_trace(cfg: RunConfig, manifest: dict, setup, pot) -> dict:
+    """Add the classical curve where it exists and write trace_manifest.json."""
+    out = Path(cfg.out_dir)
     try:
         if cfg.potential_kind == "constant":
             cl = classical_trace(setup, pot, cfg.x0, t_range=(cfg.t_min, cfg.t_max),
@@ -195,43 +229,57 @@ def run_trace(cfg: RunConfig) -> dict:
         manifest["files"].append(str(path))
     except RqtError as exc:
         manifest["classical_error"] = f"{type(exc).__name__}: {exc}"
-
     write_json(out / "trace_manifest.json", manifest)
     return manifest
 
 
-def _trace_objects(cfg: RunConfig):
-    setup = build_setup(cfg)
-    pot = build_potential(cfg)
-    basis = None if cfg.potential_kind == "constant" else build_basis(cfg, setup, pot)
-    trajs = [_trace_one(cfg, setup, pot, basis, HiddenParams(a, b))[0]
-             for a, b in cfg.param_sets]
-    return setup, pot, basis, trajs
+def run_trace(cfg: RunConfig) -> dict:
+    return _close_trace(cfg, *_trace_sets(cfg))
+
+
+# Each set's residual checks, in summary order: key stem in validation.json
+# ("<stem>_max", or "<stem>_error" when the check raises), summary label,
+# and the check of a trace (with its stride) or of an action (with V).
+_CHECKS = (
+    ("closure", "closure", "trace", lambda tr, stride: closure_residual(tr)),
+    ("first_integral", "first-integral", "trace",
+     lambda tr, stride: firqnl_residual(tr, stride=stride)),
+    ("quantum_hj", "quantum-HJ", "action", lambda ra, pot: rqshje_residual(ra, pot=pot)),
+)
+
+
+def _validate(entry: dict, subject: str, *args):
+    """Add the maxima of the checks of ``subject`` ("trace" or "action") to a set's entry."""
+    for stem, _, of, check in _CHECKS:
+        if of == subject:
+            try:
+                entry[f"{stem}_max"] = check(*args).max_residual
+            except RqtError as exc:
+                entry[f"{stem}_error"] = str(exc)
 
 
 def run_analyze(cfg: RunConfig) -> dict:
-    setup = build_setup(cfg)
-    pot = build_potential(cfg)
-    basis = None if cfg.potential_kind == "constant" else build_basis(cfg, setup, pot)
+    setup, pot, basis = _stage(cfg)
     out = Path(cfg.out_dir)
     oscillatory_const = _oscillatory_constant(cfg, setup)
 
-    # the quantum-HJ check needs a basis; closed-form traces carry none
+    # the quantum-HJ check needs an action, so closed forms get a basis too
     hj_basis = build_basis(cfg, setup, pot) if oscillatory_const else basis
-    trajs, hj_max = [], []
-    for a, b in cfg.param_sets:
-        tr, ra = _trace_one(cfg, setup, pot, hj_basis, HiddenParams(a, b))
+    trajs, per_set = [], []
+    for hp, tr, ra in _family(cfg, setup, pot, hj_basis):
+        if isinstance(tr, RqtError):
+            raise tr
         trajs.append(tr)
-        hj_max.append(None if ra is None else rqshje_residual(ra, pot=pot).max_residual)
-        del ra                                      # analyze holds one action at a time
+        per_set.append({"a": hp.a, "b": hp.b})
+        if ra is not None:
+            _validate(per_set[-1], "action", ra, pot)
+        del ra                                  # analyze holds one action at a time
 
     manifest = {"command": "analyze", "config_hash": cfg.hash, "files": []}
     summary = []
 
-    nodes = None
-    if len(trajs) >= 2:
-        nodes = detect_nodes(trajs, cluster_radius=_cluster_radius(cfg, setup, trajs),
-                             basis=basis)
+    nodes = _detected_nodes(cfg, setup, trajs, basis)
+    if nodes is not None:
         nodes_path = out / "nodes_detected.json"
         payload = nodes.to_dict()
         payload["config_hash"] = cfg.hash
@@ -255,27 +303,16 @@ def run_analyze(cfg: RunConfig) -> dict:
         summary.append(("de Broglie wavelength [fm]", f"{lam:.6g}"))
         summary.append(("dx == lambda/2", "pass" if abs(2 * node_spacing(setup, cfg.u0) / lam - 1) < 1e-12 else "FAIL"))
 
-    validation = {"config_hash": cfg.hash, "per_set": []}
-    for (a, b), tr, hj in zip(cfg.param_sets, trajs, hj_max):
-        entry = {"a": a, "b": b}
-        entry["closure_max"] = closure_residual(tr).max_residual
-        try:
-            entry["first_integral_max"] = firqnl_residual(tr, stride=4 if basis is not None else 1).max_residual
-        except RqtError as exc:
-            entry["first_integral_error"] = str(exc)
-        if hj is not None:
-            entry["quantum_hj_max"] = hj
-        validation["per_set"].append(entry)
-        summary.append((f"closure max (a={a:g}, b={b:g})", f"{entry['closure_max']:.3e}"))
-        if "first_integral_max" in entry:
-            summary.append((f"first-integral max (a={a:g}, b={b:g})",
-                            f"{entry['first_integral_max']:.3e}"))
-        if "quantum_hj_max" in entry:
-            summary.append((f"quantum-HJ max (a={a:g}, b={b:g})",
-                            f"{entry['quantum_hj_max']:.3e}"))
+    # the trace checks run once no action is alive
+    for entry, tr in zip(per_set, trajs):
+        _validate(entry, "trace", tr, 1 if basis is None else 4)
+        for stem, label, *_ in _CHECKS:
+            if f"{stem}_max" in entry:
+                summary.append((f"{label} max (a={entry['a']:g}, b={entry['b']:g})",
+                                f"{entry[f'{stem}_max']:.3e}"))
 
     val_path = out / "validation.json"
-    write_json(val_path, validation)
+    write_json(val_path, {"config_hash": cfg.hash, "per_set": per_set})
     manifest["files"].append(str(val_path))
     manifest["summary"] = summary
     write_json(out / "analyze_manifest.json", manifest)
@@ -301,13 +338,12 @@ def _gp_curve(fname, title, style="lines"):
 
 def run_figure(cfg: RunConfig, figure: int) -> dict:
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = run_trace(cfg)
+    manifest, setup, pot = _trace_sets(cfg)
     if not any(entry.get("file") for entry in manifest["sets"]):
         errors = "; ".join(f"a={e['a']:g}, b={e['b']:g}: {e['error']}" for e in manifest["sets"])
         raise RqtError(f"figure {figure} has no trajectory to plot ({errors})")
+    _close_trace(cfg, manifest, setup, pot)
     manifest["command"] = f"figure{figure}"
-    setup = build_setup(cfg)
 
     plots = []
     for entry in manifest["sets"]:
@@ -334,11 +370,14 @@ def run_figure(cfg: RunConfig, figure: int) -> dict:
             count = int((cfg.t_max - cfg.t_min) / node_period(setup, cfg.u0)) + 1
             setup_nodes = nodes_closed_form(setup, cfg.u0, count=count, x0=cfg.x0)
         elif cfg.potential_kind != "constant":
-            _, _, basis, trajs = _trace_objects(cfg)
-            if len(trajs) >= 2:
-                setup_nodes = detect_nodes(
-                    trajs, cluster_radius=_cluster_radius(cfg, setup, trajs), basis=basis
-                )
+            # the node pass builds the basis and traces the family again
+            setup, pot, basis = _stage(cfg)
+            trajs = []
+            for _, tr, ra in _family(cfg, setup, pot, basis):
+                del ra                          # one action alive at a time
+                if not isinstance(tr, RqtError):
+                    trajs.append(tr)
+            setup_nodes = _detected_nodes(cfg, setup, trajs, basis)
         if setup_nodes is not None and len(setup_nodes.times):
             nodes_path = out / "nodes.csv"
             write_csv(nodes_path, _header(cfg, ["curve: nodes"]),

@@ -199,7 +199,6 @@ def test_first_integral_closed_form(electron2):
                                            0.0, (0.0, 3 * dt), n)
         rep = rq.firqnl_residual(tr)
         assert rep.max_residual <= 1e-6, (a, b, rep.max_residual)
-        assert rep.notes["exact_zero_terms"]
 
 
 def test_first_integral_classical_line(electron2):
@@ -315,17 +314,17 @@ def test_analyze_records_non_uniform_trace(tmp_path, monkeypatch):
     """A non-uniform trace becomes first_integral_error, not a number."""
     cfg = dataclasses.replace(parse_config(CONFIGS / "fig1.cfg"), samples=2001,
                               out_dir=str(tmp_path))
-    trace_one = pipeline._trace_one
+    trace = pipeline.trace_constant_oscillatory
 
-    def skewed(cfg, setup, pot, basis, hp):
-        tr, ra = trace_one(cfg, setup, pot, basis, hp)
+    def skewed(setup, u0, hp, *args):
+        tr = trace(setup, u0, hp, *args)
         if hp.b == -1.05:
             t = tr.t.copy()
             t[1000] += 1e-6 * (t[1] - t[0])
             tr = dataclasses.replace(tr, t=t)
-        return tr, ra
+        return tr
 
-    monkeypatch.setattr(pipeline, "_trace_one", skewed)
+    monkeypatch.setattr(pipeline, "trace_constant_oscillatory", skewed)
     manifest = pipeline.run_analyze(cfg)
     per_set = json.loads((tmp_path / "validation.json").read_text())["per_set"]
     assert [("first_integral_max" in e, "first_integral_error" in e) for e in per_set] == [
@@ -334,6 +333,19 @@ def test_analyze_records_non_uniform_trace(tmp_path, monkeypatch):
     labels = [label for label, _ in manifest["summary"]]
     assert "first-integral max (a=1.33333, b=-1.05)" not in labels
     assert "first-integral max (a=0.2, b=0)" in labels
+
+
+def test_analyze_records_a_check_that_cannot_run(tmp_path):
+    """Two samples per trace: closure and first integral record their errors."""
+    cfg = dataclasses.replace(parse_config(CONFIGS / "fig1.cfg"), samples=2,
+                              out_dir=str(tmp_path)).validate()
+    manifest = pipeline.run_analyze(cfg)
+    per_set = json.loads((tmp_path / "validation.json").read_text())["per_set"]
+    for entry in per_set:
+        assert entry["closure_error"] == "closure needs at least 3 samples"
+        assert "closure_max" not in entry and "first_integral_error" in entry
+        assert "quantum_hj_max" in entry
+    assert not any(label.startswith("closure") for label, _ in manifest["summary"])
 
 
 def lagrange_oracle(t, x, stride):
@@ -603,19 +615,6 @@ def test_blocked_quantum_hj_is_bit_equal(electron2, n, kind):
     got = rq.rqshje_residual(ra, pot=pot).residuals
     assert got.size == n
     assert np.array_equal(got.view(np.int64), rqshje_whole_array(ra, pot).view(np.int64))
-
-
-def test_validation_report_json(tmp_path, electron2):
-    dt = rq.node_period(electron2, 0.0)
-    tr = rq.trace_constant_oscillatory(electron2, 0.0, rq.HiddenParams(0.2, 0.0),
-                                       0.0, (0.0, 2 * dt), 2001)
-    rep = rq.closure_residual(tr)
-    path = tmp_path / "val.json"
-    write_json(path, rep.to_dict())
-    data = json.loads(path.read_text())
-    assert data["kind"] == "closure"
-    assert "units" in data
-    assert data["n_samples"] == rep.residuals.size
 
 
 def test_node_report_json(tmp_path, electron2):

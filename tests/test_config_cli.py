@@ -266,7 +266,7 @@ def test_cli_figure_without_a_curve_exits_3(tmp_path, name, figure, changes, err
     assert f"numerical failure: RqtError: figure {figure} has no trajectory to plot (" \
         in result.output
     assert f"a=0.25, b=8: {error}: " in result.output
-    assert not (tmp_path / "out" / f"figure{figure}.gp").exists()
+    assert not list((tmp_path / "out").glob("*"))
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -285,9 +285,10 @@ def test_cli_turning_band_is_one_behaviour(tmp_path, sign):
     result = runner.invoke(main, ["analyze", "--config", str(path)])
     assert result.exit_code == 3, result.output
     assert "numerical failure: TurningPointSingular" in result.output
-    result = runner.invoke(main, ["figure", "--config", str(path), "--figure", "1"])
+    result = runner.invoke(main, ["figure", "--config", str(path), "--figure", "1",
+                                  "--out", str(tmp_path / "figure")])
     assert result.exit_code == 3, result.output
-    assert not (tmp_path / "out" / "figure1.gp").exists()
+    assert not list((tmp_path / "figure").glob("*"))
 
 
 def test_cli_grid_of_one_point_is_a_config_error(tmp_path):
@@ -382,7 +383,7 @@ def test_fig3_trace_writes_a_row_view_inside_the_window(tmp_path):
     cfg = parse_config(CONFIGS / "fig3.cfg")
     cfg.out_dir = str(tmp_path / "out")
     manifest = pipeline.run_trace(cfg)
-    *_, trajs = pipeline._trace_objects(cfg)
+    trajs = [tr for _, tr, _ in pipeline._family(cfg, *pipeline._stage(cfg))]
     for entry, tr in zip(manifest["sets"], trajs):
         assert entry["status"] == "ok"
         _, cols = read_csv(entry["file"])

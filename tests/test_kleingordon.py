@@ -39,9 +39,8 @@ def test_constant_basis_turning_point():
 
 
 def test_numeric_single_point(electron2, const_pot):
-    basis = rq.solve_numeric(electron2, const_pot, np.array([3.0]), init1=(0.2, 1.1), init2=(1.0, -0.4))
-    assert basis.phi1[0] == 0.2 and basis.dphi1[0] == 1.1
-    assert basis.phi2[0] == 1.0 and basis.dphi2[0] == -0.4
+    with pytest.raises(ValueError, match="at least 2 points"):
+        rq.solve_numeric(electron2, const_pot, np.array([3.0]), init1=(0.2, 1.1), init2=(1.0, -0.4))
 
 
 def test_numeric_dependent_initials(electron2, const_pot):

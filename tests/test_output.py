@@ -1,5 +1,8 @@
 """CSV writer: byte parity with the per-cell reference, and CLI round trips."""
 
+import dataclasses
+import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -311,7 +314,8 @@ def test_cli_csv_round_trip_bit_exact(tmp_path, make_config):
         result = runner.invoke(main, [command, "--config", str(cfgp)])
         assert result.exit_code == 0, result.output
 
-    setup, pot, _, trajs = pipeline._trace_objects(cfg)
+    setup, pot, basis = pipeline._stage(cfg)
+    trajs = [tr for _, tr, _ in pipeline._family(cfg, setup, pot, basis)]
     method = "analytic" if cfg.potential_kind == "constant" else cfg.method
     basis = pipeline.build_basis(cfg, setup, pot)
     assert_round_trip(tmp_path / "out" / f"basis_{method}.csv", [
@@ -336,3 +340,55 @@ def test_cli_csv_round_trip_bit_exact(tmp_path, make_config):
             assert float(meta["divergence_time_s"]) == events["divergence_time_s"]
             assert meta["divergence_kind"] == "tan_singularity"
             assert tr.t[-1] < events["divergence_time_s"]
+
+
+def test_cli_figure_plots_the_sets_that_trace(tmp_path):
+    """A set whose action cannot be built is recorded and the figure goes on
+    with the others: curves, node markers and the manifest."""
+    cfg = _linear_config(tmp_path / "out")
+    cfg = dataclasses.replace(cfg, param_sets=[*cfg.param_sets, (1e5, 0.0)]).validate()
+    cfgp = tmp_path / "run.cfg"
+    cfg.to_file(cfgp)
+    result = CliRunner().invoke(main, ["figure", "--config", str(cfgp), "--figure", "3"])
+    assert result.exit_code == 0, result.output
+    out = tmp_path / "out"
+    manifest = json.loads((out / "figure3_manifest.json").read_text())
+    assert [e["status"] for e in manifest["sets"]] == ["ok", "ok", "error"]
+    assert manifest["sets"][2]["error"].startswith("BranchResolutionError: ")
+    script = (out / "figure3.gp").read_text()
+    assert "'trajectory_0.csv'" in script and "'trajectory_1.csv'" in script
+    assert "trajectory_2.csv" not in script
+    assert not (out / "trajectory_2.csv").exists()
+    assert "'nodes.csv'" in script and (out / "nodes.csv").exists()
+
+
+@pytest.mark.parametrize("run, changes, basis_builds", [
+    (pipeline.run_trace, {}, 1),
+    # E = V at 2000 fm: each set's trace fails after its action is built
+    (pipeline.run_trace, {"grid_min": 1600.0, "grid_max": 2400.0, "x0": 1700.0,
+                          "sync": "exact"}, 1),
+    (pipeline.run_analyze, {}, 1),
+    (lambda cfg: pipeline.run_figure(cfg, 3), {}, None),
+])
+def test_set_loops_hold_one_action_at_a_time(tmp_path, monkeypatch, run, changes,
+                                             basis_builds):
+    """A set's ReducedAction is dropped before the next one is built."""
+    actions, builds = [], []
+    new_action, build_basis = pipeline.ReducedAction, pipeline.build_basis
+
+    def one_at_a_time(*args, **kwargs):
+        assert all(ref() is None for ref in actions), "an earlier action is alive"
+        ra = new_action(*args, **kwargs)
+        actions.append(weakref.ref(ra))
+        return ra
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return build_basis(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "ReducedAction", one_at_a_time)
+    monkeypatch.setattr(pipeline, "build_basis", counted)
+    run(dataclasses.replace(_linear_config(tmp_path / "out"), **changes).validate())
+    assert len(actions) >= 2
+    if basis_builds is not None:
+        assert len(builds) == basis_builds
