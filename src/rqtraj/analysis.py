@@ -15,7 +15,9 @@ import numpy as np
 from .action import ReducedAction
 from .errors import InsufficientTrajectories, RegimeError, TooFewSamples
 from .kleingordon import UNIFORM_REL_TOL, SolutionBasis, uniform_step, wavenumber_sq
-from .model import PhysicalSetup, Potential, Regime, constant_regime, kinetic_term
+from .model import (
+    ConstantPotential, PhysicalSetup, Potential, Regime, constant_regime, kinetic_term,
+)
 from .trajectory import Trajectory, _zeros_of, node_period, node_spacing
 
 
@@ -161,19 +163,16 @@ def _pairwise_crossings(t, xa, xb):
     return np.asarray(merged_t), np.asarray(merged_x)
 
 
-def detect_nodes(
-    trajectories,
-    cluster_radius: float = None,
-    basis: SolutionBasis = None,
-) -> NodeReport:
+def detect_nodes(trajectories, basis: SolutionBasis = None) -> NodeReport:
     """Nodes from pairwise crossings of trajectories sharing setup and potential.
 
     Crossings are found by sign change on a common time grid (as many
     points as the longest trajectory has samples) and refined by linear
-    interpolation; crossings from all pairs are merged into clusters
-    (radius defaults to 2 resampling steps).  Clusters hit by every pair
-    count as nodes.  With ``basis`` given, the offset of each node position
-    to the nearest zero of phi2 is reported (not asserted) in the extras.
+    interpolation; crossings from all pairs are merged into clusters of
+    radius 0.02 node periods for an oscillatory constant potential, else
+    0.04 of the common time window (where clusters drift).  Clusters hit by
+    every pair count as nodes.  With ``basis`` given, the offset of each node
+    position to the nearest zero of phi2 is reported (not asserted) in the extras.
     """
     trajs = list(trajectories)
     if len(trajs) < 2:
@@ -192,8 +191,12 @@ def detect_nodes(
     xg = [np.interp(tg, tr.t, tr.x) for tr in trajs]
 
     dt_grid = tg[1] - tg[0]
-    if cluster_radius is None:
-        cluster_radius = 2.0 * dt_grid
+    pot = trajs[0].potential
+    if (isinstance(pot, ConstantPotential)
+            and constant_regime(s0, pot.u0)[0] is Regime.OSCILLATORY):
+        cluster_radius = 0.02 * node_period(s0, pot.u0)
+    else:
+        cluster_radius = 0.04 * (t_hi - t_lo)
 
     crossings = []
     n_pairs = 0

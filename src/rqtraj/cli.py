@@ -3,9 +3,14 @@
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (regime
 or tolerance details go to stderr).  Exit 2 also covers an unknown section
 or key, an empty ``sets``, a fractional ``samples``, a nan or inf value
-such as ``hbar_scale = nan`` and a grid of fewer than two points.  Every
-run parameter is a config key; ``--out`` only moves the output directory.
-``figure`` exits 3 when no set traces, and then writes no file.
+such as ``hbar_scale = nan``, ``window <= 0``, a grid of fewer than two
+points and a tabulated-potential file that is missing, has fewer than two
+columns or has no increasing grid; then no file is written.  Every run
+parameter is a config key; ``--out`` only moves the output directory.
+``figure --figure N`` draws what the sets carry (an asymptote for each
+divergence time, node markers whenever the run yields nodes); N only
+names the title, the PNG, the script and the manifest.  ``figure`` exits
+3 when no set traces, and then writes no file.
 """
 
 from __future__ import annotations
@@ -42,12 +47,7 @@ def main():
 
 def _run(cfg_args, runner, *extra):
     try:
-        cfg = _load_config(*cfg_args)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    try:
-        return runner(cfg, *extra)
+        return runner(_load_config(*cfg_args), *extra)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
@@ -102,7 +102,7 @@ def analyze(config_path, out):
 @main.command()
 @_common
 @click.option("--figure", "figure_n", type=click.IntRange(1, 3), required=True,
-              help="Which figure to reconstruct (1, 2 or 3).")
+              help="Figure number (1, 2 or 3): names the title, PNG, script and manifest.")
 def figure(config_path, out, figure_n):
     """Emit data CSVs plus a gnuplot script for one of the three figures."""
     manifest = _run((config_path, out), pipeline.run_figure, figure_n)

@@ -28,7 +28,7 @@ run on the full trace.
 import configparser
 import math
 import re
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .constants import ELECTRON_MEV
@@ -76,7 +76,7 @@ class RunConfig:
     t_min: float = _key("trajectories", 0.0, "s")
     t_max: float = _key("trajectories", 5.5e-21, "s")
     samples: int = _key("trajectories", 20001, above=1)
-    window: float = _key("trajectories", 2.0e4, "fm")         # evanescent halt window
+    window: float = _key("trajectories", 2.0e4, "fm", above=0)  # evanescent halt window
     direction: int = _key("trajectories", 1, choices=(1, -1),
                           codec=(lambda d: "+" if d > 0 else "-", _parse_direction))
     sync: str = _key("trajectories", "psi_zero", choices=("psi_zero", "phi2_zero", "exact"))
@@ -209,9 +209,3 @@ def parse_config_text(text: str) -> RunConfig:
                 raise ConfigError(f"config line {line}: [{section}] {key}: {exc}") from None
             setattr(cfg, f.name, value)
     return cfg.validate()
-
-
-def config_dict(cfg: RunConfig) -> dict:
-    d = asdict(cfg)
-    d["param_sets"] = [list(s) for s in cfg.param_sets]
-    return d

@@ -23,7 +23,7 @@ loop is kept in the tests as the reference it is checked against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,6 @@ class SolutionBasis:
     dphi1: np.ndarray         # [1/fm]
     phi2: np.ndarray
     dphi2: np.ndarray
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.grid.size >= 2 and not np.all(np.diff(self.grid) > 0):
@@ -141,7 +140,6 @@ def solve_constant(setup: PhysicalSetup, u0: float, grid) -> SolutionBasis:
             dphi1=k * np.cos(k * grid),
             phi2=np.cos(k * grid),
             dphi2=-k * np.sin(k * grid),
-            provenance={"method": "analytic", "regime": "oscillatory", "k": k},
         )
     else:
         kappa = np.sqrt(-disc) / setup.hbar_c
@@ -151,7 +149,6 @@ def solve_constant(setup: PhysicalSetup, u0: float, grid) -> SolutionBasis:
             dphi1=kappa * np.cosh(kappa * grid),
             phi2=np.cosh(kappa * grid),
             dphi2=kappa * np.sinh(kappa * grid),
-            provenance={"method": "analytic", "regime": "evanescent", "kappa": kappa},
         )
     return basis
 
@@ -272,7 +269,6 @@ def solve_numeric(
         dphi1=dphi1,
         phi2=phi2,
         dphi2=dphi2,
-        provenance={"method": method, "step": h},
     )
 
 

@@ -122,8 +122,6 @@ class Potential:
     Values in MeV, derivatives in MeV/fm and MeV/fm^2; x in fm.
     """
 
-    kind = "base"
-
     def v(self, x):
         raise NotImplementedError
 
@@ -137,7 +135,6 @@ class Potential:
 @dataclass(frozen=True)
 class ConstantPotential(Potential):
     u0: float = 0.0
-    kind = "constant"
 
     def v(self, x):
         return np.zeros_like(np.asarray(x, dtype=float)) + self.u0
@@ -154,7 +151,6 @@ class LinearPotential(Potential):
     """V(x) = slope * x, slope in MeV/fm."""
 
     slope: float
-    kind = "linear"
 
     def v(self, x):
         return self.slope * np.asarray(x, dtype=float)
@@ -172,8 +168,6 @@ class TabulatedPotential(Potential):
     Derivatives come from centered differences of the samples (second order
     in the grid step) and are linearly interpolated between nodes.
     """
-
-    kind = "tabulated"
 
     def __init__(self, grid, values):
         grid = np.asarray(grid, dtype=float)

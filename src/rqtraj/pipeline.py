@@ -14,6 +14,7 @@ the first failed set.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from .analysis import (
     nodes_closed_form,
     rqshje_residual,
 )
-from .config import RunConfig, config_dict
+from .config import RunConfig
 from .errors import ConfigError, RqtError
 from .kleingordon import solve_constant, solve_numeric, wronskian_drift
 from .model import (
@@ -61,9 +62,13 @@ def build_potential(cfg: RunConfig):
         return ConstantPotential(cfg.u0)
     if cfg.potential_kind == "linear":
         return LinearPotential(cfg.slope)
-    meta, cols = read_csv(cfg.table_file)
-    names = list(cols)
-    return TabulatedPotential(cols[names[0]], cols[names[1]])
+    try:
+        _, cols = read_csv(cfg.table_file)
+        if len(cols) < 2:
+            raise ValueError(f"needs 2 columns (x, V), has {len(cols)}")
+        return TabulatedPotential(*list(cols.values())[:2])
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"[potential] file {cfg.table_file!r}: {exc}") from None
 
 
 def build_grid(cfg: RunConfig) -> np.ndarray:
@@ -160,17 +165,9 @@ def _family(cfg: RunConfig, setup, pot, basis):
         yield hp, tr, ra
 
 
-def _detected_nodes(cfg: RunConfig, setup: PhysicalSetup, trajs, basis):
+def _detected_nodes(trajs, basis):
     """Nodes where the traced curves meet; None below two curves."""
-    if len(trajs) < 2:
-        return None
-    if _oscillatory_constant(cfg, setup):
-        radius = 0.02 * node_period(setup, cfg.u0)
-    else:
-        # linear-case node clusters drift; merge within a few percent of the
-        # common window
-        radius = 0.04 * (min(t.t[-1] for t in trajs) - max(t.t[0] for t in trajs))
-    return detect_nodes(trajs, cluster_radius=radius, basis=basis)
+    return detect_nodes(trajs, basis=basis) if len(trajs) > 1 else None
 
 
 def _trace_sets(cfg: RunConfig):
@@ -178,7 +175,7 @@ def _trace_sets(cfg: RunConfig):
     setup, pot, basis = _stage(cfg)
     out = Path(cfg.out_dir)
     manifest = {"command": "trace", "config_hash": cfg.hash,
-                "config": config_dict(cfg), "sets": [], "files": []}
+                "config": asdict(cfg), "sets": [], "files": []}
     # no enumerate: its cached result tuple would keep the last action alive
     for hp, tr, ra in _family(cfg, setup, pot, basis):
         del ra                                  # one action alive at a time
@@ -188,21 +185,8 @@ def _trace_sets(cfg: RunConfig):
                 raise tr
             rows = tr.window_rows(cfg.t_min, cfg.t_max, cfg.samples)
             path = out / f"trajectory_{len(manifest['sets'])}.csv"
-            footer = []
-            ev = tr.meta.get("events", {})
-            if ev.get("halt"):
-                footer.append(f"halt: {ev['halt']}")
-            if ev.get("divergence_time_s") is not None:
-                footer.append(f"divergence_time_s: {ev['divergence_time_s']:.16e}")
-                footer.append(f"divergence_kind: {ev['divergence_kind']}")
-                footer.append(
-                    f"prose_divergence_time_s: {ev['prose_divergence_time_s']:.16e}"
-                )
-            tr.to_csv(path, header=_header(cfg, [f"a: {hp.a!r}", f"b: {hp.b!r}"]),
-                      footer=footer, rows=rows)
-            entry["file"] = str(path)
-            entry["status"] = "ok"
-            entry.update(ev)
+            tr.to_csv(path, header=_header(cfg, [f"a: {hp.a!r}", f"b: {hp.b!r}"]), rows=rows)
+            entry.update(file=str(path), status="ok", **tr.meta["events"])
         except RqtError as exc:
             entry["status"] = "error"
             entry["error"] = f"{type(exc).__name__}: {exc}"
@@ -278,7 +262,7 @@ def run_analyze(cfg: RunConfig) -> dict:
     manifest = {"command": "analyze", "config_hash": cfg.hash, "files": []}
     summary = []
 
-    nodes = _detected_nodes(cfg, setup, trajs, basis)
+    nodes = _detected_nodes(trajs, basis)
     if nodes is not None:
         nodes_path = out / "nodes_detected.json"
         payload = nodes.to_dict()
@@ -355,36 +339,34 @@ def run_figure(cfg: RunConfig, figure: int) -> dict:
                                "purely relativistic trajectory"))
 
     extras = []
-    if figure == 2:
-        entry = manifest["sets"][0]
+    for entry in manifest["sets"]:
         t_star = entry.get("divergence_time_s")
         if t_star is not None:
             extras.append(f"set arrow from {t_star / 1e-20},graph 0 to "
                           f"{t_star / 1e-20},graph 1 nohead dashtype 2")
             extras.append(f'set label "finite-time asymptote" at '
                           f"{t_star / 1e-20},graph 0.5 right offset -1,0")
-    else:
-        # node markers
-        setup_nodes = None
-        if _oscillatory_constant(cfg, setup):
-            count = int((cfg.t_max - cfg.t_min) / node_period(setup, cfg.u0)) + 1
-            setup_nodes = nodes_closed_form(setup, cfg.u0, count=count, x0=cfg.x0)
-        elif cfg.potential_kind != "constant":
-            # the node pass builds the basis and traces the family again
-            setup, pot, basis = _stage(cfg)
-            trajs = []
-            for _, tr, ra in _family(cfg, setup, pot, basis):
-                del ra                          # one action alive at a time
-                if not isinstance(tr, RqtError):
-                    trajs.append(tr)
-            setup_nodes = _detected_nodes(cfg, setup, trajs, basis)
-        if setup_nodes is not None and len(setup_nodes.times):
-            nodes_path = out / "nodes.csv"
-            write_csv(nodes_path, _header(cfg, ["curve: nodes"]),
-                      [("t_s", setup_nodes.times), ("x_fm", setup_nodes.positions)])
-            manifest["files"].append(str(nodes_path))
-            manifest["nodes"] = str(nodes_path)
-            plots.append(_gp_curve("nodes.csv", "nodes", style="points pt 7 ps 1.2"))
+
+    nodes = None
+    if _oscillatory_constant(cfg, setup):
+        count = int((cfg.t_max - cfg.t_min) / node_period(setup, cfg.u0)) + 1
+        nodes = nodes_closed_form(setup, cfg.u0, count=count, x0=cfg.x0)
+    elif cfg.potential_kind != "constant":
+        # the node pass builds the basis and traces the family again
+        setup, pot, basis = _stage(cfg)
+        trajs = []
+        for _, tr, ra in _family(cfg, setup, pot, basis):
+            del ra                              # one action alive at a time
+            if not isinstance(tr, RqtError):
+                trajs.append(tr)
+        nodes = _detected_nodes(trajs, basis)
+    if nodes is not None and len(nodes.times):
+        nodes_path = out / "nodes.csv"
+        write_csv(nodes_path, _header(cfg, ["curve: nodes"]),
+                  [("t_s", nodes.times), ("x_fm", nodes.positions)])
+        manifest["files"].append(str(nodes_path))
+        manifest["nodes"] = str(nodes_path)
+        plots.append(_gp_curve("nodes.csv", "nodes", style="points pt 7 ps 1.2"))
 
     script = GNUPLOT_TEMPLATE.format(
         title=f"figure {figure}",

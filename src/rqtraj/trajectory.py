@@ -110,8 +110,11 @@ class Trajectory:
             return slice(lo, hi, k)
         return np.append(np.arange(lo, hi - 1, k), hi - 1)
 
-    def to_csv(self, path, header=(), footer=(), rows=slice(None)):
-        """Write the ``rows`` (a slice or an index array) of the trace as CSV."""
+    def to_csv(self, path, header=(), rows=slice(None)):
+        """Write the ``rows`` (a slice or an index array) of the trace as CSV, then one
+        ``key: value`` line per ``meta["events"]`` entry that is not None (floats %.16e)."""
+        footer = [f"{k}: {v:.16e}" if isinstance(v, float) else f"{k}: {v}"
+                  for k, v in self.meta.get("events", {}).items() if v is not None]
         write_csv(
             path,
             header,
@@ -490,8 +493,9 @@ def classical_trace(
     """Classical relativistic reference trajectory (hbar plays no role).
 
     Constant potential: straight line sampled over t_range.  Linear
-    potential: closed-form decelerated arc sampled over x_range (stops at
-    the turning point).  Tabulated: Simpson quadrature of 1/v over x_range.
+    potential of non-zero slope: closed-form decelerated arc sampled over
+    x_range (stops at the turning point).  Otherwise (tabulated, or slope
+    0): Simpson quadrature of 1/v over x_range.
     """
     sigma = setup.direction
     if isinstance(pot, ConstantPotential):
@@ -505,15 +509,15 @@ def classical_trace(
         t = np.linspace(t_range[0], t_range[1], n_samples)
         x = x0 + vel * t
         pc = np.full(t.shape, np.sqrt(disc))
-    elif isinstance(pot, LinearPotential):
+    elif isinstance(pot, LinearPotential) and pot.slope != 0:
         if x_range is None:
             raise ValueError("x_range required for a linear potential")
         g = pot.slope
-        x_turn = (setup.E - setup.m0c2) / g if g != 0 else np.inf
+        x_turn = (setup.E - setup.m0c2) / g
         lo, hi = float(min(x_range)), float(max(x_range))
         if g > 0:
             hi = min(hi, x_turn)
-        elif g < 0:
+        else:
             lo = max(lo, x_turn)
         x = np.linspace(lo, hi, n_samples)
         ev = setup.E - g * x
@@ -530,7 +534,7 @@ def classical_trace(
         t, x, pc = t[keep], x[keep], pc[keep]
     else:
         if x_range is None:
-            raise ValueError("x_range required for a tabulated potential")
+            raise ValueError("x_range required for a non-constant potential")
         x = np.linspace(float(min(x_range)), float(max(x_range)), n_samples)
         h = x[1] - x[0]
         ev = setup.E - np.asarray(pot.v(x), dtype=float)

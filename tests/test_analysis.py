@@ -90,8 +90,7 @@ def test_de_broglie_scales_linearly(electron2):
 
 def test_detect_nodes_matches_closed_form(electron2):
     trs = fig1_traces(electron2)
-    dt = rq.node_period(electron2, 0.0)
-    rep = rq.detect_nodes(trs, cluster_radius=0.02 * dt)
+    rep = rq.detect_nodes(trs)
     closed = rq.nodes_closed_form(electron2, 0.0, count=len(rep.times))
     assert len(rep.times) >= 4
     assert np.max(np.abs(rep.times - closed.times) / closed.times) < 1e-3
@@ -121,8 +120,7 @@ def test_detect_nodes_linear_potential(electron2):
     """Fig-3 parameter sets: clusters exist, offsets to phi2 zeros reported,
     spacing grows toward the turning point along the phi2-zero ladder."""
     pot, basis, trajs = linear_pipeline(electron2)
-    span = min(t.t[-1] for t in trajs) - max(t.t[0] for t in trajs)
-    rep = rq.detect_nodes(trajs, cluster_radius=0.04 * span, basis=basis)
+    rep = rq.detect_nodes(trajs, basis=basis)
     assert len(rep.times) >= 3
     offs = rep.extras["phi2_zero_offset_fm"]
     assert len(offs) == len(rep.times)

@@ -16,7 +16,7 @@ from rqtraj import pipeline
 from rqtraj.cli import main
 from rqtraj.config import RunConfig, parse_config, parse_config_text
 from rqtraj.errors import ConfigError
-from rqtraj.output import read_csv
+from rqtraj.output import read_csv, write_csv
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -105,7 +105,7 @@ def run_configs(draw):
         u0=draw(any_float), slope=draw(any_float), table_file=draw(path_text),
         param_sets=draw(st.lists(st.tuples(nonzero, any_float), min_size=1, max_size=4)),
         x0=draw(any_float), t_min=t_min, t_max=t_max,
-        samples=draw(st.integers(2, 10**9)), window=draw(any_float),
+        samples=draw(st.integers(2, 10**9)), window=draw(positive),
         direction=draw(st.sampled_from([1, -1])),
         sync=draw(st.sampled_from(["psi_zero", "phi2_zero", "exact"])),
         method=draw(st.sampled_from(["rk4", "euler"])),
@@ -208,6 +208,8 @@ def test_cli_exit_code_2_on_bad_config(tmp_path):
     ("[numerics]\ngrid_stpe = 5.0 fm\n", []),
     ("[numerisc]\ngrid_step = 5.0 fm\n", []),
     ("[trajectories]\nsamples = 2.9\n", []),
+    ("[trajectories]\nwindow = -5.0 fm\n", []),
+    ("[trajectories]\nwindow = 0.0 fm\n", []),
 ])
 def test_cli_exit_code_2_on_malformed_config(tmp_path, text, extra):
     """``extra`` lines go at the end of the file."""
@@ -217,6 +219,25 @@ def test_cli_exit_code_2_on_malformed_config(tmp_path, text, extra):
                                        "--out", str(tmp_path / "out")])
     assert result.exit_code == 2, result.output
     assert "config error" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("table, cause", [
+    (None, "No such file"),
+    ([("x_fm", [0.0, 1.0, 2.0])], "needs 2 columns"),
+    ([("x_fm", [0.0, 2.0, 1.0]), ("V_MeV", [0.0, 0.0, 0.0])], "strictly increasing"),
+])
+def test_cli_exit_code_2_on_unreadable_table(tmp_path, table, cause):
+    path = tmp_path / "v.tab"
+    if table is not None:
+        write_csv(path, [], [(name, np.array(values)) for name, values in table])
+    cfgp = tmp_path / "run.cfg"
+    RunConfig(potential_kind="tabulated", table_file=str(path)).to_file(cfgp)
+    result = CliRunner().invoke(main, ["trace", "--config", str(cfgp),
+                                       "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert "config error" in result.output and str(path) in result.output
+    assert cause in result.output
     assert not (tmp_path / "out").exists()
 
 

@@ -143,5 +143,4 @@ def test_rk4_drift_on_fig3_grid():
     cfg = parse_config(CONFIGS / "fig3.cfg")
     basis = build_basis(cfg, build_setup(cfg), build_potential(cfg))
     assert basis.grid.size == 137001
-    assert basis.provenance["method"] == "rk4" and "backend" not in basis.provenance
     assert kg.wronskian_drift(basis) < 1e-12

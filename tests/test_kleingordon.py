@@ -105,8 +105,7 @@ def test_basis_recombination_leaves_momentum_invariant(electron2, const_basis):
     phi2n = mat[1, 0] * const_basis.phi1 + mat[1, 1] * const_basis.phi2
     dphi1n = mat[0, 0] * const_basis.dphi1 + mat[0, 1] * const_basis.dphi2
     dphi2n = mat[1, 0] * const_basis.dphi1 + mat[1, 1] * const_basis.dphi2
-    recomb = rq.SolutionBasis(const_basis.grid, phi1n, dphi1n, phi2n, dphi2n,
-                              provenance={"method": "recombined"})
+    recomb = rq.SolutionBasis(const_basis.grid, phi1n, dphi1n, phi2n, dphi2n)
 
     n_form = np.array([[a * a, a * b], [a * b, 1 + b * b]])
     minv = np.linalg.inv(mat)

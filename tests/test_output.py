@@ -342,6 +342,26 @@ def test_cli_csv_round_trip_bit_exact(tmp_path, make_config):
             assert tr.t[-1] < events["divergence_time_s"]
 
 
+@pytest.mark.parametrize("make_config", [_linear_config, _evanescent_config])
+def test_cli_figure_number_only_names_the_outputs(tmp_path, make_config):
+    """--figure N changes the title and the PNG name, not what is drawn."""
+    cfgp = tmp_path / "run.cfg"
+    make_config(tmp_path / "out").to_file(cfgp)
+    scripts = []
+    for n in (1, 2):
+        result = CliRunner().invoke(main, ["figure", "--config", str(cfgp), "--figure", str(n)])
+        assert result.exit_code == 0, result.output
+        scripts.append((tmp_path / "out" / f"figure{n}.gp").read_text().splitlines())
+    assert len(scripts[0]) == len(scripts[1])
+    changed = [(a, b) for a, b in zip(*scripts) if a != b]
+    assert changed == [("# figure 1", "# figure 2"),
+                       ("set output 'figure1.png'", "set output 'figure2.png'")]
+    if make_config is _evanescent_config:
+        assert all("finite-time asymptote" in "\n".join(s) for s in scripts)
+    else:
+        assert all("'nodes.csv'" in "\n".join(s) for s in scripts)
+
+
 def test_cli_figure_plots_the_sets_that_trace(tmp_path):
     """A set whose action cannot be built is recorded and the figure goes on
     with the others: curves, node markers and the manifest."""

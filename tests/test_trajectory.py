@@ -437,6 +437,17 @@ def test_classical_trace_linear_arc(electron2):
 
 
 @pytest.mark.parametrize("direction", [+1, -1])
+def test_classical_trace_zero_slope_is_the_free_line(direction):
+    """V = 0 x has no turning point: the free straight line x0 + v t."""
+    setup = rq.PhysicalSetup(E=2.0, m0c2=0.511, direction=direction)
+    tr = rq.classical_trace(setup, rq.LinearPotential(0.0), -100.0, x_range=(-500.0, 500.0),
+                            n_samples=2001)
+    v = direction * setup.c_fm_s * np.sqrt(2.0**2 - 0.511**2) / 2.0
+    assert tr.t.size == 2001 and np.all(np.diff(tr.t) > 0)
+    np.testing.assert_allclose(tr.x, -100.0 + v * tr.t, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("direction", [+1, -1])
 def test_classical_trace_tabulated_is_monotone_without_a_sort(direction):
     """The tabulated classical curve is a Simpson quadrature of 1/v, whose
     sign is the direction's: the samples come out reversed for -1."""
@@ -455,12 +466,14 @@ def test_trajectory_csv(tmp_path, electron2):
     tr = rq.trace_constant_oscillatory(electron2, 0.0, rq.HiddenParams(0.2, 0.0),
                                        0.0, (0.0, dt), 101)
     path = tmp_path / "traj.csv"
-    tr.to_csv(path, header=["config_hash: 123"], footer=["note: test"])
+    tr.meta["events"].update(note="test", t_star=0.1, unset=None)
+    tr.to_csv(path, header=["config_hash: 123"])
     from rqtraj.output import read_csv
 
     meta, cols = read_csv(path)
     assert meta["config_hash"] == "123"
     assert meta["note"] == "test"
+    assert meta["t_star"] == "1.0000000000000001e-01" and "unset" not in meta
     assert list(cols) == ["t_s", "x_fm", "branch_n", "regime", "P_MeV_per_c"]
     assert cols["regime"][0] == "oscillatory"
 
