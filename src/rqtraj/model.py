@@ -12,10 +12,11 @@ Conventions used throughout the package:
   "E - V < 0 means forbidden" reading does not apply here.
 
 This module is the one home of that rule: ``regime_tags`` applies it to an
-array of E - V values (``classify_regime`` and the quadrature trace's
-regime column use it), and ``constant_regime`` is the one check of a
-constant potential V = U0, used by its closed-form basis, its traces, its
-node spacing and its de Broglie wavelength.
+array of E - V values, giving uint8 codes into ``REGIMES`` (``classify_regime``
+and the regime columns of the quadrature and classical traces use it), and
+``constant_regime`` is the one check of a constant potential V = U0, used by
+its closed-form basis, its traces, its node spacing and its de Broglie
+wavelength.
 """
 
 from __future__ import annotations
@@ -44,6 +45,11 @@ class Regime(Enum):
     OSCILLATORY = "oscillatory"
     EVANESCENT = "evanescent"
     TURNING_POINT = "turning"
+
+
+# regime columns hold uint8 codes into REGIMES; REGIME_TEXT[codes] names them
+REGIMES = tuple(Regime)
+REGIME_TEXT = np.array([r.value for r in REGIMES])
 
 
 @dataclass(frozen=True)
@@ -219,23 +225,23 @@ def regime_discriminant(setup: PhysicalSetup, pot: Potential, x):
 
 
 def regime_tags(setup: PhysicalSetup, ev) -> np.ndarray:
-    """Regime value of each E - V in ``ev`` [MeV], as an array of strings.
+    """Regime of each E - V in ``ev`` [MeV], as uint8 codes into REGIMES.
 
     disc = (E - V)^2 - (m0 c^2)^2 decides: a disc within
-    REGIME_REL_TOL * (m0 c^2)^2 of zero, or NaN, is "turning", otherwise
-    its sign gives "oscillatory" or "evanescent".
+    REGIME_REL_TOL * (m0 c^2)^2 of zero, or NaN, is a turning point,
+    otherwise its sign gives oscillatory or evanescent.
     """
     ev = np.asarray(ev, dtype=float)
     disc = ev * ev - setup.rest_sq
     tol = REGIME_REL_TOL * setup.rest_sq
-    tags = np.full(disc.shape, Regime.OSCILLATORY.value)
-    tags[disc < -tol] = Regime.EVANESCENT.value
-    tags[~(np.abs(disc) > tol)] = Regime.TURNING_POINT.value
+    tags = np.zeros(disc.shape, np.uint8)
+    tags[disc < -tol] = REGIMES.index(Regime.EVANESCENT)
+    tags[~(np.abs(disc) > tol)] = REGIMES.index(Regime.TURNING_POINT)
     return tags
 
 
 def classify_regime(setup: PhysicalSetup, pot: Potential, x) -> Regime:
-    return Regime(str(regime_tags(setup, setup.E - np.asarray(pot.v(float(x)), dtype=float))))
+    return REGIMES[int(regime_tags(setup, setup.E - np.asarray(pot.v(float(x)), dtype=float)))]
 
 
 def constant_regime(setup: PhysicalSetup, u0: float):
@@ -247,7 +253,7 @@ def constant_regime(setup: PhysicalSetup, u0: float):
     """
     kinetic_term(setup, ConstantPotential(u0), 0.0)
     ev = setup.E - u0
-    regime = Regime(str(regime_tags(setup, ev)))
+    regime = REGIMES[int(regime_tags(setup, ev))]
     if regime is Regime.TURNING_POINT:
         raise TurningPointSingular("(E-U0)^2 equals the rest-energy square")
     return regime, ev, ev * ev - setup.rest_sq

@@ -121,6 +121,7 @@ def run_basis(cfg: RunConfig, compare_methods: bool = False) -> dict:
         drift = wronskian_drift(basis)
         manifest["files"].append(str(path))
         manifest["drift"][method] = drift
+        del basis  # one basis alive at a time: free it before the next solve
     write_json(out / "basis_manifest.json", manifest)
     return manifest
 

@@ -43,6 +43,7 @@ from .model import (
     LinearPotential,
     PhysicalSetup,
     Potential,
+    REGIME_TEXT,
     Regime,
     constant_regime,
     kinetic_term,
@@ -59,7 +60,8 @@ SLOW_ZONE_FRAC = 1e-6
 class Trajectory:
     """Ordered (t, x) samples with branch index, regime tags and metadata.
 
-    t in seconds, x in fm, momentum in MeV/c (signed).  ``meta`` carries the
+    t in seconds, x in fm, momentum in MeV/c (signed).  ``regime`` holds one
+    uint8 code into ``model.REGIMES`` per sample.  ``meta`` carries the
     producing ``setup``, ``potential`` and ``params`` and the ``events``
     (divergence, halt).
     """
@@ -72,6 +74,8 @@ class Trajectory:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if getattr(self.regime, "dtype", None) != np.uint8 or self.regime.shape != self.t.shape:
+            raise TypeError("regime must be one uint8 code into model.REGIMES per sample")
         if self.t.size >= 2 and not np.all(np.diff(self.t) > 0):
             raise ValueError("sample times must be strictly increasing")
 
@@ -112,7 +116,8 @@ class Trajectory:
 
     def to_csv(self, path, header=(), rows=slice(None)):
         """Write the ``rows`` (a slice or an index array) of the trace as CSV, then one
-        ``key: value`` line per ``meta["events"]`` entry that is not None (floats %.16e)."""
+        ``key: value`` line per ``meta["events"]`` entry that is not None (floats %.16e).
+        Only the written rows' regime codes are decoded to their names."""
         footer = [f"{k}: {v:.16e}" if isinstance(v, float) else f"{k}: {v}"
                   for k, v in self.meta.get("events", {}).items() if v is not None]
         write_csv(
@@ -122,7 +127,7 @@ class Trajectory:
                 ("t_s", self.t[rows]),
                 ("x_fm", self.x[rows]),
                 ("branch_n", self.branch[rows]),
-                ("regime", self.regime[rows]),
+                ("regime", REGIME_TEXT[self.regime[rows]]),
                 ("P_MeV_per_c", self.momentum[rows]),
             ],
             footer_comments=footer,
@@ -234,7 +239,7 @@ def trace_constant_oscillatory(
         t=t,
         x=x,
         branch=n_branch,
-        regime=np.full(t.shape, "oscillatory"),
+        regime=np.zeros(t.shape, np.uint8),
         momentum=momentum,
         meta={
             "setup": setup,
@@ -336,7 +341,7 @@ def trace_constant_evanescent(
         t=t,
         x=x,
         branch=np.zeros(t.shape, dtype=int),
-        regime=np.full(t.shape, "evanescent"),
+        regime=np.ones(t.shape, np.uint8),
         momentum=momentum,
         meta={
             "setup": setup,
@@ -495,7 +500,9 @@ def classical_trace(
     Constant potential: straight line sampled over t_range.  Linear
     potential of non-zero slope: closed-form decelerated arc sampled over
     x_range (stops at the turning point).  Otherwise (tabulated, or slope
-    0): Simpson quadrature of 1/v over x_range.
+    0): Simpson quadrature of 1/v over x_range.  The regime column is
+    ``model.regime_tags`` of E - V at the sampled x, so a turning point that
+    ends the arc is tagged as one.
     """
     sigma = setup.direction
     if isinstance(pot, ConstantPotential):
@@ -552,7 +559,7 @@ def classical_trace(
         t=t,
         x=x,
         branch=np.zeros(t.shape, dtype=int),
-        regime=np.full(t.shape, "oscillatory"),
+        regime=regime_tags(setup, setup.E - np.asarray(pot.v(x), dtype=float)),
         momentum=pc,
         meta={
             "setup": setup,

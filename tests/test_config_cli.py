@@ -3,6 +3,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from rqtraj import pipeline
 from rqtraj.cli import main
 from rqtraj.config import RunConfig, parse_config, parse_config_text
 from rqtraj.errors import ConfigError
+from rqtraj.model import REGIME_TEXT
 from rqtraj.output import read_csv, write_csv
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -419,7 +421,7 @@ def test_fig3_trace_writes_a_row_view_inside_the_window(tmp_path):
         for name, full in (("t_s", tr.t), ("x_fm", tr.x), ("P_MeV_per_c", tr.momentum)):
             assert np.array_equal(cols[name], full[found]), name
         assert np.array_equal(cols["branch_n"], tr.branch[found])
-        assert cols["regime"].tolist() == tr.regime[found].tolist()
+        assert cols["regime"].tolist() == REGIME_TEXT[tr.regime[found]].tolist()
 
 
 def test_cli_trace_empty_window_is_a_per_set_error(tmp_path):
@@ -522,6 +524,27 @@ def test_quadrature_outputs_are_pinned(tmp_path, monkeypatch):
     written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                for f in (tmp_path / cfg.out_dir).iterdir()}
     assert written == FIG3_DIGESTS
+
+
+@pytest.mark.parametrize("run, limit_mib", [
+    (lambda cfg: pipeline.run_basis(cfg, compare_methods=True), 24),
+    (pipeline.run_analyze, 32),
+    (lambda cfg: pipeline.run_figure(cfg, 3), 32),
+], ids=["basis", "analyze", "figure"])
+def test_fig3_live_memory_peak(tmp_path, monkeypatch, run, limit_mib):
+    """Live data of each fig3 command, by tracemalloc in process.  One basis
+    alive at a time in basis --compare-methods and a one-byte regime code per
+    trace row keep the peaks near 21 and 25.5 MiB; both bases alive (26.2)
+    or an 11-character string per row (42.4) break the bounds."""
+    monkeypatch.chdir(tmp_path)              # the config's relative out dir
+    cfg = parse_config(CONFIGS / "fig3.cfg")
+    tracemalloc.start()
+    try:
+        run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 @pytest.mark.parametrize("name, digests", [

@@ -89,14 +89,15 @@ def test_regime_tags_rule():
     disc = np.array([1.0, 2 * tol, 0.5 * tol, 0.0, -0.5 * tol, -2 * tol, -0.1, np.nan])
     ev = np.sqrt(s.rest_sq + disc)
     tags = rq.model.regime_tags(s, ev)
-    assert tags.dtype == np.dtype("<U11")
-    assert tags.tolist() == ["oscillatory", "oscillatory", "turning", "turning",
-                             "turning", "evanescent", "evanescent", "turning"]
+    assert tags.dtype == np.uint8
+    assert rq.model.REGIME_TEXT[tags].tolist() == [
+        "oscillatory", "oscillatory", "turning", "turning",
+        "turning", "evanescent", "evanescent", "turning"]
     # antiparticle branch: the sign of E - V plays no part
     assert rq.model.regime_tags(s, -ev).tolist() == tags.tolist()
     for e, tag in zip(ev, tags):
         pot = rq.ConstantPotential(s.E - e)
-        assert rq.classify_regime(s, pot, 0.0) is rq.Regime(tag)
+        assert rq.classify_regime(s, pot, 0.0) is rq.model.REGIMES[tag]
 
 
 @pytest.mark.parametrize("sign", [1, -1])

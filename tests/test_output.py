@@ -15,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 from rqtraj import pipeline
 from rqtraj.cli import main
 from rqtraj.config import RunConfig, parse_config
+from rqtraj.model import REGIME_TEXT
 from rqtraj.output import (
     BLOCK_ROWS, FAST_MAX, FAST_MIN, LINE_BREAKS, _fast_digits, read_csv, write_csv,
 )
@@ -329,7 +330,7 @@ def test_cli_csv_round_trip_bit_exact(tmp_path, make_config):
         path = tmp_path / "out" / f"trajectory_{i}.csv"
         meta = assert_round_trip(path, [
             ("t_s", tr.t[rows]), ("x_fm", tr.x[rows]), ("branch_n", tr.branch[rows]),
-            ("regime", tr.regime[rows]), ("P_MeV_per_c", tr.momentum[rows]),
+            ("regime", REGIME_TEXT[tr.regime[rows]]), ("P_MeV_per_c", tr.momentum[rows]),
         ])
         # and the written rows sit in the full trace at the selected indices
         _, cols = read_csv(path)

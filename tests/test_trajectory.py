@@ -280,15 +280,16 @@ def fig3_past_turning():
 
 
 def assert_regime_tags(setup, pot, tr, tags):
-    """Tags from np.full plus masks equal the nested np.where they replace."""
+    """uint8 codes that decode to the nested np.where of the regime rule."""
     ev = setup.E - pot.v(tr.x)
     disc = ev * ev - setup.rest_sq
     tol = rq.model.REGIME_REL_TOL * setup.rest_sq
     expected = np.where(disc > tol, "oscillatory",
                         np.where(disc < -tol, "evanescent", "turning"))
-    assert tr.regime.dtype == np.dtype("<U11")
-    assert tr.regime.tolist() == expected.tolist()
-    assert set(tr.regime.tolist()) == tags
+    names = rq.model.REGIME_TEXT[tr.regime]
+    assert tr.regime.dtype == np.uint8
+    assert names.tolist() == expected.tolist()
+    assert set(names.tolist()) == tags
 
 
 @pytest.mark.parametrize("x_range, tags", [
@@ -367,7 +368,7 @@ def test_quadrature_energy_equals_potential_is_an_error(electron2):
     # a range that stops short of E = V traces as before
     tr = rq.trace_quadrature(ra, pot, 1700.0, (1600.0, 1900.0))
     assert np.all(np.diff(tr.t) > 0)
-    assert set(tr.regime.tolist()) == {"evanescent"}
+    assert set(rq.model.REGIME_TEXT[tr.regime].tolist()) == {"evanescent"}
 
 
 @pytest.mark.parametrize("m0c2", [0.510999, 0.511])
@@ -436,6 +437,18 @@ def test_classical_trace_linear_arc(electron2):
     assert np.array_equal(tr.t, tr2.t) and np.array_equal(tr.x, tr2.x)
 
 
+def test_classical_trace_tags_its_turning_point():
+    """fig3's particle on V = 1e-3 x: the arc ends at the turning point
+    1489.001 fm with P = 0, and that row alone is tagged turning."""
+    setup = rq.PhysicalSetup(E=2.0, m0c2=0.510999)
+    tr = rq.classical_trace(setup, rq.LinearPotential(1e-3), -500.0,
+                            x_range=(-500.0, 2400.0), n_samples=2001)
+    assert tr.x[-1] == pytest.approx(1489.001, rel=1e-12) and tr.momentum[-1] == 0.0
+    names = rq.model.REGIME_TEXT[tr.regime]
+    assert names[-1] == "turning"
+    assert set(names[:-1].tolist()) == {"oscillatory"}
+
+
 @pytest.mark.parametrize("direction", [+1, -1])
 def test_classical_trace_zero_slope_is_the_free_line(direction):
     """V = 0 x has no turning point: the free straight line x0 + v t."""
@@ -481,7 +494,18 @@ def test_trajectory_csv(tmp_path, electron2):
 def _trace_at(t):
     zeros = np.zeros(t.size)
     return rq.Trajectory(t=t, x=zeros, branch=zeros.astype(int),
-                         regime=np.full(t.size, "oscillatory"), momentum=zeros)
+                         regime=np.zeros(t.size, np.uint8), momentum=zeros)
+
+
+@pytest.mark.parametrize("regime", [
+    np.full(3, "oscillatory"),          # names, not codes
+    np.zeros(3, np.int64),              # codes of the wrong width
+    np.zeros(2, np.uint8),              # one code short
+])
+def test_trajectory_regime_must_be_one_uint8_code_per_sample(regime):
+    t = np.arange(3.0)
+    with pytest.raises(TypeError, match="uint8"):
+        rq.Trajectory(t=t, x=t, branch=np.zeros(3, int), regime=regime, momentum=t)
 
 
 _EDGE = st.one_of(st.integers(-5, 3005).map(float), st.floats(-5.0, 3005.0))
