@@ -81,20 +81,27 @@ def _summary(kind, residuals) -> ValidationReport:
 # ----------------------------------------------------------------------
 
 def nodes_closed_form(
-    setup: PhysicalSetup, u0: float, count: int = 10, x0: float = 0.0
+    setup: PhysicalSetup, u0: float, count: int = 10, x0: float = 0.0, t_range=None
 ) -> NodeReport:
     """Node pattern of the constant-potential family (a W > 0 convention).
 
     t_n = (n + 1/2) pi hbar (E-U0) / ((E-U0)^2 - m2), x_n = x0 + direction *
-    (n + 1/2) * pi hbar c / sqrt((E-U0)^2 - m2).
+    (n + 1/2) * pi hbar c / sqrt((E-U0)^2 - m2), for n = 0 .. count - 1, or
+    with ``t_range`` = (t_min, t_max) for every n with t_min <= t_n <= t_max.
     """
     dt = node_period(setup, u0)
     dx = node_spacing(setup, u0)
-    n = np.arange(count)
+    if t_range is None:
+        n = np.arange(count)
+    else:
+        # one rung past each end, then the cut on the times as computed
+        t_min, t_max = t_range
+        n = np.arange(np.floor(t_min / dt - 0.5), np.floor(t_max / dt + 0.5) + 1)
+        n = n[(t_min <= (n + 0.5) * dt) & ((n + 0.5) * dt <= t_max)]
     times = (n + 0.5) * dt
     positions = x0 + setup.direction * (n + 0.5) * dx
-    dts = np.full(count - 1, dt)
-    dxs = np.full(count - 1, dx)
+    dts = np.full(max(n.size - 1, 0), dt)
+    dxs = np.full(max(n.size - 1, 0), dx)
     return NodeReport(
         times=times,
         positions=positions,

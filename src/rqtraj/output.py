@@ -17,13 +17,21 @@ and rounded to the nearest integer D.  A value takes the per-value
 fast path does not apply: y's fraction within 1e-6 of one half (exact ties
 round half to even there), floor(y) below 10**16 or D at 10**17 (log10 was
 off by one, or D carries into the next power of ten), or v zero,
-non-finite, subnormal or outside [1e-280, 1e280].  An int, uint or bool
-block formats each of its distinct values once with ``str()`` and gathers
-the texts by index, ASCII str columns are taken code by code, and object,
-bytes and non-ASCII str columns keep the per-value rule.  Each value
-becomes a NUL-padded field whose last byte is its separator, ',' or '\\n'
-after the last column; a block is its fields side by side, with the
-padding dropped.  Files are written in binary mode as UTF-8.
+non-finite, subnormal or outside [1e-280, 1e280].  Each float value becomes
+a 24-byte field of six words: the sign, or one NUL pad byte, with the
+first digit, '.' and the second digit; three groups of four digits; the
+last three digits and 'e'; the exponent's sign and two digits and the
+separator, ',' or '\\n' after the last column.  Each word is gathered from a
+text table straight into its column of the block's fields.  A value the
+kernel does not take, or one with a three-digit exponent (|v| >= 1e100 or
+|v| < 1e-99), is formatted on its own; when one of those texts is longer
+than 23 bytes, that block's float fields are as wide as the longest.  An
+int, uint or bool block formats each of its distinct values once with
+``str()`` and gathers the texts by index, ASCII str columns are taken code
+by code, and object, bytes and non-ASCII str columns keep the per-value
+rule, each field NUL-padded and ending in its separator.  A block is its
+fields side by side, with the NUL bytes dropped.  Files are written in
+binary mode as UTF-8.
 
 A value or a column name whose text holds ',', NUL or a line break, and a
 comment holding a line break, would change the rows ``read_csv`` sees;
@@ -86,18 +94,16 @@ def _powers():
 
 @functools.cache
 def _texts():
-    """uint32 text tables, built on first use: 'e+05' padded to 8 bytes,
-    its first word by k - _K_MIN and its second word by k - _K_MIN with ','
-    in the last byte, then again with '\\n' there; '1.' and '-1.' padded
-    to 4 bytes by digit + 10 * sign; and the 10 000 four-digit groups."""
-    exps = b"".join((b"e%+03d" % k).ljust(8, b"\0") for k in range(_K_MIN, _K_MAX + 1))
-    lead = b"".join(b"%d.\0\0" % d for d in range(10)) + b"".join(b"-%d.\0" % d for d in range(10))
+    """uint32 text tables, built on first use: NUL '1.2' or '-1.2' by the
+    first two digits + 100 * sign; the 10 000 four-digit groups; the 1 000
+    three-digit groups, each followed by 'e'; and the exponent's sign and
+    two digits by k + 99, each followed by ',', then again by '\\n'."""
+    lead = b"".join((b"-" if sign else b"\0") + b"%d.%d" % divmod(dd, 10)
+                    for sign in (0, 1) for dd in range(100))
     digits = b"".join(b"%04d" % g for g in range(10000))
-    exps = np.frombuffer(exps, np.uint32).reshape(-1, 2)
-    exp_ends = np.concatenate([exps[:, 1], exps[:, 1]])
-    exp_ends.view(np.uint8).reshape(2, -1, 4)[:, :, 3] = [[ord(",")], [ord("\n")]]
-    return (np.ascontiguousarray(exps[:, 0]), exp_ends, np.frombuffer(lead, np.uint32),
-            np.frombuffer(digits, np.uint32))
+    tails = b"".join(b"%03de" % g for g in range(1000))
+    exps = b"".join(b"%+03d%b" % (k, sep) for sep in (b",", b"\n") for k in range(-99, 100))
+    return tuple(np.frombuffer(t, np.uint32) for t in (lead, digits, tails, exps))
 
 
 def _fast_digits(v):
@@ -127,42 +133,48 @@ def _fast_digits(v):
 
 
 def _float_fields(v, newline):
-    """'%.16e' of each float64 in the (rows, k) array v as (rows, k, 28)
+    """'%.16e' of each float64 in the (rows, k) array v as (rows, k, width)
     NUL-padded bytes.
 
-    Each field's last byte is its separator: ',', or '\\n' in the last
-    column when ``newline``.  The 7 words of all fields are gathered word by
-    word into one buffer, then transposed once into field order.
+    Each field's last text byte is its separator: ',', or '\\n' in the last
+    column when ``newline``.  A field is six words, each gathered straight
+    into its column: sign or NUL, d0, '.', d1 | d2-d5 | d6-d9 | d10-d13 |
+    d14-d16, 'e' | exponent sign, two digits, separator.  The width is 24
+    unless a value formatted on its own needs more.
     """
-    exps, exp_ends, lead, digits = _texts()
+    lead, digits, tails, exps = _texts()
     rows, cols = v.shape
     v = v.reshape(-1)
     d, k, ok = _fast_digits(v)
-    # the first 9 and last 8 digits as int32, which divides faster than int64
-    top = d // 10 ** 8
-    low = (d - top * 10 ** 8).astype(np.int32)
+    ok &= np.abs(k) < 100               # a three-digit exponent needs a wider field
+    # D = 10**15 * d0d1 + 10**3 * (three 4-digit groups) + the last three
+    q = d // 1000
+    top = q // 10 ** 8
+    tail = (d - q * 1000).astype(np.int32)
+    low = (q - top * 10 ** 8).astype(np.int32)
     top = top.astype(np.int32)
-    mid, lowmid = top // 10 ** 4, low // 10 ** 4
-    first = mid // 10 ** 4
-    words = np.empty((7, v.size), np.uint32)
-    np.take(lead, first + 10 * np.signbit(v), out=words[0])
-    np.take(digits, mid - first * 10 ** 4, out=words[1])
-    np.take(digits, top - mid * 10 ** 4, out=words[2])
-    np.take(digits, lowmid, out=words[3])
-    np.take(digits, low - lowmid * 10 ** 4, out=words[4])
-    k -= _K_MIN
-    np.take(exps, k, out=words[5])
+    head = top // 10 ** 4
+    lowmid = low // 10 ** 4
+    fields = np.empty((v.size, 6), np.uint32)
+    np.take(lead, head + 100 * np.signbit(v), out=fields[:, 0], mode="clip")
+    np.take(digits, top - head * 10 ** 4, out=fields[:, 1], mode="clip")
+    np.take(digits, lowmid, out=fields[:, 2], mode="clip")
+    np.take(digits, low - lowmid * 10 ** 4, out=fields[:, 3], mode="clip")
+    np.take(tails, tail, out=fields[:, 4], mode="clip")
+    k += 99
     if newline:
-        k.reshape(rows, cols)[:, -1] += len(exps)
-    np.take(exp_ends, k, out=words[6])
-    fields = np.ascontiguousarray(words.T)
+        k.reshape(rows, cols)[:, -1] += len(exps) // 2
+    np.take(exps, k, out=fields[:, 5], mode="clip")
+    fields = fields.view(np.uint8)
     slow = np.flatnonzero(~ok)
     if slow.size:
         seps = np.where(newline & (slow % cols == cols - 1), b"\n", b",").tolist()
-        text = [("%.16e" % x).encode().ljust(27, b"\0") + sep
-                for x, sep in zip(v[slow].tolist(), seps)]
-        fields[slow] = np.array(text, dtype="S28").view(np.uint32).reshape(-1, 7)
-    return fields.view(np.uint8).reshape(rows, cols, 28)
+        text = [b"%.16e%b" % pair for pair in zip(v[slow].tolist(), seps)]
+        width = max(24, *map(len, text))
+        if width > 24:
+            fields = np.concatenate([fields, np.zeros((v.size, width - 24), np.uint8)], axis=1)
+        fields[slow] = np.array(text, f"S{width}").view(np.uint8).reshape(-1, width)
+    return fields.reshape(rows, cols, -1)
 
 
 def _text_column(name, arr):
@@ -249,7 +261,7 @@ def write_csv(path, header_comments, columns, footer_comments=()):
         for lo in range(0, n, BLOCK_ROWS):
             # one expression, so no name holds a block while the next is built
             fh.write(_block_fields(floats, parts, newline, lo, min(BLOCK_ROWS, n - lo))
-                     .tobytes().translate(None, b"\0"))
+                     .tobytes().replace(b"\0", b""))
         fh.write(footer.encode("utf-8"))
 
 

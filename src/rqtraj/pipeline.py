@@ -350,8 +350,7 @@ def run_figure(cfg: RunConfig, figure: int) -> dict:
 
     nodes = None
     if _oscillatory_constant(cfg, setup):
-        count = int((cfg.t_max - cfg.t_min) / node_period(setup, cfg.u0)) + 1
-        nodes = nodes_closed_form(setup, cfg.u0, count=count, x0=cfg.x0)
+        nodes = nodes_closed_form(setup, cfg.u0, x0=cfg.x0, t_range=(cfg.t_min, cfg.t_max))
     elif cfg.potential_kind != "constant":
         # the node pass builds the basis and traces the family again
         setup, pot, basis = _stage(cfg)

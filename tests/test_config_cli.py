@@ -471,6 +471,26 @@ def test_closed_form_figure_outputs_are_pinned(tmp_path, monkeypatch, name, figu
     assert written == digests
 
 
+@pytest.mark.parametrize("t_min, rungs", [(2.0e-21, [2, 3, 4]),
+                                           (-2.0e-21, [-2, -1, 0, 1, 2, 3, 4])])
+def test_figure_node_markers_are_the_rungs_in_the_window(tmp_path, t_min, rungs):
+    """fig1 from t_min: the markers are the ladder rungs t_min <= t_n <= t_max.
+
+    From 2e-21 s they are 2.77, 3.88 and 4.98e-21 s, not the rungs at 0.55
+    and 1.66e-21 s before the window; the family meets at the rungs before
+    t = 0 too.
+    """
+    cfg = dataclasses.replace(parse_config(CONFIGS / "fig1.cfg"), t_min=t_min,
+                              out_dir=str(tmp_path / "out")).validate()
+    pipeline.run_figure(cfg, 1)
+    _, cols = read_csv(tmp_path / "out" / "nodes.csv")
+    setup = pipeline.build_setup(cfg)
+    n = np.array(rungs, dtype=float)
+    np.testing.assert_array_equal(cols["t_s"], (n + 0.5) * rq.node_period(setup, cfg.u0))
+    np.testing.assert_array_equal(cols["x_fm"], (n + 0.5) * rq.node_spacing(setup, cfg.u0))
+    assert t_min <= cols["t_s"].min() and cols["t_s"].max() <= cfg.t_max
+
+
 FIG3_DIGESTS = {
     "analyze_manifest.json": "919abb01b9524ea04c926dcc7d7432c633d964f0d9173880b8502bda15498f82",
     "classical.csv": "71c9bb0191a2570f5df5ca08524077377245882df3e685fdc070c7e5ce717fb2",

@@ -87,6 +87,29 @@ def test_parity_block_edges(tmp_path, n):
     assert_parity(tmp_path / "b.csv", ["h: 1"], columns, footer=["f: 1", "g: 2"])
 
 
+def test_parity_three_digit_exponents_at_block_edges(tmp_path):
+    """Texts longer than a 24-byte field, at the first and last row of blocks.
+
+    Blocks 0, 1 and 3 hold such values in the first and the last column
+    (the last one ends its row with a newline); block 2, between them,
+    holds none, only the largest double whose exponent has two digits.
+    """
+    n = 3 * BLOCK_ROWS + 5
+    rng = np.random.default_rng(16)
+    first, middle, last = (rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+                           for _ in range(3))
+    longest_short = np.nextafter(1e100, 0)
+    assert len(b"%.16e" % longest_short) == 22 and len(b"%.16e" % -1e-100) == 24
+    long_values = [-1e-100, 1e100, 5e-324, -5e-324]
+    for rows, column in (([0, BLOCK_ROWS - 1, BLOCK_ROWS, n - 1], first),
+                         ([n - 1, BLOCK_ROWS, BLOCK_ROWS - 1, 0], last)):
+        column[rows] = long_values
+    first[[1, 2 * BLOCK_ROWS]] = longest_short
+    last[[2 * BLOCK_ROWS, 3 * BLOCK_ROWS - 1]] = -longest_short
+    columns = [("first", first), ("middle", middle), ("last", last)]
+    assert_parity(tmp_path / "x.csv", ["h: 1"], columns)
+
+
 INT64 = np.iinfo(np.int64)
 INT_COLUMNS = {
     "random full-range int64": np.random.default_rng(7).integers(
