@@ -1,11 +1,14 @@
 """Command-line surface: basis / trace / analyze / figure.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure (regime
-or tolerance details go to stderr).  Exit 2 also covers an unknown section
-or key, an empty ``sets``, a fractional ``samples``, a nan or inf value
-such as ``hbar_scale = nan``, ``window <= 0``, a grid of fewer than two
-points and a tabulated-potential file that is missing, has fewer than two
-columns or has no increasing grid; then no file is written.  Every run
+Exit codes: 0 success, 2 usage or configuration error, 3 numerical failure
+(regime or tolerance details go to stderr).  Exit 2 covers argparse's
+usage errors (a missing or unknown command or option, a ``--config`` that
+does not exist, is a directory or is not readable, an ``--out`` that is an
+existing file, a ``--figure`` other than 1, 2 or 3), an unknown config
+section or key, an empty ``sets``, a fractional ``samples``, a nan or inf
+value such as ``hbar_scale = nan``, ``window <= 0``, a grid of fewer than
+two points and a tabulated-potential file that is missing, has fewer than
+two columns or has no increasing grid; then no file is written.  Every run
 parameter is a config key; ``--out`` only moves the output directory.
 ``figure --figure N`` draws what the sets carry (an asymptote for each
 divergence time, node markers whenever the run yields nodes); N only
@@ -15,100 +18,123 @@ names the title, the PNG, the script and the manifest.  ``figure`` exits
 
 from __future__ import annotations
 
+import argparse
+import os
 import sys
-
-import click
 
 from . import pipeline
 from .config import parse_config
 from .errors import ConfigError, RqtError
 
 
-def _load_config(path, out):
-    cfg = parse_config(path)
-    if out is not None:
-        cfg.out_dir = out
-    return cfg
+def _config_file(path):
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"file {path!r} does not exist")
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"file {path!r} is a directory")
+    if not os.access(path, os.R_OK):
+        raise argparse.ArgumentTypeError(f"file {path!r} is not readable")
+    return path
 
 
-def _common(fn):
-    fn = click.option("--config", "config_path", required=True,
-                      type=click.Path(exists=True, dir_okay=False),
-                      help="Run configuration file.")(fn)
-    fn = click.option("--out", type=click.Path(file_okay=False), default=None,
-                      help="Output directory (overrides config).")(fn)
-    return fn
+def _out_dir(path):
+    if os.path.isfile(path):
+        raise argparse.ArgumentTypeError(f"directory {path!r} is a file")
+    return path
 
 
-@click.group()
-def main():
-    """Relativistic quantum trajectories: solve, trace, analyze, plot."""
-
-
-def _run(cfg_args, runner, *extra):
+def _run(args, runner, *extra):
     try:
-        return runner(_load_config(*cfg_args), *extra)
+        cfg = parse_config(args.config_path)
+        if args.out is not None:
+            cfg.out_dir = args.out
+        return runner(cfg, *extra)
     except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
+        print(f"config error: {exc}", file=sys.stderr)
         sys.exit(2)
     except RqtError as exc:
-        click.echo(f"numerical failure: {type(exc).__name__}: {exc}", err=True)
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         sys.exit(3)
 
 
-@main.command()
-@_common
-@click.option("--compare-methods", is_flag=True,
-              help="Emit both Euler and RK4 bases with a drift comparison.")
-def basis(config_path, out, compare_methods):
+def basis(args):
     """Solve the wave-equation basis and export it as CSV."""
-    manifest = _run((config_path, out), pipeline.run_basis, compare_methods)
-    click.echo("wronskian drift by method:")
+    manifest = _run(args, pipeline.run_basis, args.compare_methods)
+    print("wronskian drift by method:")
     for m, d in manifest["drift"].items():
-        click.echo(f"  {m:>8s}: {d:.6e}")
+        print(f"  {m:>8s}: {d:.6e}")
     for f in manifest["files"]:
-        click.echo(f"wrote {f}")
+        print(f"wrote {f}")
 
 
-@main.command()
-@_common
-def trace(config_path, out):
+def trace(args):
     """Trace one trajectory per hidden-parameter set."""
-    manifest = _run((config_path, out), pipeline.run_trace)
+    manifest = _run(args, pipeline.run_trace)
     for entry in manifest["sets"]:
         if entry["status"] == "ok":
             note = ""
             if entry.get("divergence_time_s"):
                 note = f"  (divergence at t = {entry['divergence_time_s']:.6e} s)"
-            click.echo(f"a={entry['a']:g} b={entry['b']:g}: {entry['file']}{note}")
+            print(f"a={entry['a']:g} b={entry['b']:g}: {entry['file']}{note}")
         else:
-            click.echo(f"a={entry['a']:g} b={entry['b']:g}: {entry['error']}", err=True)
+            print(f"a={entry['a']:g} b={entry['b']:g}: {entry['error']}", file=sys.stderr)
     if manifest.get("classical"):
-        click.echo(f"classical: {manifest['classical']}")
+        print(f"classical: {manifest['classical']}")
 
 
-@main.command()
-@_common
-def analyze(config_path, out):
+def analyze(args):
     """Detect nodes, compute spacings/wavelengths, run the validators."""
-    manifest = _run((config_path, out), pipeline.run_analyze)
+    manifest = _run(args, pipeline.run_analyze)
     width = max(len(k) for k, _ in manifest["summary"]) if manifest["summary"] else 0
     for key, val in manifest["summary"]:
-        click.echo(f"  {key:<{width}s}  {val}")
+        print(f"  {key:<{width}s}  {val}")
     for f in manifest["files"]:
-        click.echo(f"wrote {f}")
+        print(f"wrote {f}")
 
 
-@main.command()
-@_common
-@click.option("--figure", "figure_n", type=click.IntRange(1, 3), required=True,
-              help="Figure number (1, 2 or 3): names the title, PNG, script and manifest.")
-def figure(config_path, out, figure_n):
+def figure(args):
     """Emit data CSVs plus a gnuplot script for one of the three figures."""
-    manifest = _run((config_path, out), pipeline.run_figure, figure_n)
-    click.echo(f"plot script: {manifest['plot_script']}")
+    manifest = _run(args, pipeline.run_figure, args.figure_n)
+    print(f"plot script: {manifest['plot_script']}")
     for f in manifest["files"]:
-        click.echo(f"wrote {f}")
+        print(f"wrote {f}")
+
+
+def _command(commands, run) -> argparse.ArgumentParser:
+    """The subcommand named after ``run``, with the options every command takes."""
+    sub = commands.add_parser(run.__name__, help=run.__doc__, description=run.__doc__)
+    sub.set_defaults(run=run)
+    sub.add_argument("--config", dest="config_path", metavar="PATH", required=True,
+                     type=_config_file, help="Run configuration file.")
+    sub.add_argument("--out", metavar="DIR", type=_out_dir, default=None,
+                     help="Output directory (overrides config).")
+    return sub
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="rqtraj",
+        description="Relativistic quantum trajectories: solve, trace, analyze, plot.")
+    commands = parser.add_subparsers(title="commands", dest="command", required=True)
+    _command(commands, basis).add_argument(
+        "--compare-methods", action="store_true",
+        help="Emit both Euler and RK4 bases with a drift comparison.")
+    _command(commands, trace)
+    _command(commands, analyze)
+    _command(commands, figure).add_argument(
+        "--figure", dest="figure_n", metavar="N", type=int, choices=(1, 2, 3), required=True,
+        help="Figure number (1, 2 or 3): names the title, PNG, script and manifest.")
+    return parser
+
+
+def main(argv=None):
+    """Run one command on ``argv`` (default ``sys.argv[1:]``).
+
+    Returns on success; exits through ``SystemExit`` with code 2 on a usage
+    or configuration error and 3 on a numerical failure.
+    """
+    args = _parser().parse_args(argv)
+    args.run(args)
 
 
 if __name__ == "__main__":

@@ -42,7 +42,6 @@ any file or directory is created.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import json
 import re
@@ -50,6 +49,14 @@ from pathlib import Path
 
 import numpy as np
 
+# CPython's builtin sha256: hashlib would load OpenSSL's libcrypto for it
+try:
+    from _sha2 import sha256 as _sha256         # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256   # CPython before 3.12
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 BLOCK_ROWS = 8192
 
@@ -68,7 +75,7 @@ _SPLIT = 134217729.0              # 2**27 + 1, Veltkamp's splitting factor
 
 
 def config_hash(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+    return _sha256(text.encode()).hexdigest()
 
 
 @functools.cache

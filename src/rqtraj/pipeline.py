@@ -276,7 +276,7 @@ def run_analyze(cfg: RunConfig) -> dict:
             summary.append(("wavelength 2*dx [fm]", " ".join(f"{v:.4g}" for v in nodes.wavelength[:6])))
 
     if oscillatory_const:
-        closed = nodes_closed_form(setup, cfg.u0, count=10, x0=cfg.x0)
+        closed = nodes_closed_form(setup, cfg.u0, x0=cfg.x0, t_range=(cfg.t_min, cfg.t_max))
         closed_path = out / "nodes_closed_form.json"
         payload = closed.to_dict()
         payload["config_hash"] = cfg.hash

@@ -1,7 +1,12 @@
+import contextlib
+import io
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 import rqtraj as rq
+from rqtraj.cli import main
 
 
 @pytest.fixture
@@ -34,3 +39,20 @@ def const_basis(electron2):
     h = 1.0 / (100 * k)
     n = int(round(3.2 * 2 * np.pi / k / h))
     return rq.solve_constant(electron2, 0.0, np.arange(n) * h)
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    output: str                       # stdout and stderr, interleaved
+    exception: BaseException | None   # the SystemExit the command ended with
+
+
+def run_cli(argv):
+    """``rqtraj.cli.main(argv)`` in this process, its output captured."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
+        try:
+            main(argv)
+        except SystemExit as exc:
+            return CliResult(exc.code, buf.getvalue(), exc)
+    return CliResult(0, buf.getvalue(), None)

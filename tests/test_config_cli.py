@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
+import importlib.util
 import json
+import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -8,17 +11,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rqtraj as rq
 from rqtraj import pipeline
-from rqtraj.cli import main
 from rqtraj.config import RunConfig, parse_config, parse_config_text
 from rqtraj.errors import ConfigError
 from rqtraj.model import REGIME_TEXT
-from rqtraj.output import read_csv, write_csv
+from rqtraj.output import config_hash, read_csv, write_csv
+from tests.conftest import run_cli
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -199,9 +201,9 @@ def test_config_rejects_bad_direction():
 def test_cli_exit_code_2_on_bad_config(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[trajectories]\nsets = 0,1\n")
-    result = CliRunner().invoke(main, ["trace", "--config", str(bad)])
+    result = run_cli(["trace", "--config", str(bad)])
     assert result.exit_code == 2
-    assert "non-zero" in (result.output + str(result.stderr_bytes or b""))
+    assert "non-zero" in result.output
 
 
 @pytest.mark.parametrize("text, extra", [
@@ -217,8 +219,7 @@ def test_cli_exit_code_2_on_malformed_config(tmp_path, text, extra):
     """``extra`` lines go at the end of the file."""
     bad = tmp_path / "bad.cfg"
     bad.write_text(text + "".join(f"{line}\n" for line in extra))
-    result = CliRunner().invoke(main, ["trace", "--config", str(bad),
-                                       "--out", str(tmp_path / "out")])
+    result = run_cli(["trace", "--config", str(bad), "--out", str(tmp_path / "out")])
     assert result.exit_code == 2, result.output
     assert "config error" in result.output
     assert not (tmp_path / "out").exists()
@@ -235,8 +236,7 @@ def test_cli_exit_code_2_on_unreadable_table(tmp_path, table, cause):
         write_csv(path, [], [(name, np.array(values)) for name, values in table])
     cfgp = tmp_path / "run.cfg"
     RunConfig(potential_kind="tabulated", table_file=str(path)).to_file(cfgp)
-    result = CliRunner().invoke(main, ["trace", "--config", str(cfgp),
-                                       "--out", str(tmp_path / "out")])
+    result = run_cli(["trace", "--config", str(cfgp), "--out", str(tmp_path / "out")])
     assert result.exit_code == 2, result.output
     assert "config error" in result.output and str(path) in result.output
     assert cause in result.output
@@ -247,8 +247,8 @@ def test_cli_figure_exit_code_2_on_empty_sets(tmp_path):
     text = (CONFIGS / "fig2.cfg").read_text().replace("sets = 0.25,8", "sets = ")
     bad = tmp_path / "bad.cfg"
     bad.write_text(text)
-    result = CliRunner().invoke(main, ["figure", "--config", str(bad), "--figure", "2",
-                                       "--out", str(tmp_path / "out")])
+    result = run_cli(["figure", "--config", str(bad), "--figure", "2",
+                      "--out", str(tmp_path / "out")])
     assert result.exit_code == 2, result.output
     assert "config error" in result.output and "sets" in result.output
 
@@ -266,12 +266,12 @@ def test_cli_energy_equals_constant_potential(tmp_path):
     """fig2 with U0 = E: trace records the typed error per set, analyze
     exits 3 with it, and neither ends in a traceback."""
     path = edited_config(tmp_path, "fig2", u0=0.3)
-    result = CliRunner().invoke(main, ["trace", "--config", str(path)])
+    result = run_cli(["trace", "--config", str(path)])
     assert result.exit_code == 0, result.output
     manifest = json.loads((tmp_path / "out" / "trace_manifest.json").read_text())
     assert [e["status"] for e in manifest["sets"]] == ["error"]
     assert manifest["sets"][0]["error"].startswith("EnergyEqualsPotential: ")
-    result = CliRunner().invoke(main, ["analyze", "--config", str(path)])
+    result = run_cli(["analyze", "--config", str(path)])
     assert result.exit_code == 3, result.output
     assert isinstance(result.exception, SystemExit)
     assert "numerical failure: EnergyEqualsPotential" in result.output
@@ -283,8 +283,7 @@ def test_cli_energy_equals_constant_potential(tmp_path):
 ])
 def test_cli_figure_without_a_curve_exits_3(tmp_path, name, figure, changes, error):
     path = edited_config(tmp_path, name, **changes)
-    result = CliRunner().invoke(main, ["figure", "--config", str(path),
-                                       "--figure", str(figure)])
+    result = run_cli(["figure", "--config", str(path), "--figure", str(figure)])
     assert result.exit_code == 3, result.output
     assert f"numerical failure: RqtError: figure {figure} has no trajectory to plot (" \
         in result.output
@@ -297,26 +296,25 @@ def test_cli_turning_band_is_one_behaviour(tmp_path, sign):
     """fig1 with E - U0 = m0c2 (1 +- 1e-14): every set is a typed error on
     both sides of the band, and analyze and figure exit 3."""
     path = edited_config(tmp_path, "fig1", energy=0.510999 * (1 + sign * 1e-14))
-    runner = CliRunner()
-    result = runner.invoke(main, ["trace", "--config", str(path)])
+    result = run_cli(["trace", "--config", str(path)])
     assert result.exit_code == 0, result.output
     manifest = json.loads((tmp_path / "out" / "trace_manifest.json").read_text())
     assert len(manifest["sets"]) == 3
     for entry in manifest["sets"]:
         assert entry["status"] == "error"
         assert entry["error"].startswith("TurningPointSingular: ")
-    result = runner.invoke(main, ["analyze", "--config", str(path)])
+    result = run_cli(["analyze", "--config", str(path)])
     assert result.exit_code == 3, result.output
     assert "numerical failure: TurningPointSingular" in result.output
-    result = runner.invoke(main, ["figure", "--config", str(path), "--figure", "1",
-                                  "--out", str(tmp_path / "figure")])
+    result = run_cli(["figure", "--config", str(path), "--figure", "1",
+                      "--out", str(tmp_path / "figure")])
     assert result.exit_code == 3, result.output
     assert not list((tmp_path / "figure").glob("*"))
 
 
 def test_cli_grid_of_one_point_is_a_config_error(tmp_path):
     path = edited_config(tmp_path, "fig1", grid_step=5000.0)
-    result = CliRunner().invoke(main, ["basis", "--config", str(path)])
+    result = run_cli(["basis", "--config", str(path)])
     assert result.exit_code == 2, result.output
     assert "config error: [numerics] grid_step 5000.0 fm leaves 1 grid point" in result.output
     assert not (tmp_path / "out").exists()
@@ -327,14 +325,14 @@ def test_cli_exit_code_3_on_numerical_failure(tmp_path):
                     grid_max=500.0, grid_step=40.0, out_dir=str(tmp_path / "o"))
     path = tmp_path / "steptoolarge.cfg"
     cfg.to_file(path)
-    result = CliRunner().invoke(main, ["basis", "--config", str(path)])
+    result = run_cli(["basis", "--config", str(path)])
     assert result.exit_code == 3
 
 
 def test_cli_basis_constant(tmp_path):
     cfgp = tmp_path / "c.cfg"
     small_const_config(tmp_path / "out").to_file(cfgp)
-    result = CliRunner().invoke(main, ["basis", "--config", str(cfgp)])
+    result = run_cli(["basis", "--config", str(cfgp)])
     assert result.exit_code == 0, result.output
     meta, cols = read_csv(tmp_path / "out" / "basis_analytic.csv")
     w = cols["wronskian_per_fm"]
@@ -347,7 +345,7 @@ def test_cli_basis_compare_methods(tmp_path):
                     grid_max=500.0, grid_step=0.2, out_dir=str(tmp_path / "out"))
     cfgp = tmp_path / "lin.cfg"
     cfg.to_file(cfgp)
-    result = CliRunner().invoke(main, ["basis", "--config", str(cfgp), "--compare-methods"])
+    result = run_cli(["basis", "--config", str(cfgp), "--compare-methods"])
     assert result.exit_code == 0, result.output
     manifest = json.loads((tmp_path / "out" / "basis_manifest.json").read_text())
     assert set(manifest["drift"]) == {"euler", "rk4"}
@@ -359,7 +357,7 @@ def test_cli_basis_compare_methods(tmp_path):
 def test_cli_trace_emits_per_set_files(tmp_path):
     cfgp = tmp_path / "c.cfg"
     small_const_config(tmp_path / "out", samples=5001).to_file(cfgp)
-    result = CliRunner().invoke(main, ["trace", "--config", str(cfgp)])
+    result = run_cli(["trace", "--config", str(cfgp)])
     assert result.exit_code == 0, result.output
     manifest = json.loads((tmp_path / "out" / "trace_manifest.json").read_text())
     assert len(manifest["sets"]) == 3
@@ -379,7 +377,7 @@ def test_cli_trace_continues_after_per_set_error(tmp_path):
     cfg.energy = cfg.rest_energy  # turning point: closed form must refuse
     cfgp = tmp_path / "c.cfg"
     cfg.to_file(cfgp)
-    result = CliRunner().invoke(main, ["trace", "--config", str(cfgp)])
+    result = run_cli(["trace", "--config", str(cfgp)])
     assert result.exit_code == 0
     manifest = json.loads((tmp_path / "out" / "trace_manifest.json").read_text())
     assert all(s["status"] == "error" for s in manifest["sets"])
@@ -392,7 +390,7 @@ def test_cli_trace_evanescent_divergence_marker(tmp_path):
                     samples=2001, window=2.0e4, out_dir=str(tmp_path / "out"))
     cfgp = tmp_path / "e.cfg"
     cfg.to_file(cfgp)
-    result = CliRunner().invoke(main, ["trace", "--config", str(cfgp)])
+    result = run_cli(["trace", "--config", str(cfgp)])
     assert result.exit_code == 0, result.output
     meta, cols = read_csv(tmp_path / "out" / "trajectory_0.csv")
     assert "divergence_time_s" in meta
@@ -430,7 +428,7 @@ def test_cli_trace_empty_window_is_a_per_set_error(tmp_path):
                     t_min=1.0, t_max=2.0, out_dir=str(tmp_path / "out")).validate()
     cfgp = tmp_path / "c.cfg"
     cfg.to_file(cfgp)
-    result = CliRunner().invoke(main, ["trace", "--config", str(cfgp)])
+    result = run_cli(["trace", "--config", str(cfgp)])
     assert result.exit_code == 0, result.output
     manifest = json.loads((tmp_path / "out" / "trace_manifest.json").read_text())
     for entry in manifest["sets"]:
@@ -471,8 +469,11 @@ def test_closed_form_figure_outputs_are_pinned(tmp_path, monkeypatch, name, figu
     assert written == digests
 
 
-@pytest.mark.parametrize("t_min, rungs", [(2.0e-21, [2, 3, 4]),
-                                           (-2.0e-21, [-2, -1, 0, 1, 2, 3, 4])])
+# fig1 from t_min: the closed-form ladder rungs n with t_min <= t_n <= t_max
+WINDOW_RUNGS = [(2.0e-21, [2, 3, 4]), (-2.0e-21, [-2, -1, 0, 1, 2, 3, 4])]
+
+
+@pytest.mark.parametrize("t_min, rungs", WINDOW_RUNGS)
 def test_figure_node_markers_are_the_rungs_in_the_window(tmp_path, t_min, rungs):
     """fig1 from t_min: the markers are the ladder rungs t_min <= t_n <= t_max.
 
@@ -489,6 +490,22 @@ def test_figure_node_markers_are_the_rungs_in_the_window(tmp_path, t_min, rungs)
     np.testing.assert_array_equal(cols["t_s"], (n + 0.5) * rq.node_period(setup, cfg.u0))
     np.testing.assert_array_equal(cols["x_fm"], (n + 0.5) * rq.node_spacing(setup, cfg.u0))
     assert t_min <= cols["t_s"].min() and cols["t_s"].max() <= cfg.t_max
+
+
+@pytest.mark.parametrize("t_min, rungs", WINDOW_RUNGS)
+def test_analyze_closed_form_nodes_are_the_rungs_in_the_window(tmp_path, t_min, rungs):
+    """fig1 analyze from t_min: nodes_closed_form.json lists the rungs the
+    figure marks, not rungs 0-9 whatever the window."""
+    cfg = dataclasses.replace(parse_config(CONFIGS / "fig1.cfg"), t_min=t_min,
+                              out_dir=str(tmp_path / "out")).validate()
+    pipeline.run_analyze(cfg)
+    nodes = json.loads((tmp_path / "out" / "nodes_closed_form.json").read_text())
+    setup = pipeline.build_setup(cfg)
+    dt, dx = rq.node_period(setup, cfg.u0), rq.node_spacing(setup, cfg.u0)
+    n = np.array(rungs, dtype=float)
+    np.testing.assert_array_equal(nodes["times"], (n + 0.5) * dt)
+    np.testing.assert_array_equal(nodes["positions"], (n + 0.5) * dx)
+    assert nodes["dt"] == [dt] * (n.size - 1) and nodes["dx"] == [dx] * (n.size - 1)
 
 
 FIG3_DIGESTS = {
@@ -572,7 +589,7 @@ def test_fig3_live_memory_peak(tmp_path, monkeypatch, run, limit_mib):
         "analyze_manifest.json":
             "176b6628ec3a500937bb9ea0f3b4e2361dd67a92930f96b8bb33604bc06546c7",
         "nodes_closed_form.json":
-            "c9ba3f7b8d5485940a1a6bf17e49270861a1fb68916dfac0aa0d3894dd198c92",
+            "eb8c12a2d6ec54d6ef1cc5cc7820493ab63d12e5e32f99c7e83820aa64b3127b",
         "nodes_detected.json":
             "ab710bc00673a266984973d1a038061d310714abc2ce32759e872c1a55d5e127",
         "validation.json": "4f0c312243b379c5f081439ec353a1dbc87a454ed28bcb8dd39efecc6e3757c0",
@@ -584,7 +601,9 @@ def test_fig3_live_memory_peak(tmp_path, monkeypatch, run, limit_mib):
     }),
 ])
 def test_closed_form_analyze_outputs_are_pinned(tmp_path, monkeypatch, name, digests):
-    """fig1 and fig2 analyze: node reports and validators keep every byte."""
+    """fig1 and fig2 analyze: node reports and validators keep every byte.
+
+    fig1's closed-form ladder holds the five rungs up to t_max = 5.5e-21 s."""
     monkeypatch.chdir(tmp_path)              # the config's relative out dir
     cfg = parse_config(CONFIGS / f"{name}.cfg")
     pipeline.run_analyze(cfg)
@@ -608,10 +627,9 @@ def test_energy_equals_potential_is_a_per_set_error(tmp_path):
 def test_cli_outputs_are_deterministic(tmp_path):
     cfgp = tmp_path / "c.cfg"
     small_const_config(tmp_path / "out", samples=2001).to_file(cfgp)
-    runner = CliRunner()
     snap = {}
     for round_ in range(2):
-        result = runner.invoke(main, ["trace", "--config", str(cfgp)])
+        result = run_cli(["trace", "--config", str(cfgp)])
         assert result.exit_code == 0
         for f in sorted((tmp_path / "out").iterdir()):
             data = f.read_bytes()
@@ -624,7 +642,7 @@ def test_cli_outputs_are_deterministic(tmp_path):
 def test_cli_analyze_summary(tmp_path):
     cfgp = tmp_path / "c.cfg"
     small_const_config(tmp_path / "out").to_file(cfgp)
-    result = CliRunner().invoke(main, ["analyze", "--config", str(cfgp)])
+    result = run_cli(["analyze", "--config", str(cfgp)])
     assert result.exit_code == 0, result.output
     assert "de Broglie wavelength" in result.output
     assert "dx == lambda/2" in result.output and "pass" in result.output
@@ -640,12 +658,11 @@ def test_cli_analyze_summary(tmp_path):
 
 
 def test_cli_analyze_epsilon_scaling(tmp_path):
-    runner = CliRunner()
     dx = {}
     for eps, out in ((1.0, "out1"), (0.5, "out2")):
         cfgp = tmp_path / f"{out}.cfg"
         small_const_config(tmp_path / out, hbar_scale=eps).to_file(cfgp)
-        res = runner.invoke(main, ["analyze", "--config", str(cfgp)])
+        res = run_cli(["analyze", "--config", str(cfgp)])
         assert res.exit_code == 0, res.output
         nodes = json.loads((tmp_path / out / "nodes_closed_form.json").read_text())
         dx[eps] = nodes["dx"][0]
@@ -653,9 +670,8 @@ def test_cli_analyze_epsilon_scaling(tmp_path):
 
 
 def test_cli_figure_scripts(tmp_path):
-    runner = CliRunner()
-    res = runner.invoke(main, ["figure", "--config", str(CONFIGS / "fig2.cfg"),
-                               "--figure", "2", "--out", str(tmp_path / "f2")])
+    res = run_cli(["figure", "--config", str(CONFIGS / "fig2.cfg"),
+                   "--figure", "2", "--out", str(tmp_path / "f2")])
     assert res.exit_code == 0, res.output
     script = (tmp_path / "f2" / "figure2.gp").read_text()
     assert "set arrow" in script and "asymptote" in script
@@ -670,3 +686,66 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace"],
+    ["trace", "--config", "{tmp}/missing.cfg"],
+    ["trace", "--config", "{tmp}"],
+    ["trace", "--config", "{cfg}", "--out", "{cfg}"],
+    ["figure", "--config", "{cfg}", "--figure", "4"],
+    ["plot", "--config", "{cfg}"],
+], ids=["no-config", "missing-config", "config-is-a-directory", "out-is-a-file",
+        "figure-4", "unknown-command"])
+def test_cli_usage_errors_exit_2(tmp_path, argv):
+    cfgp = tmp_path / "c.cfg"
+    small_const_config(tmp_path / "out").to_file(cfgp)
+    result = run_cli([arg.format(tmp=tmp_path, cfg=cfgp) for arg in argv])
+    assert result.exit_code == 2, result.output
+    assert "usage: rqtraj" in result.output and "error: " in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_unreadable_config_exits_2(tmp_path, monkeypatch):
+    """A config that exists but cannot be read (faked: root reads any file)."""
+    cfgp = tmp_path / "c.cfg"
+    small_const_config(tmp_path / "out").to_file(cfgp)
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    result = run_cli(["trace", "--config", str(cfgp)])
+    assert result.exit_code == 2, result.output
+    assert f"argument --config: file {str(cfgp)!r} is not readable" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_help_lists_every_command():
+    result = run_cli(["--help"])
+    assert result.exit_code == 0, result.output
+    for command in ("basis", "trace", "analyze", "figure"):
+        assert re.search(rf"^ +{command} +\S", result.output, re.MULTILINE), command
+
+
+def test_cli_import_loads_neither_click_nor_openssl():
+    """Every command pays for what ``import rqtraj.cli`` loads."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(rq.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, rqtraj.cli; print(*sorted(sys.modules))"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert "rqtraj.cli" in loaded and "click" not in loaded
+    if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+        pytest.skip("no builtin sha256 module: config_hash falls back to hashlib")
+    assert not loaded & {"hashlib", "_hashlib"}
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3"])
+def test_config_hash_is_the_sha256_of_the_canonical_text(name):
+    cfg = parse_config(CONFIGS / f"{name}.cfg")
+    assert cfg.hash == hashlib.sha256(cfg.canonical_text().encode()).hexdigest()
+
+
+def test_config_hash_of_non_ascii_text():
+    text = "[output]\ndir = ħc/λ — 197.3 MeV·fm ✓\n"
+    assert config_hash(text) == hashlib.sha256(text.encode("utf-8")).hexdigest()

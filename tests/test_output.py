@@ -7,18 +7,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rqtraj import pipeline
-from rqtraj.cli import main
 from rqtraj.config import RunConfig, parse_config
 from rqtraj.model import REGIME_TEXT
 from rqtraj.output import (
     BLOCK_ROWS, FAST_MAX, FAST_MIN, LINE_BREAKS, _fast_digits, read_csv, write_csv,
 )
+from tests.conftest import run_cli
 
 
 def reference_csv(header_comments, columns, footer_comments=()):
@@ -333,9 +332,8 @@ def test_cli_csv_round_trip_bit_exact(tmp_path, make_config):
     cfg = make_config(tmp_path / "out")
     cfgp = tmp_path / "run.cfg"
     cfg.to_file(cfgp)
-    runner = CliRunner()
     for command in ("basis", "trace"):
-        result = runner.invoke(main, [command, "--config", str(cfgp)])
+        result = run_cli([command, "--config", str(cfgp)])
         assert result.exit_code == 0, result.output
 
     setup, pot, basis = pipeline._stage(cfg)
@@ -373,7 +371,7 @@ def test_cli_figure_number_only_names_the_outputs(tmp_path, make_config):
     make_config(tmp_path / "out").to_file(cfgp)
     scripts = []
     for n in (1, 2):
-        result = CliRunner().invoke(main, ["figure", "--config", str(cfgp), "--figure", str(n)])
+        result = run_cli(["figure", "--config", str(cfgp), "--figure", str(n)])
         assert result.exit_code == 0, result.output
         scripts.append((tmp_path / "out" / f"figure{n}.gp").read_text().splitlines())
     assert len(scripts[0]) == len(scripts[1])
@@ -393,7 +391,7 @@ def test_cli_figure_plots_the_sets_that_trace(tmp_path):
     cfg = dataclasses.replace(cfg, param_sets=[*cfg.param_sets, (1e5, 0.0)]).validate()
     cfgp = tmp_path / "run.cfg"
     cfg.to_file(cfgp)
-    result = CliRunner().invoke(main, ["figure", "--config", str(cfgp), "--figure", "3"])
+    result = run_cli(["figure", "--config", str(cfgp), "--figure", "3"])
     assert result.exit_code == 0, result.output
     out = tmp_path / "out"
     manifest = json.loads((out / "figure3_manifest.json").read_text())
