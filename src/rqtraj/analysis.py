@@ -81,25 +81,24 @@ def _summary(kind, residuals) -> ValidationReport:
 # ----------------------------------------------------------------------
 
 def nodes_closed_form(
-    setup: PhysicalSetup, u0: float, count: int = 10, x0: float = 0.0, t_range=None
+    setup: PhysicalSetup, u0: float, t_range, x0: float = 0.0
 ) -> NodeReport:
     """Node pattern of the constant-potential family (a W > 0 convention).
 
-    t_n = (n + 1/2) pi hbar (E-U0) / ((E-U0)^2 - m2), x_n = x0 + direction *
-    (n + 1/2) * pi hbar c / sqrt((E-U0)^2 - m2), for n = 0 .. count - 1, or
-    with ``t_range`` = (t_min, t_max) for every n with t_min <= t_n <= t_max.
+    t_n = (n + 1/2) pi hbar |E-U0| / ((E-U0)^2 - m2), x_n = x0 + direction *
+    sign(E-U0) * (n + 1/2) * pi hbar c / sqrt((E-U0)^2 - m2), for every n
+    with t_min <= t_n <= t_max, ``t_range`` = (t_min, t_max).  The traces
+    move along direction * sign(E-U0): E - U0 < 0 is oscillatory too
+    (``model``), and its ladder lies on the other side of x0.
     """
     dt = node_period(setup, u0)
     dx = node_spacing(setup, u0)
-    if t_range is None:
-        n = np.arange(count)
-    else:
-        # one rung past each end, then the cut on the times as computed
-        t_min, t_max = t_range
-        n = np.arange(np.floor(t_min / dt - 0.5), np.floor(t_max / dt + 0.5) + 1)
-        n = n[(t_min <= (n + 0.5) * dt) & ((n + 0.5) * dt <= t_max)]
+    # one rung past each end, then the cut on the times as computed
+    t_min, t_max = t_range
+    n = np.arange(np.floor(t_min / dt - 0.5), np.floor(t_max / dt + 0.5) + 1)
+    n = n[(t_min <= (n + 0.5) * dt) & ((n + 0.5) * dt <= t_max)]
     times = (n + 0.5) * dt
-    positions = x0 + setup.direction * (n + 0.5) * dx
+    positions = x0 + setup.direction * np.sign(setup.E - u0) * (n + 0.5) * dx
     dts = np.full(max(n.size - 1, 0), dt)
     dxs = np.full(max(n.size - 1, 0), dx)
     return NodeReport(

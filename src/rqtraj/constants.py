@@ -2,9 +2,8 @@
 
 Energies are carried in MeV, lengths in fm and times in seconds, so hbar and
 hbar*c are the only bridge constants.  hbar*c is derived from hbar and c
-rather than set independently: the constant set then satisfies
-hbar_c / hbar == c (in fm/s) to machine precision, which the setup
-validation checks at 1e-9 relative.
+rather than set independently (``PhysicalSetup.hbar_c``): the constant set
+then satisfies hbar_c / hbar == c (in fm/s) to machine precision.
 """
 
 HBAR_MEV_S = 6.58212e-22        # reduced Planck constant [MeV s]

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 
@@ -38,7 +39,6 @@ from .errors import (
 
 REGIME_REL_TOL = 1e-12      # on (E-V)^2 - m2, relative to m2
 ENERGY_REL_TOL = 1e-12      # on |E-V|, relative to m0c2
-CONSISTENCY_REL_TOL = 1e-9  # hbar_c / (hbar c) closure
 
 
 class Regime(Enum):
@@ -54,37 +54,32 @@ REGIME_TEXT = np.array([r.value for r in REGIMES])
 
 @dataclass(frozen=True)
 class PhysicalSetup:
-    """Fixed stage for one problem: energies, constants and motion direction.
+    """Fixed stage for one problem: energies, hbar and motion direction.
 
-    ``hbar_c`` is derived from ``hbar`` and ``c`` when not given, so the
-    constant set is internally consistent by construction.  ``direction``
-    is the +-1 sign of the trajectory law.
+    The light speed ``c`` is a class constant and ``hbar_c`` is derived from
+    ``hbar`` and ``c``, so the constant set is consistent by construction.
+    ``direction`` is the +-1 sign of the trajectory law.
     """
 
     E: float                      # total energy [MeV]
     m0c2: float = ELECTRON_MEV    # rest energy [MeV]
     hbar: float = HBAR_MEV_S      # [MeV s]
-    c: float = C_M_PER_S          # [m/s]
-    hbar_c: float = None          # [MeV fm], derived when None
     direction: int = +1
+
+    c: ClassVar[float] = C_M_PER_S    # [m/s]
 
     def __post_init__(self):
         if self.m0c2 <= 0:
             raise ValueError("rest energy must be positive")
         if self.hbar <= 0:
             raise ValueError("hbar must be positive")
-        if self.c <= 0:
-            raise ValueError("light speed must be positive")
         if self.direction not in (+1, -1):
             raise ValueError("direction must be +1 or -1")
-        if self.hbar_c is None:
-            object.__setattr__(self, "hbar_c", self.hbar * self.c * FM_PER_M)
-        else:
-            gap = abs(self.hbar_c / (self.hbar * self.c * FM_PER_M) - 1.0)
-            if gap > CONSISTENCY_REL_TOL:
-                raise ValueError(
-                    f"hbar_c inconsistent with hbar*c by {gap:.3e} relative"
-                )
+
+    @property
+    def hbar_c(self) -> float:
+        """hbar c [MeV fm]."""
+        return self.hbar * self.c * FM_PER_M
 
     @property
     def c_fm_s(self) -> float:
@@ -97,13 +92,10 @@ class PhysicalSetup:
         return self.m0c2 * self.m0c2
 
     def scaled_hbar(self, eps: float) -> "PhysicalSetup":
-        """Setup with hbar scaled by eps (hbar_c rescaled consistently)."""
+        """Setup with hbar, and so hbar_c, scaled by eps."""
         if eps <= 0:
             raise ValueError("hbar scale must be positive")
-        return replace(self, hbar=self.hbar * eps, hbar_c=self.hbar_c * eps)
-
-    def with_direction(self, sign: int) -> "PhysicalSetup":
-        return replace(self, direction=sign)
+        return replace(self, hbar=self.hbar * eps)
 
 
 @dataclass(frozen=True)

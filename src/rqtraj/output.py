@@ -1,9 +1,10 @@
 """Deterministic CSV/JSON writers.
 
-Every CSV value that is a float goes out as ``%.16e`` (17 significant digits,
-enough for the residual validators) and every other value as ``str()``; the
-dtype decides once per column, object columns decide per value.  Identical
-inputs give byte-identical files; headers carry provenance.
+A CSV column is ``(name, array)`` with a float, int, uint or bool dtype, or
+``(name, codes, labels)``: unsigned-int codes written as ``labels[code]``.
+Every float value goes out as ``%.16e`` (17 significant digits, enough for
+the residual validators), every int, uint or bool value as ``str()``.
+Identical inputs give byte-identical files; headers carry provenance.
 
 Rows are streamed in blocks of ``BLOCK_ROWS`` and each block becomes bytes
 in one pass of numpy array operations.  The block's float columns are
@@ -25,18 +26,20 @@ separator, ',' or '\\n' after the last column.  Each word is gathered from a
 text table straight into its column of the block's fields.  A value the
 kernel does not take, or one with a three-digit exponent (|v| >= 1e100 or
 |v| < 1e-99), is formatted on its own; when one of those texts is longer
-than 23 bytes, that block's float fields are as wide as the longest.  An
-int, uint or bool block formats each of its distinct values once with
-``str()`` and gathers the texts by index, ASCII str columns are taken code
-by code, and object, bytes and non-ASCII str columns keep the per-value
-rule, each field NUL-padded and ending in its separator.  A block is its
-fields side by side, with the NUL bytes dropped.  Files are written in
-binary mode as UTF-8.
+than 23 bytes, that block's float fields are as wide as the longest.  Any
+other column's block makes the text of each of its distinct values once,
+``str(v)`` or ``labels[v]`` as UTF-8, and gathers the texts by index, each
+field NUL-padded and ending in its separator.  A block is its fields side
+by side, with the NUL bytes dropped.  Files are written in binary mode as
+UTF-8.
 
-A value or a column name whose text holds ',', NUL or a line break, and a
-comment holding a line break, would change the rows ``read_csv`` sees;
-``write_csv`` raises ``ValueError`` naming the column or comment before
-any file or directory is created.
+``write_csv`` checks its arguments before any file or directory is
+created.  A column of any other dtype (str, bytes, object, complex,
+datetime), or labelled codes that are not unsigned ints or run past their
+labels, raise ``TypeError`` or ``ValueError`` naming the column.  A label
+or a column name whose text holds ',', NUL or a line break, and a comment
+holding a line break, would change the rows ``read_csv`` sees; they raise
+``ValueError`` naming the column or comment.
 """
 
 from __future__ import annotations
@@ -63,10 +66,6 @@ BLOCK_ROWS = 8192
 # the boundaries str.splitlines() splits at, as read_csv does
 LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 _BREAKS = re.compile(f"[,\0{LINE_BREAKS}]")
-# True at the code of ',' and of each line break; the last entry, False, is
-# where np.take(..., mode="clip") puts every higher code
-_BREAK_TABLE = np.zeros(ord(max(LINE_BREAKS)) + 2, dtype=bool)
-_BREAK_TABLE[[ord(c) for c in "," + LINE_BREAKS]] = True
 
 # fast-path range of |v|: 10**(16 - k) and its remainder stay normal doubles
 FAST_MIN, FAST_MAX = 1e-280, 1e280
@@ -184,77 +183,66 @@ def _float_fields(v, newline):
     return fields.reshape(rows, cols, -1)
 
 
-def _text_column(name, arr):
-    """A column that is not numeric as str; refuses text that would break a row."""
-    if arr.dtype.kind != "U":
-        texts = [f"{float(v):.16e}" if isinstance(v, (float, np.floating)) else str(v)
-                 for v in arr]
-        if any(map(_BREAKS.search, texts)):
-            raise ValueError(f"column {name!r} has a value holding ',', NUL or a line break")
-        arr = np.array(texts, dtype=str)
-    arr = np.ascontiguousarray(arr)
-    codes = arr.view(np.uint32).reshape(len(arr), arr.itemsize // 4)
-    # a NUL before a later character is inside the text; trailing NULs are padding
-    if (np.take(_BREAK_TABLE, codes, mode="clip").any()
-            or ((codes[:, :-1] == 0) & (codes[:, 1:] != 0)).any()):
-        raise ValueError(f"column {name!r} has a value holding ',', NUL or a line break")
-    return arr
-
-
-def _field_bytes(block, end):
-    """A column's block that is not float as (rows, width) NUL-padded bytes,
-    each field ending in the separator ``end``."""
-    if block.dtype.kind in "iub":
-        # str() once per distinct value of the block, then a gather
-        values, inverse = np.unique(block, return_inverse=True)
-        text = np.array([str(v).encode() + end for v in values.tolist()])[inverse]
-        return text.view(np.uint8).reshape(len(block), -1)
-    text = block.view(np.uint32).reshape(len(block), -1)
-    if (text >= 128).any():
-        text = np.char.encode(block, "utf-8").view(np.uint8).reshape(len(block), -1)
-    fields = np.empty((len(block), text.shape[1] + 1), np.uint8)
-    fields[:, :-1] = text
-    fields[:, -1] = ord(end)
-    return fields
+def _field_bytes(block, labels, end):
+    """A column's block that is not float as (rows, width) NUL-padded bytes:
+    the text of each distinct value once, ``str(v)`` or ``labels[v]``,
+    ending in the separator ``end``, then a gather."""
+    values, inverse = np.unique(block, return_inverse=True)
+    texts = (map(str, values.tolist()) if labels is None
+             else (labels[v] for v in values.tolist()))
+    text = np.array([t.encode() + end for t in texts])[inverse]
+    return text.view(np.uint8).reshape(len(block), -1)
 
 
 def _block_fields(floats, parts, newline, lo, rows):
     """Rows lo..lo+rows-1 as (rows, width) NUL-padded bytes.  ``parts`` are
-    slices of the float columns' fields and (column, separator) pairs of the
-    other columns; what the block is built from is freed on return."""
+    slices of the float columns' fields and (column, labels, separator)
+    triples of the other columns; what the block is built from is freed on
+    return."""
     if floats:
         v = np.empty((rows, len(floats)))
         for j, arr in enumerate(floats):
             v[:, j] = arr[lo:lo + rows]
         fields = _float_fields(v, newline)
     block = [fields[:, part].reshape(rows, -1) if isinstance(part, slice)
-             else _field_bytes(part[0][lo:lo + rows], part[1]) for part in parts]
+             else _field_bytes(part[0][lo:lo + rows], *part[1:]) for part in parts]
     return block[0] if len(block) == 1 else np.concatenate(block, axis=1)
 
 
 def write_csv(path, header_comments, columns, footer_comments=()):
-    """columns: list of (name, array); arrays must share a length."""
-    names = [name for name, _ in columns]
-    arrays = [np.asarray(arr) for _, arr in columns]
+    """columns: list of (name, array) or (name, codes, labels); arrays must
+    share a length."""
+    names = [column[0] for column in columns]
+    arrays = [np.asarray(column[1]) for column in columns]
+    labels = [column[2] if len(column) == 3 else None for column in columns]
     n = len(arrays[0]) if arrays else 0
-    for name, arr in zip(names, arrays):
+    for name, arr, texts in zip(names, arrays, labels):
         if len(arr) != n:
             raise ValueError(f"column {name!r} has {len(arr)} rows, {names[0]!r} has {n}")
         if _BREAKS.search(name):
             raise ValueError(f"column name {name!r} holds ',', NUL or a line break")
+        if texts is None:
+            if arr.dtype.kind not in "fiub":
+                raise TypeError(f"column {name!r} has dtype {arr.dtype}, not float, int, "
+                                "uint or bool; text goes in as (name, codes, labels)")
+        elif arr.dtype.kind != "u":
+            raise TypeError(f"column {name!r} has {arr.dtype} codes, not unsigned ints")
+        elif n and arr.max() >= len(texts):
+            raise ValueError(f"column {name!r} has a code past its {len(texts)} labels")
+        elif any(map(_BREAKS.search, texts)):
+            raise ValueError(f"column {name!r} has a value holding ',', NUL or a line break")
     for c in (*header_comments, *footer_comments):
         if any(b in f"{c}" for b in LINE_BREAKS):
             raise ValueError(f"comment {c!r} holds a line break")
     header = "".join(f"# {c}\n" for c in header_comments)
     footer = "".join(f"# {c}\n" for c in footer_comments)
-    arrays = [arr if arr.dtype.kind in "fiub" else _text_column(name, arr)
-              for name, arr in zip(names, arrays)]
     floats = [arr for arr in arrays if arr.dtype.kind == "f"]
     ends = [b","] * (len(arrays) - 1) + [b"\n"]
     # a run of adjacent float columns is one part of each block, a slice of
     # the block's float fields; every other column is a part of its own
     parts, f = [], 0
-    for is_float, run in itertools.groupby(zip(arrays, ends), lambda c: c[0].dtype.kind == "f"):
+    for is_float, run in itertools.groupby(zip(arrays, labels, ends),
+                                           lambda c: c[0].dtype.kind == "f"):
         run = list(run)
         if is_float:
             parts.append(slice(f, f + len(run)))

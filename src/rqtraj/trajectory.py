@@ -117,7 +117,8 @@ class Trajectory:
     def to_csv(self, path, header=(), rows=slice(None)):
         """Write the ``rows`` (a slice or an index array) of the trace as CSV, then one
         ``key: value`` line per ``meta["events"]`` entry that is not None (floats %.16e).
-        Only the written rows' regime codes are decoded to their names."""
+        The regime column is the rows' uint8 codes, written as their names in
+        ``model.REGIME_TEXT``."""
         footer = [f"{k}: {v:.16e}" if isinstance(v, float) else f"{k}: {v}"
                   for k, v in self.meta.get("events", {}).items() if v is not None]
         write_csv(
@@ -127,7 +128,7 @@ class Trajectory:
                 ("t_s", self.t[rows]),
                 ("x_fm", self.x[rows]),
                 ("branch_n", self.branch[rows]),
-                ("regime", REGIME_TEXT[self.regime[rows]]),
+                ("regime", self.regime[rows], REGIME_TEXT),
                 ("P_MeV_per_c", self.momentum[rows]),
             ],
             footer_comments=footer,
@@ -251,33 +252,31 @@ def trace_constant_oscillatory(
 
 
 def evanescent_divergence_times(
-    setup: PhysicalSetup, u0: float, hp: HiddenParams, t_min: float = 0.0, count: int = 4
+    setup: PhysicalSetup, u0: float, hp: HiddenParams, t_min: float = 0.0
 ):
-    """First few singular times of the evanescent closed form after t_min.
+    """First singular time of the evanescent closed form after t_min.
 
-    Two families: the tangent argument reaching pi/2 (mod pi) sends x to
-    +infinity; the log argument crossing zero sends x to -infinity.  Also
-    returns, for comparison only, the (2n+1) pi hbar (E-U0) / (4 ((E-U0)^2 - m2))
-    value quoted in prose in the source literature, which does not match the
-    closed form (factor 2 and sign).  E = U0 and a turning point raise
-    (``model.constant_regime``).
+    The trace runs on theta = rate * t, rate = sigma * omega_e with sigma
+    the direction sign and omega_e = (m2 - (E-U0)^2) / (hbar (E-U0)).  Two
+    families of theta0 + n pi: the tangent pole, theta0 = pi/2, sends x to
+    +infinity ("tan_singularity"); the log argument's zero, theta0 =
+    arctan(-b), sends x to -infinity ("log_zero").  With q = (t_min rate -
+    theta0) / pi, the first n after t_min is floor(q) + 1 when rate > 0 and
+    ceil(q) - 1 when rate < 0.  Returns ((t, kind), prose_value), (t, kind)
+    the earlier family's time; prose_value, for comparison only, is the
+    (2n+1) pi hbar (E-U0) / (4 ((E-U0)^2 - m2)) value quoted in prose in the
+    source literature, which does not match the closed form (factor 2 and
+    sign).  E = U0 and a turning point raise (``model.constant_regime``).
     """
     _, ev, disc = constant_regime(setup, u0)
-    m_gap = -disc
-    omega_e = m_gap / (setup.hbar * ev)
-    events = []
-    n = 0
-    while len(events) < 2 * count + 4 and n < 10 * count + 20:
-        t_tan = (np.pi / 2 + n * np.pi) / omega_e
-        if t_tan > t_min:
-            events.append((t_tan, "tan_singularity"))
-        t_log = (np.arctan(-hp.b) + n * np.pi) / omega_e
-        if t_log > t_min:
-            events.append((t_log, "log_zero"))
-        n += 1
-    events.sort()
+    rate = -disc / (setup.hbar * ev) * setup.direction
+    first = []
+    for theta0, kind in ((np.pi / 2, "tan_singularity"), (np.arctan(-hp.b), "log_zero")):
+        q = (t_min * rate - theta0) / np.pi
+        n = np.floor(q) + 1 if rate > 0 else np.ceil(q) - 1
+        first.append(((theta0 + n * np.pi) / rate, kind))
     prose_value = abs(np.pi * setup.hbar * ev / (4.0 * disc))
-    return events[: 2 * count], prose_value
+    return min(first), prose_value
 
 
 def trace_constant_evanescent(
@@ -332,9 +331,10 @@ def trace_constant_evanescent(
         t, x, momentum = t[:first_out], x[:first_out], momentum[:first_out]
         events["halt"] = "DivergenceReached"
 
-    sing, prose_value = evanescent_divergence_times(setup, u0, hp, t_min=min(0.0, t_range[0]))
-    events["divergence_time_s"] = float(sing[0][0]) if sing else None
-    events["divergence_kind"] = sing[0][1] if sing else None
+    (t_star, kind), prose_value = evanescent_divergence_times(
+        setup, u0, hp, t_min=min(0.0, t_range[0]))
+    events["divergence_time_s"] = float(t_star)
+    events["divergence_kind"] = kind
     events["prose_divergence_time_s"] = float(prose_value)
 
     return Trajectory(

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -22,10 +23,10 @@ FIG1_SETS = ((0.2, 0.0), (4 / 3, -1.05), (0.25, 8.0))
 FIG3_SETS = ((4.0, 2.5), (8.0, -3.0), (5.0, 2.0))
 
 
-def fig1_traces(setup, n=200001, periods=5.0):
-    dt = rq.node_period(setup, 0.0)
+def fig1_traces(setup, u0=0.0, n=200001, periods=5.0):
+    dt = rq.node_period(setup, u0)
     return [
-        rq.trace_constant_oscillatory(setup, 0.0, rq.HiddenParams(a, b), 0.0,
+        rq.trace_constant_oscillatory(setup, u0, rq.HiddenParams(a, b), 0.0,
                                       (0.0, periods * dt), n)
         for a, b in FIG1_SETS
     ]
@@ -46,7 +47,8 @@ def linear_pipeline(setup, lo=-2000.0, hi=1200.0, h=0.05, x0=-400.0):
 
 def test_closed_form_node_values(electron2):
     """Frozen values for the 2-MeV electron node ladder."""
-    rep = rq.nodes_closed_form(electron2, 0.0, count=6)
+    rep = rq.nodes_closed_form(electron2, 0.0, (0.0, 6 * rq.node_period(electron2, 0.0)))
+    assert len(rep.times) == 6
     # pi hbar c / sqrt(4 - 0.511^2) = 320.60 fm = 3.2060e-13 m
     assert rep.dx[0] == pytest.approx(320.6016, rel=1e-6)
     assert rep.dx[0] * 1e-15 == pytest.approx(3.2060e-13, rel=1e-4)
@@ -89,13 +91,18 @@ def test_de_broglie_scales_linearly(electron2):
 
 
 def test_detect_nodes_matches_closed_form(electron2):
-    trs = fig1_traces(electron2)
-    rep = rq.detect_nodes(trs)
-    closed = rq.nodes_closed_form(electron2, 0.0, count=len(rep.times))
-    assert len(rep.times) >= 4
-    assert np.max(np.abs(rep.times - closed.times) / closed.times) < 1e-3
-    assert np.max(np.abs(rep.positions - closed.positions) / np.abs(closed.positions)) < 1e-3
-    assert np.max(np.abs(rep.dx - closed.dx[: len(rep.dx)]) / closed.dx[0]) < 1e-3
+    """For E - U0 = +2 and -2 MeV (both oscillatory) and either direction:
+    the ladder lies along direction * sign(E - U0)."""
+    for u0, direction in itertools.product((0.0, 4.0), (+1, -1)):
+        setup = dataclasses.replace(electron2, direction=direction)
+        trs = fig1_traces(setup, u0)
+        rep = rq.detect_nodes(trs)
+        closed = rq.nodes_closed_form(setup, u0, (trs[0].t[0], trs[0].t[-1]))
+        case = f"U0 = {u0}, direction {direction:+d}"
+        assert len(rep.times) == len(closed.times) >= 4, case
+        assert np.max(np.abs(rep.times - closed.times) / closed.times) < 1e-3, case
+        assert np.max(np.abs(rep.positions - closed.positions) / np.abs(closed.positions)) < 1e-3, case
+        assert np.max(np.abs(rep.dx - closed.dx) / closed.dx[0]) < 1e-3, case
 
 
 def test_detect_nodes_identical_curves_degenerate(electron2):
@@ -384,7 +391,7 @@ def _relative_errors(t, x, stride):
 def test_stencil_matches_exact_oracle(electron2, direction):
     """linspace t and arange x are a few ulps off uniform; the stencil
     follows the samples where they are, as the interpolant does."""
-    setup = electron2.with_direction(direction)
+    setup = dataclasses.replace(electron2, direction=direction)
     # fig1-like closed form: linspace t, stride 1
     tr = rq.trace_constant_oscillatory(setup, 0.0, rq.HiddenParams(4 / 3, -1.05), 0.0,
                                        (0.0, 5.5e-21), 50001)
@@ -616,7 +623,7 @@ def test_blocked_quantum_hj_is_bit_equal(electron2, n, kind):
 
 
 def test_node_report_json(tmp_path, electron2):
-    rep = rq.nodes_closed_form(electron2, 0.0, count=4)
+    rep = rq.nodes_closed_form(electron2, 0.0, (0.0, 4 * rq.node_period(electron2, 0.0)))
     path = tmp_path / "nodes.json"
     write_json(path, rep.to_dict())
     data = json.loads(path.read_text())

@@ -29,8 +29,8 @@ def test_setup_validation():
         rq.PhysicalSetup(E=1.0, hbar=0.0)
     with pytest.raises(ValueError):
         rq.PhysicalSetup(E=1.0, direction=2)
-    with pytest.raises(ValueError):
-        rq.PhysicalSetup(E=1.0, hbar_c=196.0)  # inconsistent with hbar * c
+    with pytest.raises(TypeError):
+        rq.PhysicalSetup(E=1.0, hbar_c=196.0)  # derived from hbar and c, never given
 
 
 def test_hbar_scaling_keeps_consistency():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -97,7 +99,7 @@ def test_trace_monotone_and_branch(electron2):
 
 def test_direction_reversal(electron2):
     dt = rq.node_period(electron2, 0.0)
-    back = electron2.with_direction(-1)
+    back = dataclasses.replace(electron2, direction=-1)
     tr = rq.trace_constant_oscillatory(back, 0.0, rq.HiddenParams(0.2, 0.0),
                                        0.0, (0.0, 2 * dt), 2001)
     assert np.all(np.diff(tr.x) < 0)
@@ -193,9 +195,29 @@ def test_evanescent_window_halt(evanescent03):
 def test_evanescent_log_zero_divergence(evanescent03):
     """Negative b puts the log-argument zero before the tangent pole."""
     hp = rq.HiddenParams(0.25, -2.0)
-    events, _ = rq.evanescent_divergence_times(evanescent03, 0.0, hp)
-    kinds = [k for _, k in events[:1]]
-    assert kinds == ["log_zero"]
+    (_, kind), _ = rq.evanescent_divergence_times(evanescent03, 0.0, hp)
+    assert kind == "log_zero"
+
+
+@pytest.mark.parametrize("u0", [0.0, 0.6], ids=["E-U0=+0.3", "E-U0=-0.3"])
+@pytest.mark.parametrize("direction", [+1, -1])
+def test_evanescent_divergence_is_the_first_sign_change(evanescent03, u0, direction):
+    """The trace's divergence is the first zero after t = 0 of cos(theta)
+    (tangent pole) or of sin(theta) + b cos(theta) (log-argument zero), on
+    the phase theta = sigma omega_e t the trace runs on."""
+    setup = dataclasses.replace(evanescent03, direction=direction)
+    hp = rq.HiddenParams(0.25, 8.0)
+    events = rq.trace_constant_evanescent(setup, u0, hp, 0.0, (0.0, 4e-21), 101).meta["events"]
+    ev = setup.E - u0
+    t = np.linspace(0.0, 4e-21, 2_000_001)
+    theta = direction * (setup.m0c2**2 - ev**2) / (setup.hbar * ev) * t
+    first = {}
+    for kind, f in (("tan_singularity", np.cos(theta)),
+                    ("log_zero", np.sin(theta) + hp.b * np.cos(theta))):
+        first[kind] = t[np.flatnonzero(np.sign(f[:-1]) != np.sign(f[1:]))[0] + 1]
+    kind = min(first, key=first.get)
+    assert events["divergence_kind"] == kind
+    assert abs(events["divergence_time_s"] - first[kind]) <= t[1]
 
 
 def test_quadrature_matches_closed_form(electron2, const_pot):
@@ -256,8 +278,9 @@ def test_quadrature_descending_trace_comes_out_ascending(electron2):
     basis = rq.solve_numeric(electron2, pot, grid, init1=(0.0, k0), init2=(1.0, 0.0))
     hp = rq.HiddenParams(4.0, 2.5)
     up, down = (
-        rq.trace_quadrature(rq.ReducedAction(basis, hp, electron2.with_direction(sign)),
-                            pot, 0.0, (-200.0, 400.0))
+        rq.trace_quadrature(
+            rq.ReducedAction(basis, hp, dataclasses.replace(electron2, direction=sign)),
+            pot, 0.0, (-200.0, 400.0))
         for sign in (+1, -1)
     )
     assert np.all(np.diff(down.t) > 0) and np.all(np.diff(down.x) < 0)
