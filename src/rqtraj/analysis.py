@@ -9,6 +9,7 @@ whose raw scales span many orders of magnitude.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -177,7 +178,11 @@ def detect_nodes(trajectories, basis: SolutionBasis = None) -> NodeReport:
     interpolation; crossings from all pairs are merged into clusters of
     radius 0.02 node periods for an oscillatory constant potential, else
     0.04 of the common time window (where clusters drift).  Clusters hit by
-    every pair count as nodes.  With ``basis`` given, the offset of each node
+    every pair count as nodes.  Each cluster's time is refined to the
+    minimum, inside the cluster's window, of the family's spread
+    max(x) - min(x) on the common grid, by a parabola through the minimum
+    and its neighbours (the minimum itself standing in for a neighbour
+    outside the window).  With ``basis`` given, the offset of each node
     position to the nearest zero of phi2 is reported (not asserted) in the extras.
     """
     trajs = list(trajectories)
@@ -222,7 +227,8 @@ def detect_nodes(trajectories, basis: SolutionBasis = None) -> NodeReport:
             clusters.append([(tc, xc, pid)])
 
     node_t, node_x, members, spreads = [], [], [], []
-    xg_arr = np.stack(xg)
+    # elementwise over the curves, so no stacked copy of xg
+    spread = reduce(np.maximum, xg) - reduce(np.minimum, xg)
     for cl in clusters:
         ts = np.array([c[0] for c in cl])
         xs = np.array([c[1] for c in cl])
@@ -234,14 +240,11 @@ def detect_nodes(trajectories, basis: SolutionBasis = None) -> NodeReport:
         half = max(int(np.ceil((ts.max() - ts.min() + cluster_radius) / dt_grid)), 2)
         j_c = int(np.argmin(np.abs(tg - t_c)))
         j_lo, j_hi = max(j_c - half, 0), min(j_c + half + 1, tg.size)
-        spread_w = xg_arr[:, j_lo:j_hi].max(axis=0) - xg_arr[:, j_lo:j_hi].min(axis=0)
-        j_min = j_lo + int(np.argmin(spread_w))
+        j_min = j_lo + int(np.argmin(spread[j_lo:j_hi]))
         if 0 < j_min < tg.size - 1:
-            s_m, s_0, s_p = (
-                spread_w[j_min - 1 - j_lo] if j_min - 1 >= j_lo else spread_w[0],
-                spread_w[j_min - j_lo],
-                spread_w[j_min + 1 - j_lo] if j_min + 1 - j_lo < spread_w.size else spread_w[-1],
-            )
+            s_m = spread[max(j_min - 1, j_lo)]
+            s_0 = spread[j_min]
+            s_p = spread[min(j_min + 1, j_hi - 1)]
             denom = s_p - 2.0 * s_0 + s_m
             shift = 0.5 * (s_m - s_p) / denom * dt_grid if denom > 0 else 0.0
             t_node = tg[j_min] + float(np.clip(shift, -dt_grid, dt_grid))

@@ -63,10 +63,6 @@ class SolutionBasis:
     def wronskian_pointwise(self) -> np.ndarray:
         return self.dphi1 * self.phi2 - self.phi1 * self.dphi2
 
-    def covers(self, lo: float, hi: float) -> bool:
-        tol = 1e-9 * max(1.0, abs(self.grid[-1] - self.grid[0]))
-        return self.grid[0] <= lo + tol and hi <= self.grid[-1] + tol
-
     def index_of(self, x: float) -> int:
         """Index of the grid point at x (must lie on the grid)."""
         i = int(np.searchsorted(self.grid, x))

@@ -140,8 +140,11 @@ def _family(cfg: RunConfig, setup, pot, basis):
     its ReducedAction on ``basis``, or None without a basis).
 
     A quadrature trace is built from the action; closed forms ignore it.
-    A set's action is dropped here before the next one is built, so one is
-    alive at a time as long as the caller drops the one it got.
+    A trace whose last row lies before t_max gets ``end_t_s`` and
+    ``end_x_fm`` events, that row's t and x, so the CSV footer and the
+    manifest entry say where it stopped.  A set's action is dropped here
+    before the next one is built, so one is alive at a time as long as the
+    caller drops the one it got.
     """
     for a, b in cfg.param_sets:
         hp = HiddenParams(a, b)
@@ -150,8 +153,7 @@ def _family(cfg: RunConfig, setup, pot, basis):
             if basis is not None:
                 ra = ReducedAction(basis, hp, setup)
             if cfg.potential_kind != "constant":
-                tr = trace_quadrature(ra, pot, cfg.x0, (cfg.grid_min, cfg.grid_max),
-                                      sync=cfg.sync)
+                tr = trace_quadrature(ra, pot, cfg.x0, cfg.sync)
             elif _oscillatory_constant(cfg, setup):
                 tr = trace_constant_oscillatory(
                     setup, cfg.u0, hp, cfg.x0, (cfg.t_min, cfg.t_max), cfg.samples
@@ -161,6 +163,8 @@ def _family(cfg: RunConfig, setup, pot, basis):
                     setup, cfg.u0, hp, cfg.x0, (cfg.t_min, cfg.t_max), cfg.samples,
                     window_fm=cfg.window,
                 )
+            if tr.t[-1] < cfg.t_max:
+                tr.meta["events"].update(end_t_s=float(tr.t[-1]), end_x_fm=float(tr.x[-1]))
         except RqtError as exc:
             tr = exc.with_traceback(None)       # its frames would keep the action alive
         yield hp, tr, ra
@@ -207,7 +211,7 @@ def _close_trace(cfg: RunConfig, manifest: dict, setup, pot) -> dict:
         else:
             cl = classical_trace(setup, pot, cfg.x0,
                                  x_range=(cfg.grid_min, cfg.grid_max),
-                                 n_samples=min(cfg.samples, 20001))
+                                 n_samples=cfg.samples)
         path = out / "classical.csv"
         cl.to_csv(path, header=_header(cfg, ["curve: classical"]))
         manifest["classical"] = str(path)

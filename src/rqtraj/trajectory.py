@@ -11,7 +11,8 @@ constant advances by pi at every node crossing; the node pattern
 the right side depends on x only, so t(x) is accumulated by composite
 Simpson quadrature on the basis grid (no stiffness where the velocity
 peaks, since no time stepping is involved).  The quadrature reads setup,
-basis and (a, b) from the ReducedAction it is given.  A turning point ends
+basis and (a, b) from the ReducedAction it is given and runs over the
+basis's whole grid, so the grid is the one x range.  A turning point ends
 it with a ``TurningPointInRange`` halt event, whether a grid point resolves
 it (|v| under SLOW_ZONE_FRAC * c) or 1/v changes sign between two grid
 points, so every quadrature trace has strictly monotone t and x.
@@ -63,7 +64,7 @@ class Trajectory:
     t in seconds, x in fm, momentum in MeV/c (signed).  ``regime`` holds one
     uint8 code into ``model.REGIMES`` per sample.  ``meta`` carries the
     producing ``setup``, ``potential`` and ``params`` and the ``events``
-    (divergence, halt).
+    (divergence, halt, end of a short trace).
     """
 
     t: np.ndarray
@@ -188,19 +189,18 @@ def _constant_oscillatory_fields(setup: PhysicalSetup, u0: float):
         raise RegimeError("oscillatory trace requested with evanescent parameters")
     k = np.sqrt(disc) / setup.hbar_c          # [1/fm]
     omega = disc / (setup.hbar * ev)          # [1/s], sign follows E-U0
-    kin = disc / ev                           # [MeV]
-    return disc, k, omega, kin
+    return k, omega
 
 
 def node_period(setup: PhysicalSetup, u0: float) -> float:
     """Time between adjacent nodes |pi hbar (E-U0) / ((E-U0)^2 - m2)| [s]."""
-    _, _, omega, _ = _constant_oscillatory_fields(setup, u0)
+    _, omega = _constant_oscillatory_fields(setup, u0)
     return float(np.pi / abs(omega))
 
 
 def node_spacing(setup: PhysicalSetup, u0: float) -> float:
     """Distance between adjacent nodes pi hbar c / sqrt((E-U0)^2 - m2) [fm]."""
-    _, k, _, _ = _constant_oscillatory_fields(setup, u0)
+    k, _ = _constant_oscillatory_fields(setup, u0)
     return float(np.pi / k)
 
 
@@ -218,7 +218,7 @@ def trace_constant_oscillatory(
     shared by a trajectory family; node positions are x0 + (n + 1/2) pi/k).
     x(0) = x0 + arctan(-b/a)/k, which is x0 exactly when b = 0.
     """
-    disc, k, omega, kin = _constant_oscillatory_fields(setup, u0)
+    k, omega = _constant_oscillatory_fields(setup, u0)
     a, b = hp.a, hp.b
     sigma = setup.direction
 
@@ -286,14 +286,16 @@ def trace_constant_evanescent(
     x0: float,
     t_range,
     n_samples: int = 4096,
-    window_fm: float = None,
+    *,
+    window_fm: float,
 ) -> Trajectory:
     """Closed-form trajectory in the classically forbidden constant-potential case.
 
     x(t) = (hbar c / 2 sqrt(m2 - (E-U0)^2)) ln|(tan(omega_e t) + b)/a| + x0,
     omega_e = (m2 - (E-U0)^2)/(hbar (E-U0)).  The particle covers an infinite
-    distance in finite time: sampling stops once |x - x0| exceeds the window
-    and the analytic divergence time is reported in the metadata.
+    distance in finite time: sampling stops, with ``halt: DivergenceReached``
+    in the events, once |x - x0| exceeds ``window_fm`` [fm], and the analytic
+    divergence time is reported in the metadata.
     """
     regime, ev, disc = constant_regime(setup, u0)
     if regime is not Regime.EVANESCENT:
@@ -306,9 +308,6 @@ def trace_constant_evanescent(
     scale = setup.hbar_c / (2.0 * kappa2)     # [fm]
     omega_e = m_gap / (setup.hbar * ev)       # [1/s]
     sigma = setup.direction
-
-    if window_fm is None:
-        window_fm = 20.0 * abs(scale)
 
     t = np.linspace(t_range[0], t_range[1], n_samples)
     tau = sigma * t
@@ -371,13 +370,14 @@ def trace_quadrature(
     action: ReducedAction,
     pot: Potential,
     x0: float,
-    x_range,
-    sync: str = "exact",
+    sync: str,
 ) -> Trajectory:
-    """Trajectory t(x) by composite Simpson quadrature of 1/v on the basis grid.
+    """Trajectory t(x) by composite Simpson quadrature of 1/v over the whole basis grid.
 
     Setup, basis and (a, b) are those of ``action``, the direction sign
-    that of ``action.setup``.  ``sync`` fixes the time origin: "exact" puts
+    that of ``action.setup``, and the x range that of ``action.basis``: the
+    trace starts at the first grid point and runs to the last one or to a
+    turning point.  ``sync`` fixes the time origin: "exact" puts
     t = 0 at the grid point nearest x0.  "psi_zero" puts t = 0 where
     a phi1 + b phi2 vanishes nearest x0 (the convention of the
     constant-potential closed form, whose t = 0 has a zero reduced action).
@@ -385,7 +385,8 @@ def trace_quadrature(
     members of the (a, b) family cross at the same phase, so every synced
     trajectory passes through it at t = 0.  Either zero convention makes a
     family share its nodes (exactly for a constant potential, to within a
-    slow drift otherwise).
+    slow drift otherwise).  An x0 outside the grid, or a grid of fewer than
+    3 points, raises BasisGapError.
 
     A turning point ends the trace, with ``halt: TurningPointInRange`` in
     the events: the trace stops before the first grid point where |v| falls
@@ -397,43 +398,33 @@ def trace_quadrature(
     ascending and x strictly monotone.  E = V on the rows the trace keeps,
     or between the last of them and the first row it drops, raises
     EnergyEqualsPotential: the law of motion divides by E - V, and 1/v
-    changes sign there.  So a range that reaches past a turning point
+    changes sign there.  So a grid that reaches past a turning point
     halts there whether or not a grid point falls in the slow zone.
     """
     setup, basis, hp = action.setup, action.basis, action.params
-    lo, hi = float(min(x_range)), float(max(x_range))
-    if not basis.covers(lo, hi):
-        raise BasisGapError("basis grid does not cover the requested x range")
-    if not (lo <= x0 <= hi):
-        raise BasisGapError("x0 outside the requested x range")
-
     grid = basis.grid
-    # the grid is strictly increasing, so the selected points are one slice
-    sel = slice(
-        int(np.searchsorted(grid, lo - 1e-12 * max(1.0, abs(lo)), side="left")),
-        int(np.searchsorted(grid, hi + 1e-12 * max(1.0, abs(hi)), side="right")),
-    )
-    xs = grid[sel]
-    if xs.size < 3:
-        raise BasisGapError("fewer than 3 basis points inside the x range")
-    if uniform_step(xs) is None:
+    if not (grid[0] <= x0 <= grid[-1]):
+        raise BasisGapError("x0 outside the basis grid")
+    if grid.size < 3:
+        raise BasisGapError("fewer than 3 points in the basis grid")
+    if uniform_step(grid) is None:
         raise ValueError("quadrature requires a uniform basis grid")
-    h = float(xs[1] - xs[0])
+    h = float(grid[1] - grid[0])
 
     # model.kinetic_term inline: its E = V check would look at every row of
-    # the range, where the one below looks at the rows the trace keeps
-    ev = setup.E - np.asarray(pot.v(xs), dtype=float)
+    # the grid, where the one below looks at the rows the trace keeps
+    ev = setup.E - np.asarray(pot.v(grid), dtype=float)
     with np.errstate(divide="ignore"):                # E = V is checked below
         kin = ev - setup.rest_sq / ev                 # [MeV]
-    pc = action.momentum_grid[sel]                    # [MeV/c]
+    pc = action.momentum_grid                         # [MeV/c]
     v = setup.direction * setup.c_fm_s * kin / pc     # [fm/s]
 
     # turning point on a grid point: the slow zone
     slow = np.abs(v) < SLOW_ZONE_FRAC * setup.c_fm_s
-    cut = int(np.argmax(slow)) if slow.any() else xs.size
+    cut = int(np.argmax(slow)) if slow.any() else grid.size
     if cut < 3:
-        raise RegimeError("entire range is inside the slow/turning zone")
-    xs, v = xs[:cut], v[:cut]
+        raise RegimeError("entire grid is inside the slow/turning zone")
+    xs, v = grid[:cut], v[:cut]
 
     regime = regime_tags(setup, ev[:cut])
 
@@ -445,12 +436,12 @@ def trace_quadrature(
     # dropped: either cut can come from the sign change of E - V itself
     ev = ev[:cut + 1]
     if not (ev.min() > 0.0 or ev.max() < 0.0):
-        end = float(grid[sel.start + ev.size - 1])
+        end = float(grid[ev.size - 1])
         raise EnergyEqualsPotential(
             f"E - V vanishes or changes sign inside [{float(xs[0])!r}, {end!r}] fm"
         )
     if cut < 3:
-        raise RegimeError("turning point within two grid steps of the range start")
+        raise RegimeError("turning point within two grid steps of the grid start")
     xs, regime, tt = xs[:cut], regime[:cut], tt[:cut]
 
     # time origin
@@ -467,10 +458,9 @@ def trace_quadrature(
         raise ValueError(f"unknown sync mode {sync!r}")
     tt = tt - np.interp(anchor, xs, tt)
 
-    rows = slice(sel.start, sel.start + xs.size)
+    rows = slice(xs.size)
     order = slice(None) if tt[-1] > tt[0] else slice(None, None, -1)
-    halted = rows.stop < sel.stop
-    events = {"halt": TurningPointInRange.__name__} if halted else {}
+    events = {"halt": TurningPointInRange.__name__} if xs.size < grid.size else {}
 
     return Trajectory(
         t=tt[order],

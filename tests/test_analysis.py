@@ -39,7 +39,7 @@ def linear_pipeline(setup, lo=-2000.0, hi=1200.0, h=0.05, x0=-400.0):
     basis = rq.solve_numeric(setup, pot, grid, init1=(0.0, k0), init2=(1.0, 0.0))
     trajs = [
         rq.trace_quadrature(rq.ReducedAction(basis, rq.HiddenParams(a, b), setup), pot,
-                            x0, (lo, hi), sync="phi2_zero")
+                            x0, "phi2_zero")
         for a, b in FIG3_SETS
     ]
     return pot, basis, trajs
@@ -288,13 +288,13 @@ def test_uniform_is_one_rule(electron2):
         ra = rq.ReducedAction(dataclasses.replace(basis, grid=bent), hp, electron2)
         if uniform:
             rq.solve_numeric(electron2, pot, bent)
-            rq.trace_quadrature(ra, pot, -200.0, (-600.0, 200.0))
+            rq.trace_quadrature(ra, pot, -200.0, "exact")
             stencil_derivatives(bent, np.sin(bent / 50.0))
         else:
             with pytest.raises(ValueError, match="uniform"):
                 rq.solve_numeric(electron2, pot, bent)
             with pytest.raises(ValueError, match="uniform"):
-                rq.trace_quadrature(ra, pot, -200.0, (-600.0, 200.0))
+                rq.trace_quadrature(ra, pot, -200.0, "exact")
             with pytest.raises(RegimeError, match="uniform"):
                 stencil_derivatives(bent, np.sin(bent / 50.0))
 
@@ -511,7 +511,7 @@ def block_traces():
     k0 = oscillatory_wavenumber(setup, u0=float(pot.v(grid[:1])[0]))
     basis = rq.solve_numeric(setup, pot, grid, init1=(0.0, k0), init2=(1.0, 0.0))
     quad = rq.trace_quadrature(rq.ReducedAction(basis, rq.HiddenParams(4.0, 2.5), setup),
-                               pot, lo, (lo, float(grid[-1])))
+                               pot, lo, "exact")
     xt = np.linspace(-2000.0, 2000.0, 4001)
     tab = rq.TabulatedPotential(xt, 1e-3 * xt + 2e-7 * xt**2 + 0.05 * np.sin(xt / 300.0))
     return setup, {"t": closed, "x": quad}, tab

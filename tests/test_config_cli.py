@@ -437,6 +437,50 @@ def test_cli_trace_empty_window_is_a_per_set_error(tmp_path):
     assert not list((tmp_path / "out").glob("trajectory_*.csv"))
 
 
+def test_cli_trace_grid_step_that_does_not_divide_the_span(tmp_path):
+    """grid_step = 0.3 fm leaves the grid on [-500, 500] fm ending at 499.9
+    fm: each set traces the grid as built, to its last point, and writes
+    its file."""
+    cfg = RunConfig(potential_kind="linear", grid_min=-500.0, grid_max=500.0, grid_step=0.3,
+                    x0=-500.0, param_sets=[(4.0, 2.5), (8.0, -3.0)], sync="phi2_zero",
+                    out_dir=str(tmp_path / "out")).validate()
+    cfgp = tmp_path / "c.cfg"
+    cfg.to_file(cfgp)
+    result = run_cli(["trace", "--config", str(cfgp)])
+    assert result.exit_code == 0, result.output
+    grid = pipeline.build_grid(cfg)
+    assert grid[-1] < cfg.grid_max - 0.05
+    manifest = json.loads((tmp_path / "out" / "trace_manifest.json").read_text())
+    assert len(manifest["sets"]) == 2
+    for entry in manifest["sets"]:
+        assert entry["status"] == "ok", entry
+        assert Path(entry["file"]).is_file()
+        assert entry["end_x_fm"] == grid[-1]
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3"])
+def test_a_trace_that_ends_before_t_max_records_its_end(tmp_path, name):
+    """fig3's traces stop at the end of the grid, x = 1450 fm, before t_max:
+    each carries end_t_s and end_x_fm, its last row, in its manifest entry
+    and its CSV footer.  fig1's and fig2's closed forms run to t_max and
+    carry neither."""
+    cfg = dataclasses.replace(parse_config(CONFIGS / f"{name}.cfg"),
+                              out_dir=str(tmp_path / "out"))
+    manifest = pipeline.run_trace(cfg)
+    trajs = [tr for _, tr, _ in pipeline._family(cfg, *pipeline._stage(cfg))]
+    assert len(trajs) == len(manifest["sets"])
+    for entry, tr in zip(manifest["sets"], trajs):
+        footer, _ = read_csv(entry["file"])
+        if name == "fig3":
+            assert tr.t[-1] < cfg.t_max and tr.x[-1] == pipeline.build_grid(cfg)[-1]
+            assert (entry["end_t_s"], entry["end_x_fm"]) == (tr.t[-1], tr.x[-1])
+            assert (float(footer["end_t_s"]), float(footer["end_x_fm"])) == (tr.t[-1], tr.x[-1])
+        else:
+            assert tr.t[-1] == cfg.t_max
+            for key in ("end_t_s", "end_x_fm"):
+                assert key not in entry and key not in footer and key not in tr.meta["events"]
+
+
 @pytest.mark.parametrize("name, figure, digests", [
     ("fig1", 1, {
         "classical.csv": "88f052e42ef35da833c3cd1572b4f6ad4b1aab64bb31624709c8a63652f5306d",
@@ -512,13 +556,13 @@ FIG3_DIGESTS = {
     "analyze_manifest.json": "919abb01b9524ea04c926dcc7d7432c633d964f0d9173880b8502bda15498f82",
     "classical.csv": "71c9bb0191a2570f5df5ca08524077377245882df3e685fdc070c7e5ce717fb2",
     "figure3.gp": "8aeec211273e5e0163275ae56bf544dc2887853a982c8f77e90aa42c3ecb2aa3",
-    "figure3_manifest.json": "2d931e85b2c798284d411dd1dcbdde049976f31bca31b227671b46cf4dd2d60c",
+    "figure3_manifest.json": "16b88561b18f5b5756996a49a55a3d8df03e6601d6de14c1e9d16bba7525caba",
     "nodes.csv": "cb6b6db3ac5a21c44155c4f4cdba0980956d8014836e07dd4e46e71e1648c3b9",
     "nodes_detected.json": "f2eb1d1ec905839b404cdc68c0af9fd4724facf11e0ea054e9a3c54bce4bf149",
-    "trace_manifest.json": "3b53701e84bc83bd35058ed10497ab4f8ee53a4db3bb20bbf41eb29f1fd40d37",
-    "trajectory_0.csv": "26995557e7ddcb4fa3368ed4a1781e2a846d908ddd3ec0de601447510adc64b8",
-    "trajectory_1.csv": "ae273bc7a2231cdcc32769f47a06d7b6269a282f392e7d411043f2f7f78c83df",
-    "trajectory_2.csv": "6540b1657d840bc0e448e8310b125f0ef6d4ce255a93e9cf0783b319b4a14559",
+    "trace_manifest.json": "98baca9b51d4e4baf6d2373bb785ad378f1242aad51a6e66a1e1fe58a5dfd141",
+    "trajectory_0.csv": "7f8efb27f28b8e8514788f1c9410150ce7318766dd8ea87d60d47d7717811868",
+    "trajectory_1.csv": "15764a3090de48c227a167874c241545043e1bd100f5e4347ce6f3ce44050f33",
+    "trajectory_2.csv": "dca9e416137656444a04d2a9e0358e39bd7d3478d73365639e1934ad291efc66",
     "validation.json": "b1bb3c6ad7a5257371889a3c626769bba0cd0c5188f95318257a175494d096cb",
 }
 

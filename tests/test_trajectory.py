@@ -131,11 +131,11 @@ def test_oscillatory_regime_guards(electron2, evanescent03):
                                       rq.HiddenParams(1.0, 0.0), 0.0, (0.0, 1e-21))
     with pytest.raises(RegimeError):
         rq.trace_constant_evanescent(electron2, 0.0, rq.HiddenParams(1.0, 0.0),
-                                     0.0, (0.0, 1e-21))
+                                     0.0, (0.0, 1e-21), window_fm=2e4)
     # E = U0 is typed, not a division by E - U0
     with pytest.raises(EnergyEqualsPotential):
         rq.trace_constant_evanescent(evanescent03, evanescent03.E, rq.HiddenParams(1.0, 0.0),
-                                     0.0, (0.0, 1e-21))
+                                     0.0, (0.0, 1e-21), window_fm=2e4)
 
 
 def test_hbar_scaling_self_similarity(electron2):
@@ -164,7 +164,8 @@ def test_evanescent_start_position(evanescent03):
 def test_evanescent_divergence_bisection_oracle(evanescent03):
     """Reported divergence equals the bisection root of the tangent argument."""
     hp = rq.HiddenParams(0.25, 8.0)
-    tr = rq.trace_constant_evanescent(evanescent03, 0.0, hp, 0.0, (0.0, 2.5e-21), 1001)
+    tr = rq.trace_constant_evanescent(evanescent03, 0.0, hp, 0.0, (0.0, 2.5e-21), 1001,
+                                      window_fm=2e4)
     t_star = tr.meta["events"]["divergence_time_s"]
 
     m_gap = 0.511**2 - 0.3**2
@@ -207,7 +208,8 @@ def test_evanescent_divergence_is_the_first_sign_change(evanescent03, u0, direct
     the phase theta = sigma omega_e t the trace runs on."""
     setup = dataclasses.replace(evanescent03, direction=direction)
     hp = rq.HiddenParams(0.25, 8.0)
-    events = rq.trace_constant_evanescent(setup, u0, hp, 0.0, (0.0, 4e-21), 101).meta["events"]
+    events = rq.trace_constant_evanescent(setup, u0, hp, 0.0, (0.0, 4e-21), 101,
+                                          window_fm=2e4).meta["events"]
     ev = setup.E - u0
     t = np.linspace(0.0, 4e-21, 2_000_001)
     theta = direction * (setup.m0c2**2 - ev**2) / (setup.hbar * ev) * t
@@ -228,7 +230,7 @@ def test_quadrature_matches_closed_form(electron2, const_pot):
     grid = np.arange(int(round(2.6 * np.pi / k / h))) * h  # > 5 node intervals
     basis = rq.solve_constant(electron2, 0.0, grid)
     tq = rq.trace_quadrature(rq.ReducedAction(basis, hp, electron2), const_pot, 0.0,
-                             (grid[0], grid[-1]), sync="psi_zero")
+                             "psi_zero")
 
     disc = 4.0 - 0.511**2
     omega = disc / (electron2.hbar * 2.0)
@@ -245,7 +247,7 @@ def test_quadrature_matches_closed_form(electron2, const_pot):
 def test_quadrature_velocity_identity(electron2, const_pot, const_basis):
     """Emitted v equals kinetic term over momentum pointwise."""
     ra = rq.ReducedAction(const_basis, rq.HiddenParams(4 / 3, -1.05), electron2)
-    tq = rq.trace_quadrature(ra, const_pot, 100.0, (0.0, float(const_basis.grid[-1])))
+    tq = rq.trace_quadrature(ra, const_pot, 100.0, "exact")
     kin = rq.kinetic_term(electron2, const_pot, tq.x)
     v_def = electron2.c_fm_s * kin / tq.momentum
     # centered-difference velocity agrees with the definition used to emit t
@@ -264,7 +266,7 @@ def test_quadrature_turning_point_truncation(electron2):
     k0 = oscillatory_wavenumber(electron2, u0=float(pot.v(np.array([-200.0]))[0]))
     basis = rq.solve_numeric(electron2, pot, grid, init1=(0.0, k0), init2=(1.0, 0.0))
     ra = rq.ReducedAction(basis, rq.HiddenParams(2.0, 0.5), electron2)
-    tr = rq.trace_quadrature(ra, pot, 0.0, (-200.0, 1600.0))
+    tr = rq.trace_quadrature(ra, pot, 0.0, "exact")
     assert tr.meta["events"]["halt"] == "TurningPointInRange"
     assert tr.x[-1] < 1489.0
 
@@ -280,7 +282,7 @@ def test_quadrature_descending_trace_comes_out_ascending(electron2):
     up, down = (
         rq.trace_quadrature(
             rq.ReducedAction(basis, hp, dataclasses.replace(electron2, direction=sign)),
-            pot, 0.0, (-200.0, 400.0))
+            pot, 0.0, "exact")
         for sign in (+1, -1)
     )
     assert np.all(np.diff(down.t) > 0) and np.all(np.diff(down.x) < 0)
@@ -302,6 +304,13 @@ def fig3_past_turning():
     return setup, pot, rq.solve_numeric(setup, pot, grid, init1=(0.0, k0), init2=(1.0, 0.0))
 
 
+def basis_on(basis, lo, hi):
+    """``basis`` on its grid points from lo to hi (both grid points)."""
+    rows = slice(basis.index_of(lo), basis.index_of(hi) + 1)
+    return rq.SolutionBasis(basis.grid[rows], basis.phi1[rows], basis.dphi1[rows],
+                            basis.phi2[rows], basis.dphi2[rows])
+
+
 def assert_regime_tags(setup, pot, tr, tags):
     """uint8 codes that decode to the nested np.where of the regime rule."""
     ev = setup.E - pot.v(tr.x)
@@ -321,8 +330,8 @@ def assert_regime_tags(setup, pot, tr, tags):
 ])
 def test_quadrature_regime_tags_keep_dtype_and_values(fig3_past_turning, x_range, tags):
     setup, pot, basis = fig3_past_turning
-    ra = rq.ReducedAction(basis, rq.HiddenParams(2.0, 0.5), setup)
-    tr = rq.trace_quadrature(ra, pot, x_range[0] + 100.0, x_range)
+    ra = rq.ReducedAction(basis_on(basis, *x_range), rq.HiddenParams(2.0, 0.5), setup)
+    tr = rq.trace_quadrature(ra, pot, x_range[0] + 100.0, "exact")
     assert_regime_tags(setup, pot, tr, tags)
 
 
@@ -332,8 +341,8 @@ def test_quadrature_unresolved_turning_point_halts(fig3_past_turning):
     ends before the first step whose dt turns, with a halt event, and t and
     x stay strictly monotone (no sort, no jump in x)."""
     setup, pot, basis = fig3_past_turning
-    ra = rq.ReducedAction(basis, rq.HiddenParams(2.0, 0.5), setup)
-    tr = rq.trace_quadrature(ra, pot, 0.0, (-500.0, 1900.0))
+    ra = rq.ReducedAction(basis_on(basis, -500.0, 1900.0), rq.HiddenParams(2.0, 0.5), setup)
+    tr = rq.trace_quadrature(ra, pot, 0.0, "exact")
     assert tr.meta["events"] == {"halt": TurningPointInRange.__name__}
     assert np.all(np.diff(tr.t) > 0)
     assert np.all(np.diff(tr.x) > 0)
@@ -355,21 +364,20 @@ def test_quadrature_unresolved_turning_point_halts(fig3_past_turning):
 )
 def test_quadrature_trace_property(slope, a, b, start, length, step, x0_frac,
                                    direction, sync):
-    """Linear potentials on ranges before, across and past the turning point
+    """Linear potentials on grids before, across and past the turning point
     x_t = (E - m0c2) / g: a returned trace has strictly increasing t,
     strictly monotone x and no NaN, and carries a halt event exactly when
-    its range was cut; anything else is a typed RqtError."""
+    its grid was cut; anything else is a typed RqtError."""
     setup = rq.PhysicalSetup(E=2.0, m0c2=0.510999, direction=direction)
     pot = rq.LinearPotential(slope)
     x_turn = (setup.E - setup.m0c2) / slope
     lo = x_turn + start * abs(x_turn)
     grid = lo + step * np.arange(int(min(length, 40000 * step) / step) + 1)
-    x_range = (float(grid[0]), float(grid[-1]))
-    x0 = x_range[0] + x0_frac * (x_range[1] - x_range[0])
+    x0 = float(grid[0]) + x0_frac * float(grid[-1] - grid[0])
     try:
         basis = rq.solve_numeric(setup, pot, grid)
         ra = rq.ReducedAction(basis, rq.HiddenParams(a, b), setup)
-        tr = rq.trace_quadrature(ra, pot, x0, x_range, sync=sync)
+        tr = rq.trace_quadrature(ra, pot, x0, sync)
     except RqtError:
         return
     assert np.all(np.diff(tr.t) > 0)
@@ -381,15 +389,16 @@ def test_quadrature_trace_property(slope, a, b, start, length, step, x0_frac,
 
 
 def test_quadrature_energy_equals_potential_is_an_error(electron2):
-    """E - V changes sign at x = 2000 fm inside the range: 1/v flips sign."""
+    """E - V changes sign at x = 2000 fm inside the grid: 1/v flips sign."""
     pot = rq.LinearPotential(1e-3)
     grid = np.arange(1600.0, 2400.0 + 0.025, 0.05)
     basis = rq.solve_numeric(electron2, pot, grid, init1=(0.0, 1.0), init2=(1.0, 0.0))
     ra = rq.ReducedAction(basis, rq.HiddenParams(4.0, 2.5), electron2)
     with pytest.raises(EnergyEqualsPotential, match="vanishes or changes sign"):
-        rq.trace_quadrature(ra, pot, 1700.0, (1600.0, 2400.0))
-    # a range that stops short of E = V traces as before
-    tr = rq.trace_quadrature(ra, pot, 1700.0, (1600.0, 1900.0))
+        rq.trace_quadrature(ra, pot, 1700.0, "exact")
+    # a grid that stops short of E = V traces as before
+    short = rq.ReducedAction(basis_on(basis, 1600.0, 1900.0), ra.params, electron2)
+    tr = rq.trace_quadrature(short, pot, 1700.0, "exact")
     assert np.all(np.diff(tr.t) > 0)
     assert set(rq.model.REGIME_TEXT[tr.regime].tolist()) == {"evanescent"}
 
@@ -400,7 +409,7 @@ def test_quadrature_past_energy_equals_potential_halts_at_the_turning_point(m0c2
     With m0c2 = 0.511 MeV the turning point 1489 fm is a grid point (the
     slow-zone cut ends the trace), with 0.510999 MeV it lies between grid
     points (the dt cut ends it): either way the trace halts there, and E = V
-    beyond the cut is no error.  A range that starts past the turning point
+    beyond the cut is no error.  A grid that starts past the turning point
     still meets E = V and raises."""
     setup = rq.PhysicalSetup(E=2.0, m0c2=m0c2)
     pot = rq.LinearPotential(1e-3)
@@ -409,12 +418,13 @@ def test_quadrature_past_energy_equals_potential_halts_at_the_turning_point(m0c2
     basis = rq.solve_numeric(setup, pot, grid, init1=(0.0, k0), init2=(1.0, 0.0))
     ra = rq.ReducedAction(basis, rq.HiddenParams(2.0, 0.5), setup)
     x_turn = (setup.E - m0c2) / 1e-3
-    tr = rq.trace_quadrature(ra, pot, 0.0, (-500.0, 2400.0))
+    tr = rq.trace_quadrature(ra, pot, 0.0, "exact")
     assert tr.meta["events"] == {"halt": TurningPointInRange.__name__}
     assert np.all(np.diff(tr.t) > 0) and np.all(np.diff(tr.x) > 0)
     assert x_turn - 0.15 < tr.x[-1] < x_turn
+    past = rq.ReducedAction(basis_on(basis, 1600.0, 2400.0), ra.params, setup)
     with pytest.raises(EnergyEqualsPotential, match=r"inside \[1600.0, 2000.05"):
-        rq.trace_quadrature(ra, pot, 1700.0, (1600.0, 2400.0))
+        rq.trace_quadrature(past, pot, 1700.0, "exact")
 
 
 def test_quadrature_takes_only_its_own_action(const_pot, const_basis):
@@ -423,7 +433,7 @@ def test_quadrature_takes_only_its_own_action(const_pot, const_basis):
     setup = rq.PhysicalSetup(E=2.0, m0c2=0.511, direction=-1)
     hp = rq.HiddenParams(4 / 3, -1.05)
     ra = rq.ReducedAction(const_basis, hp, setup)
-    tr = rq.trace_quadrature(ra, const_pot, 100.0, (0.0, float(const_basis.grid[-1])))
+    tr = rq.trace_quadrature(ra, const_pot, 100.0, "exact")
     assert tr.setup is setup and tr.meta["params"] is hp
     assert np.all(np.diff(tr.x) < 0)                     # direction -1: x runs down
     for got, own in ((tr.x, const_basis.grid), (tr.momentum, ra.momentum_grid),
@@ -432,12 +442,15 @@ def test_quadrature_takes_only_its_own_action(const_pot, const_basis):
 
 
 def test_quadrature_range_guards(electron2, const_pot, const_basis):
+    """An x0 outside the basis grid, and a grid of fewer than 3 points,
+    are BasisGapError."""
     ra = rq.ReducedAction(const_basis, rq.HiddenParams(1.0, 0.0), electron2)
-    hi = float(const_basis.grid[-1])
-    with pytest.raises(BasisGapError):
-        rq.trace_quadrature(ra, const_pot, 0.0, (0.0, hi + 100.0))
-    with pytest.raises(BasisGapError):
-        rq.trace_quadrature(ra, const_pot, -50.0, (0.0, hi))
+    for x0 in (-50.0, float(const_basis.grid[-1]) + 100.0):
+        with pytest.raises(BasisGapError, match="x0 outside"):
+            rq.trace_quadrature(ra, const_pot, x0, "exact")
+    two = rq.ReducedAction(basis_on(const_basis, *const_basis.grid[:2]), ra.params, electron2)
+    with pytest.raises(BasisGapError, match="fewer than 3"):
+        rq.trace_quadrature(two, const_pot, 0.0, "exact")
 
 
 def test_classical_trace_constant_line(electron2, const_pot):
