@@ -170,49 +170,46 @@ def _pairwise_crossings(t, xa, xb):
     return np.asarray(merged_t), np.asarray(merged_x)
 
 
-def detect_nodes(trajectories, basis: SolutionBasis = None) -> NodeReport:
-    """Nodes from pairwise crossings of trajectories sharing setup and potential.
+def detect_nodes(curves, setup: PhysicalSetup, pot: Potential,
+                 basis: SolutionBasis = None) -> NodeReport:
+    """Nodes from pairwise crossings of the curves of one trajectory family.
 
-    Crossings are found by sign change on a common time grid (as many
-    points as the longest trajectory has samples) and refined by linear
-    interpolation; crossings from all pairs are merged into clusters of
-    radius 0.02 node periods for an oscillatory constant potential, else
-    0.04 of the common time window (where clusters drift).  Clusters hit by
-    every pair count as nodes.  Each cluster's time is refined to the
-    minimum, inside the cluster's window, of the family's spread
-    max(x) - min(x) on the common grid, by a parabola through the minimum
-    and its neighbours (the minimum itself standing in for a neighbour
-    outside the window).  With ``basis`` given, the offset of each node
-    position to the nearest zero of phi2 is reported (not asserted) in the extras.
+    ``curves`` holds each trajectory's samples as a (t, x) pair of arrays,
+    t ascending; ``setup`` and ``pot`` are the family's.  Crossings are
+    found by sign change on a common time grid (as many points as the
+    longest curve has samples) and refined by linear interpolation;
+    crossings from all pairs are merged into clusters of radius 0.02 node
+    periods for an oscillatory constant potential, else 0.04 of the common
+    time window (where clusters drift).  Clusters hit by every pair count
+    as nodes.  Each cluster's time is refined to the minimum, inside the
+    cluster's window, of the family's spread max(x) - min(x) on the common
+    grid, by a parabola through the minimum and its neighbours (the
+    minimum itself standing in for a neighbour outside the window).  With
+    ``basis`` given, the offset of each node position to the nearest zero
+    of phi2 is reported (not asserted) in the extras.
     """
-    trajs = list(trajectories)
-    if len(trajs) < 2:
+    curves = list(curves)
+    if len(curves) < 2:
         raise InsufficientTrajectories("need at least two trajectories")
-    s0 = trajs[0].setup
-    for tr in trajs[1:]:
-        s = tr.setup
-        if (s.E, s.m0c2, s.hbar) != (s0.E, s0.m0c2, s0.hbar):
-            raise ValueError("trajectories come from different setups")
 
-    t_lo = max(tr.t[0] for tr in trajs)
-    t_hi = min(tr.t[-1] for tr in trajs)
+    t_lo = max(t[0] for t, _ in curves)
+    t_hi = min(t[-1] for t, _ in curves)
     if t_hi <= t_lo:
         raise ValueError("trajectories have no common time window")
-    tg = np.linspace(t_lo, t_hi, max(tr.t.size for tr in trajs))
-    xg = [np.interp(tg, tr.t, tr.x) for tr in trajs]
+    tg = np.linspace(t_lo, t_hi, max(t.size for t, _ in curves))
+    xg = [np.interp(tg, t, x) for t, x in curves]
 
     dt_grid = tg[1] - tg[0]
-    pot = trajs[0].potential
     if (isinstance(pot, ConstantPotential)
-            and constant_regime(s0, pot.u0)[0] is Regime.OSCILLATORY):
-        cluster_radius = 0.02 * node_period(s0, pot.u0)
+            and constant_regime(setup, pot.u0)[0] is Regime.OSCILLATORY):
+        cluster_radius = 0.02 * node_period(setup, pot.u0)
     else:
         cluster_radius = 0.04 * (t_hi - t_lo)
 
     crossings = []
     n_pairs = 0
-    for i in range(len(trajs)):
-        for j in range(i + 1, len(trajs)):
+    for i in range(len(curves)):
+        for j in range(i + 1, len(curves)):
             pair_id = n_pairs
             n_pairs += 1
             tc, xc = _pairwise_crossings(tg, xg[i], xg[j])
@@ -271,9 +268,8 @@ def detect_nodes(trajectories, basis: SolutionBasis = None) -> NodeReport:
             offs = [float(np.min(np.abs(zeros - p))) for p in positions]
             extras["phi2_zero_offset_fm"] = offs
 
-    hbar_c = trajs[0].setup.hbar_c
     with np.errstate(divide="ignore"):
-        mean_p = np.pi * hbar_c / dxs
+        mean_p = np.pi * setup.hbar_c / dxs
 
     return NodeReport(
         times=times,

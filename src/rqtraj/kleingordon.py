@@ -10,14 +10,20 @@ as a deliberately crude comparison option.
 
 The system is linear, so one Euler or RK4 step is a 2x2 transfer matrix,
 y_{i+1} = M_i y_i with y = (phi, phi'), and both basis columns share it.
-All M_i are built at once with array arithmetic and the grid states are
-their prefix products, taken in two levels (Blelloch, "Prefix sums and
-their applications", CMU-CS-90-190, 1990): within blocks of about sqrt(n)
-steps the products run in sequence, vectorised across blocks, and one
-short loop carries the state from block to block.  This reassociates the
-sequential step-by-step product, so results agree with it to round-off in
-the max norm, not digit for digit near the zeros of phi; the sequential
-loop is kept in the tests as the reference it is checked against.
+The grid states are the prefix products of the M_i, taken in two levels
+(Blelloch, "Prefix sums and their applications", CMU-CS-90-190, 1990):
+within blocks of about sqrt(n) steps the products run in sequence,
+vectorised across blocks, and one short loop carries the state from block
+to block.  The M_i are built with array arithmetic SCAN_CHUNK steps at a
+time, straight into the block layout; the products run in place there,
+and each column's states are written straight into its output array, so
+no grid-long copy of the matrices exists.  Every product and sum is the
+one of the whole-array blocked product this layout replaced, in the same
+order, so the states are bit-identical to it (the tests keep it as an
+oracle).  The blocking reassociates the sequential step-by-step product,
+so results agree with that to round-off in the max norm, not digit for
+digit near the zeros of phi; the sequential loop is kept in the tests as
+the reference it is checked against.
 """
 
 from __future__ import annotations
@@ -177,44 +183,99 @@ def _step_matrices(method, h, u_nodes, u_mid=None):
     return m00, m01, m10, m11
 
 
-def _propagate(mats, y0):
-    """Grid states of both columns from y0 = (phi1, dphi1, phi2, dphi2).
+# Steps whose transfer matrices are built at a time: the dozen temporaries
+# of a chunk stay small beside the grid-long arrays.
+SCAN_CHUNK = 16384
 
-    Blocked prefix product of the step matrices: the block length is
-    ceil(sqrt(steps)); the last block is padded with identities.
+
+def _scan_layout(method, h, u_nodes, u_mid):
+    """The entries (a, b, c, d) of every step matrix, as (4, block, nblocks).
+
+    The block length is ceil(sqrt(steps)); entry [j, k] is step j of block
+    k, so a row is one contiguous vector across the blocks.  The last block
+    is padded with identities.  The matrices are built SCAN_CHUNK steps
+    (whole blocks) at a time straight into this layout.
+
+    The four entries are one allocation: freed after the scan, it lifts
+    glibc's dynamic mmap threshold above the grid-long arrays of the later
+    stages, which then reuse freed heap pages instead of faulting in fresh
+    ones (fig3 ``run_basis(compare_methods=True)`` in process: 5.7 k minor
+    page faults, 28.6 k with four separate arrays).
     """
-    steps = mats[0].size
+    steps = u_nodes.size - 1
     block = math.isqrt(steps - 1) + 1
     nblocks = -(-steps // block)
-    pad = nblocks * block - steps
+    layout = np.empty((4, block, nblocks))
+    per = max(SCAN_CHUNK // block, 1)
+    for k0 in range(0, nblocks, per):
+        k1 = min(k0 + per, nblocks)
+        lo, hi = k0 * block, min(k1 * block, steps)
+        mats = _step_matrices(method, h, u_nodes[lo:hi + 1],
+                              None if u_mid is None else u_mid[lo:hi])
+        for m, entry, fill in zip(layout, mats, (1.0, 0.0, 0.0, 1.0)):
+            pad = (k1 - k0) * block - (hi - lo)
+            if pad:
+                entry = np.concatenate([entry, np.full(pad, fill)])
+            m[:, k0:k1] = entry.reshape(k1 - k0, block).T
+    return layout
 
-    # row j holds step j of every block, so each product below is one
-    # contiguous vector operation across the blocks
-    a, b, c, d = (
-        np.concatenate([m, np.full(pad, fill)]).reshape(nblocks, block).T.copy()
-        for m, fill in zip(mats, (1.0, 0.0, 0.0, 1.0))
-    )
-    for j in range(1, block):
-        a[j], b[j], c[j], d[j] = (
-            a[j] * a[j - 1] + b[j] * c[j - 1],
-            a[j] * b[j - 1] + b[j] * d[j - 1],
-            c[j] * a[j - 1] + d[j] * c[j - 1],
-            c[j] * b[j - 1] + d[j] * d[j - 1],
-        )
+
+def _states(x, w, starts, y, n):
+    """Both columns' states x p + w q from one row pair (x, w) of the products.
+
+    ``starts`` = (p1, q1, p2, q2) holds each column's state at every block
+    start and ``y`` = (y1, y2) its value at grid point 0.  Each column is
+    the first n values, one per grid point, of a buffer of x.size + 1
+    whose entry k * block + j + 1 is the state after step j of block k.
+    x and w are scaled in place, so both are spent.
+    """
+    p1, q1, p2, q2 = (s[:, None] for s in starts)
+    col1, col2 = np.empty(x.size + 1), np.empty(x.size + 1)
+    col1[0], col2[0] = y
+    # row k of s and of x.T, w.T is block k, so the writes are contiguous
+    s1, s2 = (col[1:].reshape(x.shape[1], x.shape[0]) for col in (col1, col2))
+    x, w = x.T, w.T
+    np.multiply(x, p1, out=s1)
+    np.multiply(w, q2, out=s2)
+    s2 += np.multiply(x, p2, out=x)
+    s1 += np.multiply(w, q1, out=w)
+    return col1[:n], col2[:n]
+
+
+def _scan(method, h, u_nodes, u_mid, y0):
+    """Grid states (phi1, dphi1, phi2, dphi2) of both columns from y0.
+
+    Blocked prefix product of the step matrices (``_scan_layout``): the
+    products run in place within the blocks, one short loop carries the
+    state from block to block, and each column's states go straight into
+    its output (``_states``).
+    """
+    a, b, c, d = _scan_layout(method, h, u_nodes, u_mid)
+
+    # row j becomes M_j times the product of rows 0 .. j - 1
+    tmp = np.empty(a.shape[1])
+    for j in range(1, a.shape[0]):
+        ma, mb, mc, md = a[j], b[j], c[j], d[j]
+        pa, pb, pc, pd = a[j - 1], b[j - 1], c[j - 1], d[j - 1]
+        na, nb, nc, nd = ma * pa, ma * pb, mc * pa, mc * pb
+        na += np.multiply(mb, pc, out=tmp)
+        nb += np.multiply(mb, pd, out=tmp)
+        nc += np.multiply(md, pc, out=tmp)
+        nd += np.multiply(md, pd, out=tmp)
+        a[j], b[j], c[j], d[j] = na, nb, nc, nd
 
     # carry the state across blocks with each block's full product
     p1, d1, p2, d2 = y0
-    starts = np.empty((4, nblocks))
+    starts = np.empty((4, a.shape[1]))
     for k, (ta, tb, tc, td) in enumerate(zip(a[-1].tolist(), b[-1].tolist(),
                                               c[-1].tolist(), d[-1].tolist())):
         starts[:, k] = p1, d1, p2, d2
         p1, d1 = ta * p1 + tb * d1, tc * p1 + td * d1
         p2, d2 = ta * p2 + tb * d2, tc * p2 + td * d2
 
-    sp1, sd1, sp2, sd2 = starts
-    states = (a * sp1 + b * sd1, c * sp1 + d * sd1, a * sp2 + b * sd2, c * sp2 + d * sd2)
-    # the state after step j of block k belongs to grid point k * block + j + 1
-    return tuple(np.concatenate([[y], s.T.ravel()[:steps]]) for y, s in zip(y0, states))
+    phi1, phi2 = _states(a, b, starts, (y0[0], y0[2]), u_nodes.size)
+    dphi1, dphi2 = _states(c, d, starts, (y0[1], y0[3]), u_nodes.size)
+    return phi1, dphi1, phi2, dphi2
 
 
 def solve_numeric(
@@ -233,9 +294,10 @@ def solve_numeric(
 
     Each Euler or RK4 step is built as the 2x2 matrix it applies to
     (phi, phi'), and the grid states are the blocked prefix products of
-    those matrices (see the module docstring).  They equal the
-    step-by-step loop up to the order of the floating-point products:
-    the tests check max|difference| / max|loop| <= 1e-13 against that loop.
+    those matrices, taken in place (see the module docstring).  They
+    equal the step-by-step loop up to the order of the floating-point
+    products: the tests check max|difference| / max|loop| <= 1e-13
+    against that loop.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -257,7 +319,7 @@ def solve_numeric(
 
     y0 = (float(init1[0]), float(init1[1]), float(init2[0]), float(init2[1]))
     u_mid = -wavenumber_sq(setup, pot, grid[:-1] + 0.5 * h) if method == "rk4" else None
-    phi1, dphi1, phi2, dphi2 = _propagate(_step_matrices(method, h, u_nodes, u_mid), y0)
+    phi1, dphi1, phi2, dphi2 = _scan(method, h, u_nodes, u_mid, y0)
 
     return SolutionBasis(
         grid=grid,

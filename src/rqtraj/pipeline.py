@@ -10,6 +10,14 @@ the set's manifest entry and goes on with the next set; ``figure`` does
 the same, plots the sets that traced and finds nodes among them, and
 raises before writing any file when no set traced; ``analyze`` raises at
 the first failed set.
+
+The sets run one at a time, each in one order: its action is built, its
+trace is taken from it, ``analyze`` runs the quantum-HJ check on the
+action, the action is dropped, ``analyze`` runs the closure and
+first-integral checks on the trace, and only the trace's t and x are kept
+for node detection (``analyze`` and the node pass of ``figure``).  The
+trace pass of ``trace`` and ``figure`` drops each trace once its file is
+written.  So no more than one set's action and trace are alive at a time.
 """
 
 from __future__ import annotations
@@ -135,44 +143,57 @@ def _stage(cfg: RunConfig):
     return setup, pot, basis
 
 
-def _family(cfg: RunConfig, setup, pot, basis):
-    """Per set: (HiddenParams, its trajectory or the RqtError that ended it,
-    its ReducedAction on ``basis``, or None without a basis).
+def _traced(cfg: RunConfig, setup, pot, basis, hp: HiddenParams):
+    """(set ``hp``'s trajectory or the RqtError that ended it, its
+    ReducedAction on ``basis``, or None without a basis).
 
     A quadrature trace is built from the action; closed forms ignore it.
-    A trace whose last row lies before t_max gets ``end_t_s`` and
-    ``end_x_fm`` events, that row's t and x, so the CSV footer and the
-    manifest entry say where it stopped.  A set's action is dropped here
-    before the next one is built, so one is alive at a time as long as the
-    caller drops the one it got.
+    A trace whose first row lies after t_min gets ``start_t_s`` and
+    ``start_x_fm`` events, and one whose last row lies before t_max gets
+    ``end_t_s`` and ``end_x_fm``: that row's t and x, so the CSV footer and
+    the manifest entry say which part of [t_min, t_max] the trace misses.
+    """
+    ra = None
+    try:
+        if basis is not None:
+            ra = ReducedAction(basis, hp, setup)
+        if cfg.potential_kind != "constant":
+            tr = trace_quadrature(ra, pot, cfg.x0, cfg.sync)
+        elif _oscillatory_constant(cfg, setup):
+            tr = trace_constant_oscillatory(
+                setup, cfg.u0, hp, cfg.x0, (cfg.t_min, cfg.t_max), cfg.samples
+            )
+        else:
+            tr = trace_constant_evanescent(
+                setup, cfg.u0, hp, cfg.x0, (cfg.t_min, cfg.t_max), cfg.samples,
+                window_fm=cfg.window,
+            )
+        if tr.t[0] > cfg.t_min:
+            tr.meta["events"].update(start_t_s=float(tr.t[0]), start_x_fm=float(tr.x[0]))
+        if tr.t[-1] < cfg.t_max:
+            tr.meta["events"].update(end_t_s=float(tr.t[-1]), end_x_fm=float(tr.x[-1]))
+    except RqtError as exc:
+        tr = exc.with_traceback(None)       # its frames would keep the action alive
+    return tr, ra
+
+
+def _family(cfg: RunConfig, setup, pot, basis):
+    """Per set: (HiddenParams, *``_traced``), one set at a time.
+
+    The generator binds neither the trajectory nor the action while it
+    waits, so each lives only as long as the caller keeps it.  Every
+    caller drops the action once the last check that reads it has run,
+    and the trajectory, keeping at most its t and x, before it asks for
+    the next set.
     """
     for a, b in cfg.param_sets:
         hp = HiddenParams(a, b)
-        ra = None
-        try:
-            if basis is not None:
-                ra = ReducedAction(basis, hp, setup)
-            if cfg.potential_kind != "constant":
-                tr = trace_quadrature(ra, pot, cfg.x0, cfg.sync)
-            elif _oscillatory_constant(cfg, setup):
-                tr = trace_constant_oscillatory(
-                    setup, cfg.u0, hp, cfg.x0, (cfg.t_min, cfg.t_max), cfg.samples
-                )
-            else:
-                tr = trace_constant_evanescent(
-                    setup, cfg.u0, hp, cfg.x0, (cfg.t_min, cfg.t_max), cfg.samples,
-                    window_fm=cfg.window,
-                )
-            if tr.t[-1] < cfg.t_max:
-                tr.meta["events"].update(end_t_s=float(tr.t[-1]), end_x_fm=float(tr.x[-1]))
-        except RqtError as exc:
-            tr = exc.with_traceback(None)       # its frames would keep the action alive
-        yield hp, tr, ra
+        yield (hp, *_traced(cfg, setup, pot, basis, hp))
 
 
-def _detected_nodes(trajs, basis):
-    """Nodes where the traced curves meet; None below two curves."""
-    return detect_nodes(trajs, basis=basis) if len(trajs) > 1 else None
+def _detected_nodes(curves, setup, pot, basis):
+    """Nodes where the traced curves (t, x) meet; None below two curves."""
+    return detect_nodes(curves, setup, pot, basis=basis) if len(curves) > 1 else None
 
 
 def _trace_sets(cfg: RunConfig):
@@ -195,6 +216,7 @@ def _trace_sets(cfg: RunConfig):
         except RqtError as exc:
             entry["status"] = "error"
             entry["error"] = f"{type(exc).__name__}: {exc}"
+        del tr                                  # written: free it before the next set
         manifest["sets"].append(entry)
         if entry.get("file"):
             manifest["files"].append(entry["file"])
@@ -254,20 +276,22 @@ def run_analyze(cfg: RunConfig) -> dict:
 
     # the quantum-HJ check needs an action, so closed forms get a basis too
     hj_basis = build_basis(cfg, setup, pot) if oscillatory_const else basis
-    trajs, per_set = [], []
+    curves, per_set = [], []
     for hp, tr, ra in _family(cfg, setup, pot, hj_basis):
         if isinstance(tr, RqtError):
             raise tr
-        trajs.append(tr)
         per_set.append({"a": hp.a, "b": hp.b})
         if ra is not None:
             _validate(per_set[-1], "action", ra, pot)
-        del ra                                  # analyze holds one action at a time
+        del ra                                  # no check reads it from here on
+        _validate(per_set[-1], "trace", tr, 1 if basis is None else 4)
+        curves.append((tr.t, tr.x))
+        del tr                                  # node detection reads t and x only
 
     manifest = {"command": "analyze", "config_hash": cfg.hash, "files": []}
     summary = []
 
-    nodes = _detected_nodes(trajs, basis)
+    nodes = _detected_nodes(curves, setup, pot, basis)
     if nodes is not None:
         nodes_path = out / "nodes_detected.json"
         payload = nodes.to_dict()
@@ -292,9 +316,7 @@ def run_analyze(cfg: RunConfig) -> dict:
         summary.append(("de Broglie wavelength [fm]", f"{lam:.6g}"))
         summary.append(("dx == lambda/2", "pass" if abs(2 * node_spacing(setup, cfg.u0) / lam - 1) < 1e-12 else "FAIL"))
 
-    # the trace checks run once no action is alive
-    for entry, tr in zip(per_set, trajs):
-        _validate(entry, "trace", tr, 1 if basis is None else 4)
+    for entry in per_set:
         for stem, label, *_ in _CHECKS:
             if f"{stem}_max" in entry:
                 summary.append((f"{label} max (a={entry['a']:g}, b={entry['b']:g})",
@@ -358,12 +380,13 @@ def run_figure(cfg: RunConfig, figure: int) -> dict:
     elif cfg.potential_kind != "constant":
         # the node pass builds the basis and traces the family again
         setup, pot, basis = _stage(cfg)
-        trajs = []
+        curves = []
         for _, tr, ra in _family(cfg, setup, pot, basis):
             del ra                              # one action alive at a time
             if not isinstance(tr, RqtError):
-                trajs.append(tr)
-        nodes = _detected_nodes(trajs, basis)
+                curves.append((tr.t, tr.x))
+            del tr                              # node detection reads t and x only
+        nodes = _detected_nodes(curves, setup, pot, basis)
     if nodes is not None and len(nodes.times):
         nodes_path = out / "nodes.csv"
         write_csv(nodes_path, _header(cfg, ["curve: nodes"]),

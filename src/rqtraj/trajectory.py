@@ -400,6 +400,11 @@ def trace_quadrature(
     EnergyEqualsPotential: the law of motion divides by E - V, and 1/v
     changes sign there.  So a grid that reaches past a turning point
     halts there whether or not a grid point falls in the slow zone.
+
+    kin, v and 1/v share one grid-long buffer and the time shift is
+    subtracted in place.  Every value comes from the same operations as in
+    an evaluation into fresh arrays, which the tests keep as the oracle, so
+    the five columns are bit-identical to it.
     """
     setup, basis, hp = action.setup, action.basis, action.params
     grid = basis.grid
@@ -412,12 +417,14 @@ def trace_quadrature(
     h = float(grid[1] - grid[0])
 
     # model.kinetic_term inline: its E = V check would look at every row of
-    # the grid, where the one below looks at the rows the trace keeps
+    # the grid, where the one below looks at the rows the trace keeps.
+    # kin [MeV], then v = sigma c kin / Pc [fm/s], then 1/v, in one buffer
     ev = setup.E - np.asarray(pot.v(grid), dtype=float)
     with np.errstate(divide="ignore"):                # E = V is checked below
-        kin = ev - setup.rest_sq / ev                 # [MeV]
-    pc = action.momentum_grid                         # [MeV/c]
-    v = setup.direction * setup.c_fm_s * kin / pc     # [fm/s]
+        v = np.divide(setup.rest_sq, ev)
+    np.subtract(ev, v, out=v)
+    np.multiply(setup.direction * setup.c_fm_s, v, out=v)
+    v /= action.momentum_grid
 
     # turning point on a grid point: the slow zone
     slow = np.abs(v) < SLOW_ZONE_FRAC * setup.c_fm_s
@@ -428,7 +435,8 @@ def trace_quadrature(
 
     regime = regime_tags(setup, ev[:cut])
 
-    tt = cumulative_simpson(1.0 / v, h)
+    tt = cumulative_simpson(np.divide(1.0, v, out=v), h)
+    del v                                             # the buffer is spent
     # turning point between grid points: 1/v, and so dt, changes sign
     turned = ~(np.diff(tt) * np.sign(tt[1] - tt[0]) > 0)
     cut = int(np.argmax(turned)) + 1 if turned.any() else xs.size
@@ -456,7 +464,7 @@ def trace_quadrature(
         anchor = xs[int(np.argmin(np.abs(xs - x0)))]
     else:
         raise ValueError(f"unknown sync mode {sync!r}")
-    tt = tt - np.interp(anchor, xs, tt)
+    tt -= np.interp(anchor, xs, tt)
 
     rows = slice(xs.size)
     order = slice(None) if tt[-1] > tt[0] else slice(None, None, -1)

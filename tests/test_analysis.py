@@ -96,7 +96,7 @@ def test_detect_nodes_matches_closed_form(electron2):
     for u0, direction in itertools.product((0.0, 4.0), (+1, -1)):
         setup = dataclasses.replace(electron2, direction=direction)
         trs = fig1_traces(setup, u0)
-        rep = rq.detect_nodes(trs)
+        rep = rq.detect_nodes([(tr.t, tr.x) for tr in trs], setup, rq.ConstantPotential(u0))
         closed = rq.nodes_closed_form(setup, u0, (trs[0].t[0], trs[0].t[-1]))
         case = f"U0 = {u0}, direction {direction:+d}"
         assert len(rep.times) == len(closed.times) >= 4, case
@@ -111,7 +111,7 @@ def test_detect_nodes_identical_curves_degenerate(electron2):
                                         0.0, (0.0, 3 * dt), 20001)
     tr2 = rq.trace_constant_oscillatory(electron2, 0.0, rq.HiddenParams(0.2, 0.0),
                                         0.0, (0.0, 3 * dt), 20001)
-    rep = rq.detect_nodes([tr1, tr2])
+    rep = rq.detect_nodes([(tr1.t, tr1.x), (tr2.t, tr2.x)], electron2, rq.ConstantPotential(0.0))
     assert len(rep.times) == 0
 
 
@@ -120,14 +120,14 @@ def test_detect_nodes_needs_two(electron2):
     tr = rq.trace_constant_oscillatory(electron2, 0.0, rq.HiddenParams(0.2, 0.0),
                                        0.0, (0.0, dt), 101)
     with pytest.raises(InsufficientTrajectories):
-        rq.detect_nodes([tr])
+        rq.detect_nodes([(tr.t, tr.x)], electron2, rq.ConstantPotential(0.0))
 
 
 def test_detect_nodes_linear_potential(electron2):
     """Fig-3 parameter sets: clusters exist, offsets to phi2 zeros reported,
     spacing grows toward the turning point along the phi2-zero ladder."""
     pot, basis, trajs = linear_pipeline(electron2)
-    rep = rq.detect_nodes(trajs, basis=basis)
+    rep = rq.detect_nodes([(tr.t, tr.x) for tr in trajs], electron2, pot, basis=basis)
     assert len(rep.times) >= 3
     offs = rep.extras["phi2_zero_offset_fm"]
     assert len(offs) == len(rep.times)

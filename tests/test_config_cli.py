@@ -463,7 +463,7 @@ def test_a_trace_that_ends_before_t_max_records_its_end(tmp_path, name):
     """fig3's traces stop at the end of the grid, x = 1450 fm, before t_max:
     each carries end_t_s and end_x_fm, its last row, in its manifest entry
     and its CSV footer.  fig1's and fig2's closed forms run to t_max and
-    carry neither."""
+    carry neither.  No trace starts after t_min, so none carries a start."""
     cfg = dataclasses.replace(parse_config(CONFIGS / f"{name}.cfg"),
                               out_dir=str(tmp_path / "out"))
     manifest = pipeline.run_trace(cfg)
@@ -479,6 +479,27 @@ def test_a_trace_that_ends_before_t_max_records_its_end(tmp_path, name):
             assert tr.t[-1] == cfg.t_max
             for key in ("end_t_s", "end_x_fm"):
                 assert key not in entry and key not in footer and key not in tr.meta["events"]
+        assert tr.t[0] <= cfg.t_min
+        for key in ("start_t_s", "start_x_fm"):
+            assert key not in entry and key not in footer and key not in tr.meta["events"]
+
+
+def test_a_trace_that_starts_after_t_min_records_its_start(tmp_path):
+    """fig3 with t_min = -1.0e-20 s: each trace begins at the grid start,
+    x = -5400 fm, a few 1e-23 s before t = 0 and long after t_min, and
+    carries start_t_s and start_x_fm, its first row, in its manifest entry
+    and its CSV footer."""
+    cfg = dataclasses.replace(parse_config(CONFIGS / "fig3.cfg"), t_min=-1.0e-20,
+                              out_dir=str(tmp_path / "out")).validate()
+    manifest = pipeline.run_trace(cfg)
+    trajs = [tr for _, tr, _ in pipeline._family(cfg, *pipeline._stage(cfg))]
+    assert len(trajs) == len(manifest["sets"]) == 3
+    for entry, tr in zip(manifest["sets"], trajs):
+        assert cfg.t_min < tr.t[0] < 0.0 and tr.x[0] == cfg.grid_min
+        footer, _ = read_csv(entry["file"])
+        assert (entry["start_t_s"], entry["start_x_fm"]) == (tr.t[0], tr.x[0])
+        assert (float(footer["start_t_s"]), float(footer["start_x_fm"])) == (tr.t[0], tr.x[0])
+        assert "halt" not in entry
 
 
 @pytest.mark.parametrize("name, figure, digests", [
@@ -608,15 +629,20 @@ def test_quadrature_outputs_are_pinned(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("run, limit_mib", [
-    (lambda cfg: pipeline.run_basis(cfg, compare_methods=True), 24),
-    (pipeline.run_analyze, 32),
-    (lambda cfg: pipeline.run_figure(cfg, 3), 32),
-], ids=["basis", "analyze", "figure"])
+    (lambda cfg: pipeline.build_basis(cfg, pipeline.build_setup(cfg),
+                                      pipeline.build_potential(cfg)), 12.5),
+    (lambda cfg: pipeline.run_basis(cfg, compare_methods=True), 12.5),
+    (pipeline.run_analyze, 19),
+    (lambda cfg: pipeline.run_figure(cfg, 3), 19),
+], ids=["build_basis", "basis", "analyze", "figure"])
 def test_fig3_live_memory_peak(tmp_path, monkeypatch, run, limit_mib):
-    """Live data of each fig3 command, by tracemalloc in process.  One basis
-    alive at a time in basis --compare-methods and a one-byte regime code per
-    trace row keep the peaks near 21 and 25.5 MiB; both bases alive (26.2)
-    or an 11-character string per row (42.4) break the bounds."""
+    """Live data of each fig3 command, by tracemalloc in process.  The
+    in-place scan, one basis alive at a time in basis --compare-methods,
+    one set's action and trace alive at a time, only t and x kept for node
+    detection, the in-place trace and a one-byte regime code per trace row
+    keep the peaks near 11.7 (the RK4 solve alone, and basis) and 18.6 MiB
+    (analyze, figure).  With the whole-array scan and whole trajectories
+    kept for node detection the peaks were 20.9, 21.0, 25.1 and 25.1 MiB."""
     monkeypatch.chdir(tmp_path)              # the config's relative out dir
     cfg = parse_config(CONFIGS / "fig3.cfg")
     tracemalloc.start()

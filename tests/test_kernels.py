@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from rqtraj import kleingordon as kg
 from rqtraj.config import parse_config
-from rqtraj.pipeline import build_basis, build_potential, build_setup
+from rqtraj.pipeline import build_basis, build_grid, build_potential, build_setup
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -71,7 +72,61 @@ def rk4_pair(u_nodes, u_mid, h, y0):
 
 def scan_pair(method, u, u_mid, h, y0):
     """The production kernel: blocked prefix product of the step matrices."""
-    return kg._propagate(kg._step_matrices(method, h, u, u_mid), y0)
+    return kg._scan(method, h, u, u_mid, y0)
+
+
+# Reference oracle of the production kernel: the whole-array blocked
+# product it replaced, kept verbatim.  It builds every step matrix at once,
+# copies each entry into the block layout, and writes the states through
+# full-size temporaries; the chunked, in-place kernel must match it bit for
+# bit.
+
+
+def blocked_step_matrices(method, h, u_nodes, u_mid=None):
+    u0 = u_nodes[:-1]
+    if method == "euler":
+        one = np.ones_like(u0)
+        return one, np.full_like(u0, h), h * u0, one
+    m00, m10 = _rk4_step(1.0, 0.0, h, u0, u_mid, u_nodes[1:])
+    m01, m11 = _rk4_step(0.0, 1.0, h, u0, u_mid, u_nodes[1:])
+    return m00, m01, m10, m11
+
+
+def blocked_propagate(mats, y0):
+    steps = mats[0].size
+    block = math.isqrt(steps - 1) + 1
+    nblocks = -(-steps // block)
+    pad = nblocks * block - steps
+    a, b, c, d = (
+        np.concatenate([m, np.full(pad, fill)]).reshape(nblocks, block).T.copy()
+        for m, fill in zip(mats, (1.0, 0.0, 0.0, 1.0))
+    )
+    for j in range(1, block):
+        a[j], b[j], c[j], d[j] = (
+            a[j] * a[j - 1] + b[j] * c[j - 1],
+            a[j] * b[j - 1] + b[j] * d[j - 1],
+            c[j] * a[j - 1] + d[j] * c[j - 1],
+            c[j] * b[j - 1] + d[j] * d[j - 1],
+        )
+    p1, d1, p2, d2 = y0
+    starts = np.empty((4, nblocks))
+    for k, (ta, tb, tc, td) in enumerate(zip(a[-1].tolist(), b[-1].tolist(),
+                                              c[-1].tolist(), d[-1].tolist())):
+        starts[:, k] = p1, d1, p2, d2
+        p1, d1 = ta * p1 + tb * d1, tc * p1 + td * d1
+        p2, d2 = ta * p2 + tb * d2, tc * p2 + td * d2
+    sp1, sd1, sp2, sd2 = starts
+    states = (a * sp1 + b * sd1, c * sp1 + d * sd1, a * sp2 + b * sd2, c * sp2 + d * sd2)
+    return tuple(np.concatenate([[y], s.T.ravel()[:steps]]) for y, s in zip(y0, states))
+
+
+def _assert_bit_equal(u, u_mid, h, y0):
+    for method, mid in (("euler", None), ("rk4", u_mid)):
+        got = scan_pair(method, u, mid, h, y0)
+        ref = blocked_propagate(blocked_step_matrices(method, h, u, mid), y0)
+        assert len(got) == 4
+        for name, g, r in zip(("phi1", "dphi1", "phi2", "dphi2"), got, ref):
+            assert np.array_equal(g, r), f"{method} {name}"
 
 
 def _problem(n=4001, x_max=700.0):
@@ -144,3 +199,27 @@ def test_rk4_drift_on_fig3_grid():
     basis = build_basis(cfg, build_setup(cfg), build_potential(cfg))
     assert basis.grid.size == 137001
     assert kg.wronskian_drift(basis) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 18, 4003])
+def test_scan_is_bit_equal_to_the_whole_array_product(n):
+    _assert_bit_equal(*_problem(n))
+
+
+@pytest.mark.parametrize("chunk", [1, 128, 1000])
+def test_scan_does_not_depend_on_the_chunk(monkeypatch, chunk):
+    """63 blocks of 64 steps, 1, 2 or 15 blocks per chunk: the last chunk
+    holds 1, 1 or 3 blocks, the last of them padded."""
+    monkeypatch.setattr(kg, "SCAN_CHUNK", chunk)
+    _assert_bit_equal(*_problem(4003))
+
+
+def test_scan_is_bit_equal_on_the_fig3_grid():
+    cfg = parse_config(CONFIGS / "fig3.cfg")
+    setup, pot = build_setup(cfg), build_potential(cfg)
+    grid = build_grid(cfg)
+    h = float(grid[1] - grid[0])
+    u = -kg.wavenumber_sq(setup, pot, grid)
+    u_mid = -kg.wavenumber_sq(setup, pot, grid[:-1] + 0.5 * h)
+    assert grid.size == 137001 and kg.SCAN_CHUNK < grid.size
+    _assert_bit_equal(u, u_mid, h, (0.0, 0.019, 1.0, 0.0))

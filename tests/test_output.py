@@ -459,3 +459,54 @@ def test_set_loops_hold_one_action_at_a_time(tmp_path, monkeypatch, run, changes
     assert len(actions) >= 2
     if basis_builds is not None:
         assert len(builds) == basis_builds
+
+
+@pytest.mark.parametrize("run, checks", [
+    (pipeline.run_analyze, 4),
+    (lambda cfg: pipeline.run_figure(cfg, 3), 0),
+], ids=["analyze", "figure"])
+def test_set_loops_keep_only_t_and_x(tmp_path, monkeypatch, run, checks):
+    """A set's ReducedAction is dead before its closure and first-integral
+    checks run, and its trajectory before the next set's action is built.
+    Once analyze's set loop or figure's node pass ends, no trajectory is
+    alive: node detection gets each trace's own t and x arrays."""
+    actions, traces, checked = [], [], []
+    new_action, trace, detect = (pipeline.ReducedAction, pipeline.trace_quadrature,
+                                 pipeline.detect_nodes)
+
+    def dead(refs):
+        return all(ref() is None for ref in refs)
+
+    def recorded_action(*args, **kwargs):
+        assert dead(actions), "an earlier action is alive"
+        assert dead(ref for ref, _, _ in traces), "an earlier trajectory is alive"
+        ra = new_action(*args, **kwargs)
+        actions.append(weakref.ref(ra))
+        return ra
+
+    def recorded_trace(*args, **kwargs):
+        tr = trace(*args, **kwargs)
+        traces.append((weakref.ref(tr), tr.t, tr.x))
+        return tr
+
+    def after_the_action(check):
+        def checked_once_dead(tr, *args, **kwargs):
+            assert dead(actions), f"{check.__name__} runs while the action is alive"
+            checked.append(check.__name__)
+            return check(tr, *args, **kwargs)
+        return checked_once_dead
+
+    def from_t_and_x(curves, *args, **kwargs):
+        assert dead(ref for ref, _, _ in traces), "a trajectory is alive"
+        kept = traces[-len(curves):]
+        assert all(t is kt and x is kx for (t, x), (_, kt, kx) in zip(curves, kept))
+        return detect(curves, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "ReducedAction", recorded_action)
+    monkeypatch.setattr(pipeline, "trace_quadrature", recorded_trace)
+    for name in ("closure_residual", "firqnl_residual"):
+        monkeypatch.setattr(pipeline, name, after_the_action(getattr(pipeline, name)))
+    monkeypatch.setattr(pipeline, "detect_nodes", from_t_and_x)
+    run(_linear_config(tmp_path / "out"))
+    assert len(checked) == checks
+    assert len(traces) >= 2 and dead(ref for ref, _, _ in traces)

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,13 @@ from rqtraj.errors import (
     TurningPointInRange,
     TurningPointSingular,
 )
+from rqtraj import trajectory
+from rqtraj.config import parse_config
+from rqtraj.model import regime_tags
+from rqtraj.pipeline import _stage
 from tests.conftest import oscillatory_wavenumber
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_cumulative_simpson_fourth_order():
@@ -575,3 +582,53 @@ def test_window_rows_is_the_identity_for_closed_forms(electron2):
     tr = rq.trace_constant_oscillatory(electron2, 0.0, rq.HiddenParams(0.2, 0.0),
                                        0.0, (0.0, 3 * dt), 1001)
     assert tr.window_rows(0.0, 3 * dt, 1001) == slice(0, 1001, 1)    # views, no copies
+
+
+def trace_quadrature_whole_array(action, pot, x0, sync):
+    """The five columns of ``trace_quadrature`` as it computed them before it
+    worked in place: each step into a new array.  Kept as the oracle of the
+    in-place trace (checks omitted)."""
+    setup, basis, hp = action.setup, action.basis, action.params
+    grid = basis.grid
+    h = float(grid[1] - grid[0])
+    ev = setup.E - np.asarray(pot.v(grid), dtype=float)
+    with np.errstate(divide="ignore"):
+        kin = ev - setup.rest_sq / ev
+    pc = action.momentum_grid
+    v = setup.direction * setup.c_fm_s * kin / pc
+    slow = np.abs(v) < trajectory.SLOW_ZONE_FRAC * setup.c_fm_s
+    cut = int(np.argmax(slow)) if slow.any() else grid.size
+    xs, v = grid[:cut], v[:cut]
+    regime = regime_tags(setup, ev[:cut])
+    tt = trajectory.cumulative_simpson(1.0 / v, h)
+    turned = ~(np.diff(tt) * np.sign(tt[1] - tt[0]) > 0)
+    cut = int(np.argmax(turned)) + 1 if turned.any() else xs.size
+    xs, regime, tt = xs[:cut], regime[:cut], tt[:cut]
+    if sync == "psi_zero":
+        psi = hp.a * basis.phi1 + hp.b * basis.phi2
+        anchor = trajectory._zero_near(basis.grid, psi, x0, "a*phi1 + b*phi2")
+        anchor = min(max(anchor, xs[0]), xs[-1])
+    elif sync == "phi2_zero":
+        anchor = trajectory._zero_near(basis.grid, basis.phi2, x0, "phi2")
+        anchor = min(max(anchor, xs[0]), xs[-1])
+    else:
+        anchor = xs[int(np.argmin(np.abs(xs - x0)))]
+    tt = tt - np.interp(anchor, xs, tt)
+    rows = slice(xs.size)
+    order = slice(None) if tt[-1] > tt[0] else slice(None, None, -1)
+    return (tt[order], xs[order], action.branch_grid[rows][order], regime[order],
+            action.momentum_grid[rows][order])
+
+
+def test_quadrature_trace_is_bit_equal_to_the_whole_array_trace():
+    """Each fig3 set and each sync mode: all five columns, bit for bit."""
+    cfg = parse_config(CONFIGS / "fig3.cfg")
+    setup, pot, basis = _stage(cfg)
+    for a, b in cfg.param_sets:
+        ra = rq.ReducedAction(basis, rq.HiddenParams(a, b), setup)
+        for sync in ("exact", "psi_zero", "phi2_zero"):
+            tr = rq.trace_quadrature(ra, pot, cfg.x0, sync)
+            got = (tr.t, tr.x, tr.branch, tr.regime, tr.momentum)
+            for name, g, r in zip(("t", "x", "branch", "regime", "momentum"), got,
+                                  trace_quadrature_whole_array(ra, pot, cfg.x0, sync)):
+                assert g.dtype == r.dtype and np.array_equal(g, r), (a, b, sync, name)
