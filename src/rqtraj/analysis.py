@@ -15,11 +15,11 @@ import numpy as np
 
 from .action import ReducedAction
 from .errors import InsufficientTrajectories, RegimeError, TooFewSamples
-from .kleingordon import UNIFORM_REL_TOL, SolutionBasis, uniform_step, wavenumber_sq
+from .kleingordon import UNIFORM_REL_TOL, uniform_step, wavenumber_sq
 from .model import (
     ConstantPotential, PhysicalSetup, Potential, Regime, constant_regime, kinetic_term,
 )
-from .trajectory import Trajectory, _zeros_of, node_period, node_spacing
+from .trajectory import Trajectory, node_period, node_spacing
 
 
 @dataclass
@@ -171,7 +171,7 @@ def _pairwise_crossings(t, xa, xb):
 
 
 def detect_nodes(curves, setup: PhysicalSetup, pot: Potential,
-                 basis: SolutionBasis = None) -> NodeReport:
+                 phi2_zeros: np.ndarray = None) -> NodeReport:
     """Nodes from pairwise crossings of the curves of one trajectory family.
 
     ``curves`` holds each trajectory's samples as a (t, x) pair of arrays,
@@ -185,8 +185,9 @@ def detect_nodes(curves, setup: PhysicalSetup, pot: Potential,
     cluster's window, of the family's spread max(x) - min(x) on the common
     grid, by a parabola through the minimum and its neighbours (the
     minimum itself standing in for a neighbour outside the window).  With
-    ``basis`` given, the offset of each node position to the nearest zero
-    of phi2 is reported (not asserted) in the extras.
+    ``phi2_zeros`` given, the zeros of phi2 on the basis grid
+    (``trajectory._zeros_of``), the offset of each node position to the
+    nearest of them is reported (not asserted) in the extras.
     """
     curves = list(curves)
     if len(curves) < 2:
@@ -262,11 +263,9 @@ def detect_nodes(curves, setup: PhysicalSetup, pot: Potential,
         "cluster_t_spread_s": spreads,
         "n_clusters_total": len(clusters),
     }
-    if basis is not None and positions.size:
-        zeros = _zeros_of(basis.grid, basis.phi2)
-        if zeros.size:
-            offs = [float(np.min(np.abs(zeros - p))) for p in positions]
-            extras["phi2_zero_offset_fm"] = offs
+    if phi2_zeros is not None and phi2_zeros.size and positions.size:
+        offs = [float(np.min(np.abs(phi2_zeros - p))) for p in positions]
+        extras["phi2_zero_offset_fm"] = offs
 
     with np.errstate(divide="ignore"):
         mean_p = np.pi * setup.hbar_c / dxs
@@ -324,6 +323,61 @@ _STENCIL_WEIGHTS = (
 STENCIL_BLOCK = 16384
 
 
+def _exact_step(t):
+    """t[1] - t[0] when every step of t equals it exactly, else None.
+
+    np.gradient's test for its uniform formula, taken block by block.
+    """
+    step = t[1] - t[0]
+    for lo in range(0, t.size - 1, STENCIL_BLOCK):
+        if not np.all(np.diff(t[lo : lo + STENCIL_BLOCK + 1]) == step):
+            return None
+    return step
+
+
+def _nonuniform_gradient(f, t):
+    """numpy's non-uniform formula of np.gradient(f, t, edge_order=2), its
+    expressions as written there, whatever the steps of t."""
+    dx = np.diff(t)
+    out = np.empty(f.size)
+    dx1, dx2 = dx[:-1], dx[1:]
+    a = -(dx2) / (dx1 * (dx1 + dx2))
+    b = (dx2 - dx1) / (dx1 * dx2)
+    c = dx1 / (dx2 * (dx1 + dx2))
+    out[1:-1] = a * f[:-2] + b * f[1:-1] + c * f[2:]
+    dx1, dx2 = dx[0], dx[1]
+    a = -(2. * dx1 + dx2) / (dx1 * (dx1 + dx2))
+    b = (dx1 + dx2) / (dx1 * dx2)
+    c = - dx1 / (dx2 * (dx1 + dx2))
+    out[0] = a * f[0] + b * f[1] + c * f[2]
+    dx1, dx2 = dx[-2], dx[-1]
+    a = (dx2) / (dx1 * (dx1 + dx2))
+    b = - (dx2 + dx1) / (dx1 * dx2)
+    c = (2. * dx2 + dx1) / (dx2 * (dx1 + dx2))
+    out[-1] = a * f[-3] + b * f[-2] + c * f[-1]
+    return out
+
+
+def _gradient_rows(f, t, lo: int, hi: int, step):
+    """np.gradient(f, t, edge_order=2)[lo:hi], bit for bit, from f and t on
+    lo - 1 .. hi (at least 3 samples).
+
+    A value inside the trace reads its two neighbours only, and one at an
+    end of the trace the three samples there, so a one-sample halo gives
+    the same expression as on the whole trace.  numpy switches to its
+    uniform formula when every step of the whole t is the same
+    (``_exact_step``, given as ``step``); a block that is exactly uniform
+    inside a non-uniform t keeps the non-uniform one.
+    """
+    n = t.size
+    a, b = max(min(lo - 1, n - 3), 0), min(max(hi + 1, 3), n)
+    if step is None:
+        g = _nonuniform_gradient(f[a:b], t[a:b])
+    else:
+        g = np.gradient(f[a:b], step, edge_order=2)
+    return g[lo - a : hi - a]
+
+
 def _stencil_block(t, x, xd, hs, stride: int, lo: int, hi: int):
     """The three derivatives at windows lo..hi-1 (centres 3*stride + lo ...).
 
@@ -333,49 +387,48 @@ def _stencil_block(t, x, xd, hs, stride: int, lo: int, hi: int):
     into a relative error (delta / hs) (L / hs)^(k-1) in the k-th
     derivative, L the length on which x varies.  So every sample is moved
     onto its ideal place to first order, x[j] - xd[j] * delta_j, with xd
-    from np.gradient on the actual t; what is left is second order in
-    delta / hs.  The correction is summed apart from the window-centred
-    values, whose weighted sums stay exact where x varies smoothly.
+    from np.gradient on the actual t (``xd`` holds it on samples
+    lo .. hi + 6*stride - 1); what is left is second order in delta / hs.
+    The correction is summed apart from the window-centred values, whose
+    weighted sums stay exact where x varies smoothly.
 
     Sums run in place, term by term in the order of the whole-array
-    expression sum(w_j * d_j), so every value is the same to the bit.
+    expression sum(w_j * d_j), so every value is the same to the bit.  Each
+    sample's difference and shift is added to all three sums before the
+    next one is formed, so only the sums live through the loop.
     """
     c = 3 * stride
     tc = t[c + lo : c + hi]
     xc = x[c + lo : c + hi]
+    accs = [np.zeros(hi - lo) for _ in _STENCIL_WEIGHTS]
+    shifts = [np.zeros(hi - lo) for _ in _STENCIL_WEIGHTS]
+    term = np.empty(hi - lo)
     # the centre offset contributes nothing to window-centred values
-    offsets = (0, 1, 2, 4, 5, 6)
-    values, shifts = [], []
-    for j in offsets:
+    for j in (0, 1, 2, 4, 5, 6):
         win = slice(j * stride + lo, j * stride + hi)
+        d = x[win] - xc
         delta = t[win] - tc
         delta -= (j - 3) * hs
-        delta *= xd[win]
-        values.append(x[win] - xc)
-        shifts.append(delta)
-    term = np.empty(hi - lo)
-    out = []
-    for k, (weights, denom) in enumerate(_STENCIL_WEIGHTS, start=1):
-        acc = np.zeros(hi - lo)
-        shift = np.zeros(hi - lo)
-        for j, d, s in zip(offsets, values, shifts):
+        delta *= xd[j * stride : j * stride + hi - lo]
+        for (weights, _), acc, shift in zip(_STENCIL_WEIGHTS, accs, shifts):
             acc += np.multiply(weights[j], d, out=term)
-            shift += np.multiply(weights[j], s, out=term)
+            shift += np.multiply(weights[j], delta, out=term)
+    for k, ((_, denom), acc, shift) in enumerate(zip(_STENCIL_WEIGHTS, accs, shifts), start=1):
         acc -= shift
         acc /= denom * hs**k
-        out.append(acc)
-    return out
+    return accs
 
 
 def _stencil_blocks(t, x, stride: int):
     """The checked 7-point stencil: (m, an iterator of (lo, hi, (d1, d2, d3))).
 
     Raises TooFewSamples below 6*stride + 1 samples and RegimeError when t
-    is not uniform by ``kleingordon.uniform_step``, and takes np.gradient of
-    x over the whole t (the shift correction of ``_stencil_block``), before
-    it returns, so a caller allocates its m-window output after the
-    gradient's temporaries are freed; the iterator then evaluates the
-    windows in blocks lo..hi-1 of at most ``STENCIL_BLOCK``.
+    is not uniform by ``kleingordon.uniform_step`` before it returns; the
+    iterator then evaluates the windows in blocks lo..hi-1 of at most
+    ``STENCIL_BLOCK``.  Each block takes np.gradient of x (the shift
+    correction of ``_stencil_block``) on its own samples plus a one-sample
+    halo (``_gradient_rows``), equal to the whole-trace gradient bit for
+    bit, so no array of the trace's length is made here.
     """
     n = t.size
     if n < 6 * stride + 1:
@@ -386,13 +439,16 @@ def _stencil_blocks(t, x, stride: int):
             f"stencil needs uniform samples: steps within {UNIFORM_REL_TOL:g} "
             "of their mean"
         )
-    hs, xd = h * stride, np.gradient(x, t, edge_order=2)
+    hs, step = h * stride, _exact_step(t)
     m = n - 6 * stride
 
     def blocks():
         for lo in range(0, m, STENCIL_BLOCK):
             hi = min(lo + STENCIL_BLOCK, m)
-            yield lo, hi, _stencil_block(t, x, xd, hs, stride, lo, hi)
+            xd = _gradient_rows(x, t, lo, hi + 6 * stride, step)
+            derivs = _stencil_block(t, x, xd, hs, stride, lo, hi)
+            del xd                          # not kept while the caller runs
+            yield lo, hi, derivs
 
     return m, blocks()
 
@@ -402,15 +458,23 @@ def closure_residual(traj: Trajectory) -> ValidationReport:
 
     Setup (with the direction sign sigma) and potential are the trace's own,
     ``traj.meta["setup"]`` and ``traj.meta["potential"]``.
+
+    Interior samples are evaluated in blocks of ``STENCIL_BLOCK`` into one
+    residual array; every value comes from the same operations as
+    ``Trajectory.velocity_centered`` and ``model.kinetic_term`` on the
+    whole trace, so the residuals are bit-identical to it.
     """
     setup, pot = traj.setup, traj.potential
-    if traj.t.size < 3:
+    t, x, p = traj.t, traj.x, traj.momentum
+    if t.size < 3:
         raise TooFewSamples("closure needs at least 3 samples")
-    xd = traj.velocity_centered()                       # [fm/s]
-    x_in = traj.x[1:-1]
-    pc = traj.momentum[1:-1]
-    kin = kinetic_term(setup, pot, x_in)
-    res = np.abs(xd * pc / (setup.direction * setup.c_fm_s * kin) - 1.0)
+    res = np.empty(t.size - 2)
+    for lo in range(0, res.size, STENCIL_BLOCK):
+        hi = min(lo + STENCIL_BLOCK, res.size)
+        xd = (x[lo + 2 : hi + 2] - x[lo:hi]) / (t[lo + 2 : hi + 2] - t[lo:hi])    # [fm/s]
+        kin = kinetic_term(setup, pot, x[lo + 1 : hi + 1])
+        res[lo:hi] = np.abs(xd * p[lo + 1 : hi + 1] / (setup.direction * setup.c_fm_s * kin)
+                            - 1.0)
     return _summary("closure", res)
 
 
@@ -432,10 +496,12 @@ def firqnl_residual(traj: Trajectory, stride: int = 1) -> ValidationReport:
     raises ValueError.  When neither variable is uniform RegimeError is
     raised, and TooFewSamples below 6*stride + 1 samples.
 
-    The stencil runs block by block (``_stencil_blocks``), and so do the
-    five terms, into one residual array.  Every value comes from the same
-    operations in the same order as a whole-array evaluation, so the
-    residuals are bit-identical to it and do not depend on the block size.
+    The stencil runs block by block (``_stencil_blocks``), its gradient
+    too, and so do the five terms, into one residual array: the only
+    array of the trace's length made here is that residual.  Every value
+    comes from the same operations in the same order as a whole-array
+    evaluation, so the residuals are bit-identical to it and do not depend
+    on the block size.
     """
     if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
         raise ValueError(f"stride must be a positive int, not {stride!r}")
@@ -451,6 +517,7 @@ def firqnl_residual(traj: Trajectory, stride: int = 1) -> ValidationReport:
             xd = 1.0 / d1
             xdd = -d2 / d1**3
             xddd = (3.0 * d2**2 - d3 * d1) / d1**5
+        del d1, d2, d3
         x_in = traj.x[3 * stride + lo : 3 * stride + hi]
         res[lo:hi] = _firqnl_terms(setup, pot, x_in, xd, xdd, xddd)
     return _summary("first-integral", res)
@@ -465,29 +532,42 @@ def _firqnl_terms(setup: PhysicalSetup, pot: Potential, x_in, xd, xdd, xddd):
     vp = np.asarray(pot.dv(x_in), dtype=float)
     vpp = np.asarray(pot.d2v(x_in), dtype=float)
     q = w * w - m2
-    # each subexpression once; every term keeps its order of operations
+    # each subexpression once; every term keeps its order of operations.
+    # Each term goes into the total, and its magnitude into the scale, as
+    # soon as it is formed, and every piece is freed after its last use
     q3 = q**3
+    hq2 = (hb**2 / 2.0) * q**2
+    del q
     w2 = w**2
+    mw = m2 / w2
     xd2 = xd**2
     lorentz = 1.0 - xd2 / c**2
-    mw = m2 / w2
-    wq = (w**4 - m2**2) / w
-    r = xdd / xd
-    hq2 = (hb**2 / 2.0) * q**2
-
-    t2 = -(hb**2 / 2.0) * wq * (xdd * vp)
-    t3 = -(hb**2 / 2.0) * wq * (xd2 * vpp)
-    t5 = -(hb**2 / 4.0) * (4.0 * m2 * (1.0 - mw) + 3.0 * (w + m2 / w) ** 2) * (xd * vp) ** 2
-    total = q3 * (lorentz - mw) + t2 + t3
-    total += hq2 * (1.5 * r**2 - xddd / xd)
-    total += t5
     # normalize by the largest displayed piece; the q^3 m2/w^2 monomial never
     # vanishes, so the denominator is bounded away from zero even where the
     # signed terms cross zero together
+    total = q3 * (lorentz - mw)
     scale = np.abs(q3 * lorentz)
-    for piece in (q3 * m2 / w2, t2, t3, hq2 * 1.5 * r**2, hq2 * xddd / xd, t5):
-        np.maximum(scale, np.abs(piece), out=scale)
-    return np.abs(total) / scale
+    del lorentz
+    np.maximum(scale, np.abs(q3 * m2 / w2), out=scale)
+    del q3, w2
+    wq = (w**4 - m2**2) / w
+    t2 = -(hb**2 / 2.0) * wq * (xdd * vp)
+    total += t2
+    np.maximum(scale, np.abs(t2, out=t2), out=scale)
+    del t2
+    t3 = -(hb**2 / 2.0) * wq * (xd2 * vpp)
+    total += t3
+    np.maximum(scale, np.abs(t3, out=t3), out=scale)
+    del t3, wq, xd2, vpp
+    r = xdd / xd
+    total += hq2 * (1.5 * r**2 - xddd / xd)
+    np.maximum(scale, np.abs(hq2 * 1.5 * r**2), out=scale)
+    np.maximum(scale, np.abs(hq2 * xddd / xd), out=scale)
+    del r, hq2
+    t5 = -(hb**2 / 4.0) * (4.0 * m2 * (1.0 - mw) + 3.0 * (w + m2 / w) ** 2) * (xd * vp) ** 2
+    total += t5
+    np.maximum(scale, np.abs(t5, out=t5), out=scale)
+    return np.divide(np.abs(total, out=total), scale, out=total)
 
 
 def rqshje_residual(
@@ -502,8 +582,10 @@ def rqshje_residual(
     ``pot`` is required.
 
     Grid points are evaluated in blocks of ``STENCIL_BLOCK`` into one
-    residual array; every value comes from the same operations as on the
-    whole grid, so the residuals are bit-identical to it.
+    residual array, psi, psi' and D too (``ReducedAction.momentum_derivatives``
+    rebuilds them from the basis per block); every value comes from the
+    same operations as on the whole grid, so the residuals are
+    bit-identical to it.
     """
     setup = setup or ra.setup
     if pot is None:
@@ -513,11 +595,19 @@ def rqshje_residual(
         rows = slice(lo, lo + STENCIL_BLOCK)
         x = ra.grid[rows]
         pc, pcp, pcpp = ra.momentum_derivatives(-wavenumber_sq(setup, pot, x), rows)
-        ev = setup.E - np.asarray(pot.v(x), dtype=float)
+        # in place: t2 in pcp's buffer, t3 in that of E - V
         t1 = pc * pc
-        t2 = -(setup.hbar_c**2 / 2.0) * (1.5 * (pcp / pc) ** 2 - pcpp / pc)
-        t3 = setup.rest_sq - ev * ev
-        total = t1 + t2 + t3
-        scale = np.max(np.abs(np.stack([t1, t2, t3])), axis=0)
-        res[rows] = np.abs(total) / scale
+        np.square(np.divide(pcp, pc, out=pcp), out=pcp)
+        pcp *= 1.5
+        pcp -= np.divide(pcpp, pc, out=pcpp)
+        t2 = np.multiply(-(setup.hbar_c**2 / 2.0), pcp, out=pcp)
+        del pcpp
+        ev = setup.E - np.asarray(pot.v(x), dtype=float)
+        t3 = np.subtract(setup.rest_sq, np.multiply(ev, ev, out=ev), out=ev)
+        total = t1 + t2
+        total += t3
+        scale = np.abs(t1, out=t1)
+        np.maximum(scale, np.abs(t2, out=t2), out=scale)
+        np.maximum(scale, np.abs(t3, out=t3), out=scale)
+        np.divide(np.abs(total, out=total), scale, out=res[rows])
     return _summary("quantum-hj", res)

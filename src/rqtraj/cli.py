@@ -8,7 +8,8 @@ existing file, a ``--figure`` other than 1, 2 or 3), an unknown config
 section or key, an empty ``sets``, a fractional ``samples``, a nan or inf
 value such as ``hbar_scale = nan``, ``window <= 0``, a grid of fewer than
 two points and a tabulated-potential file that is missing, has fewer than
-two columns or has no increasing grid; then no file is written.  Every run
+two columns, has no increasing grid or has a nan or inf entry;
+then no file is written.  Every run
 parameter is a config key; ``--out`` only moves the output directory.
 ``figure --figure N`` draws what the sets carry (an asymptote for each
 divergence time, node markers whenever the run yields nodes); N only

@@ -113,7 +113,9 @@ def uniform_step(grid) -> float | None:
     if grid.size < 2:
         return None
     h = (grid[-1] - grid[0]) / (grid.size - 1)
-    spread = np.max(np.abs(np.diff(grid) - h))
+    dev = np.diff(grid)
+    dev -= h
+    spread = np.max(np.abs(dev, out=dev))
     if h != 0 and spread <= UNIFORM_REL_TOL * abs(h):
         return float(h)
     return None
@@ -290,7 +292,8 @@ def solve_numeric(
 
     ``init1``/``init2`` are (phi, phi') at the first grid point; the defaults
     mirror the sin/cos convention at the origin up to normalization.  The
-    step guard rejects |k h| > 0.1 where k is the largest local wavenumber.
+    step guard rejects |k h| > 0.1 where k is the largest local wavenumber,
+    and a NaN |k h| (a NaN potential value on the grid).
 
     Each Euler or RK4 step is built as the 2x2 matrix it applies to
     (phi, phi'), and the grid states are the blocked prefix products of
@@ -314,7 +317,7 @@ def solve_numeric(
 
     u_nodes = -wavenumber_sq(setup, pot, grid)
     kmax = float(np.sqrt(np.max(np.abs(u_nodes))))
-    if kmax * h > 0.1:
+    if not kmax * h <= 0.1:                        # NaN fails too
         raise StepTooLarge(f"|k h| = {kmax * h:.3g} > 0.1; refine the grid")
 
     y0 = (float(init1[0]), float(init1[1]), float(init2[0]), float(init2[1]))

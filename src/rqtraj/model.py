@@ -161,7 +161,7 @@ class LinearPotential(Potential):
 
 
 class TabulatedPotential(Potential):
-    """Potential sampled on a strictly increasing grid.
+    """Potential sampled on a strictly increasing grid of finite values.
 
     Derivatives come from centered differences of the samples (second order
     in the grid step) and are linearly interpolated between nodes.
@@ -174,6 +174,8 @@ class TabulatedPotential(Potential):
             raise ValueError("tabulated potential needs >= 3 grid points")
         if values.shape != grid.shape:
             raise ValueError("grid and values must have the same length")
+        if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
+            raise ValueError("tabulated grid and values must be finite (no nan or inf)")
         if not np.all(np.diff(grid) > 0):
             raise ValueError("tabulated grid must be strictly increasing")
         self.grid = grid
@@ -221,14 +223,17 @@ def regime_tags(setup: PhysicalSetup, ev) -> np.ndarray:
 
     disc = (E - V)^2 - (m0 c^2)^2 decides: a disc within
     REGIME_REL_TOL * (m0 c^2)^2 of zero, or NaN, is a turning point,
-    otherwise its sign gives oscillatory or evanescent.
+    otherwise its sign gives oscillatory or evanescent.  ``ev`` may be a
+    scalar or a 0-d array; the tags then are a 0-d array.  disc is worked
+    out in one buffer of ev's shape, in place.
     """
     ev = np.asarray(ev, dtype=float)
-    disc = ev * ev - setup.rest_sq
+    disc = np.multiply(ev, ev, out=np.empty(ev.shape))
+    disc -= setup.rest_sq
     tol = REGIME_REL_TOL * setup.rest_sq
     tags = np.zeros(disc.shape, np.uint8)
     tags[disc < -tol] = REGIMES.index(Regime.EVANESCENT)
-    tags[~(np.abs(disc) > tol)] = REGIMES.index(Regime.TURNING_POINT)
+    tags[~(np.abs(disc, out=disc) > tol)] = REGIMES.index(Regime.TURNING_POINT)
     return tags
 
 

@@ -18,6 +18,22 @@ first-integral checks on the trace, and only the trace's t and x are kept
 for node detection (``analyze`` and the node pass of ``figure``).  The
 trace pass of ``trace`` and ``figure`` drops each trace once its file is
 written.  So no more than one set's action and trace are alive at a time.
+
+What is alive at each stage of a quadrature run (n grid points):
+
+* basis: the grid and phi1, phi1', phi2, phi2' (5 n floats), kept until
+  the set loop ends;
+* action: its three arrays S0, P and branch (``action``); the quantum-HJ
+  check rebuilds what else it reads one block at a time;
+* trace: its t and regime columns and views of the grid and the action;
+  the closure and first-integral checks work in blocks and make only
+  their residual arrays;
+* the t and x of each earlier set, while node detection needs them; x is
+  a view of the grid.
+
+Once the set loop ends, ``analyze`` and the node pass of ``figure`` take
+the zeros of phi2 from the basis and drop it, so node detection runs
+beside the kept (t, x) curves and the grid alone.
 """
 
 from __future__ import annotations
@@ -57,6 +73,7 @@ from .trajectory import (
     trace_constant_evanescent,
     trace_constant_oscillatory,
     trace_quadrature,
+    _zeros_of,
 )
 
 
@@ -191,9 +208,15 @@ def _family(cfg: RunConfig, setup, pot, basis):
         yield (hp, *_traced(cfg, setup, pot, basis, hp))
 
 
-def _detected_nodes(curves, setup, pot, basis):
+def _phi2_zeros(basis):
+    """The zeros of phi2 on the basis grid, or None without a basis."""
+    return None if basis is None else _zeros_of(basis.grid, basis.phi2)
+
+
+def _detected_nodes(curves, setup, pot, phi2_zeros):
     """Nodes where the traced curves (t, x) meet; None below two curves."""
-    return detect_nodes(curves, setup, pot, basis=basis) if len(curves) > 1 else None
+    return (detect_nodes(curves, setup, pot, phi2_zeros=phi2_zeros)
+            if len(curves) > 1 else None)
 
 
 def _trace_sets(cfg: RunConfig):
@@ -287,11 +310,13 @@ def run_analyze(cfg: RunConfig) -> dict:
         _validate(per_set[-1], "trace", tr, 1 if basis is None else 4)
         curves.append((tr.t, tr.x))
         del tr                                  # node detection reads t and x only
+    zeros = _phi2_zeros(basis)
+    del basis, hj_basis                         # freed before node detection
 
     manifest = {"command": "analyze", "config_hash": cfg.hash, "files": []}
     summary = []
 
-    nodes = _detected_nodes(curves, setup, pot, basis)
+    nodes = _detected_nodes(curves, setup, pot, zeros)
     if nodes is not None:
         nodes_path = out / "nodes_detected.json"
         payload = nodes.to_dict()
@@ -386,7 +411,9 @@ def run_figure(cfg: RunConfig, figure: int) -> dict:
             if not isinstance(tr, RqtError):
                 curves.append((tr.t, tr.x))
             del tr                              # node detection reads t and x only
-        nodes = _detected_nodes(curves, setup, pot, basis)
+        zeros = _phi2_zeros(basis)
+        del basis                               # freed before node detection
+        nodes = _detected_nodes(curves, setup, pot, zeros)
     if nodes is not None and len(nodes.times):
         nodes_path = out / "nodes.csv"
         write_csv(nodes_path, _header(cfg, ["curve: nodes"]),

@@ -141,6 +141,13 @@ def cumulative_simpson(f: np.ndarray, h: float) -> np.ndarray:
 
     Even indices see plain composite Simpson; odd indices add the half-pair
     rule h/12 (5 f0 + 8 f1 - f2), so the whole table is fourth order.
+
+    The table is built in place: the pair increments h/3 (f0 + 4 f1 + f2)
+    go into the odd entries, their running sum into the even ones, and then
+    the odd entries get their own values, so one temporary of half the
+    length is all it makes besides the table.  Every sum and product is the
+    one of the evaluation into fresh arrays, which the tests keep as the
+    oracle, so the table is bit-identical to it.
     """
     n = f.size
     out = np.zeros(n)
@@ -154,9 +161,16 @@ def cumulative_simpson(f: np.ndarray, h: float) -> np.ndarray:
     f0 = f[0 : 2 * npairs : 2]
     f1 = f[1 : 2 * npairs : 2]
     f2 = f[2 : 2 * npairs + 1 : 2]
-    pair_inc = h / 3.0 * (f0 + 4.0 * f1 + f2)
-    out[0 : 2 * npairs + 1 : 2] = np.concatenate(([0.0], np.cumsum(pair_inc)))
-    out[1 : 2 * npairs : 2] = out[0 : 2 * npairs : 2] + h / 12.0 * (5.0 * f0 + 8.0 * f1 - f2)
+    even, odd = out[0 : 2 * npairs + 1 : 2], out[1 : 2 * npairs : 2]
+    np.add(f0, np.multiply(4.0, f1, out=odd), out=odd)
+    odd += f2
+    odd *= h / 3.0
+    np.cumsum(odd, out=even[1:])
+    np.multiply(5.0, f0, out=odd)
+    odd += 8.0 * f1
+    odd -= f2
+    odd *= h / 12.0
+    odd += even[:-1]
     if n % 2 == 0:
         # trailing odd interval: right half of the last full parabola
         out[n - 1] = out[n - 2] + h / 12.0 * (
@@ -352,9 +366,15 @@ def trace_constant_evanescent(
 
 
 def _zeros_of(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Sign-change zeros of ``y`` on the grid ``x``, linearly interpolated."""
-    s = np.sign(y)
-    idx = np.nonzero(s[:-1] * s[1:] < 0)[0]
+    """Sign-change zeros of ``y`` on the grid ``x``, linearly interpolated.
+
+    A step changes sign when one end is below 0 and the other above it; an
+    exact zero (of either sign) or a NaN at an end is no sign change.
+    """
+    below, above = y < 0, y > 0
+    change = below[:-1] & above[1:]
+    change |= above[:-1] & below[1:]
+    idx = np.flatnonzero(change)
     return x[idx] - y[idx] * (x[idx + 1] - x[idx]) / (y[idx + 1] - y[idx])
 
 
@@ -401,10 +421,14 @@ def trace_quadrature(
     changes sign there.  So a grid that reaches past a turning point
     halts there whether or not a grid point falls in the slow zone.
 
-    kin, v and 1/v share one grid-long buffer and the time shift is
-    subtracted in place.  Every value comes from the same operations as in
-    an evaluation into fresh arrays, which the tests keep as the oracle, so
-    the five columns are bit-identical to it.
+    kin, v and 1/v share one grid-long buffer, the Simpson table is built
+    in place (``cumulative_simpson``), so are the dt sign test and the
+    regime tags, and the time shift is subtracted in place.  E - V is
+    freed once the regime tags are taken, before the Simpson table, and
+    recomputed on the kept rows and the first row dropped for the E = V
+    check.  Every value comes from the same operations as in an evaluation
+    into fresh arrays, which the tests keep as the oracle, so the five
+    columns are bit-identical to it.
     """
     setup, basis, hp = action.setup, action.basis, action.params
     grid = basis.grid
@@ -426,23 +450,31 @@ def trace_quadrature(
     np.multiply(setup.direction * setup.c_fm_s, v, out=v)
     v /= action.momentum_grid
 
-    # turning point on a grid point: the slow zone
-    slow = np.abs(v) < SLOW_ZONE_FRAC * setup.c_fm_s
+    # turning point on a grid point: the slow zone, |v| < SLOW_ZONE_FRAC c
+    v_slow = SLOW_ZONE_FRAC * setup.c_fm_s
+    slow = v < v_slow
+    slow &= v > -v_slow
     cut = int(np.argmax(slow)) if slow.any() else grid.size
+    del slow
     if cut < 3:
         raise RegimeError("entire grid is inside the slow/turning zone")
     xs, v = grid[:cut], v[:cut]
 
     regime = regime_tags(setup, ev[:cut])
+    del ev                                            # recomputed for the E = V check
 
     tt = cumulative_simpson(np.divide(1.0, v, out=v), h)
     del v                                             # the buffer is spent
     # turning point between grid points: 1/v, and so dt, changes sign
-    turned = ~(np.diff(tt) * np.sign(tt[1] - tt[0]) > 0)
+    dt = np.diff(tt)
+    dt *= np.sign(tt[1] - tt[0])
+    turned = ~(dt > 0)
+    del dt
     cut = int(np.argmax(turned)) + 1 if turned.any() else xs.size
+    del turned
     # E = V on the kept rows or between the last of them and the first row
     # dropped: either cut can come from the sign change of E - V itself
-    ev = ev[:cut + 1]
+    ev = setup.E - np.asarray(pot.v(grid[:cut + 1]), dtype=float)
     if not (ev.min() > 0.0 or ev.max() < 0.0):
         end = float(grid[ev.size - 1])
         raise EnergyEqualsPotential(

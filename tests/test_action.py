@@ -117,7 +117,7 @@ def test_unwrap_phase_matches_numpy_on_the_fig3_basis():
     for a, b in cfg.param_sets:
         p = np.arctan2(a * basis.phi1 + b * basis.phi2, basis.phi2)
         assert np.count_nonzero(np.abs(np.diff(p)) >= np.pi) > 0
-        assert np.array_equal(_bits(unwrap_phase(p)), _bits(np.unwrap(p))), (a, b)
+        assert np.array_equal(_bits(unwrap_phase(p.copy())), _bits(np.unwrap(p))), (a, b)
 
 
 @pytest.mark.parametrize("p", [
@@ -131,11 +131,120 @@ def test_unwrap_phase_matches_numpy_on_the_fig3_basis():
     np.array([]),
 ])
 def test_unwrap_phase_matches_numpy(p):
-    assert np.array_equal(_bits(unwrap_phase(p)), _bits(np.unwrap(p)))
+    assert np.array_equal(_bits(unwrap_phase(p.copy())), _bits(np.unwrap(p)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(-20.0, 20.0), min_size=0, max_size=60))
 def test_unwrap_phase_matches_numpy_on_random_phases(values):
     p = np.array(values, dtype=float)
-    assert np.array_equal(_bits(unwrap_phase(p)), _bits(np.unwrap(p)))
+    assert np.array_equal(_bits(unwrap_phase(p.copy())), _bits(np.unwrap(p)))
+
+
+@pytest.mark.parametrize("p", [
+    np.array([-0.0, -0.0, -0.0]),                      # no jump: +0.0 is added all along
+    np.array([-0.0, -0.0, 4.0, -0.0]),                 # -0.0 before and after a jump
+    np.array([-0.0, np.pi, -0.0, -np.pi]),             # exact +-pi steps after a leading -0.0
+])
+def test_unwrap_phase_keeps_numpys_signed_zeros(p):
+    got = unwrap_phase(p.copy())
+    assert np.array_equal(_bits(got), _bits(np.unwrap(p)))
+    assert np.signbit(got[0]) and not np.signbit(got[1])
+
+
+def test_unwrap_phase_works_in_place():
+    p = np.array([3.0, -3.0, 3.0, 2 * np.pi + 3.0, -7.0])
+    ref = np.unwrap(p)
+    assert unwrap_phase(p) is p
+    assert np.array_equal(_bits(p), _bits(ref))
+
+
+def momentum_derivatives_stored(ra, u_nodes, rows=slice(None)):
+    """``ReducedAction.momentum_derivatives`` as it was when the action kept
+    psi, psi' and D grid-long: each factor on the whole grid, then the rows.
+    Kept as the oracle of the per-block rebuild."""
+    a, b = ra.params.a, ra.params.b
+    basis = ra.basis
+    psi_all = a * basis.phi1 + b * basis.phi2
+    dpsi_all = a * basis.dphi1 + b * basis.dphi2
+    denom_all = basis.phi2**2 + psi_all**2
+    phi2, dphi2 = basis.phi2[rows], basis.dphi2[rows]
+    psi, dpsi, denom = psi_all[rows], dpsi_all[rows], denom_all[rows]
+    dd = 2.0 * (phi2 * dphi2 + psi * dpsi)
+    ddd = 2.0 * (dphi2**2 + u_nodes * phi2**2 + dpsi**2 + u_nodes * psi**2)
+    pc = ra.momentum_grid[rows]
+    pcp = -pc * dd / denom
+    pcpp = pc * (2.0 * dd**2 / denom**2 - ddd / denom)
+    return pc, pcp, pcpp
+
+
+@pytest.fixture(scope="module")
+def fig3_stage():
+    cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / "fig3.cfg")
+    setup = pipeline.build_setup(cfg)
+    pot = pipeline.build_potential(cfg)
+    return cfg, setup, pot, pipeline.build_basis(cfg, setup, pot)
+
+
+def test_momentum_derivatives_per_block_match_the_stored_arrays(fig3_stage):
+    """Every fig3 set, on the first block, a middle one, the short last one
+    and the whole grid: Pc, Pc' and Pc'' bit for bit."""
+    from rqtraj.analysis import STENCIL_BLOCK
+    from rqtraj.kleingordon import wavenumber_sq
+
+    cfg, setup, pot, basis = fig3_stage
+    n = basis.grid.size
+    last = (n - 1) // STENCIL_BLOCK * STENCIL_BLOCK
+    for a, b in cfg.param_sets:
+        ra = rq.ReducedAction(basis, rq.HiddenParams(a, b), setup)
+        for rows in (slice(0, STENCIL_BLOCK), slice(3 * STENCIL_BLOCK, 4 * STENCIL_BLOCK),
+                     slice(last, last + STENCIL_BLOCK), slice(None)):
+            u = -wavenumber_sq(setup, pot, basis.grid[rows])
+            got = ra.momentum_derivatives(u, rows)
+            for g, r in zip(got, momentum_derivatives_stored(ra, u, rows)):
+                assert np.array_equal(_bits(g), _bits(r)), (a, b, rows)
+
+
+def reduced_action_arrays(basis, hp, setup):
+    """S0, P and the branch counter as ``ReducedAction`` built them into
+    fresh arrays, kept as the oracle of the in-place construction."""
+    a, b = hp.a, hp.b
+    psi = a * basis.phi1 + b * basis.phi2
+    denom = basis.phi2**2 + psi**2
+    theta = np.unwrap(np.arctan2(psi, basis.phi2))
+    with np.errstate(divide="ignore"):
+        branch0 = np.arctan(psi / basis.phi2)
+    theta = theta - theta[0] + branch0[0]
+    return (setup.hbar * theta, setup.hbar_c * a * basis.wronskian / denom,
+            np.rint((theta - branch0) / np.pi).astype(int))
+
+
+def test_reduced_action_is_bit_equal_to_fresh_arrays(fig3_stage, electron2, const_basis):
+    cfg, setup, _, basis = fig3_stage
+    cases = [(basis, setup, (a, b)) for a, b in cfg.param_sets]
+    cases += [(const_basis, electron2, ab) for ab in ((1.0, 0.0), (4 / 3, -1.05), (0.25, 8.0))]
+    for bs, su, ab in cases:
+        ra = rq.ReducedAction(bs, rq.HiddenParams(*ab), su)
+        got = (ra.s0_grid, ra.momentum_grid, ra.branch_grid)
+        for g, r in zip(got, reduced_action_arrays(bs, rq.HiddenParams(*ab), su)):
+            assert g.dtype == r.dtype and np.array_equal(g.view(np.int64), r.view(np.int64)), ab
+
+
+def test_reduced_action_owns_three_grid_long_arrays(fig3_stage):
+    """S0, P and the branch counter, each its own buffer; nothing else of
+    the grid's length, and nothing more is left allocated."""
+    import tracemalloc
+
+    cfg, setup, _, basis = fig3_stage
+    n = basis.grid.size
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ra = rq.ReducedAction(basis, rq.HiddenParams(*cfg.param_sets[0]), setup)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    grid_long = {k for k, v in vars(ra).items() if isinstance(v, np.ndarray) and v.size == n}
+    assert grid_long == {"s0_grid", "momentum_grid", "branch_grid"}
+    assert all(getattr(ra, k).flags.owndata for k in grid_long)
+    assert 3 * 8 * n <= kept < 3 * 8 * n + 2**16, kept

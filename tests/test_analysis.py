@@ -10,8 +10,11 @@ import pytest
 
 import rqtraj as rq
 from rqtraj import pipeline, trajectory
-from rqtraj.analysis import STENCIL_BLOCK, _STENCIL_WEIGHTS, _stencil_blocks
+from rqtraj.analysis import (
+    STENCIL_BLOCK, _STENCIL_WEIGHTS, _exact_step, _gradient_rows, _stencil_blocks,
+)
 from rqtraj.kleingordon import UNIFORM_REL_TOL, uniform_step, wavenumber_sq
+from rqtraj.model import kinetic_term
 from rqtraj.config import RunConfig, parse_config
 from rqtraj.errors import InsufficientTrajectories, RegimeError, TooFewSamples
 from rqtraj.output import write_json
@@ -126,8 +129,11 @@ def test_detect_nodes_needs_two(electron2):
 def test_detect_nodes_linear_potential(electron2):
     """Fig-3 parameter sets: clusters exist, offsets to phi2 zeros reported,
     spacing grows toward the turning point along the phi2-zero ladder."""
+    from rqtraj.trajectory import _zeros_of
+
     pot, basis, trajs = linear_pipeline(electron2)
-    rep = rq.detect_nodes([(tr.t, tr.x) for tr in trajs], electron2, pot, basis=basis)
+    zeros = _zeros_of(basis.grid, basis.phi2)
+    rep = rq.detect_nodes([(tr.t, tr.x) for tr in trajs], electron2, pot, phi2_zeros=zeros)
     assert len(rep.times) >= 3
     offs = rep.extras["phi2_zero_offset_fm"]
     assert len(offs) == len(rep.times)
@@ -135,9 +141,6 @@ def test_detect_nodes_linear_potential(electron2):
     assert np.median(offs) < 0.25 * np.median(rep.dx)
     # spacing trend: grows toward the turning point
     assert rep.dx[1] > rep.dx[0]
-    from rqtraj.trajectory import _zeros_of
-
-    zeros = _zeros_of(basis.grid, basis.phi2)
     assert np.all(np.diff(np.diff(zeros)) > 0)
 
 
@@ -538,6 +541,63 @@ def test_blocked_first_integral_is_bit_equal(block_traces, var, windows, stride)
         ref = firqnl_whole_array(tr, setup, pot, var, stride)
         assert got.size == windows
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def stencil_gradient_rows(n, stride):
+    """(lo, hi) of the gradient rows each block of ``_stencil_blocks`` reads."""
+    m = n - 6 * stride
+    return [(lo, min(lo + STENCIL_BLOCK, m) + 6 * stride) for lo in range(0, m, STENCIL_BLOCK)]
+
+
+@pytest.mark.parametrize("stride", [1, 4])
+@pytest.mark.parametrize("kind", ["uniform", "linspace", "uniform_inside"])
+def test_gradient_rows_are_bit_equal_to_the_whole_trace_gradient(kind, stride):
+    """Every block of the stencil, the first and the last included, and
+    single rows at both ends: np.gradient of the whole trace, bit for bit.
+    A step of 0.75 is exact, so 0.75 * arange has all steps equal (numpy's
+    uniform formula); linspace steps differ in their last bits; and
+    "uniform_inside" is that exact grid with one late sample moved, so the
+    first block is exactly uniform inside a non-uniform trace, where a
+    gradient of the block alone would take the other formula."""
+    n = 2 * STENCIL_BLOCK + 6 * stride + 101
+    t = np.linspace(-3.0, 7.0, n) if kind == "linspace" else 0.75 * np.arange(n)
+    if kind == "uniform_inside":
+        t[-3] += 1e-9
+    x = np.sin(t / 7.0) + 1e-3 * t**2
+    ref = np.gradient(x, t, edge_order=2)
+    step = _exact_step(t)
+    assert (step is None) == (kind != "uniform")
+    rows = stencil_gradient_rows(n, stride) + [(0, 1), (n - 1, n), (1, 2), (n - 2, n - 1)]
+    for lo, hi in rows:
+        got = _gradient_rows(x, t, lo, hi, step)
+        assert np.array_equal(got.view(np.int64), ref[lo:hi].view(np.int64)), (lo, hi)
+    if kind == "uniform_inside":
+        lo, hi = rows[0]
+        alone = np.gradient(x[: hi + 1], t[: hi + 1], edge_order=2)[lo:hi]
+        assert not np.array_equal(alone, ref[lo:hi])
+
+
+def closure_whole_array(traj):
+    """``closure_residual`` as one pass over the whole trace, kept as the
+    oracle of the blocked evaluation."""
+    setup, pot = traj.setup, traj.potential
+    xd = traj.velocity_centered()
+    kin = kinetic_term(setup, pot, traj.x[1:-1])
+    return np.abs(xd * traj.momentum[1:-1] / (setup.direction * setup.c_fm_s * kin) - 1.0)
+
+
+@pytest.mark.parametrize("n", [3, 4, STENCIL_BLOCK + 1, STENCIL_BLOCK + 2, STENCIL_BLOCK + 3,
+                               2 * STENCIL_BLOCK + 3])
+@pytest.mark.parametrize("var", ["t", "x"])
+def test_blocked_closure_is_bit_equal(block_traces, var, n):
+    _, traces, _ = block_traces
+    full = traces[var]
+    rows = slice(0, n)
+    tr = dataclasses.replace(full, t=full.t[rows], x=full.x[rows], branch=full.branch[rows],
+                             regime=full.regime[rows], momentum=full.momentum[rows])
+    got = rq.closure_residual(tr).residuals
+    assert got.size == n - 2
+    assert np.array_equal(got.view(np.int64), closure_whole_array(tr).view(np.int64))
 
 
 def test_analyze_builds_one_reduced_action_per_set(tmp_path, monkeypatch):

@@ -243,6 +243,29 @@ def test_cli_exit_code_2_on_unreadable_table(tmp_path, table, cause):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("command", [["basis"], ["trace"], ["analyze"], ["figure", "--figure", "3"]])
+def test_cli_exit_code_2_on_non_finite_table(tmp_path, command, bad):
+    """One V of a 201-row table is nan or inf: every command stops before it
+    writes a file.  Unchecked, basis wrote a drift of nan and a CSV of nan
+    fields, trace failed with a ValueError traceback and analyze reported
+    E = V."""
+    path = tmp_path / "v.tab"
+    x = np.linspace(-600.0, 600.0, 201)
+    v = 1e-3 * x
+    v[100] = bad
+    write_csv(path, [], [("x_fm", x), ("V_MeV", v)])
+    cfgp = tmp_path / "run.cfg"
+    RunConfig(potential_kind="tabulated", table_file=str(path), grid_min=-500.0,
+              grid_max=500.0, grid_step=0.2, x0=-500.0, param_sets=[(4.0, 2.5), (8.0, -3.0)],
+              sync="phi2_zero").to_file(cfgp)
+    result = run_cli([*command, "--config", str(cfgp), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert "config error" in result.output and str(path) in result.output
+    assert "must be finite" in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_figure_exit_code_2_on_empty_sets(tmp_path):
     text = (CONFIGS / "fig2.cfg").read_text().replace("sets = 0.25,8", "sets = ")
     bad = tmp_path / "bad.cfg"
@@ -632,17 +655,22 @@ def test_quadrature_outputs_are_pinned(tmp_path, monkeypatch):
     (lambda cfg: pipeline.build_basis(cfg, pipeline.build_setup(cfg),
                                       pipeline.build_potential(cfg)), 12.5),
     (lambda cfg: pipeline.run_basis(cfg, compare_methods=True), 12.5),
-    (pipeline.run_analyze, 19),
-    (lambda cfg: pipeline.run_figure(cfg, 3), 19),
-], ids=["build_basis", "basis", "analyze", "figure"])
+    (pipeline.run_trace, 12.5),
+    (pipeline.run_analyze, 14.5),
+    (lambda cfg: pipeline.run_figure(cfg, 3), 14.5),
+], ids=["build_basis", "basis", "trace", "analyze", "figure"])
 def test_fig3_live_memory_peak(tmp_path, monkeypatch, run, limit_mib):
     """Live data of each fig3 command, by tracemalloc in process.  The
     in-place scan, one basis alive at a time in basis --compare-methods,
-    one set's action and trace alive at a time, only t and x kept for node
-    detection, the in-place trace and a one-byte regime code per trace row
-    keep the peaks near 11.7 (the RK4 solve alone, and basis) and 18.6 MiB
-    (analyze, figure).  With the whole-array scan and whole trajectories
-    kept for node detection the peaks were 20.9, 21.0, 25.1 and 25.1 MiB."""
+    one set's action and trace alive at a time, an action of three arrays,
+    checks that work in blocks, only t and x kept for node detection, which
+    runs once the basis is freed, the in-place trace and a one-byte regime
+    code per trace row keep the peaks near 11.7 (the RK4 solve alone, and
+    basis), 12.1 (trace) and 14.1 MiB (analyze, figure).  With the
+    whole-array scan and whole trajectories kept for node detection the
+    peaks were 20.9, 21.0, 25.1 and 25.1 MiB (build_basis, basis, analyze,
+    figure); with an action that kept psi, psi' and D and whole-trace
+    gradients, 16.6 (trace) and 18.6 MiB (analyze, figure)."""
     monkeypatch.chdir(tmp_path)              # the config's relative out dir
     cfg = parse_config(CONFIGS / "fig3.cfg")
     tracemalloc.start()

@@ -130,3 +130,17 @@ def test_basis_csv_roundtrip(tmp_path, const_basis):
     assert meta["config_hash"] == "deadbeef"
     assert list(cols) == ["x_fm", "phi1", "dphi1_per_fm", "phi2", "dphi2_per_fm", "wronskian_per_fm"]
     assert np.array_equal(cols["phi1"], const_basis.phi1)
+
+
+def test_step_guard_rejects_a_nan_potential(electron2):
+    """|k h| > 0.1 is false for a NaN, so the guard asks for |k h| <= 0.1."""
+
+    class NanAt(rq.LinearPotential):
+        def v(self, x):
+            v = super().v(x)
+            v[v.size // 2] = np.nan
+            return v
+
+    grid = np.linspace(-500.0, 500.0, 5001)
+    with pytest.raises(StepTooLarge, match="nan"):
+        rq.solve_numeric(electron2, NanAt(1e-3), grid)

@@ -272,3 +272,14 @@ def test_tabulated_potential_validation():
         rq.TabulatedPotential([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         rq.TabulatedPotential([0.0, 1.0], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("column", ["grid", "values"])
+def test_tabulated_potential_rejects_non_finite_entries(column, bad):
+    """A nan or inf would spread through the derivative tables into the basis."""
+    grid = np.linspace(-600.0, 600.0, 201)
+    cols = {"grid": grid, "values": 1e-3 * grid}
+    cols[column][100 if column == "values" else -1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        rq.TabulatedPotential(cols["grid"], cols["values"])

@@ -14,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 from rqtraj import pipeline
 from rqtraj.config import RunConfig, parse_config
 from rqtraj.model import REGIME_TEXT
+from rqtraj.trajectory import _zeros_of
 from rqtraj.output import (
     BLOCK_ROWS, FAST_MAX, FAST_MIN, LINE_BREAKS, _fast_digits, read_csv, write_csv,
 )
@@ -459,6 +460,34 @@ def test_set_loops_hold_one_action_at_a_time(tmp_path, monkeypatch, run, changes
     assert len(actions) >= 2
     if basis_builds is not None:
         assert len(builds) == basis_builds
+
+
+@pytest.mark.parametrize("run", [
+    pipeline.run_analyze,
+    lambda cfg: pipeline.run_figure(cfg, 3),
+], ids=["analyze", "figure"])
+def test_node_detection_runs_after_the_basis_is_freed(tmp_path, monkeypatch, run):
+    """Node detection gets the zeros of phi2, taken from the basis of the
+    set loop, and runs once every basis is dead."""
+    bases, detected = [], []
+    build_basis, detect = pipeline.build_basis, pipeline.detect_nodes
+
+    def recorded_basis(*args, **kwargs):
+        basis = build_basis(*args, **kwargs)
+        bases.append((weakref.ref(basis), _zeros_of(basis.grid, basis.phi2)))
+        return basis
+
+    def after_the_basis(curves, setup, pot, phi2_zeros=None):
+        assert all(ref() is None for ref, _ in bases), "a basis is alive"
+        assert np.array_equal(phi2_zeros, bases[-1][1])
+        detected.append(len(curves))
+        return detect(curves, setup, pot, phi2_zeros=phi2_zeros)
+
+    monkeypatch.setattr(pipeline, "build_basis", recorded_basis)
+    monkeypatch.setattr(pipeline, "detect_nodes", after_the_basis)
+    cfg = _linear_config(tmp_path / "out")
+    run(cfg)
+    assert detected == [len(cfg.param_sets)]
 
 
 @pytest.mark.parametrize("run, checks", [

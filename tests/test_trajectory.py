@@ -64,11 +64,84 @@ def cumulative_simpson_gather(f, h):
     return out
 
 
+def cumulative_simpson_fresh(f, h):
+    """``cumulative_simpson`` as it was before it built the table in place:
+    each step into a new array.  Kept as the oracle of the in-place table."""
+    n = f.size
+    out = np.zeros(n)
+    if n < 2:
+        return out
+    if n == 2:
+        out[1] = 0.5 * h * (f[0] + f[1])
+        return out
+    npairs = (n - 1) // 2
+    f0 = f[0 : 2 * npairs : 2]
+    f1 = f[1 : 2 * npairs : 2]
+    f2 = f[2 : 2 * npairs + 1 : 2]
+    pair_inc = h / 3.0 * (f0 + 4.0 * f1 + f2)
+    out[0 : 2 * npairs + 1 : 2] = np.concatenate(([0.0], np.cumsum(pair_inc)))
+    out[1 : 2 * npairs : 2] = out[0 : 2 * npairs : 2] + h / 12.0 * (5.0 * f0 + 8.0 * f1 - f2)
+    if n % 2 == 0:
+        out[n - 1] = out[n - 2] + h / 12.0 * (
+            -f[n - 3] + 8.0 * f[n - 2] + 5.0 * f[n - 1]
+        )
+    return out
+
+
 @pytest.mark.parametrize("n", [*range(0, 10), 100_001, 100_002])
 def test_cumulative_simpson_matches_gather_oracle(n):
     f = np.random.default_rng(n).normal(size=n) * 1e-21
+    kept = f.copy()
     got = rq.cumulative_simpson(f, 0.05)
     assert np.array_equal(got.view(np.int64), cumulative_simpson_gather(f, 0.05).view(np.int64))
+    assert np.array_equal(got.view(np.int64), cumulative_simpson_fresh(f, 0.05).view(np.int64))
+    assert np.array_equal(f.view(np.int64), kept.view(np.int64))       # input untouched
+
+
+def zeros_of_sign_product(x, y):
+    """``_zeros_of`` as it was, from the product of np.sign; kept as its oracle."""
+    s = np.sign(y)
+    idx = np.nonzero(s[:-1] * s[1:] < 0)[0]
+    return x[idx] - y[idx] * (x[idx + 1] - x[idx]) / (y[idx + 1] - y[idx])
+
+
+@pytest.mark.parametrize("y", [
+    np.array([-1.0, 2.0, -3.0, 4.0]),                  # a sign change at every step
+    np.array([1.0, 0.0, -1.0, -0.0, 1.0]),             # exact zeros are no sign change
+    np.array([-0.0, 1.0, -0.0, -1.0, 0.0]),            # nor are signed zeros
+    np.array([1.0, np.nan, -1.0, np.nan, 1.0, -1.0]),  # nor a NaN end
+    np.array([3.0]),
+    np.array([]),
+])
+def test_zeros_of_matches_the_sign_product(y):
+    x = np.arange(y.size, dtype=float) * 0.5 - 1.0
+    got = trajectory._zeros_of(x, y)
+    ref = zeros_of_sign_product(x, y)
+    assert np.array_equal(got, ref, equal_nan=True)
+
+
+def test_zeros_of_matches_the_sign_product_on_fig3():
+    cfg = parse_config(CONFIGS / "fig3.cfg")
+    _, _, basis = _stage(cfg)
+    got = trajectory._zeros_of(basis.grid, basis.phi2)
+    assert got.size == 43
+    assert np.array_equal(got.view(np.int64),
+                          zeros_of_sign_product(basis.grid, basis.phi2).view(np.int64))
+
+
+def test_regime_tags_of_a_scalar_a_0d_array_and_nan():
+    """constant_regime passes a scalar; the tags are then a 0-d array."""
+    s = rq.PhysicalSetup(E=2.0, m0c2=0.511)
+    for ev, regime in ((1.5, rq.Regime.OSCILLATORY), (0.3, rq.Regime.EVANESCENT),
+                       (0.511, rq.Regime.TURNING_POINT), (float("nan"), rq.Regime.TURNING_POINT)):
+        for value in (ev, np.float64(ev), np.array(ev)):
+            tags = regime_tags(s, value)
+            assert tags.shape == () and tags.dtype == np.uint8
+            assert rq.model.REGIMES[int(tags)] is regime, (value, regime)
+    ev = np.array([1.5, np.nan, 0.3, -1.5])
+    kept = ev.copy()
+    assert regime_tags(s, ev).tolist() == [0, 2, 1, 0]
+    assert np.array_equal(ev, kept, equal_nan=True)                   # input untouched
 
 
 def test_classical_params_give_straight_line(electron2):
