@@ -20,7 +20,6 @@ from .analysis import (
 from .constants import C_M_PER_S, ELECTRON_MEV, FM_PER_M, HBAR_MEV_S, HBARC_MEV_FM
 from .kleingordon import (
     SolutionBasis,
-    kg_residual,
     solve_constant,
     solve_numeric,
     wronskian_drift,

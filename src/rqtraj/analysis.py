@@ -1,5 +1,11 @@
 """Node detection, wavelength relations and trajectory/action validators.
 
+The nodes of an (a, b) family are the rungs where S0 = hbar arctan(a phi1 /
+phi2 + b) takes the same value for every (a, b): the zeros of phi2, which
+for a constant potential are the closed-form ladder (``nodes_closed_form``).
+``detect_nodes`` takes the rungs as given and reports when each trajectory
+arrives there, so it needs no threshold of its own.
+
 Validators are residual-based and dimensionless: each equation's terms are
 evaluated in MeV-based units and the sum is normalized by the largest term
 magnitude, so tolerances compare like with like across configurations
@@ -9,25 +15,24 @@ whose raw scales span many orders of magnitude.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
 from .action import ReducedAction
 from .errors import InsufficientTrajectories, RegimeError, TooFewSamples
 from .kleingordon import UNIFORM_REL_TOL, uniform_step, wavenumber_sq
-from .model import (
-    ConstantPotential, PhysicalSetup, Potential, Regime, constant_regime, kinetic_term,
-)
-from .trajectory import Trajectory, node_period, node_spacing
+from .model import PhysicalSetup, Potential, Regime, constant_regime, kinetic_term
+from .trajectory import Trajectory, node_period, node_spacing, window_bounds
 
 
 @dataclass
 class NodeReport:
     """Node times/positions and the per-interval spacing quantities.
 
-    mean_momentum per interval is pi hbar / dx (in MeV/c); wavelength is
-    2 dx, i.e. the de Broglie wavelength reconstructed from node spacing.
+    One entry per node, in time order, and per interval between adjacent
+    nodes dt, dx = |x_{n+1} - x_n|, mean_momentum = pi hbar c / dx (in
+    MeV/c) and wavelength = 2 dx, the de Broglie wavelength reconstructed
+    from the node spacing.  ``extras`` holds what a method adds per node.
     """
 
     times: np.ndarray            # [s]
@@ -120,6 +125,11 @@ def _pairwise_crossings(t, xa, xb):
     meet without swapping order, as happens when both dwell at a node) shows
     up as a local minimum of |d| at the interpolation-noise scale; it is
     refined by the parabola vertex through the three neighbouring samples.
+
+    Nothing in the package calls it since ``detect_nodes`` reads arrival
+    times at the rungs.  The benchmark's traced run (``perfbench/traced.py``)
+    still names it in ``TARGETS``, so it goes together with that target when
+    the benchmark changes (ROADMAP item 8).
     """
     d = xa - xb
     out_t, out_x = [], []
@@ -170,102 +180,51 @@ def _pairwise_crossings(t, xa, xb):
     return np.asarray(merged_t), np.asarray(merged_x)
 
 
-def detect_nodes(curves, setup: PhysicalSetup, pot: Potential,
-                 phi2_zeros: np.ndarray = None) -> NodeReport:
-    """Nodes from pairwise crossings of the curves of one trajectory family.
+def detect_nodes(curves, rungs, setup: PhysicalSetup, t_range) -> NodeReport:
+    """Nodes of one trajectory family: its arrival times at the rungs.
 
     ``curves`` holds each trajectory's samples as a (t, x) pair of arrays,
-    t ascending; ``setup`` and ``pot`` are the family's.  Crossings are
-    found by sign change on a common time grid (as many points as the
-    longest curve has samples) and refined by linear interpolation;
-    crossings from all pairs are merged into clusters of radius 0.02 node
-    periods for an oscillatory constant potential, else 0.04 of the common
-    time window (where clusters drift).  Clusters hit by every pair count
-    as nodes.  Each cluster's time is refined to the minimum, inside the
-    cluster's window, of the family's spread max(x) - min(x) on the common
-    grid, by a parabola through the minimum and its neighbours (the
-    minimum itself standing in for a neighbour outside the window).  With
-    ``phi2_zeros`` given, the zeros of phi2 on the basis grid
-    (``trajectory._zeros_of``), the offset of each node position to the
-    nearest of them is reported (not asserted) in the extras.
+    t ascending and x monotone; ``rungs`` the positions [fm] where the
+    family meets, or None; ``setup`` the family's.  Each curve is turned so
+    that x ascends, and np.interp of t over x gives its arrival time at
+    every rung inside its x range.  t_lo and t_hi are the first and last
+    times that every curve holds inside ``t_range`` = (t_min, t_max), by
+    ``trajectory.window_bounds``, the rule of the trajectory files, and a
+    rung is a node when every arrival lies in [t_lo, t_hi].  Its time is
+    the mean arrival, its position the rung.  The extras give each node's
+    ``arrival_spread_s``, latest minus earliest arrival, and from two nodes
+    up ``arrival_spread_per_period``, that spread over the local node
+    period (np.gradient of the node times).  No common rows, or no rung
+    inside them, gives an empty report.
     """
     curves = list(curves)
     if len(curves) < 2:
         raise InsufficientTrajectories("need at least two trajectories")
+    rungs = np.empty(0) if rungs is None else np.asarray(rungs, dtype=float)
 
-    t_lo = max(t[0] for t, _ in curves)
-    t_hi = min(t[-1] for t, _ in curves)
-    if t_hi <= t_lo:
-        raise ValueError("trajectories have no common time window")
-    tg = np.linspace(t_lo, t_hi, max(t.size for t, _ in curves))
-    xg = [np.interp(tg, t, x) for t, x in curves]
-
-    dt_grid = tg[1] - tg[0]
-    if (isinstance(pot, ConstantPotential)
-            and constant_regime(setup, pot.u0)[0] is Regime.OSCILLATORY):
-        cluster_radius = 0.02 * node_period(setup, pot.u0)
-    else:
-        cluster_radius = 0.04 * (t_hi - t_lo)
-
-    crossings = []
-    n_pairs = 0
-    for i in range(len(curves)):
-        for j in range(i + 1, len(curves)):
-            pair_id = n_pairs
-            n_pairs += 1
-            tc, xc = _pairwise_crossings(tg, xg[i], xg[j])
-            crossings.extend((t_, x_, pair_id) for t_, x_ in zip(tc, xc))
-
-    crossings.sort()
-    clusters = []
-    for tc, xc, pid in crossings:
-        if clusters and tc - clusters[-1][-1][0] <= cluster_radius:
-            clusters[-1].append((tc, xc, pid))
+    t_min, t_max = t_range
+    t_lo, t_hi = -np.inf, np.inf
+    arrivals = []
+    for t, x in curves:
+        lo, hi = window_bounds(t, t_min, t_max)
+        if hi > lo:
+            t_lo, t_hi = max(t_lo, t[lo]), min(t_hi, t[hi - 1])
         else:
-            clusters.append([(tc, xc, pid)])
+            t_lo, t_hi = np.inf, -np.inf        # no common rows
+        if x[-1] < x[0]:
+            t, x = t[::-1], x[::-1]
+        arrivals.append(np.interp(rungs, x, t, left=np.nan, right=np.nan))
+    arrivals = np.array(arrivals)
+    node = np.all((t_lo <= arrivals) & (arrivals <= t_hi), axis=0)
+    arrivals, positions = arrivals[:, node], rungs[node]
 
-    node_t, node_x, members, spreads = [], [], [], []
-    # elementwise over the curves, so no stacked copy of xg
-    spread = reduce(np.maximum, xg) - reduce(np.minimum, xg)
-    for cl in clusters:
-        ts = np.array([c[0] for c in cl])
-        xs = np.array([c[1] for c in cl])
-        members.append(len({c[2] for c in cl}))
-        spreads.append(float(ts.max() - ts.min()))
-        # pairs also cross near (not at) a node; the node itself is where the
-        # spread across all curves is smallest, so refine the center there
-        t_c = float(np.mean(ts))
-        half = max(int(np.ceil((ts.max() - ts.min() + cluster_radius) / dt_grid)), 2)
-        j_c = int(np.argmin(np.abs(tg - t_c)))
-        j_lo, j_hi = max(j_c - half, 0), min(j_c + half + 1, tg.size)
-        j_min = j_lo + int(np.argmin(spread[j_lo:j_hi]))
-        if 0 < j_min < tg.size - 1:
-            s_m = spread[max(j_min - 1, j_lo)]
-            s_0 = spread[j_min]
-            s_p = spread[min(j_min + 1, j_hi - 1)]
-            denom = s_p - 2.0 * s_0 + s_m
-            shift = 0.5 * (s_m - s_p) / denom * dt_grid if denom > 0 else 0.0
-            t_node = tg[j_min] + float(np.clip(shift, -dt_grid, dt_grid))
-        else:
-            t_node = tg[j_min]
-        node_t.append(t_node)
-        node_x.append(float(np.mean([np.interp(t_node, tg, xi) for xi in xg])))
-
-    full = [k for k, m in enumerate(members) if m >= n_pairs]
-    times = np.array([node_t[k] for k in full])
-    positions = np.array([node_x[k] for k in full])
-    dts = np.diff(times)
+    times = arrivals.sum(axis=0) / len(curves)
+    order = np.argsort(times)
+    times, positions, arrivals = times[order], positions[order], arrivals[:, order]
     dxs = np.abs(np.diff(positions))
-
-    extras = {
-        "n_pairs": n_pairs,
-        "cluster_members": members,
-        "cluster_t_spread_s": spreads,
-        "n_clusters_total": len(clusters),
-    }
-    if phi2_zeros is not None and phi2_zeros.size and positions.size:
-        offs = [float(np.min(np.abs(phi2_zeros - p))) for p in positions]
-        extras["phi2_zero_offset_fm"] = offs
+    extras = {"arrival_spread_s": arrivals.max(axis=0) - arrivals.min(axis=0)}
+    if times.size >= 2:
+        extras["arrival_spread_per_period"] = extras["arrival_spread_s"] / np.gradient(times)
 
     with np.errstate(divide="ignore"):
         mean_p = np.pi * setup.hbar_c / dxs
@@ -273,11 +232,11 @@ def detect_nodes(curves, setup: PhysicalSetup, pot: Potential,
     return NodeReport(
         times=times,
         positions=positions,
-        dt=dts,
+        dt=np.diff(times),
         dx=dxs,
         mean_momentum=mean_p,
         wavelength=2.0 * dxs,
-        method="crossing-detection",
+        method="rung-arrivals",
         extras=extras,
     )
 

@@ -20,8 +20,8 @@ rows, each a computed row, never resampled (``Trajectory.window_rows``).
 Closed-form traces are sampled with ``samples`` points on [t_min, t_max],
 so for them the rule keeps every row; a quadrature trace covers the basis
 grid and is cropped and thinned.  Fewer than two rows in the window is a
-``TooFewSamples`` error for that set.  Node detection and the validators
-run on the full trace.
+``TooFewSamples`` error for that set.  The validators run on the full
+trace; node detection reads the rows inside [t_min, t_max].
 """
 
 # no `from __future__ import annotations`: the loops dispatch on field.type classes

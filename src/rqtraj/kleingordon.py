@@ -106,8 +106,10 @@ def uniform_step(grid) -> float | None:
 
     The package's one rule for "uniform": the mean step
     h = (grid[-1] - grid[0]) / (n - 1) is nonzero and finite, and every step
-    is within UNIFORM_REL_TOL * |h| of it.  The numeric solve, the
-    quadrature trace and the first-integral stencil all apply it.
+    is within UNIFORM_REL_TOL * |h| of it.  The numeric solve and the
+    quadrature trace step by this h, not by grid[1] - grid[0], which can sit
+    ulps of the largest |x| off it; the first-integral stencil applies the
+    rule too.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size < 2:
@@ -311,9 +313,9 @@ def solve_numeric(
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown method {method!r}")
 
-    if uniform_step(grid) is None:
+    h = uniform_step(grid)
+    if h is None:
         raise ValueError("numeric solve requires a uniform grid")
-    h = float(grid[1] - grid[0])
 
     u_nodes = -wavenumber_sq(setup, pot, grid)
     kmax = float(np.sqrt(np.max(np.abs(u_nodes))))
@@ -340,23 +342,3 @@ def wronskian_drift(basis: SolutionBasis) -> float:
     w = basis.wronskian_pointwise()
     return float(np.max(np.abs(w / w[0] - 1.0)))
 
-
-def kg_residual(basis: SolutionBasis, setup: PhysicalSetup, pot: Potential) -> float:
-    """Wave-equation residual of both columns by centered second differences.
-
-    Normalized by the largest |u phi| on the grid; the measurement floor is
-    the O(h^2) stencil truncation even for exact solutions.
-    """
-    x = basis.grid
-    if x.size < 3:
-        raise ValueError("residual needs at least three grid points")
-    h = x[1] - x[0]
-    u = -wavenumber_sq(setup, pot, x)
-    worst = 0.0
-    scale = 0.0
-    for phi in (basis.phi1, basis.phi2):
-        d2 = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / h**2
-        res = d2 - u[1:-1] * phi[1:-1]
-        worst = max(worst, float(np.max(np.abs(res))))
-        scale = max(scale, float(np.max(np.abs(u * phi))))
-    return worst / scale if scale > 0 else worst

@@ -11,6 +11,13 @@ the same, plots the sets that traced and finds nodes among them, and
 raises before writing any file when no set traced; ``analyze`` raises at
 the first failed set.
 
+Nodes are the rungs where every (a, b) of the family meets: the
+closed-form ladder for an oscillatory constant potential, the zeros of
+phi2 on the basis grid for a quadrature config, none for an evanescent
+family.  ``analyze`` and the node pass of ``figure`` give them to
+``analysis.detect_nodes``, which reports each trace's arrival time there
+inside [t_min, t_max].
+
 The sets run one at a time, each in one order: its action is built, its
 trace is taken from it, ``analyze`` runs the quantum-HJ check on the
 action, the action is dropped, ``analyze`` runs the closure and
@@ -213,9 +220,10 @@ def _phi2_zeros(basis):
     return None if basis is None else _zeros_of(basis.grid, basis.phi2)
 
 
-def _detected_nodes(curves, setup, pot, phi2_zeros):
-    """Nodes where the traced curves (t, x) meet; None below two curves."""
-    return (detect_nodes(curves, setup, pot, phi2_zeros=phi2_zeros)
+def _detected_nodes(cfg: RunConfig, curves, rungs, setup):
+    """The traced curves' (t, x) arrivals at the rungs inside [t_min, t_max];
+    None below two curves."""
+    return (detect_nodes(curves, rungs, setup, (cfg.t_min, cfg.t_max))
             if len(curves) > 1 else None)
 
 
@@ -316,7 +324,9 @@ def run_analyze(cfg: RunConfig) -> dict:
     manifest = {"command": "analyze", "config_hash": cfg.hash, "files": []}
     summary = []
 
-    nodes = _detected_nodes(curves, setup, pot, zeros)
+    closed = (nodes_closed_form(setup, cfg.u0, x0=cfg.x0, t_range=(cfg.t_min, cfg.t_max))
+              if oscillatory_const else None)
+    nodes = _detected_nodes(cfg, curves, zeros if closed is None else closed.positions, setup)
     if nodes is not None:
         nodes_path = out / "nodes_detected.json"
         payload = nodes.to_dict()
@@ -328,8 +338,7 @@ def run_analyze(cfg: RunConfig) -> dict:
             summary.append(("detected dx [fm]", " ".join(f"{v:.4g}" for v in nodes.dx[:6])))
             summary.append(("wavelength 2*dx [fm]", " ".join(f"{v:.4g}" for v in nodes.wavelength[:6])))
 
-    if oscillatory_const:
-        closed = nodes_closed_form(setup, cfg.u0, x0=cfg.x0, t_range=(cfg.t_min, cfg.t_max))
+    if closed is not None:
         closed_path = out / "nodes_closed_form.json"
         payload = closed.to_dict()
         payload["config_hash"] = cfg.hash
@@ -413,7 +422,7 @@ def run_figure(cfg: RunConfig, figure: int) -> dict:
             del tr                              # node detection reads t and x only
         zeros = _phi2_zeros(basis)
         del basis                               # freed before node detection
-        nodes = _detected_nodes(curves, setup, pot, zeros)
+        nodes = _detected_nodes(cfg, curves, zeros, setup)
     if nodes is not None and len(nodes.times):
         nodes_path = out / "nodes.csv"
         write_csv(nodes_path, _header(cfg, ["curve: nodes"]),

@@ -57,6 +57,13 @@ from .output import write_csv
 SLOW_ZONE_FRAC = 1e-6
 
 
+def window_bounds(t, t_min: float, t_max: float):
+    """(lo, hi) such that rows lo .. hi - 1 of the ascending t are the ones
+    with t_min <= t <= t_max: the window of a trajectory file."""
+    return (int(np.searchsorted(t, t_min, side="left")),
+            int(np.searchsorted(t, t_max, side="right")))
+
+
 @dataclass
 class Trajectory:
     """Ordered (t, x) samples with branch index, regime tags and metadata.
@@ -103,8 +110,7 @@ class Trajectory:
         index array.  Raises TooFewSamples when fewer than two rows lie
         inside.
         """
-        lo = int(np.searchsorted(self.t, t_min, side="left"))
-        hi = int(np.searchsorted(self.t, t_max, side="right"))
+        lo, hi = window_bounds(self.t, t_min, t_max)
         if hi - lo < 2:
             raise TooFewSamples(
                 f"{max(hi - lo, 0)} of {self.t.size} trace rows lie inside "
@@ -436,9 +442,9 @@ def trace_quadrature(
         raise BasisGapError("x0 outside the basis grid")
     if grid.size < 3:
         raise BasisGapError("fewer than 3 points in the basis grid")
-    if uniform_step(grid) is None:
+    h = uniform_step(grid)
+    if h is None:
         raise ValueError("quadrature requires a uniform basis grid")
-    h = float(grid[1] - grid[0])
 
     # model.kinetic_term inline: its E = V check would look at every row of
     # the grid, where the one below looks at the rows the trace keeps.

@@ -94,28 +94,68 @@ def test_de_broglie_scales_linearly(electron2):
 
 
 def test_detect_nodes_matches_closed_form(electron2):
-    """For E - U0 = +2 and -2 MeV (both oscillatory) and either direction:
-    the ladder lies along direction * sign(E - U0)."""
+    """For E - U0 = +2 and -2 MeV (both oscillatory) and either direction,
+    the ladder lies along direction * sign(E - U0), and the fig1 family
+    arrives at its rungs at the closed-form times, within 1e-6 node
+    periods (the crossing clusters were 7.5e-6 off on fig1)."""
     for u0, direction in itertools.product((0.0, 4.0), (+1, -1)):
         setup = dataclasses.replace(electron2, direction=direction)
         trs = fig1_traces(setup, u0)
-        rep = rq.detect_nodes([(tr.t, tr.x) for tr in trs], setup, rq.ConstantPotential(u0))
-        closed = rq.nodes_closed_form(setup, u0, (trs[0].t[0], trs[0].t[-1]))
+        t_range = (trs[0].t[0], trs[0].t[-1])
+        closed = rq.nodes_closed_form(setup, u0, t_range)
+        curves = [(tr.t, tr.x) for tr in trs]
+        rep = rq.detect_nodes(curves, closed.positions, setup, t_range)
         case = f"U0 = {u0}, direction {direction:+d}"
-        assert len(rep.times) == len(closed.times) >= 4, case
-        assert np.max(np.abs(rep.times - closed.times) / closed.times) < 1e-3, case
-        assert np.max(np.abs(rep.positions - closed.positions) / np.abs(closed.positions)) < 1e-3, case
-        assert np.max(np.abs(rep.dx - closed.dx) / closed.dx[0]) < 1e-3, case
+        assert len(closed.times) == 5, case
+        np.testing.assert_array_equal(rep.positions, closed.positions, err_msg=case)
+        # rungs in any order: the nodes come out in time order
+        reverse = rq.detect_nodes(curves, closed.positions[::-1], setup, t_range)
+        np.testing.assert_array_equal(reverse.positions, closed.positions, err_msg=case)
+        period = rq.node_period(setup, u0)
+        assert np.max(np.abs(rep.times - closed.times)) <= 1e-6 * period, case
+        np.testing.assert_allclose(rep.dt, closed.dt, rtol=2e-6, err_msg=case)
+        np.testing.assert_allclose(rep.dx, closed.dx, rtol=1e-12, err_msg=case)
+        assert rep.method == "rung-arrivals"
 
 
 def test_detect_nodes_identical_curves_degenerate(electron2):
+    """Identical curves arrive at every rung at one time: spread 0."""
     dt = rq.node_period(electron2, 0.0)
     tr1 = rq.trace_constant_oscillatory(electron2, 0.0, rq.HiddenParams(0.2, 0.0),
                                         0.0, (0.0, 3 * dt), 20001)
     tr2 = rq.trace_constant_oscillatory(electron2, 0.0, rq.HiddenParams(0.2, 0.0),
                                         0.0, (0.0, 3 * dt), 20001)
-    rep = rq.detect_nodes([(tr1.t, tr1.x), (tr2.t, tr2.x)], electron2, rq.ConstantPotential(0.0))
-    assert len(rep.times) == 0
+    rungs = rq.nodes_closed_form(electron2, 0.0, (0.0, 3 * dt)).positions
+    rep = rq.detect_nodes([(tr1.t, tr1.x), (tr2.t, tr2.x)], rungs, electron2, (0.0, 3 * dt))
+    np.testing.assert_array_equal(rep.positions, rungs)
+    assert list(rep.extras["arrival_spread_s"]) == [0.0, 0.0, 0.0]
+    assert list(rep.extras["arrival_spread_per_period"]) == [0.0, 0.0, 0.0]
+
+
+def test_detect_nodes_empty_window_or_no_rungs(electron2):
+    """No common rows in the window, or no rung inside it, gives an empty
+    report, not an error."""
+    dt = rq.node_period(electron2, 0.0)
+    trs = fig1_traces(electron2, n=2001)
+    curves = [(tr.t, tr.x) for tr in trs]
+    rungs = rq.nodes_closed_form(electron2, 0.0, (0.0, 5 * dt)).positions
+    cases = {
+        "window after every row": (curves, rungs, (6 * dt, 7 * dt)),
+        "rows between two rungs": (curves, rungs, (0.6 * dt, 1.4 * dt)),
+        "no common rows": ([(t[:500], x[:500]) for t, x in curves[:2]]
+                           + [(curves[2][0][-500:], curves[2][1][-500:])],
+                           rungs, (0.0, 5 * dt)),
+        "rungs outside every curve": (curves, rungs + 1e6, (0.0, 5 * dt)),
+        "no rungs": (curves, np.empty(0), (0.0, 5 * dt)),
+        "rungs None": (curves, None, (0.0, 5 * dt)),
+    }
+    for case, (cs, rs, t_range) in cases.items():
+        rep = rq.detect_nodes(cs, rs, electron2, t_range)
+        for name in ("times", "positions", "dt", "dx", "mean_momentum", "wavelength"):
+            assert getattr(rep, name).size == 0, (case, name)
+        assert rep.extras["arrival_spread_s"].size == 0, case
+        assert "arrival_spread_per_period" not in rep.extras, case
+        assert rep.to_dict()["times"] == [], case
 
 
 def test_detect_nodes_needs_two(electron2):
@@ -123,25 +163,66 @@ def test_detect_nodes_needs_two(electron2):
     tr = rq.trace_constant_oscillatory(electron2, 0.0, rq.HiddenParams(0.2, 0.0),
                                        0.0, (0.0, dt), 101)
     with pytest.raises(InsufficientTrajectories):
-        rq.detect_nodes([(tr.t, tr.x)], electron2, rq.ConstantPotential(0.0))
+        rq.detect_nodes([(tr.t, tr.x)], np.array([tr.x[50]]), electron2, (0.0, dt))
+
+
+def _zeros_in_window(zeros, curves, t_range):
+    """The zeros between max_i x_i(t_lo) and min_i x_i(t_hi), t_lo and t_hi
+    the first and last times inside t_range that every curve holds (x
+    ascending along t)."""
+    t_lo = max(t[t >= t_range[0]][0] for t, _ in curves)
+    t_hi = min(t[t <= t_range[1]][-1] for t, _ in curves)
+    x_lo = max(np.interp(t_lo, t, x) for t, x in curves)
+    x_hi = min(np.interp(t_hi, t, x) for t, x in curves)
+    return zeros[(x_lo <= zeros) & (zeros <= x_hi)]
 
 
 def test_detect_nodes_linear_potential(electron2):
-    """Fig-3 parameter sets: clusters exist, offsets to phi2 zeros reported,
-    spacing grows toward the turning point along the phi2-zero ladder."""
+    """Fig-3 parameter sets: the nodes are the phi2 zeros in the window,
+    every one of them, bit for bit, and dx is their spacing, which grows
+    toward the turning point."""
     from rqtraj.trajectory import _zeros_of
 
     pot, basis, trajs = linear_pipeline(electron2)
     zeros = _zeros_of(basis.grid, basis.phi2)
-    rep = rq.detect_nodes([(tr.t, tr.x) for tr in trajs], electron2, pot, phi2_zeros=zeros)
-    assert len(rep.times) >= 3
-    offs = rep.extras["phi2_zero_offset_fm"]
-    assert len(offs) == len(rep.times)
-    # detected nodes track the phi2 zeros to a fraction of the local spacing
-    assert np.median(offs) < 0.25 * np.median(rep.dx)
-    # spacing trend: grows toward the turning point
-    assert rep.dx[1] > rep.dx[0]
+    curves = [(tr.t, tr.x) for tr in trajs]
+    t_range = (-1.0, 1.0)                      # every row of every trace
+    rep = rq.detect_nodes(curves, zeros, electron2, t_range)
+    inside = _zeros_in_window(zeros, curves, t_range)
+    assert len(rep.times) == inside.size >= 10
+    np.testing.assert_array_equal(rep.positions, inside)
+    np.testing.assert_array_equal(rep.dx, np.diff(inside))
+    assert np.all(np.diff(rep.times) > 0)
     assert np.all(np.diff(np.diff(zeros)) > 0)
+
+
+def test_fig3_analyze_reports_every_rung_of_the_reference(tmp_path):
+    """fig3 analyze reports as many nodes as the benchmark's reference
+    counts (``perfbench/clirun.py``, ``accuracy``): the phi2 zeros of the
+    written basis between max_i x_i(t_lo) and min_i x_i(t_hi) of the
+    written trajectory files.  They are the 42 zeros after the sync
+    anchor, each with its arrival spread."""
+    from rqtraj.output import read_csv
+    from rqtraj.trajectory import _zeros_of
+
+    cfg = dataclasses.replace(parse_config(CONFIGS / "fig3.cfg"),
+                              out_dir=str(tmp_path)).validate()
+    pipeline.run_analyze(cfg)
+    pipeline.run_trace(cfg)
+    pipeline.run_basis(cfg)
+    _, basis = read_csv(tmp_path / "basis_rk4.csv")
+    zeros = _zeros_of(basis["x_fm"], basis["phi2"])
+    curves = []
+    for i in range(len(cfg.param_sets)):
+        _, cols = read_csv(tmp_path / f"trajectory_{i}.csv")
+        curves.append((cols["t_s"], cols["x_fm"]))
+    reference = _zeros_in_window(zeros, curves, (cfg.t_min, cfg.t_max))
+    nodes = json.loads((tmp_path / "nodes_detected.json").read_text())
+    assert len(nodes["positions"]) == reference.size == 42
+    np.testing.assert_array_equal(nodes["positions"], reference)
+    np.testing.assert_array_equal(reference, zeros[1:])
+    assert len(nodes["extras"]["arrival_spread_s"]) == 42
+    assert len(nodes["extras"]["arrival_spread_per_period"]) == 42
 
 
 def test_mean_momentum_is_parameter_free(electron2):

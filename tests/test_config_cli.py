@@ -597,17 +597,17 @@ def test_analyze_closed_form_nodes_are_the_rungs_in_the_window(tmp_path, t_min, 
 
 
 FIG3_DIGESTS = {
-    "analyze_manifest.json": "919abb01b9524ea04c926dcc7d7432c633d964f0d9173880b8502bda15498f82",
+    "analyze_manifest.json": "dc9e4a601b13ce8355a412eeff4e5e876ac16da938ee6b8696d21e69df196e1a",
     "classical.csv": "71c9bb0191a2570f5df5ca08524077377245882df3e685fdc070c7e5ce717fb2",
     "figure3.gp": "8aeec211273e5e0163275ae56bf544dc2887853a982c8f77e90aa42c3ecb2aa3",
-    "figure3_manifest.json": "16b88561b18f5b5756996a49a55a3d8df03e6601d6de14c1e9d16bba7525caba",
-    "nodes.csv": "cb6b6db3ac5a21c44155c4f4cdba0980956d8014836e07dd4e46e71e1648c3b9",
-    "nodes_detected.json": "f2eb1d1ec905839b404cdc68c0af9fd4724facf11e0ea054e9a3c54bce4bf149",
-    "trace_manifest.json": "98baca9b51d4e4baf6d2373bb785ad378f1242aad51a6e66a1e1fe58a5dfd141",
-    "trajectory_0.csv": "7f8efb27f28b8e8514788f1c9410150ce7318766dd8ea87d60d47d7717811868",
-    "trajectory_1.csv": "15764a3090de48c227a167874c241545043e1bd100f5e4347ce6f3ce44050f33",
-    "trajectory_2.csv": "dca9e416137656444a04d2a9e0358e39bd7d3478d73365639e1934ad291efc66",
-    "validation.json": "b1bb3c6ad7a5257371889a3c626769bba0cd0c5188f95318257a175494d096cb",
+    "figure3_manifest.json": "b858a09d0e99a2bf61e8ad6a168e61e54d1b4ae39d559563d6fed37d6124e93d",
+    "nodes.csv": "0ea12171b379e38162fb35fe336a5a6b5e7e5a16a70dcae7e4ad6b0f3b49db44",
+    "nodes_detected.json": "b74290b4bf29d6916eea823f449227d95c0ca3fa4026a2d8c8387cd9b49127d3",
+    "trace_manifest.json": "ec01e61c090026a116df270d82cd3a9eeec75a51465b7ed2bcd1f85f336bd665",
+    "trajectory_0.csv": "d6555cbab72d7521b712036ac5d4481f5ba3771f5de2c1d509a8b3771a8d878d",
+    "trajectory_1.csv": "149cec3263c25fd3fc5637f06c31b3db97390eda34cf528b149412814111ff84",
+    "trajectory_2.csv": "8d743764dd894af2ef3adba2a73e29e6047ec9f0423141a2351ac5f48b2d5981",
+    "validation.json": "6539a4a27d4f548b2e49af5aa251443b9a785ea7251e2f9306be7b611273fd14",
 }
 
 
@@ -621,9 +621,9 @@ BASIS_DIGESTS = {
         "basis_manifest.json": "7d8a04c5bec56e6e22a30bb7fe452f076a9e2c30d812eef1402836d3799f7162",
     },
     "fig3": {
-        "basis_euler.csv": "2d329a909ace270a1d6cb8d21303f7f8c9f969edfd11ae5fc4f9994bb915659e",
-        "basis_manifest.json": "5a02d178dfc6df16c5833cb2d4eb6a025d85dd64117ce371c2b7b81d5389d175",
-        "basis_rk4.csv": "4d2e9da6c19131b7d68a90c4ee89149f1923a25e6a03d27ebcca23462e3786c1",
+        "basis_euler.csv": "8d347b487af9bb5674fd02ce001687815fd709a62e36c20ce64ea9e2a4076a16",
+        "basis_manifest.json": "f467a1cb15448398017c7b2b848832af06a9692bbbf0f7d5e7d4629d5d843bda",
+        "basis_rk4.csv": "8665ed8b82c418ee02343e5ffa5001585340cb8a2f1c2c5ce271035c31fab272",
     },
 }
 
@@ -689,7 +689,7 @@ def test_fig3_live_memory_peak(tmp_path, monkeypatch, run, limit_mib):
         "nodes_closed_form.json":
             "eb8c12a2d6ec54d6ef1cc5cc7820493ab63d12e5e32f99c7e83820aa64b3127b",
         "nodes_detected.json":
-            "ab710bc00673a266984973d1a038061d310714abc2ce32759e872c1a55d5e127",
+            "a4247b7e48a6075e8f2d241802d6408364b1688d35cba1025f0840f923141014",
         "validation.json": "4f0c312243b379c5f081439ec353a1dbc87a454ed28bcb8dd39efecc6e3757c0",
     }),
     ("fig2", {

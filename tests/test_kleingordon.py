@@ -83,20 +83,6 @@ def test_euler_drift_dwarfs_rk4(electron2, const_pot):
     assert rq.wronskian_drift(eul) / rq.wronskian_drift(rk4) >= 1e2
 
 
-def test_kg_residual_second_order(electron2):
-    """Centered-difference residual halves by >= 3.9x per step halving (RK4)."""
-    pot = rq.LinearPotential(1e-3)
-    lo, hi = -1000.0, 500.0
-    res = []
-    for h in (0.8, 0.4, 0.2):
-        grid = np.arange(lo, hi + h / 2, h)
-        k0 = oscillatory_wavenumber(electron2, u0=float(pot.v(np.array([lo]))[0]))
-        basis = rq.solve_numeric(electron2, pot, grid, init1=(0.0, k0), init2=(1.0, 0.0))
-        res.append(rq.kg_residual(basis, electron2, pot))
-    assert res[0] / res[1] >= 3.9
-    assert res[1] / res[2] >= 3.9
-
-
 def test_basis_recombination_leaves_momentum_invariant(electron2, const_basis):
     """An invertible recombination with transformed (a, b) gives the same P(x)."""
     a, b = 0.7, -1.3

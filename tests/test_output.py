@@ -467,8 +467,8 @@ def test_set_loops_hold_one_action_at_a_time(tmp_path, monkeypatch, run, changes
     lambda cfg: pipeline.run_figure(cfg, 3),
 ], ids=["analyze", "figure"])
 def test_node_detection_runs_after_the_basis_is_freed(tmp_path, monkeypatch, run):
-    """Node detection gets the zeros of phi2, taken from the basis of the
-    set loop, and runs once every basis is dead."""
+    """Node detection gets the zeros of phi2 as its rungs, taken from the
+    basis of the set loop, and runs once every basis is dead."""
     bases, detected = [], []
     build_basis, detect = pipeline.build_basis, pipeline.detect_nodes
 
@@ -477,11 +477,11 @@ def test_node_detection_runs_after_the_basis_is_freed(tmp_path, monkeypatch, run
         bases.append((weakref.ref(basis), _zeros_of(basis.grid, basis.phi2)))
         return basis
 
-    def after_the_basis(curves, setup, pot, phi2_zeros=None):
+    def after_the_basis(curves, rungs, setup, t_range):
         assert all(ref() is None for ref, _ in bases), "a basis is alive"
-        assert np.array_equal(phi2_zeros, bases[-1][1])
+        assert np.array_equal(rungs, bases[-1][1])
         detected.append(len(curves))
-        return detect(curves, setup, pot, phi2_zeros=phi2_zeros)
+        return detect(curves, rungs, setup, t_range)
 
     monkeypatch.setattr(pipeline, "build_basis", recorded_basis)
     monkeypatch.setattr(pipeline, "detect_nodes", after_the_basis)
@@ -525,11 +525,11 @@ def test_set_loops_keep_only_t_and_x(tmp_path, monkeypatch, run, checks):
             return check(tr, *args, **kwargs)
         return checked_once_dead
 
-    def from_t_and_x(curves, *args, **kwargs):
+    def from_t_and_x(curves, rungs, setup, t_range):
         assert dead(ref for ref, _, _ in traces), "a trajectory is alive"
         kept = traces[-len(curves):]
         assert all(t is kt and x is kx for (t, x), (_, kt, kx) in zip(curves, kept))
-        return detect(curves, *args, **kwargs)
+        return detect(curves, rungs, setup, t_range)
 
     monkeypatch.setattr(pipeline, "ReducedAction", recorded_action)
     monkeypatch.setattr(pipeline, "trace_quadrature", recorded_trace)

@@ -18,6 +18,7 @@ from rqtraj.errors import (
 )
 from rqtraj import trajectory
 from rqtraj.config import parse_config
+from rqtraj.kleingordon import uniform_step
 from rqtraj.model import regime_tags
 from rqtraj.pipeline import _stage
 from tests.conftest import oscillatory_wavenumber
@@ -660,10 +661,11 @@ def test_window_rows_is_the_identity_for_closed_forms(electron2):
 def trace_quadrature_whole_array(action, pot, x0, sync):
     """The five columns of ``trace_quadrature`` as it computed them before it
     worked in place: each step into a new array.  Kept as the oracle of the
-    in-place trace (checks omitted)."""
+    in-place trace (checks omitted), with the same step h, the grid's mean
+    spacing."""
     setup, basis, hp = action.setup, action.basis, action.params
     grid = basis.grid
-    h = float(grid[1] - grid[0])
+    h = uniform_step(grid)
     ev = setup.E - np.asarray(pot.v(grid), dtype=float)
     with np.errstate(divide="ignore"):
         kin = ev - setup.rest_sq / ev

@@ -97,14 +97,16 @@ def test_fig3_is_weber_equation_in_its_range(fig3):
 
 @pytest.mark.parametrize("column", ["phi1", "phi2"])
 def test_rk4_basis_matches_the_exact_solution(fig3, column):
-    """Within 1e-9 of max|phi| at every checked point (6.7e-10 for phi2)."""
+    """Within 2e-11 of max|phi| at every checked point (3.4e-12 for phi1,
+    6.4e-12 for phi2).  The solve steps by the grid's mean spacing; with
+    grid[1] - grid[0], 3.6e-12 relative off it, phi2 is 6.7e-10 off."""
     phi = getattr(fig3["basis"], column)
     exact = fig3["exact"][int(column[-1]) - 1]
-    assert np.max(np.abs(phi[fig3["rows"]] - exact)) <= 1e-9 * np.max(np.abs(phi))
+    assert np.max(np.abs(phi[fig3["rows"]] - exact)) <= 2e-11 * np.max(np.abs(phi))
 
 
 def test_rk4_wronskian_holds_the_exact_constant(fig3):
-    """The exact Wronskian is k0 at grid_min; RK4 keeps it to 6.7e-14."""
+    """The exact Wronskian is k0 at grid_min; RK4 keeps it to 4.4e-14."""
     basis = fig3["basis"]
     exact = fig3["wronskian"]
     assert exact == pytest.approx(basis.dphi1[0], rel=1e-14)
@@ -113,10 +115,10 @@ def test_rk4_wronskian_holds_the_exact_constant(fig3):
 
 def test_phi2_zeros_match_the_exact_zeros(fig3):
     """The first, middle and last of the 43 interpolated phi2 zeros lie
-    within 2e-7 fm of the exact ones (grid step 0.05 fm; 2.5e-9, 8.0e-9
-    and 8.1e-8 fm measured)."""
+    within 1e-8 fm of the exact ones (grid step 0.05 fm; 2.7e-9, 1.2e-9
+    and 8.1e-10 fm measured)."""
     assert _zeros_of(fig3["basis"].grid, fig3["basis"].phi2).size == 43
-    np.testing.assert_allclose(fig3["zeros"], fig3["exact_zeros"], rtol=0, atol=2e-7)
+    np.testing.assert_allclose(fig3["zeros"], fig3["exact_zeros"], rtol=0, atol=1e-8)
 
 
 @pytest.mark.parametrize("a, b", [(4.0, 2.5), (8.0, -3.0), (5.0, 2.0)])
