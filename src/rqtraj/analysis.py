@@ -418,6 +418,10 @@ def closure_residual(traj: Trajectory) -> ValidationReport:
     Setup (with the direction sign sigma) and potential are the trace's own,
     ``traj.meta["setup"]`` and ``traj.meta["potential"]``.
 
+    P is the trace's own closed-form momentum, so the residual tests how the
+    emitted trace is sampled: the centred difference's truncation and
+    round-off, and a quadrature trace's Simpson error.
+
     Interior samples are evaluated in blocks of ``STENCIL_BLOCK`` into one
     residual array; every value comes from the same operations as
     ``Trajectory.velocity_centered`` and ``model.kinetic_term`` on the
@@ -445,7 +449,9 @@ def firqnl_residual(traj: Trajectory, stride: int = 1) -> ValidationReport:
     sample (derivatives from the fixed 7-point centred stencil, see
     ``_stencil_blocks``) and the sum is divided by the largest term
     magnitude.  For constant potentials the potential-derivative terms are
-    identically zero.
+    identically zero.  The equation follows from the quantum HJ, so the
+    residual tests how the emitted trace is sampled (the stencil's
+    truncation and round-off).
 
     Derivatives are taken along the variable the trace samples uniformly
     (``kleingordon.uniform_step``): x(t) windows when t is uniform (closed
@@ -539,6 +545,10 @@ def rqshje_residual(
     derivatives are closed-form (no differencing).  The grid, basis and
     (a, b) are those of ``ra``; so is the setup unless ``setup`` is given.
     ``pot`` is required.
+
+    With closed-form Pc, Pc' and Pc'' the residual is |1 - W(x)^2 / W0^2|
+    up to round-off: it tests the basis's Wronskian, and through it the
+    closed-form algebra, but not a phase error that keeps W constant.
 
     Grid points are evaluated in blocks of ``STENCIL_BLOCK`` into one
     residual array, psi, psi' and D too (``ReducedAction.momentum_derivatives``

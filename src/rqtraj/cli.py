@@ -4,13 +4,14 @@ Exit codes: 0 success, 2 usage or configuration error, 3 numerical failure
 (regime or tolerance details go to stderr).  Exit 2 covers argparse's
 usage errors (a missing or unknown command or option, a ``--config`` that
 does not exist, is a directory or is not readable, an ``--out`` that is an
-existing file, a ``--figure`` other than 1, 2 or 3), an unknown config
-section or key, an empty ``sets``, a fractional ``samples``, a nan or inf
-value such as ``hbar_scale = nan``, ``window <= 0``, a grid of fewer than
-two points and a tabulated-potential file that is missing, has fewer than
-two columns, has no increasing grid or has a nan or inf entry;
-then no file is written.  Every run
-parameter is a config key; ``--out`` only moves the output directory.
+existing file, a ``--figure`` other than 1, 2 or 3) and what
+``parse_config`` checks (an unknown section or key, an empty ``sets``, a
+fractional ``samples``, a nan or inf value such as ``hbar_scale = nan``,
+``window <= 0``, a grid of fewer than two points), all reported before
+numpy loads; ``pipeline`` loads after them and checks the
+tabulated-potential file (missing, fewer than two columns, no increasing
+grid, a nan or inf entry).  Then no file is written.  Every run parameter
+is a config key; ``--out`` only moves the output directory.
 ``figure --figure N`` draws what the sets carry (an asymptote for each
 divergence time, node markers whenever the run yields nodes); N only
 names the title, the PNG, the script and the manifest.  ``figure`` exits
@@ -23,7 +24,6 @@ import argparse
 import os
 import sys
 
-from . import pipeline
 from .config import parse_config
 from .errors import ConfigError, RqtError
 
@@ -49,7 +49,8 @@ def _run(args, runner, *extra):
         cfg = parse_config(args.config_path)
         if args.out is not None:
             cfg.out_dir = args.out
-        return runner(cfg, *extra)
+        from . import pipeline
+        return getattr(pipeline, runner)(cfg, *extra)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         sys.exit(2)
@@ -60,7 +61,7 @@ def _run(args, runner, *extra):
 
 def basis(args):
     """Solve the wave-equation basis and export it as CSV."""
-    manifest = _run(args, pipeline.run_basis, args.compare_methods)
+    manifest = _run(args, "run_basis", args.compare_methods)
     print("wronskian drift by method:")
     for m, d in manifest["drift"].items():
         print(f"  {m:>8s}: {d:.6e}")
@@ -70,7 +71,7 @@ def basis(args):
 
 def trace(args):
     """Trace one trajectory per hidden-parameter set."""
-    manifest = _run(args, pipeline.run_trace)
+    manifest = _run(args, "run_trace")
     for entry in manifest["sets"]:
         if entry["status"] == "ok":
             note = ""
@@ -85,7 +86,7 @@ def trace(args):
 
 def analyze(args):
     """Detect nodes, compute spacings/wavelengths, run the validators."""
-    manifest = _run(args, pipeline.run_analyze)
+    manifest = _run(args, "run_analyze")
     width = max(len(k) for k, _ in manifest["summary"]) if manifest["summary"] else 0
     for key, val in manifest["summary"]:
         print(f"  {key:<{width}s}  {val}")
@@ -95,7 +96,7 @@ def analyze(args):
 
 def figure(args):
     """Emit data CSVs plus a gnuplot script for one of the three figures."""
-    manifest = _run(args, pipeline.run_figure, args.figure_n)
+    manifest = _run(args, "run_figure", args.figure_n)
     print(f"plot script: {manifest['plot_script']}")
     for f in manifest["files"]:
         print(f"wrote {f}")

@@ -7,10 +7,11 @@ name), unit and allowed values, and parsing, ``canonical_text`` and
 key of a missing or wrong unit (``energy = 2.0 MeV``), an unknown section or
 key, nan or inf (also in ``sets``), an empty ``sets``, a fractional
 ``samples`` or a value not allowed; ``validate`` repeats the per-key checks
-for a config built or changed in code.  Every key is set in the config file
-only: the CLI takes the file and an output directory (``--out``), nothing
-else.  ``canonical_text`` round-trips bit-exactly (floats via repr), and its
-sha256 stamps every output file.
+for a config built or changed in code, and rejects a grid of fewer than two
+points (``grid_points``).  Every key is set in the config file only: the
+CLI takes the file and an output directory (``--out``), nothing else.
+``canonical_text`` round-trips bit-exactly (floats via repr), and its
+sha256 (``config_hash``) stamps every output file.
 
 ``samples``, ``t_min`` and ``t_max`` bound what each ``trajectory_i.csv``
 holds, by one rule for every trace: of the trace rows with
@@ -33,7 +34,19 @@ from pathlib import Path
 
 from .constants import ELECTRON_MEV
 from .errors import ConfigError
-from .output import config_hash
+
+# CPython's builtin sha256: hashlib would load OpenSSL's libcrypto for it
+try:
+    from _sha2 import sha256 as _sha256         # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256   # CPython before 3.12
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
+
+def config_hash(text: str) -> str:
+    return _sha256(text.encode()).hexdigest()
 
 
 def _parse_sets(raw: str) -> list:
@@ -97,9 +110,22 @@ class RunConfig:
             raise ConfigError("[potential] tabulated kind needs file = <path>")
         if not self.grid_min < self.grid_max:
             raise ConfigError("[numerics] grid_min must lie below grid_max")
+        self.grid_points()
         if not self.t_min < self.t_max:
             raise ConfigError("[trajectories] t_min must lie below t_max")
         return self
+
+    def grid_points(self) -> int:
+        """Points of the grid grid_min + grid_step * i; ConfigError below 2 or unbounded."""
+        steps = (self.grid_max - self.grid_min) / self.grid_step
+        if not math.isfinite(steps):
+            raise ConfigError(f"[numerics] grid_step {self.grid_step!r} fm leaves no finite number "
+                              f"of grid points on [{self.grid_min!r}, {self.grid_max!r}] fm")
+        n = int(round(steps)) + 1
+        if n < 2:
+            raise ConfigError(f"[numerics] grid_step {self.grid_step!r} fm leaves {n} grid point on "
+                              f"[{self.grid_min!r}, {self.grid_max!r}] fm; the grid needs at least 2")
+        return n
 
     def canonical_text(self) -> str:
         sections = {}

@@ -52,15 +52,6 @@ from pathlib import Path
 
 import numpy as np
 
-# CPython's builtin sha256: hashlib would load OpenSSL's libcrypto for it
-try:
-    from _sha2 import sha256 as _sha256         # CPython 3.12+
-except ImportError:
-    try:
-        from _sha256 import sha256 as _sha256   # CPython before 3.12
-    except ImportError:
-        from hashlib import sha256 as _sha256
-
 BLOCK_ROWS = 8192
 
 # the boundaries str.splitlines() splits at, as read_csv does
@@ -71,10 +62,6 @@ _BREAKS = re.compile(f"[,\0{LINE_BREAKS}]")
 FAST_MIN, FAST_MAX = 1e-280, 1e280
 _K_MIN, _K_MAX = -281, 280        # floor(log10|v|) over the range, one low at its end
 _SPLIT = 134217729.0              # 2**27 + 1, Veltkamp's splitting factor
-
-
-def config_hash(text: str) -> str:
-    return _sha256(text.encode()).hexdigest()
 
 
 @functools.cache

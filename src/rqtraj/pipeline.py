@@ -104,13 +104,7 @@ def build_potential(cfg: RunConfig):
 
 
 def build_grid(cfg: RunConfig) -> np.ndarray:
-    n = int(round((cfg.grid_max - cfg.grid_min) / cfg.grid_step)) + 1
-    if n < 2:
-        raise ConfigError(
-            f"[numerics] grid_step {cfg.grid_step!r} fm leaves {n} grid point on "
-            f"[{cfg.grid_min!r}, {cfg.grid_max!r}] fm; the grid needs at least 2"
-        )
-    return cfg.grid_min + cfg.grid_step * np.arange(n)
+    return cfg.grid_min + cfg.grid_step * np.arange(cfg.grid_points())
 
 
 def build_basis(cfg: RunConfig, setup: PhysicalSetup, pot, method=None):

@@ -11,7 +11,7 @@ import pytest
 import rqtraj as rq
 from rqtraj import pipeline, trajectory
 from rqtraj.analysis import (
-    STENCIL_BLOCK, _STENCIL_WEIGHTS, _exact_step, _gradient_rows, _stencil_blocks,
+    STENCIL_BLOCK, _STENCIL_WEIGHTS, _exact_step, _firqnl_terms, _gradient_rows, _stencil_blocks,
 )
 from rqtraj.kleingordon import UNIFORM_REL_TOL, uniform_step, wavenumber_sq
 from rqtraj.model import kinetic_term
@@ -303,6 +303,65 @@ def test_first_integral_negative_control(electron2):
                                        0.0, (0.0, 3 * dt), 2501)
     bad = rq.Trajectory(tr.t, 1.01 * tr.x, tr.branch, tr.regime, tr.momentum, tr.meta)
     assert rq.firqnl_residual(bad).max_residual > 1e-2
+
+
+def closed_form_motion(action, pot):
+    """xdot, xddot and xdddot on the action's grid from closed forms only.
+
+    xdot = sigma c kin / Pc, and d/dt = xdot d/dx through Pc, Pc', Pc''
+    (``momentum_derivatives``), kin' = -V' (1 + m2/w^2) and
+    kin'' = -V'' (1 + m2/w^2) - 2 m2 V'^2 / w^3, with w = E - V.
+    """
+    setup, x = action.setup, action.grid
+    pc, pcp, pcpp = action.momentum_derivatives(-wavenumber_sq(setup, pot, x))
+    w, vp, vpp, m2 = setup.E - pot.v(x), pot.dv(x), pot.d2v(x), setup.rest_sq
+    kin = kinetic_term(setup, pot, x)
+    kinp = -vp * (1.0 + m2 / w**2)
+    kinpp = -vpp * (1.0 + m2 / w**2) - 2.0 * m2 * vp**2 / w**3
+    sc = setup.direction * setup.c_fm_s
+    v = sc * kin / pc
+    vx = sc * (kinp / pc - kin * pcp / pc**2)
+    vxx = sc * (kinpp / pc - 2.0 * kinp * pcp / pc**2 - kin * pcpp / pc**2
+                + 2.0 * kin * pcp**2 / pc**3)
+    return v, v * vx, v * vx**2 + v**2 * vxx
+
+
+class SteeperSlope(rq.LinearPotential):
+    """V' 1 % too large, V and V'' exact."""
+
+    def dv(self, x):
+        return 1.01 * super().dv(x)
+
+
+def formula_residual(name, pot=None):
+    """The largest first-integral residual over the sets of config ``name``,
+    its terms fed closed-form motion (``pot`` replaces the config's potential
+    in the terms only), and the bound 2 x Wronskian drift + 1e-14."""
+    cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
+    setup, true_pot = pipeline.build_setup(cfg), pipeline.build_potential(cfg)
+    basis = pipeline.build_basis(cfg, setup, true_pot)
+    worst = 0.0
+    for a, b in cfg.param_sets:
+        action = rq.ReducedAction(basis, rq.HiddenParams(a, b), setup)
+        motion = closed_form_motion(action, true_pot)
+        worst = max(worst, float(_firqnl_terms(setup, pot or true_pot, action.grid, *motion).max()))
+    return worst, 2.0 * rq.wronskian_drift(basis) + 1e-14
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig3"])
+def test_first_integral_formula_holds_on_closed_form_motion(name):
+    """The paper's third-order equation as ``_firqnl_terms`` transcribes it.
+    Given the quantum HJ it is an identity, so on closed-form motion its
+    residual is about twice the Wronskian drift: 1.7e-15 on fig1's analytic
+    basis, 6.8e-14 on fig3's RK4 basis, whose drift is 4.4e-14."""
+    worst, bound = formula_residual(name)
+    assert worst <= bound
+
+
+def test_first_integral_formula_sees_a_wrong_force_term():
+    """With V' 1 % off in the terms, fig3's sets read 1.7e-2 to 2.6e-2."""
+    worst, bound = formula_residual("fig3", SteeperSlope(1e-3))
+    assert worst > bound
 
 
 def test_first_integral_linear_quadrature(electron2):

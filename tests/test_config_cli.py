@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,15 +12,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rqtraj as rq
 from rqtraj import pipeline
-from rqtraj.config import RunConfig, parse_config, parse_config_text
+from rqtraj.config import RunConfig, config_hash, parse_config, parse_config_text
 from rqtraj.errors import ConfigError
 from rqtraj.model import REGIME_TEXT
-from rqtraj.output import config_hash, read_csv, write_csv
+from rqtraj.output import read_csv, write_csv
 from tests.conftest import run_cli
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -102,6 +103,9 @@ path_text = st.text(alphabet="abcXYZ019/_.-%", min_size=1, max_size=12)
 @st.composite
 def run_configs(draw):
     grid_min, grid_max = draw(ordered)
+    # a step that leaves the grid between 2 and 10**9 + 1 points
+    grid_step = (grid_max - grid_min) / draw(st.integers(1, 10**9))
+    assume(0 < grid_step < math.inf)
     t_min, t_max = draw(ordered)
     return RunConfig(
         rest_energy=draw(positive), energy=draw(any_float), hbar_scale=draw(positive),
@@ -114,7 +118,7 @@ def run_configs(draw):
         sync=draw(st.sampled_from(["psi_zero", "phi2_zero", "exact"])),
         method=draw(st.sampled_from(["rk4", "euler"])),
         basis_init=draw(st.sampled_from(["sincos", "unit"])),
-        grid_min=grid_min, grid_max=grid_max, grid_step=draw(positive),
+        grid_min=grid_min, grid_max=grid_max, grid_step=grid_step,
         out_dir=draw(path_text),
     ).validate()
 
@@ -196,6 +200,16 @@ def test_config_rejects_zero_a():
 def test_config_rejects_bad_direction():
     with pytest.raises(ConfigError, match="direction"):
         parse_config_text("[trajectories]\ndirection = up\n")
+
+
+@pytest.mark.parametrize("step, words", [
+    ("7000.0", "leaves 1 grid point"),
+    ("5e-324", "leaves no finite number of grid points"),
+])
+def test_config_rejects_a_grid_of_one_point_or_unbounded(step, words):
+    """On the default grid, [-2000, 1200] fm."""
+    with pytest.raises(ConfigError, match=rf"^\[numerics\] grid_step {step} fm .*{words}"):
+        parse_config_text(f"[numerics]\ngrid_step = {step} fm\n")
 
 
 def test_cli_exit_code_2_on_bad_config(tmp_path):
@@ -336,7 +350,9 @@ def test_cli_turning_band_is_one_behaviour(tmp_path, sign):
 
 
 def test_cli_grid_of_one_point_is_a_config_error(tmp_path):
-    path = edited_config(tmp_path, "fig1", grid_step=5000.0)
+    path = tmp_path / "one_point.cfg"
+    cfg = parse_config(CONFIGS / "fig1.cfg")
+    dataclasses.replace(cfg, out_dir=str(tmp_path / "out"), grid_step=5000.0).to_file(path)
     result = run_cli(["basis", "--config", str(path)])
     assert result.exit_code == 2, result.output
     assert "config error: [numerics] grid_step 5000.0 fm leaves 1 grid point" in result.output
@@ -822,20 +838,71 @@ def test_cli_help_lists_every_command():
         assert re.search(rf"^ +{command} +\S", result.output, re.MULTILINE), command
 
 
-def test_cli_import_loads_neither_click_nor_openssl():
-    """Every command pays for what ``import rqtraj.cli`` loads."""
+def _fresh_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports rqtraj from this tree."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(rq.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, rqtraj.cli; print(*sorted(sys.modules))"],
-        capture_output=True, text=True, env=env, check=True,
-    )
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env)
+
+
+# rqtraj modules that ``import rqtraj.cli`` and a config check may load
+START_UP = {"rqtraj", "rqtraj.cli", "rqtraj.config", "rqtraj.errors", "rqtraj.constants"}
+
+
+def test_cli_import_loads_neither_click_nor_openssl():
+    """``import rqtraj.cli`` and ``parse_config(...).validate()``, the start-up
+    every command pays, load neither click, OpenSSL, numpy nor any rqtraj
+    module but the CLI, the config and its errors and constants."""
+    proc = _fresh_python(
+        "import sys, rqtraj.cli\n"
+        "from rqtraj.config import parse_config\n"
+        "parse_config(sys.argv[1]).validate()\n"
+        "print(*sorted(sys.modules))\n",
+        str(CONFIGS / "fig3.cfg"))
+    assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "rqtraj.cli" in loaded and "click" not in loaded
+    assert "numpy" not in loaded
+    assert {m for m in loaded if m.split(".")[0] == "rqtraj"} <= START_UP
     if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
         pytest.skip("no builtin sha256 module: config_hash falls back to hashlib")
     assert not loaded & {"hashlib", "_hashlib"}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["trace", "--no-such-option"], 2),
+    (["trace", "--config", "{unknown_key}"], 2),
+])
+def test_cli_exits_before_numpy_loads(tmp_path, argv, code):
+    """Help, a usage error and a config error end before numpy is imported."""
+    unknown_key = tmp_path / "unknown_key.cfg"
+    unknown_key.write_text("[numerics]\ngrid_stpe = 5.0 fm\n")
+    argv = [arg.format(unknown_key=unknown_key) for arg in argv]
+    proc = _fresh_python(
+        "import sys, rqtraj.cli\n"
+        "try:\n"
+        "    rqtraj.cli.main(sys.argv[1:])\n"
+        "finally:\n"
+        "    print('numpy' in sys.modules, file=sys.stderr)\n", *argv)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "False"
+
+
+def test_exports_load_on_first_access():
+    """Each exported name is its submodule's object; unknown names stay absent."""
+    for name, module in rq._HOME.items():
+        assert getattr(rq, name) is getattr(importlib.import_module(f"rqtraj.{module}"), name)
+    assert set(rq.__all__) == set(rq._HOME)
+    assert set(rq.__all__) | set(rq._SUBMODULES) <= set(dir(rq))
+    assert getattr(rq, "NO_SUCH", None) is None
+    with pytest.raises(AttributeError, match="NO_SUCH"):
+        rq.NO_SUCH
+    proc = _fresh_python("import rqtraj; print(rqtraj.output.write_csv.__module__)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["rqtraj.output"]
 
 
 @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3"])
