@@ -282,59 +282,13 @@ _STENCIL_WEIGHTS = (
 STENCIL_BLOCK = 16384
 
 
-def _exact_step(t):
-    """t[1] - t[0] when every step of t equals it exactly, else None.
-
-    np.gradient's test for its uniform formula, taken block by block.
-    """
-    step = t[1] - t[0]
-    for lo in range(0, t.size - 1, STENCIL_BLOCK):
-        if not np.all(np.diff(t[lo : lo + STENCIL_BLOCK + 1]) == step):
-            return None
-    return step
-
-
-def _nonuniform_gradient(f, t):
-    """numpy's non-uniform formula of np.gradient(f, t, edge_order=2), its
-    expressions as written there, whatever the steps of t."""
-    dx = np.diff(t)
-    out = np.empty(f.size)
-    dx1, dx2 = dx[:-1], dx[1:]
-    a = -(dx2) / (dx1 * (dx1 + dx2))
-    b = (dx2 - dx1) / (dx1 * dx2)
-    c = dx1 / (dx2 * (dx1 + dx2))
-    out[1:-1] = a * f[:-2] + b * f[1:-1] + c * f[2:]
-    dx1, dx2 = dx[0], dx[1]
-    a = -(2. * dx1 + dx2) / (dx1 * (dx1 + dx2))
-    b = (dx1 + dx2) / (dx1 * dx2)
-    c = - dx1 / (dx2 * (dx1 + dx2))
-    out[0] = a * f[0] + b * f[1] + c * f[2]
-    dx1, dx2 = dx[-2], dx[-1]
-    a = (dx2) / (dx1 * (dx1 + dx2))
-    b = - (dx2 + dx1) / (dx1 * dx2)
-    c = (2. * dx2 + dx1) / (dx2 * (dx1 + dx2))
-    out[-1] = a * f[-3] + b * f[-2] + c * f[-1]
-    return out
-
-
-def _gradient_rows(f, t, lo: int, hi: int, step):
-    """np.gradient(f, t, edge_order=2)[lo:hi], bit for bit, from f and t on
-    lo - 1 .. hi (at least 3 samples).
-
-    A value inside the trace reads its two neighbours only, and one at an
-    end of the trace the three samples there, so a one-sample halo gives
-    the same expression as on the whole trace.  numpy switches to its
-    uniform formula when every step of the whole t is the same
-    (``_exact_step``, given as ``step``); a block that is exactly uniform
-    inside a non-uniform t keeps the non-uniform one.
-    """
-    n = t.size
+def _gradient_rows(f, lo: int, hi: int, h: float):
+    """np.gradient(f, h, edge_order=2)[lo:hi], bit for bit, from f on
+    lo - 1 .. hi (at least 3 samples): a value reads its two neighbours, or
+    at an end of f the three samples there."""
+    n = f.size
     a, b = max(min(lo - 1, n - 3), 0), min(max(hi + 1, 3), n)
-    if step is None:
-        g = _nonuniform_gradient(f[a:b], t[a:b])
-    else:
-        g = np.gradient(f[a:b], step, edge_order=2)
-    return g[lo - a : hi - a]
+    return np.gradient(f[a:b], h, edge_order=2)[lo - a : hi - a]
 
 
 def _stencil_block(t, x, xd, hs, stride: int, lo: int, hi: int):
@@ -346,8 +300,8 @@ def _stencil_block(t, x, xd, hs, stride: int, lo: int, hi: int):
     into a relative error (delta / hs) (L / hs)^(k-1) in the k-th
     derivative, L the length on which x varies.  So every sample is moved
     onto its ideal place to first order, x[j] - xd[j] * delta_j, with xd
-    from np.gradient on the actual t (``xd`` holds it on samples
-    lo .. hi + 6*stride - 1); what is left is second order in delta / hs.
+    from np.gradient on the mean step, on samples lo .. hi + 6*stride - 1;
+    what is left, the error of xd too, is second order in delta / hs.
     The correction is summed apart from the window-centred values, whose
     weighted sums stay exact where x varies smoothly.
 
@@ -384,27 +338,25 @@ def _stencil_blocks(t, x, stride: int):
     Raises TooFewSamples below 6*stride + 1 samples and RegimeError when t
     is not uniform by ``kleingordon.uniform_step`` before it returns; the
     iterator then evaluates the windows in blocks lo..hi-1 of at most
-    ``STENCIL_BLOCK``.  Each block takes np.gradient of x (the shift
-    correction of ``_stencil_block``) on its own samples plus a one-sample
-    halo (``_gradient_rows``), equal to the whole-trace gradient bit for
-    bit, so no array of the trace's length is made here.
+    ``STENCIL_BLOCK``.  Each block takes np.gradient of x on the mean step
+    h (the shift correction of ``_stencil_block``) on its own samples plus
+    a one-sample halo (``_gradient_rows``), so the only array of the
+    trace's length made here is the np.diff of ``uniform_step``.
     """
     n = t.size
     if n < 6 * stride + 1:
         raise TooFewSamples(f"need at least {6 * stride + 1} samples")
     h = uniform_step(t)
     if h is None:
-        raise RegimeError(
-            f"stencil needs uniform samples: steps within {UNIFORM_REL_TOL:g} "
-            "of their mean"
-        )
-    hs, step = h * stride, _exact_step(t)
+        raise RegimeError(f"stencil needs uniform samples: steps within {UNIFORM_REL_TOL:g} "
+                          "of their mean")
+    hs = h * stride
     m = n - 6 * stride
 
     def blocks():
         for lo in range(0, m, STENCIL_BLOCK):
             hi = min(lo + STENCIL_BLOCK, m)
-            xd = _gradient_rows(x, t, lo, hi + 6 * stride, step)
+            xd = _gradient_rows(x, lo, hi + 6 * stride, h)
             derivs = _stencil_block(t, x, xd, hs, stride, lo, hi)
             del xd                          # not kept while the caller runs
             yield lo, hi, derivs
@@ -462,11 +414,11 @@ def firqnl_residual(traj: Trajectory, stride: int = 1) -> ValidationReport:
     raised, and TooFewSamples below 6*stride + 1 samples.
 
     The stencil runs block by block (``_stencil_blocks``), its gradient
-    too, and so do the five terms, into one residual array: the only
-    array of the trace's length made here is that residual.  Every value
-    comes from the same operations in the same order as a whole-array
-    evaluation, so the residuals are bit-identical to it and do not depend
-    on the block size.
+    too, and so do the five terms, into one residual array; the other
+    arrays of the trace's length are the np.diff of ``uniform_step``, on t
+    and then in ``_stencil_blocks``.  Every value comes from the same
+    operations in the same order as a whole-array evaluation, so the
+    residuals are bit-identical to it and do not depend on the block size.
     """
     if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
         raise ValueError(f"stride must be a positive int, not {stride!r}")

@@ -7,11 +7,12 @@ does not exist, is a directory or is not readable, an ``--out`` that is an
 existing file, a ``--figure`` other than 1, 2 or 3) and what
 ``parse_config`` checks (an unknown section or key, an empty ``sets``, a
 fractional ``samples``, a nan or inf value such as ``hbar_scale = nan``,
-``window <= 0``, a grid of fewer than two points), all reported before
-numpy loads; ``pipeline`` loads after them and checks the
-tabulated-potential file (missing, fewer than two columns, no increasing
-grid, a nan or inf entry).  Then no file is written.  Every run parameter
-is a config key; ``--out`` only moves the output directory.
+``window <= 0``, a grid of fewer than two or more than
+``config.MAX_GRID_POINTS`` points), all reported before numpy loads;
+``pipeline`` loads after them and checks the tabulated-potential file
+(missing, fewer than two columns, no increasing grid, a nan or inf
+entry).  Then no file is written.  Every run parameter is a config key;
+``--out`` only moves the output directory.
 ``figure --figure N`` draws what the sets carry (an asymptote for each
 divergence time, node markers whenever the run yields nodes); N only
 names the title, the PNG, the script and the manifest.  ``figure`` exits

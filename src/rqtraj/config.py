@@ -7,9 +7,9 @@ name), unit and allowed values, and parsing, ``canonical_text`` and
 key of a missing or wrong unit (``energy = 2.0 MeV``), an unknown section or
 key, nan or inf (also in ``sets``), an empty ``sets``, a fractional
 ``samples`` or a value not allowed; ``validate`` repeats the per-key checks
-for a config built or changed in code, and rejects a grid of fewer than two
-points (``grid_points``).  Every key is set in the config file only: the
-CLI takes the file and an output directory (``--out``), nothing else.
+for a config built or changed in code, and rejects a grid of fewer than 2 or
+more than ``MAX_GRID_POINTS`` points (``grid_points``).  Every key is set in
+the config file only: the CLI takes the file and ``--out``, nothing else.
 ``canonical_text`` round-trips bit-exactly (floats via repr), and its
 sha256 (``config_hash``) stamps every output file.
 
@@ -43,6 +43,10 @@ except ImportError:
         from _sha256 import sha256 as _sha256   # CPython before 3.12
     except ImportError:
         from hashlib import sha256 as _sha256
+
+
+# the basis alone would take 400 MB here, five float64 columns (fig3: 137 001 points)
+MAX_GRID_POINTS = 10**7
 
 
 def config_hash(text: str) -> str:
@@ -116,12 +120,15 @@ class RunConfig:
         return self
 
     def grid_points(self) -> int:
-        """Points of the grid grid_min + grid_step * i; ConfigError below 2 or unbounded."""
+        """Points of the grid grid_min + grid_step * i; ConfigError below 2 or above the cap."""
         steps = (self.grid_max - self.grid_min) / self.grid_step
         if not math.isfinite(steps):
             raise ConfigError(f"[numerics] grid_step {self.grid_step!r} fm leaves no finite number "
                               f"of grid points on [{self.grid_min!r}, {self.grid_max!r}] fm")
         n = int(round(steps)) + 1
+        if n > MAX_GRID_POINTS:
+            raise ConfigError(f"[numerics] grid_step {self.grid_step!r} fm leaves over {MAX_GRID_POINTS} "
+                              f"grid points on [{self.grid_min!r}, {self.grid_max!r}] fm")
         if n < 2:
             raise ConfigError(f"[numerics] grid_step {self.grid_step!r} fm leaves {n} grid point on "
                               f"[{self.grid_min!r}, {self.grid_max!r}] fm; the grid needs at least 2")

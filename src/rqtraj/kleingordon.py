@@ -106,10 +106,10 @@ def uniform_step(grid) -> float | None:
 
     The package's one rule for "uniform": the mean step
     h = (grid[-1] - grid[0]) / (n - 1) is nonzero and finite, and every step
-    is within UNIFORM_REL_TOL * |h| of it.  The numeric solve and the
-    quadrature trace step by this h, not by grid[1] - grid[0], which can sit
-    ulps of the largest |x| off it; the first-integral stencil applies the
-    rule too.
+    is within UNIFORM_REL_TOL * |h| of it.  The numeric solve, the
+    quadrature and classical traces and the first-integral stencil (its
+    weights and its x') step by this h, not by grid[1] - grid[0], which can
+    sit ulps of the largest |x| off it.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size < 2:

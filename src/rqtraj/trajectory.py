@@ -576,10 +576,10 @@ def classical_trace(
         keep = np.concatenate(([True], np.diff(t) > 0))
         t, x, pc = t[keep], x[keep], pc[keep]
     else:
-        if x_range is None:
-            raise ValueError("x_range required for a non-constant potential")
+        if x_range is None or not min(x_range) < max(x_range):
+            raise ValueError("x_range with two distinct ends required for a non-constant potential")
         x = np.linspace(float(min(x_range)), float(max(x_range)), n_samples)
-        h = x[1] - x[0]
+        h = uniform_step(x)
         ev = setup.E - np.asarray(pot.v(x), dtype=float)
         disc = ev * ev - setup.rest_sq
         if np.any(disc <= 0) or np.any(ev <= 0):

@@ -11,7 +11,7 @@ import pytest
 import rqtraj as rq
 from rqtraj import pipeline, trajectory
 from rqtraj.analysis import (
-    STENCIL_BLOCK, _STENCIL_WEIGHTS, _exact_step, _firqnl_terms, _gradient_rows, _stencil_blocks,
+    STENCIL_BLOCK, _STENCIL_WEIGHTS, _firqnl_terms, _gradient_rows, _stencil_blocks,
 )
 from rqtraj.kleingordon import UNIFORM_REL_TOL, uniform_step, wavenumber_sq
 from rqtraj.model import kinetic_term
@@ -584,7 +584,7 @@ def stencil_whole_array(t, x, stride):
     n = t.size
     h = uniform_step(t)
     hs = h * stride
-    xd = np.gradient(x, t, edge_order=2)
+    xd = np.gradient(x, h, edge_order=2)
     m = n - 6 * stride
     tc = t[3 * stride : 3 * stride + m]
     xc = x[3 * stride : 3 * stride + m]
@@ -690,31 +690,21 @@ def stencil_gradient_rows(n, stride):
 
 
 @pytest.mark.parametrize("stride", [1, 4])
-@pytest.mark.parametrize("kind", ["uniform", "linspace", "uniform_inside"])
+@pytest.mark.parametrize("kind", ["uniform", "linspace"])
 def test_gradient_rows_are_bit_equal_to_the_whole_trace_gradient(kind, stride):
     """Every block of the stencil, the first and the last included, and
-    single rows at both ends: np.gradient of the whole trace, bit for bit.
-    A step of 0.75 is exact, so 0.75 * arange has all steps equal (numpy's
-    uniform formula); linspace steps differ in their last bits; and
-    "uniform_inside" is that exact grid with one late sample moved, so the
-    first block is exactly uniform inside a non-uniform trace, where a
-    gradient of the block alone would take the other formula."""
+    single rows at both ends: np.gradient of the whole trace on its mean
+    step, bit for bit.  A step of 0.75 is exact, so 0.75 * arange has all
+    steps equal; linspace steps differ in their last bits."""
     n = 2 * STENCIL_BLOCK + 6 * stride + 101
     t = np.linspace(-3.0, 7.0, n) if kind == "linspace" else 0.75 * np.arange(n)
-    if kind == "uniform_inside":
-        t[-3] += 1e-9
     x = np.sin(t / 7.0) + 1e-3 * t**2
-    ref = np.gradient(x, t, edge_order=2)
-    step = _exact_step(t)
-    assert (step is None) == (kind != "uniform")
+    h = uniform_step(t)
+    ref = np.gradient(x, h, edge_order=2)
     rows = stencil_gradient_rows(n, stride) + [(0, 1), (n - 1, n), (1, 2), (n - 2, n - 1)]
     for lo, hi in rows:
-        got = _gradient_rows(x, t, lo, hi, step)
+        got = _gradient_rows(x, lo, hi, h)
         assert np.array_equal(got.view(np.int64), ref[lo:hi].view(np.int64)), (lo, hi)
-    if kind == "uniform_inside":
-        lo, hi = rows[0]
-        alone = np.gradient(x[: hi + 1], t[: hi + 1], edge_order=2)[lo:hi]
-        assert not np.array_equal(alone, ref[lo:hi])
 
 
 def closure_whole_array(traj):

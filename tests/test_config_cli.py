@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import rqtraj as rq
 from rqtraj import pipeline
-from rqtraj.config import RunConfig, config_hash, parse_config, parse_config_text
+from rqtraj.config import MAX_GRID_POINTS, RunConfig, config_hash, parse_config, parse_config_text
 from rqtraj.errors import ConfigError
 from rqtraj.model import REGIME_TEXT
 from rqtraj.output import read_csv, write_csv
@@ -103,8 +103,8 @@ path_text = st.text(alphabet="abcXYZ019/_.-%", min_size=1, max_size=12)
 @st.composite
 def run_configs(draw):
     grid_min, grid_max = draw(ordered)
-    # a step that leaves the grid between 2 and 10**9 + 1 points
-    grid_step = (grid_max - grid_min) / draw(st.integers(1, 10**9))
+    # a step that leaves the grid between 2 and MAX_GRID_POINTS points
+    grid_step = (grid_max - grid_min) / draw(st.integers(1, MAX_GRID_POINTS - 1))
     assume(0 < grid_step < math.inf)
     t_min, t_max = draw(ordered)
     return RunConfig(
@@ -205,11 +205,34 @@ def test_config_rejects_bad_direction():
 @pytest.mark.parametrize("step, words", [
     ("7000.0", "leaves 1 grid point"),
     ("5e-324", "leaves no finite number of grid points"),
+    ("1e-12", f"leaves over {MAX_GRID_POINTS} grid points"),
+    ("1e-300", f"leaves over {MAX_GRID_POINTS} grid points"),
 ])
 def test_config_rejects_a_grid_of_one_point_or_unbounded(step, words):
-    """On the default grid, [-2000, 1200] fm."""
+    """On the default grid, [-2000, 1200] fm: 1e-12 fm would give 3.2e15
+    points and 1e-300 fm a 304-digit count."""
     with pytest.raises(ConfigError, match=rf"^\[numerics\] grid_step {step} fm .*{words}"):
         parse_config_text(f"[numerics]\ngrid_step = {step} fm\n")
+
+
+def test_grid_cap_is_inclusive_and_far_above_fig3():
+    at_cap = RunConfig(grid_min=0.0, grid_max=MAX_GRID_POINTS - 1.0, grid_step=1.0)
+    assert at_cap.validate().grid_points() == MAX_GRID_POINTS
+    with pytest.raises(ConfigError, match="leaves over"):
+        dataclasses.replace(at_cap, grid_max=float(MAX_GRID_POINTS)).validate()
+    assert parse_config(CONFIGS / "fig3.cfg").grid_points() == 137001
+    assert MAX_GRID_POINTS >= 50 * 140001
+
+
+def test_cli_grid_over_the_cap_is_a_config_error(tmp_path):
+    path = tmp_path / "huge.cfg"
+    cfg = parse_config(CONFIGS / "fig2.cfg")
+    dataclasses.replace(cfg, out_dir=str(tmp_path / "out"), grid_step=1e-12).to_file(path)
+    result = run_cli(["basis", "--config", str(path)])
+    assert result.exit_code == 2, result.output
+    assert "config error: [numerics] grid_step 1e-12 fm leaves over" in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_exit_code_2_on_bad_config(tmp_path):
@@ -706,7 +729,7 @@ def test_fig3_live_memory_peak(tmp_path, monkeypatch, run, limit_mib):
             "eb8c12a2d6ec54d6ef1cc5cc7820493ab63d12e5e32f99c7e83820aa64b3127b",
         "nodes_detected.json":
             "a4247b7e48a6075e8f2d241802d6408364b1688d35cba1025f0840f923141014",
-        "validation.json": "4f0c312243b379c5f081439ec353a1dbc87a454ed28bcb8dd39efecc6e3757c0",
+        "validation.json": "6fc4a21e6dd893b6080838bd771b1d7238ef9fe1900d9284612995da72e0e5cd",
     }),
     ("fig2", {
         "analyze_manifest.json":

@@ -577,6 +577,23 @@ def test_classical_trace_zero_slope_is_the_free_line(direction):
     np.testing.assert_allclose(tr.x, -100.0 + v * tr.t, rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("pot", [rq.LinearPotential(0.0),
+                                 rq.TabulatedPotential(np.linspace(-6000.0, 2000.0, 5), np.zeros(5))],
+                         ids=["linear", "tabulated"])
+def test_classical_trace_quadrature_steps_by_the_mean_step(pot):
+    """On fig3's span the Simpson quadrature of a flat V is the free line
+    t = (x - x0) / v to 1e-13: it steps by ``uniform_step``, where the first
+    step of the linspace, ulps of 5400 fm off, gave 4.8e-13.  A range
+    without two distinct ends has no step."""
+    setup = rq.PhysicalSetup(E=2.0, m0c2=0.510999)
+    v = setup.c_fm_s * np.sqrt(2.0**2 - 0.510999**2) / 2.0
+    tr = rq.classical_trace(setup, pot, -5400.0, x_range=(-5400.0, 1450.0), n_samples=20001)
+    exact = (tr.x + 5400.0) / v
+    assert np.max(np.abs(tr.t - exact)) <= 2e-13 * np.max(np.abs(exact))
+    with pytest.raises(ValueError, match="two distinct ends"):
+        rq.classical_trace(setup, pot, 0.0, x_range=(0.0, 0.0), n_samples=11)
+
+
 @pytest.mark.parametrize("direction", [+1, -1])
 def test_classical_trace_tabulated_is_monotone_without_a_sort(direction):
     """The tabulated classical curve is a Simpson quadrature of 1/v, whose
