@@ -17,6 +17,9 @@ entry).  Then no file is written.  Every run parameter is a config key;
 divergence time, node markers whenever the run yields nodes); N only
 names the title, the PNG, the script and the manifest.  ``figure`` exits
 3 when no set traces, and then writes no file.
+A command that loads numpy itself first sets ``OPENBLAS_NUM_THREADS=1``
+unless the variable is already set: rqtraj makes no BLAS call, and the
+worker threads numpy's OpenBLAS would start slow every command's start-up.
 """
 
 from __future__ import annotations
@@ -50,6 +53,8 @@ def _run(args, runner, *extra):
         cfg = parse_config(args.config_path)
         if args.out is not None:
             cfg.out_dir = args.out
+        if "numpy" not in sys.modules:
+            os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
         from . import pipeline
         return getattr(pipeline, runner)(cfg, *extra)
     except ConfigError as exc:

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import hashlib
 import importlib.util
@@ -861,9 +862,10 @@ def test_cli_help_lists_every_command():
         assert re.search(rf"^ +{command} +\S", result.output, re.MULTILINE), command
 
 
-def _fresh_python(code, *args):
-    """Run ``code`` in a fresh interpreter that imports rqtraj from this tree."""
-    env = dict(os.environ)
+def _fresh_python(code, *args, env=None):
+    """Run ``code`` in a fresh interpreter that imports rqtraj from this tree,
+    with ``env`` (default: this process's) as its environment."""
+    env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(rq.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
     return subprocess.run([sys.executable, "-c", code, *args],
@@ -912,6 +914,67 @@ def test_cli_exits_before_numpy_loads(tmp_path, argv, code):
         "    print('numpy' in sys.modules, file=sys.stderr)\n", *argv)
     assert proc.returncode == code, proc.stderr
     assert proc.stderr.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_computing_command_defaults_to_one_openblas_thread(tmp_path, preset, expected):
+    """A fresh computing process sets OPENBLAS_NUM_THREADS=1 before numpy loads,
+    so on Linux it runs one thread; a preset value wins."""
+    cfgp = tmp_path / "run.cfg"
+    small_const_config(tmp_path / "out", samples=501).to_file(cfgp)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = _fresh_python(
+        "import os, sys, rqtraj.cli\n"
+        "rqtraj.cli.main(sys.argv[1:])\n"
+        "linux = os.path.isdir('/proc/self/task')\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'),\n"
+        "      len(os.listdir('/proc/self/task')) if linux else None)\n",
+        "basis", "--config", str(cfgp), env=env)
+    assert proc.returncode == 0, proc.stderr
+    value, threads = proc.stdout.splitlines()[-1].split()
+    assert value == expected
+    if preset is None and threads != "None":
+        assert threads == "1"
+
+
+def test_in_process_main_leaves_the_environment_alone(tmp_path, monkeypatch):
+    """With numpy already loaded, ``main`` sets no environment variable."""
+    assert "numpy" in sys.modules
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    cfgp = tmp_path / "run.cfg"
+    small_const_config(tmp_path / "out", samples=501).to_file(cfgp)
+    before = dict(os.environ)
+    result = run_cli(["basis", "--config", str(cfgp)])
+    assert result.exit_code == 0, result.output
+    assert dict(os.environ) == before
+
+
+# numpy names whose routines call BLAS
+BLAS_NAMES = {"dot", "vdot", "matmul", "inner", "tensordot", "einsum", "linalg"}
+
+
+def _blas_uses(path):
+    """``file:line`` of each ``@``, ``@=`` or BLAS-named attribute or import in ``path``."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            yield f"{path.name}:{node.lineno}"
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            yield f"{path.name}:{node.lineno}"
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+            if any(BLAS_NAMES & set(name.split(".")) for name in names):
+                yield f"{path.name}:{node.lineno}"
+
+
+def test_rqtraj_makes_no_blas_call():
+    """No source module multiplies matrices or calls a BLAS-backed numpy routine."""
+    src = Path(rq.__file__).resolve().parent
+    found = [use for path in sorted(src.glob("*.py")) for use in _blas_uses(path)]
+    assert not found, (
+        "the CLI's single-thread default (OPENBLAS_NUM_THREADS=1, set in cli._run) "
+        f"assumes rqtraj makes no BLAS call; found one at {', '.join(found)}")
 
 
 def test_exports_load_on_first_access():

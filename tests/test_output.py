@@ -430,6 +430,8 @@ def test_cli_figure_plots_the_sets_that_trace(tmp_path):
     assert "'nodes.csv'" in script and (out / "nodes.csv").exists()
 
 
+# basis_builds None marks the figure run, whose node pass builds each set's
+# action and trace again; the others build one action per set
 @pytest.mark.parametrize("run, changes, basis_builds", [
     (pipeline.run_trace, {}, 1),
     # E = V at 2000 fm: each set's trace fails after its action is built
@@ -456,8 +458,10 @@ def test_set_loops_hold_one_action_at_a_time(tmp_path, monkeypatch, run, changes
 
     monkeypatch.setattr(pipeline, "ReducedAction", one_at_a_time)
     monkeypatch.setattr(pipeline, "build_basis", counted)
-    run(dataclasses.replace(_linear_config(tmp_path / "out"), **changes).validate())
-    assert len(actions) >= 2
+    cfg = dataclasses.replace(_linear_config(tmp_path / "out"), **changes).validate()
+    run(cfg)
+    passes = 2 if basis_builds is None else 1
+    assert len(actions) == passes * len(cfg.param_sets)
     if basis_builds is not None:
         assert len(builds) == basis_builds
 
@@ -490,11 +494,11 @@ def test_node_detection_runs_after_the_basis_is_freed(tmp_path, monkeypatch, run
     assert detected == [len(cfg.param_sets)]
 
 
-@pytest.mark.parametrize("run, checks", [
-    (pipeline.run_analyze, 4),
-    (lambda cfg: pipeline.run_figure(cfg, 3), 0),
+@pytest.mark.parametrize("run, checks, n_traces", [
+    (pipeline.run_analyze, 4, 2),
+    (lambda cfg: pipeline.run_figure(cfg, 3), 0, 4),
 ], ids=["analyze", "figure"])
-def test_set_loops_keep_only_t_and_x(tmp_path, monkeypatch, run, checks):
+def test_set_loops_keep_only_t_and_x(tmp_path, monkeypatch, run, checks, n_traces):
     """A set's ReducedAction is dead before its closure and first-integral
     checks run, and its trajectory before the next set's action is built.
     Once analyze's set loop or figure's node pass ends, no trajectory is
@@ -537,5 +541,6 @@ def test_set_loops_keep_only_t_and_x(tmp_path, monkeypatch, run, checks):
         monkeypatch.setattr(pipeline, name, after_the_action(getattr(pipeline, name)))
     monkeypatch.setattr(pipeline, "detect_nodes", from_t_and_x)
     run(_linear_config(tmp_path / "out"))
+    assert len(traces) == n_traces
     assert len(checked) == checks
     assert len(traces) >= 2 and dead(ref for ref, _, _ in traces)
