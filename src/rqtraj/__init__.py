@@ -26,7 +26,7 @@ _EXPORTS = {
                    "trace_constant_evanescent", "trace_constant_oscillatory",
                    "trace_quadrature"],
 }
-_SUBMODULES = {*_EXPORTS, "cli", "config", "errors", "output", "pipeline"}
+_SUBMODULES = {*_EXPORTS, "build", "cli", "config", "errors", "output", "pipeline"}
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted(_HOME)

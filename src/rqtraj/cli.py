@@ -9,22 +9,32 @@ existing file, a ``--figure`` other than 1, 2 or 3) and what
 fractional ``samples``, a nan or inf value such as ``hbar_scale = nan``,
 ``window <= 0``, a grid of fewer than two or more than
 ``config.MAX_GRID_POINTS`` points), all reported before numpy loads;
-``pipeline`` loads after them and checks the tabulated-potential file
-(missing, fewer than two columns, no increasing grid, a nan or inf
+the command's module loads after them and checks the tabulated-potential
+file (missing, fewer than two columns, no increasing grid, a nan or inf
 entry).  Then no file is written.  Every run parameter is a config key;
 ``--out`` only moves the output directory.
 ``figure --figure N`` draws what the sets carry (an asymptote for each
 divergence time, node markers whenever the run yields nodes); N only
 names the title, the PNG, the script and the manifest.  ``figure`` exits
 3 when no set traces, and then writes no file.
+A closed standard output (``| head``) ends a command with 0 and no
+traceback: every file is written before the first line is printed.
+
+``basis`` loads ``build`` (numpy, the model, the solver and the writers);
+``trace``, ``analyze`` and ``figure`` load ``pipeline``, which adds the
+action, trajectory and analysis modules.
 A command that loads numpy itself first sets ``OPENBLAS_NUM_THREADS=1``
 unless the variable is already set: rqtraj makes no BLAS call, and the
 worker threads numpy's OpenBLAS would start slow every command's start-up.
+Such a process then freezes what its imports built (``gc.freeze``), so
+neither a later collection nor the shutdown walks those objects again.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import importlib
 import os
 import sys
 
@@ -48,15 +58,18 @@ def _out_dir(path):
     return path
 
 
-def _run(args, runner, *extra):
+def _run(args, module, runner, *extra):
     try:
         cfg = parse_config(args.config_path)
         if args.out is not None:
             cfg.out_dir = args.out
-        if "numpy" not in sys.modules:
+        fresh = "numpy" not in sys.modules
+        if fresh:
             os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-        from . import pipeline
-        return getattr(pipeline, runner)(cfg, *extra)
+        run = getattr(importlib.import_module(f".{module}", __package__), runner)
+        if fresh:
+            gc.freeze()
+        return run(cfg, *extra)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         sys.exit(2)
@@ -67,7 +80,7 @@ def _run(args, runner, *extra):
 
 def basis(args):
     """Solve the wave-equation basis and export it as CSV."""
-    manifest = _run(args, "run_basis", args.compare_methods)
+    manifest = _run(args, "build", "run_basis", args.compare_methods)
     print("wronskian drift by method:")
     for m, d in manifest["drift"].items():
         print(f"  {m:>8s}: {d:.6e}")
@@ -77,7 +90,7 @@ def basis(args):
 
 def trace(args):
     """Trace one trajectory per hidden-parameter set."""
-    manifest = _run(args, "run_trace")
+    manifest = _run(args, "pipeline", "run_trace")
     for entry in manifest["sets"]:
         if entry["status"] == "ok":
             note = ""
@@ -92,7 +105,7 @@ def trace(args):
 
 def analyze(args):
     """Detect nodes, compute spacings/wavelengths, run the validators."""
-    manifest = _run(args, "run_analyze")
+    manifest = _run(args, "pipeline", "run_analyze")
     width = max(len(k) for k, _ in manifest["summary"]) if manifest["summary"] else 0
     for key, val in manifest["summary"]:
         print(f"  {key:<{width}s}  {val}")
@@ -102,7 +115,7 @@ def analyze(args):
 
 def figure(args):
     """Emit data CSVs plus a gnuplot script for one of the three figures."""
-    manifest = _run(args, "run_figure", args.figure_n)
+    manifest = _run(args, "pipeline", "run_figure", args.figure_n)
     print(f"plot script: {manifest['plot_script']}")
     for f in manifest["files"]:
         print(f"wrote {f}")
@@ -142,7 +155,11 @@ def main(argv=None):
     or configuration error and 3 on a numerical failure.
     """
     args = _parser().parse_args(argv)
-    args.run(args)
+    try:
+        args.run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 if __name__ == "__main__":

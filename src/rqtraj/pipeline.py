@@ -1,4 +1,8 @@
-"""Config-driven pipelines behind the CLI: basis, trace, analyze, figure.
+"""Config-driven pipelines behind the CLI: trace, analyze, figure.
+
+``basis`` and the setup, potential, grid and basis builders live in
+``build``, which loads no action, trajectory or analysis module; their
+names are imported here too.
 
 Every pipeline returns a manifest dict (also written to JSON) listing the
 emitted files; every emitted file embeds the resolved config hash.  Runs
@@ -48,8 +52,6 @@ from __future__ import annotations
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from .action import ReducedAction
 from .analysis import (
     closure_residual,
@@ -59,20 +61,11 @@ from .analysis import (
     nodes_closed_form,
     rqshje_residual,
 )
+from .build import _header, build_basis, build_grid, build_potential, build_setup, run_basis
 from .config import RunConfig
-from .errors import ConfigError, RqtError
-from .kleingordon import solve_constant, solve_numeric, wronskian_drift
-from .model import (
-    ConstantPotential,
-    HiddenParams,
-    LinearPotential,
-    PhysicalSetup,
-    Regime,
-    TabulatedPotential,
-    constant_regime,
-    regime_discriminant,
-)
-from .output import read_csv, write_csv, write_json
+from .errors import RqtError
+from .model import HiddenParams, PhysicalSetup, Regime, constant_regime
+from .output import write_csv, write_json
 from .trajectory import (
     classical_trace,
     node_period,
@@ -84,72 +77,10 @@ from .trajectory import (
 )
 
 
-def build_setup(cfg: RunConfig) -> PhysicalSetup:
-    base = PhysicalSetup(E=cfg.energy, m0c2=cfg.rest_energy, direction=cfg.direction)
-    return base.scaled_hbar(cfg.hbar_scale) if cfg.hbar_scale != 1.0 else base
-
-
-def build_potential(cfg: RunConfig):
-    if cfg.potential_kind == "constant":
-        return ConstantPotential(cfg.u0)
-    if cfg.potential_kind == "linear":
-        return LinearPotential(cfg.slope)
-    try:
-        _, cols = read_csv(cfg.table_file)
-        if len(cols) < 2:
-            raise ValueError(f"needs 2 columns (x, V), has {len(cols)}")
-        return TabulatedPotential(*list(cols.values())[:2])
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"[potential] file {cfg.table_file!r}: {exc}") from None
-
-
-def build_grid(cfg: RunConfig) -> np.ndarray:
-    return cfg.grid_min + cfg.grid_step * np.arange(cfg.grid_points())
-
-
-def build_basis(cfg: RunConfig, setup: PhysicalSetup, pot, method=None):
-    grid = build_grid(cfg)
-    if cfg.potential_kind == "constant":
-        return solve_constant(setup, cfg.u0, grid)
-    if cfg.basis_init == "sincos":
-        k0 = np.sqrt(abs(regime_discriminant(setup, pot, grid[0]))) / setup.hbar_c
-        init1 = (0.0, k0)
-    else:
-        init1 = (0.0, 1.0)
-    return solve_numeric(
-        setup, pot, grid, method=method or cfg.method, init1=init1, init2=(1.0, 0.0)
-    )
-
-
 def _oscillatory_constant(cfg: RunConfig, setup: PhysicalSetup) -> bool:
     # raises at E = U0 and at a turning point
     return (cfg.potential_kind == "constant"
             and constant_regime(setup, cfg.u0)[0] is Regime.OSCILLATORY)
-
-
-def _header(cfg: RunConfig, extra=()):
-    return [f"config_hash: {cfg.hash}", *extra]
-
-
-def run_basis(cfg: RunConfig, compare_methods: bool = False) -> dict:
-    setup = build_setup(cfg)
-    pot = build_potential(cfg)
-    out = Path(cfg.out_dir)
-    manifest = {"command": "basis", "config_hash": cfg.hash, "files": [], "drift": {}}
-
-    methods = ["analytic"] if cfg.potential_kind == "constant" else (
-        ["euler", "rk4"] if compare_methods else [cfg.method]
-    )
-    for method in methods:
-        basis = build_basis(cfg, setup, pot, method=method)
-        path = out / f"basis_{method}.csv"
-        basis.to_csv(path, header=_header(cfg, [f"method: {method}"]))
-        drift = wronskian_drift(basis)
-        manifest["files"].append(str(path))
-        manifest["drift"][method] = drift
-        del basis  # one basis alive at a time: free it before the next solve
-    write_json(out / "basis_manifest.json", manifest)
-    return manifest
 
 
 def _stage(cfg: RunConfig):

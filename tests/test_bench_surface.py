@@ -8,6 +8,8 @@ its per-layer metrics without a failure.  These tests fail instead.
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -35,6 +37,21 @@ def test_every_traced_target_resolves(traced):
     missing = [f"{mod}.{attr}" for mod, attr, _, _ in traced.TARGETS
                if not callable(getattr(importlib.import_module(mod), attr, None))]
     assert missing == []
+
+
+def test_the_benchmark_imports_load_every_traced_module(traced):
+    """``instrumented`` reads each target's module from ``sys.modules`` after
+    ``import_program`` imported only the CLI, the config and the pipeline."""
+    modules = sorted({mod for mod, _, _, _ in traced.TARGETS})
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, rqtraj.cli, rqtraj.config, rqtraj.pipeline\n"
+         "print(*[m for m in sys.argv[1:] if m not in sys.modules])\n", *modules],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(rq.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")])})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 @pytest.mark.parametrize("fn, position, name", [

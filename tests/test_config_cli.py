@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import gc
 import hashlib
 import importlib.util
 import json
@@ -862,14 +863,18 @@ def test_cli_help_lists_every_command():
         assert re.search(rf"^ +{command} +\S", result.output, re.MULTILINE), command
 
 
-def _fresh_python(code, *args, env=None):
-    """Run ``code`` in a fresh interpreter that imports rqtraj from this tree,
-    with ``env`` (default: this process's) as its environment."""
+def _tree_env(env=None):
+    """``env`` (default: this process's environment) with rqtraj imported from this tree."""
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(rq.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
+    return env
+
+
+def _fresh_python(code, *args, env=None):
+    """Run ``code`` in a fresh interpreter with ``_tree_env(env)``."""
     return subprocess.run([sys.executable, "-c", code, *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_tree_env(env))
 
 
 # rqtraj modules that ``import rqtraj.cli`` and a config check may load
@@ -919,36 +924,79 @@ def test_cli_exits_before_numpy_loads(tmp_path, argv, code):
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
 def test_computing_command_defaults_to_one_openblas_thread(tmp_path, preset, expected):
     """A fresh computing process sets OPENBLAS_NUM_THREADS=1 before numpy loads,
-    so on Linux it runs one thread; a preset value wins."""
+    so on Linux it runs one thread; a preset value wins.  It also freezes the
+    objects its imports built."""
     cfgp = tmp_path / "run.cfg"
     small_const_config(tmp_path / "out", samples=501).to_file(cfgp)
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
     proc = _fresh_python(
-        "import os, sys, rqtraj.cli\n"
+        "import gc, os, sys, rqtraj.cli\n"
         "rqtraj.cli.main(sys.argv[1:])\n"
         "linux = os.path.isdir('/proc/self/task')\n"
         "print(os.environ.get('OPENBLAS_NUM_THREADS'),\n"
-        "      len(os.listdir('/proc/self/task')) if linux else None)\n",
+        "      len(os.listdir('/proc/self/task')) if linux else None,\n"
+        "      gc.get_freeze_count())\n",
         "basis", "--config", str(cfgp), env=env)
     assert proc.returncode == 0, proc.stderr
-    value, threads = proc.stdout.splitlines()[-1].split()
+    value, threads, frozen = proc.stdout.splitlines()[-1].split()
     assert value == expected
     if preset is None and threads != "None":
         assert threads == "1"
+    assert int(frozen) > 0
 
 
 def test_in_process_main_leaves_the_environment_alone(tmp_path, monkeypatch):
-    """With numpy already loaded, ``main`` sets no environment variable."""
+    """With numpy already loaded, ``main`` sets no environment variable and
+    freezes nothing."""
     assert "numpy" in sys.modules
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     cfgp = tmp_path / "run.cfg"
     small_const_config(tmp_path / "out", samples=501).to_file(cfgp)
-    before = dict(os.environ)
+    before, frozen = dict(os.environ), gc.get_freeze_count()
     result = run_cli(["basis", "--config", str(cfgp)])
     assert result.exit_code == 0, result.output
     assert dict(os.environ) == before
+    assert gc.get_freeze_count() == frozen
+
+
+def test_basis_loads_only_its_modules(tmp_path):
+    """A fresh ``basis`` loads neither the pipeline nor the action, trajectory
+    and analysis modules, which it never runs."""
+    cfgp = tmp_path / "run.cfg"
+    small_const_config(tmp_path / "out", samples=501).to_file(cfgp)
+    proc = _fresh_python(
+        "import sys, rqtraj.cli\n"
+        "rqtraj.cli.main(sys.argv[1:])\n"
+        "print(*sorted(sys.modules))\n",
+        "basis", "--config", str(cfgp))
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert "rqtraj.build" in loaded
+    assert not loaded & {f"rqtraj.{name}" for name in
+                         ("pipeline", "action", "trajectory", "analysis")}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_ends_a_command_without_a_traceback(tmp_path, unbuffered):
+    """A reader that closes the pipe at once (``| head``) leaves every file
+    written, exit code 0 and no traceback, whether a print or the final flush
+    meets the closed pipe."""
+    cfgp = tmp_path / "run.cfg"
+    small_const_config(tmp_path / "out", samples=501).to_file(cfgp)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "rqtraj.cli", "analyze", "--config", str(cfgp)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=_tree_env(env))
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0, err
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+    assert (tmp_path / "out" / "analyze_manifest.json").is_file()
 
 
 # numpy names whose routines call BLAS
