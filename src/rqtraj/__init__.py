@@ -13,13 +13,11 @@ import importlib
 _EXPORTS = {
     "action": ["ReducedAction"],
     "analysis": ["NodeReport", "ValidationReport", "closure_residual", "de_broglie",
-                 "detect_nodes", "firqnl_residual", "mean_momentum", "nodes_closed_form",
-                 "rqshje_residual"],
+                 "detect_nodes", "firqnl_residual", "nodes_closed_form", "rqshje_residual"],
     "constants": ["C_M_PER_S", "ELECTRON_MEV", "FM_PER_M", "HBAR_MEV_S", "HBARC_MEV_FM"],
     "kleingordon": ["SolutionBasis", "solve_constant", "solve_numeric", "wronskian_drift"],
     "model": ["ConstantPotential", "HiddenParams", "LinearPotential", "PhysicalSetup",
-              "Potential", "Regime", "TabulatedPotential", "classical_momentum",
-              "classical_velocity", "classify_regime", "f_function", "hamiltonian",
+              "Potential", "Regime", "TabulatedPotential", "classify_regime", "f_function",
               "kinetic_term", "lagrangian"],
     "trajectory": ["Trajectory", "classical_trace", "cumulative_simpson",
                    "evanescent_divergence_times", "node_period", "node_spacing",

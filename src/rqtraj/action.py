@@ -102,14 +102,6 @@ class ReducedAction:
     def grid(self) -> np.ndarray:
         return self.basis.grid
 
-    def s0(self, x) -> float:
-        """S0 at a grid point [MeV s]."""
-        return float(self.s0_grid[self.basis.index_of(float(x))])
-
-    def momentum(self, x) -> float:
-        """Conjugate momentum at a grid point [MeV/c]."""
-        return float(self.momentum_grid[self.basis.index_of(float(x))])
-
     def momentum_derivatives(self, u_nodes: np.ndarray, rows: slice = slice(None)):
         """(Pc, Pc', Pc'') on grid[rows], closed form [MeV, MeV/fm, MeV/fm^2].
 

@@ -129,7 +129,7 @@ def _pairwise_crossings(t, xa, xb):
     Nothing in the package calls it since ``detect_nodes`` reads arrival
     times at the rungs.  The benchmark's traced run (``perfbench/traced.py``)
     still names it in ``TARGETS``, so it goes together with that target when
-    the benchmark changes (ROADMAP item 8).
+    the benchmark changes (ROADMAP item 1).
     """
     d = xa - xb
     out_t, out_x = [], []
@@ -249,18 +249,6 @@ def de_broglie(setup: PhysicalSetup, u0: float) -> float:
     return float(2.0 * np.pi * setup.hbar_c / np.sqrt(disc))
 
 
-def mean_momentum(ra: ReducedAction, x_a: float, x_b: float) -> float:
-    """[S0(x_b) - S0(x_a)] / (x_b - x_a), expressed in MeV/c.
-
-    Computed from the action endpoint difference, not by averaging momentum
-    samples; between adjacent nodes this is (a, b)-independent.
-    """
-    if not x_a < x_b:
-        raise ValueError("x_a must be below x_b")
-    ds = ra.s0(x_b) - ra.s0(x_a)
-    return float(ds / (x_b - x_a) * ra.setup.c_fm_s)
-
-
 # ----------------------------------------------------------------------
 # residual validators
 # ----------------------------------------------------------------------
@@ -374,10 +362,11 @@ def closure_residual(traj: Trajectory) -> ValidationReport:
     emitted trace is sampled: the centred difference's truncation and
     round-off, and a quadrature trace's Simpson error.
 
-    Interior samples are evaluated in blocks of ``STENCIL_BLOCK`` into one
-    residual array; every value comes from the same operations as
-    ``Trajectory.velocity_centered`` and ``model.kinetic_term`` on the
-    whole trace, so the residuals are bit-identical to it.
+    xdot at sample i is the centred difference (x[i+1] - x[i-1]) / (t[i+1] -
+    t[i-1]).  Interior samples are evaluated in blocks of ``STENCIL_BLOCK``
+    into one residual array; every value comes from the same operations as
+    that difference and ``model.kinetic_term`` on the whole trace, so the
+    residuals are bit-identical to it.
     """
     setup, pot = traj.setup, traj.potential
     t, x, p = traj.t, traj.x, traj.momentum

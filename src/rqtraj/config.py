@@ -6,10 +6,11 @@ name), unit and allowed values, and parsing, ``canonical_text`` and
 ``validate`` each loop over that table.  ``ConfigError`` names the line and
 key of a missing or wrong unit (``energy = 2.0 MeV``), an unknown section or
 key, nan or inf (also in ``sets``), an empty ``sets``, a fractional
-``samples`` or a value not allowed; ``validate`` repeats the per-key checks
-for a config built or changed in code, and rejects a grid of fewer than 2 or
-more than ``MAX_GRID_POINTS`` points (``grid_points``).  Every key is set in
-the config file only: the CLI takes the file and ``--out``, nothing else.
+``samples``, ``samples`` above ``MAX_GRID_POINTS`` or a value not allowed;
+``validate`` repeats the per-key checks for a config built or changed in
+code, and rejects a grid of fewer than 2 or more than ``MAX_GRID_POINTS``
+points (``grid_points``).  Every key is set in the config file only: the
+CLI takes the file and ``--out``, nothing else.
 ``canonical_text`` round-trips bit-exactly (floats via repr), and its
 sha256 (``config_hash``) stamps every output file.
 
@@ -45,7 +46,8 @@ except ImportError:
         from hashlib import sha256 as _sha256
 
 
-# the basis alone would take 400 MB here, five float64 columns (fig3: 137 001 points)
+# the basis alone would take 400 MB here, five float64 columns (fig3: 137 001 points);
+# it also caps ``samples``, the rows of each closed-form trace
 MAX_GRID_POINTS = 10**7
 
 
@@ -199,6 +201,8 @@ def _check(f, value):
         raise ValueError(f"must be one of {', '.join(map(str, meta['choices']))}, got {value!r}")
     if meta["above"] is not None and not value > meta["above"]:
         raise ValueError(f"must be above {meta['above']}, got {value!r}")
+    if f.name == "samples" and value > MAX_GRID_POINTS:
+        raise ValueError(f"must be at most {MAX_GRID_POINTS}, got {value!r}")
 
 
 def _line_of(text: str, section: str, key: str = None) -> int:

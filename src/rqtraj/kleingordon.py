@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisGapError, DependentInitials, StepTooLarge
+from .errors import DependentInitials, StepTooLarge
 from .model import PhysicalSetup, Potential, Regime, constant_regime
 from .output import write_csv
 
@@ -68,16 +68,6 @@ class SolutionBasis:
 
     def wronskian_pointwise(self) -> np.ndarray:
         return self.dphi1 * self.phi2 - self.phi1 * self.dphi2
-
-    def index_of(self, x: float) -> int:
-        """Index of the grid point at x (must lie on the grid)."""
-        i = int(np.searchsorted(self.grid, x))
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < self.grid.size and np.isclose(
-                self.grid[j], x, rtol=0.0, atol=1e-9 * max(1.0, abs(x))
-            ):
-                return j
-        raise BasisGapError(f"x = {x} is not a grid point of the basis")
 
     def to_csv(self, path, header=()):
         write_csv(

@@ -32,7 +32,6 @@ from .constants import C_M_PER_S, ELECTRON_MEV, FM_PER_M, HBAR_MEV_S
 from .errors import (
     EnergyEqualsPotential,
     NonPositiveF,
-    RegimeError,
     SuperluminalArgument,
     TurningPointSingular,
 )
@@ -278,34 +277,3 @@ def lagrangian(setup: PhysicalSetup, pot: Potential, x, xdot, f):
     if rad <= 0:
         raise SuperluminalArgument(f"radicand {rad:.6g} <= 0")
     return -setup.m0c2 * math.sqrt(rad) - float(pot.v(x))
-
-
-def hamiltonian(setup: PhysicalSetup, pot: Potential, x, momentum, f):
-    """sqrt((m0 c^2)^2 + (Pc)^2 / f) + V(x)  [MeV]; momentum in MeV/c."""
-    f = float(f)
-    if f <= 0:
-        raise NonPositiveF(f"f = {f:.6g} <= 0")
-    return math.sqrt(setup.rest_sq + float(momentum) ** 2 / f) + float(pot.v(x))
-
-
-def classical_velocity(setup: PhysicalSetup, pot: Potential, x):
-    """|xdot| of the classical relativistic motion, in m/s.
-
-    c * sqrt((E-V)^2 - (m0 c^2)^2) / (E-V); zero exactly at a turning point,
-    undefined (RegimeError) in the evanescent region or for E - V <= 0.
-    """
-    ev = setup.E - float(pot.v(x))
-    regime = classify_regime(setup, pot, x)
-    if regime is Regime.EVANESCENT or ev <= 0:
-        raise RegimeError("classical velocity needs an oscillatory point with E - V > 0")
-    if regime is Regime.TURNING_POINT:
-        return 0.0
-    return setup.c * math.sqrt(ev * ev - setup.rest_sq) / ev
-
-
-def classical_momentum(setup: PhysicalSetup, pot: Potential, x):
-    """Classical relativistic momentum sqrt((E-V)^2 - (m0 c^2)^2)/c [MeV/c]."""
-    disc = regime_discriminant(setup, pot, x)
-    if np.any(np.asarray(disc) <= 0):
-        raise RegimeError("classical momentum needs an oscillatory point")
-    return _scalar(np.sqrt(disc))

@@ -248,11 +248,13 @@ def write_csv(path, header_comments, columns, footer_comments=()):
 
 
 def read_csv(path):
-    """Read back a write_csv file: (header dict from '# key: val', columns dict)."""
+    """Read back a write_csv file: (header dict from '# key: val', columns dict).
+
+    A row whose field count differs from the header's is a ValueError."""
     meta = {}
     names = None
     rows = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if line.startswith("#"):
             body = line[1:].strip()
             if ":" in body:
@@ -263,6 +265,8 @@ def read_csv(path):
             names = line.split(",")
             continue
         rows.append(line.split(","))
+        if len(rows[-1]) != len(names):
+            raise ValueError(f"line {i} has {len(rows[-1])} fields; the header has {len(names)}")
     cols = {}
     for j, name in enumerate(names or []):
         try:

@@ -95,11 +95,6 @@ class Trajectory:
     def potential(self) -> Potential:
         return self.meta["potential"]
 
-    def velocity_centered(self):
-        """Centered-difference xdot on interior samples [fm/s]."""
-        dt = self.t[2:] - self.t[:-2]
-        return (self.x[2:] - self.x[:-2]) / dt
-
     def window_rows(self, t_min: float, t_max: float, samples: int):
         """At most ``samples`` rows with t_min <= t <= t_max, as a row index.
 

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -30,6 +31,18 @@ def oscillatory_wavenumber(setup, u0=0.0):
     """Independent oracle for k: direct formula evaluation."""
     ev = setup.E - u0
     return np.sqrt(ev * ev - setup.m0c2**2) / setup.hbar_c
+
+
+def classical_momentum(setup):
+    """Oracle for the classical relativistic momentum at V = 0: p = sqrt(disc)
+    [MeV/c], disc = E^2 - (m0 c^2)^2."""
+    return math.sqrt(setup.E * setup.E - setup.rest_sq)
+
+
+def classical_speed(setup):
+    """Oracle for |xdot| of the classical relativistic motion at V = 0:
+    c sqrt(disc) / E [m/s]."""
+    return setup.c * classical_momentum(setup) / setup.E
 
 
 @pytest.fixture

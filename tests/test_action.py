@@ -18,7 +18,7 @@ def test_s0_is_linear_for_classical_params(electron2, const_basis):
     ra = rq.ReducedAction(const_basis, rq.HiddenParams(1.0, 0.0), electron2)
     k = oscillatory_wavenumber(electron2)
     expected = electron2.hbar * k * const_basis.grid
-    assert ra.s0(0.0) == 0.0
+    assert ra.s0_grid[0] == 0.0
     assert np.max(np.abs(ra.s0_grid - expected)) / np.max(np.abs(expected)) < 1e-10
     # the window spans > 3 pole crossings of the arctan argument
     assert ra.branch_grid[-1] >= 3
@@ -40,7 +40,7 @@ def test_momentum_scaled_at_origin(electron2, const_basis):
     # x = 0 has phi1 = 0, phi2 = 1: P = hbar_c * a * k
     ra = rq.ReducedAction(const_basis, rq.HiddenParams(2.0, 0.0), electron2)
     k = oscillatory_wavenumber(electron2)
-    assert ra.momentum(0.0) == pytest.approx(2.0 * electron2.hbar_c * k, rel=1e-12)
+    assert ra.momentum_grid[0] == pytest.approx(2.0 * electron2.hbar_c * k, rel=1e-12)
 
 
 def test_momentum_matches_s0_finite_difference(electron2):

@@ -18,7 +18,7 @@ from rqtraj.model import kinetic_term
 from rqtraj.config import RunConfig, parse_config
 from rqtraj.errors import InsufficientTrajectories, RegimeError, TooFewSamples
 from rqtraj.output import write_json
-from tests.conftest import oscillatory_wavenumber
+from tests.conftest import classical_momentum, classical_speed, oscillatory_wavenumber
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -60,9 +60,7 @@ def test_closed_form_node_values(electron2):
     assert np.allclose(rep.wavelength, 2 * rep.dx)
     # dx/dt equals the classical velocity (internal consistency)
     v = rep.dx[0] / rep.dt[0] * 1e-15  # fm/s -> m/s
-    assert v == pytest.approx(
-        rq.classical_velocity(electron2, rq.ConstantPotential(0.0), 0.0), rel=1e-12
-    )
+    assert v == pytest.approx(classical_speed(electron2), rel=1e-12)
     # mean momentum per interval: pi hbar c / dx = sqrt(disc)
     assert rep.mean_momentum[0] == pytest.approx(np.sqrt(4 - 0.511**2), rel=1e-12)
 
@@ -81,9 +79,7 @@ def test_de_broglie(electron2):
     assert lam == pytest.approx(2 * rq.node_spacing(electron2, 0.0), rel=1e-12)
     # momentum round trip: pi hbar c / dx equals the classical momentum
     p = np.pi * electron2.hbar_c / rq.node_spacing(electron2, 0.0)
-    assert p == pytest.approx(
-        rq.classical_momentum(electron2, rq.ConstantPotential(0.0), 0.0), rel=1e-12
-    )
+    assert p == pytest.approx(classical_momentum(electron2), rel=1e-12)
     with pytest.raises(RegimeError):
         rq.de_broglie(rq.PhysicalSetup(E=0.3, m0c2=0.511), 0.0)
 
@@ -246,10 +242,11 @@ def test_mean_momentum_is_parameter_free(electron2):
     for v in values:
         assert v == pytest.approx(p_cl, rel=1e-6)
         assert v == pytest.approx(np.pi * electron2.hbar_c / (x_b - x_a), rel=1e-6)
-    # the grid-point API agrees at the snap resolution
+    # the S0 rows of the grid points nearest the nodes agree at the snap resolution
     ra = rq.ReducedAction(basis, rq.HiddenParams(1.0, 0.0), electron2)
-    snap = lambda x: float(grid[np.argmin(np.abs(grid - x))])
-    assert rq.mean_momentum(ra, snap(x_a), snap(x_b)) == pytest.approx(p_cl, rel=1e-6)
+    i, j = (int(np.argmin(np.abs(grid - x))) for x in (x_a, x_b))
+    mean = (ra.s0_grid[j] - ra.s0_grid[i]) / (grid[j] - grid[i]) * electron2.c_fm_s
+    assert mean == pytest.approx(p_cl, rel=1e-6)
 
 
 def test_mean_momentum_short_interval_limit(electron2):
@@ -260,8 +257,8 @@ def test_mean_momentum_short_interval_limit(electron2):
     basis = rq.solve_constant(electron2, 0.0, grid)
     ra = rq.ReducedAction(basis, rq.HiddenParams(4 / 3, -1.05), electron2)
     j = 500
-    mean = rq.mean_momentum(ra, float(grid[j - 1]), float(grid[j + 1]))
-    assert mean == pytest.approx(ra.momentum(float(grid[j])), rel=1e-4)
+    mean = (ra.s0_grid[j + 1] - ra.s0_grid[j - 1]) / (grid[j + 1] - grid[j - 1]) * electron2.c_fm_s
+    assert mean == pytest.approx(ra.momentum_grid[j], rel=1e-4)
 
 
 def test_mean_momentum_telescopes(electron2):
@@ -711,7 +708,7 @@ def closure_whole_array(traj):
     """``closure_residual`` as one pass over the whole trace, kept as the
     oracle of the blocked evaluation."""
     setup, pot = traj.setup, traj.potential
-    xd = traj.velocity_centered()
+    xd = (traj.x[2:] - traj.x[:-2]) / (traj.t[2:] - traj.t[:-2])
     kin = kinetic_term(setup, pot, traj.x[1:-1])
     return np.abs(xd * traj.momentum[1:-1] / (setup.direction * setup.c_fm_s * kin) - 1.0)
 

@@ -115,7 +115,7 @@ def run_configs(draw):
         u0=draw(any_float), slope=draw(any_float), table_file=draw(path_text),
         param_sets=draw(st.lists(st.tuples(nonzero, any_float), min_size=1, max_size=4)),
         x0=draw(any_float), t_min=t_min, t_max=t_max,
-        samples=draw(st.integers(2, 10**9)), window=draw(positive),
+        samples=draw(st.integers(2, MAX_GRID_POINTS)), window=draw(positive),
         direction=draw(st.sampled_from([1, -1])),
         sync=draw(st.sampled_from(["psi_zero", "phi2_zero", "exact"])),
         method=draw(st.sampled_from(["rk4", "euler"])),
@@ -168,6 +168,7 @@ def test_committed_config_hashes_are_pinned(name, digest):
     ("[trajectories]\nsets = ;\n", 2, "sets.*at least one"),
     ("[trajectories]\nsamples = 2.9\n", 2, "samples.*whole number"),
     ("[trajectories]\nsamples = 1\n", 2, "samples.*above 1"),
+    ("[trajectories]\nsamples = 1e12\n", 2, f"samples.*at most {MAX_GRID_POINTS}"),
     ("[particle]\nrest_energy = 0.0 MeV\n", 2, "rest_energy.*above 0"),
     ("[numerics]\nmethod = rk5\n", 2, "method.*one of"),
     ("# energy first\n[particle]\nEnergy = 2.0\n", 3, "energy.*MeV"),
@@ -251,6 +252,7 @@ def test_cli_exit_code_2_on_bad_config(tmp_path):
     ("[numerics]\ngrid_stpe = 5.0 fm\n", []),
     ("[numerisc]\ngrid_step = 5.0 fm\n", []),
     ("[trajectories]\nsamples = 2.9\n", []),
+    ("[trajectories]\nsamples = 1e12\n", []),
     ("[trajectories]\nwindow = -5.0 fm\n", []),
     ("[trajectories]\nwindow = 0.0 fm\n", []),
 ])
@@ -268,10 +270,14 @@ def test_cli_exit_code_2_on_malformed_config(tmp_path, text, extra):
     (None, "No such file"),
     ([("x_fm", [0.0, 1.0, 2.0])], "needs 2 columns"),
     ([("x_fm", [0.0, 2.0, 1.0]), ("V_MeV", [0.0, 0.0, 0.0])], "strictly increasing"),
+    ("x,V\n-10,0.0\n0\n10,0.0\n", "line 3 has 1 fields; the header has 2"),
 ])
 def test_cli_exit_code_2_on_unreadable_table(tmp_path, table, cause):
+    """``table`` is raw text, columns for ``write_csv``, or None for no file."""
     path = tmp_path / "v.tab"
-    if table is not None:
+    if isinstance(table, str):
+        path.write_text(table)
+    elif table is not None:
         write_csv(path, [], [(name, np.array(values)) for name, values in table])
     cfgp = tmp_path / "run.cfg"
     RunConfig(potential_kind="tabulated", table_file=str(path)).to_file(cfgp)

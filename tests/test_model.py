@@ -9,10 +9,10 @@ import rqtraj as rq
 from rqtraj.errors import (
     EnergyEqualsPotential,
     NonPositiveF,
-    RegimeError,
     SuperluminalArgument,
     TurningPointSingular,
 )
+from tests.conftest import classical_momentum, classical_speed
 
 
 def test_constant_set_consistency():
@@ -133,7 +133,7 @@ def test_antiparticle_branch_is_oscillatory():
 
 
 def test_f_function(electron2, const_pot):
-    p_cl = rq.classical_momentum(electron2, const_pot, 0.0)
+    p_cl = classical_momentum(electron2)
     assert rq.f_function(electron2, const_pot, 0.0, p_cl) == pytest.approx(1.0, rel=1e-12)
     assert rq.f_function(electron2, const_pot, 0.0, 2 * p_cl) == pytest.approx(4.0, rel=1e-12)
     with pytest.raises(NonPositiveF):
@@ -146,7 +146,7 @@ def test_lagrangian(electron2, const_pot):
     # rest case
     assert rq.lagrangian(electron2, const_pot, 0.0, 0.0, 1.0) == pytest.approx(-0.511)
     # classical speed with f = 1: L = -(m0c2)^2/(E-U0) - U0
-    v = rq.classical_velocity(electron2, const_pot, 0.0)
+    v = classical_speed(electron2)
     assert rq.lagrangian(electron2, const_pot, 0.0, v, 1.0) == pytest.approx(
         -(0.511**2) / 2.0, rel=1e-12
     )
@@ -154,50 +154,10 @@ def test_lagrangian(electron2, const_pot):
         rq.lagrangian(electron2, const_pot, 0.0, electron2.c, 1.0)
 
 
-def test_hamiltonian(electron2, const_pot):
-    assert rq.hamiltonian(electron2, const_pot, 0.0, 0.0, 1.0) == pytest.approx(0.511)
-    p_cl = rq.classical_momentum(electron2, const_pot, 0.0)
-    assert rq.hamiltonian(electron2, const_pot, 0.0, p_cl, 1.0) == pytest.approx(2.0, rel=1e-12)
-    # same energy with quantum f
-    assert rq.hamiltonian(electron2, const_pot, 0.0, 2 * p_cl, 4.0) == pytest.approx(2.0, rel=1e-12)
-    with pytest.raises(NonPositiveF):
-        rq.hamiltonian(electron2, const_pot, 0.0, 1.0, 0.0)
-
-
-def test_classical_velocity(electron2, const_pot):
-    v = rq.classical_velocity(electron2, const_pot, 0.0)
-    # c * sqrt((E-U0)^2 - m2)/(E-U0), direct evaluation
-    expected = electron2.c * math.sqrt(4 - 0.511**2) / 2.0
-    assert v == pytest.approx(expected, rel=1e-12)
-    assert v < electron2.c
-    # exact turning point gives zero
-    pot_t = rq.ConstantPotential(2.0 - 0.511)
-    assert rq.classical_velocity(electron2, pot_t, 0.0) == 0.0
-    with pytest.raises(RegimeError):
-        rq.classical_velocity(rq.PhysicalSetup(E=0.3, m0c2=0.511), const_pot, 0.0)
-
-
-def test_classical_velocity_monotone_to_c():
-    pot = rq.ConstantPotential(0.0)
-    vs = [
-        rq.classical_velocity(rq.PhysicalSetup(E=e, m0c2=0.511), pot, 0.0)
-        for e in (0.6, 1.0, 2.0, 10.0, 100.0)
-    ]
-    assert all(v2 > v1 for v1, v2 in zip(vs, vs[1:]))
-    assert vs[-1] < rq.C_M_PER_S
-    assert vs[-1] / rq.C_M_PER_S > 0.99998
-
-
 def test_pointwise_ops_are_hbar_free(electron2, const_pot):
     scaled = electron2.scaled_hbar(0.25)
     for s in (electron2, scaled):
         assert rq.kinetic_term(s, const_pot, 0.0) == rq.kinetic_term(electron2, const_pot, 0.0)
-        assert rq.classical_velocity(s, const_pot, 0.0) == rq.classical_velocity(
-            electron2, const_pot, 0.0
-        )
-        assert rq.hamiltonian(s, const_pot, 0.0, 1.3, 2.0) == rq.hamiltonian(
-            electron2, const_pot, 0.0, 1.3, 2.0
-        )
 
 
 @given(
@@ -207,12 +167,12 @@ def test_pointwise_ops_are_hbar_free(electron2, const_pot):
 )
 @settings(max_examples=200, deadline=None)
 def test_energy_closure_property(e_over_m, m0c2, p_scale):
-    """H(x, P, f(x, P)) returns the total energy for any momentum."""
+    """f(x, P) closes the energy for any momentum: sqrt((m0 c^2)^2 + P^2/f) + V = E."""
     s = rq.PhysicalSetup(E=e_over_m * m0c2, m0c2=m0c2)
     pot = rq.ConstantPotential(0.0)
-    p = p_scale * rq.classical_momentum(s, pot, 0.0)
+    p = p_scale * classical_momentum(s)
     f = rq.f_function(s, pot, 0.0, p)
-    assert rq.hamiltonian(s, pot, 0.0, p, f) == pytest.approx(s.E, rel=1e-9)
+    assert math.sqrt(s.rest_sq + p**2 / f) == pytest.approx(s.E, rel=1e-9)
 
 
 @given(ev=st.floats(0.05, 20.0), m0c2=st.floats(0.1, 5.0))

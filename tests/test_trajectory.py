@@ -21,7 +21,7 @@ from rqtraj.config import parse_config
 from rqtraj.kleingordon import uniform_step
 from rqtraj.model import regime_tags
 from rqtraj.pipeline import _stage
-from tests.conftest import oscillatory_wavenumber
+from tests.conftest import classical_speed, oscillatory_wavenumber
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -150,7 +150,7 @@ def test_classical_params_give_straight_line(electron2):
     dt = rq.node_period(electron2, 0.0)
     tr = rq.trace_constant_oscillatory(electron2, 0.0, rq.HiddenParams(1.0, 0.0),
                                        10.0, (0.0, 5 * dt), 4001)
-    v_cl = rq.classical_velocity(electron2, rq.ConstantPotential(0.0), 0.0) * rq.FM_PER_M
+    v_cl = classical_speed(electron2) * rq.FM_PER_M
     assert np.max(np.abs(tr.x - (10.0 + v_cl * tr.t))) / np.max(np.abs(tr.x)) < 1e-9
     assert tr.x[0] == pytest.approx(10.0)  # x(0) honors x0 when b = 0
 
@@ -333,7 +333,7 @@ def test_quadrature_velocity_identity(electron2, const_pot, const_basis):
     v_def = electron2.c_fm_s * kin / tq.momentum
     # centered-difference velocity agrees with the definition used to emit t
     # (this fixture samples at 1/(100 k); resolution-limited, not a closure bound)
-    xd = tq.velocity_centered()
+    xd = (tq.x[2:] - tq.x[:-2]) / (tq.t[2:] - tq.t[:-2])
     assert np.max(np.abs(xd / v_def[1:-1] - 1.0)) < 5e-4
     # and the algebraic identity v = kin/P holds to rounding on the stored data
     sel = np.isin(const_basis.grid, tq.x)
@@ -386,8 +386,9 @@ def fig3_past_turning():
 
 
 def basis_on(basis, lo, hi):
-    """``basis`` on its grid points from lo to hi (both grid points)."""
-    rows = slice(basis.index_of(lo), basis.index_of(hi) + 1)
+    """``basis`` on its grid points from the one nearest lo to the one nearest hi."""
+    i, j = (int(np.argmin(np.abs(basis.grid - x))) for x in (lo, hi))
+    rows = slice(i, j + 1)
     return rq.SolutionBasis(basis.grid[rows], basis.phi1[rows], basis.dphi1[rows],
                             basis.phi2[rows], basis.dphi2[rows])
 
@@ -537,7 +538,7 @@ def test_quadrature_range_guards(electron2, const_pot, const_basis):
 def test_classical_trace_constant_line(electron2, const_pot):
     dt = rq.node_period(electron2, 0.0)
     tr = rq.classical_trace(electron2, const_pot, 0.0, t_range=(0.0, 3 * dt))
-    v = rq.classical_velocity(electron2, const_pot, 0.0) * rq.FM_PER_M
+    v = classical_speed(electron2) * rq.FM_PER_M
     assert np.max(np.abs(tr.x - v * tr.t)) <= 1e-9 * np.max(np.abs(tr.x))
 
 
