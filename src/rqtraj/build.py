@@ -41,13 +41,10 @@ def build_basis(cfg: RunConfig, setup: PhysicalSetup, pot, method=None):
     grid = build_grid(cfg)
     if cfg.potential_kind == "constant":
         return solve_constant(setup, cfg.u0, grid)
-    if cfg.basis_init == "sincos":
-        k0 = np.sqrt(abs(regime_discriminant(setup, pot, grid[0]))) / setup.hbar_c
-        init1 = (0.0, k0)
-    else:
-        init1 = (0.0, 1.0)
+    # phi1 starts as sin(k0 (x - x_min)), k0 the local wavenumber at the grid start
+    k0 = np.sqrt(abs(regime_discriminant(setup, pot, grid[0]))) / setup.hbar_c
     return solve_numeric(
-        setup, pot, grid, method=method or cfg.method, init1=init1, init2=(1.0, 0.0)
+        setup, pot, grid, method=method or cfg.method, init1=(0.0, k0), init2=(1.0, 0.0)
     )
 
 

@@ -5,15 +5,17 @@ Exit codes: 0 success, 2 usage or configuration error, 3 numerical failure
 usage errors (a missing or unknown command or option, a ``--config`` that
 does not exist, is a directory or is not readable, an ``--out`` that is an
 existing file, a ``--figure`` other than 1, 2 or 3) and what
-``parse_config`` checks (an unknown section or key, an empty ``sets``, a
-fractional ``samples`` or one above ``config.MAX_GRID_POINTS``, a nan or
-inf value such as ``hbar_scale = nan``, ``window <= 0``, a grid of fewer
-than two or more than ``config.MAX_GRID_POINTS`` points), all reported
-before numpy loads; the command's module loads after them and checks the
-tabulated-potential file (missing, fewer than two columns, a row whose
-field count differs from the header's, no increasing grid, a nan or inf
-entry).  Then no file is written.  Every run parameter is a config key;
-``--out`` only moves the output directory.
+``parse_config`` checks (an unknown section or key, such as the removed
+``window`` and ``basis_init``, an empty ``sets``, a fractional ``samples``
+or one above ``config.MAX_GRID_POINTS``, a nan or inf value such as
+``hbar_scale = nan``, a grid of fewer than two or more than
+``config.MAX_GRID_POINTS`` points), all reported before numpy loads; the
+command's module loads after them and checks the tabulated-potential file
+(missing, fewer than two columns, a non-blank row whose field count
+differs from the header's, no increasing grid, a nan or inf entry).  Then
+no file is written.  Every run parameter is a config key; ``--out`` only
+moves the output directory (the config hash leaves [output] out, so only
+the paths a manifest lists follow it).
 ``figure --figure N`` draws what the sets carry (an asymptote for each
 divergence time, node markers whenever the run yields nodes); N only
 names the title, the PNG, the script and the manifest.  ``figure`` exits

@@ -11,8 +11,10 @@ key, nan or inf (also in ``sets``), an empty ``sets``, a fractional
 code, and rejects a grid of fewer than 2 or more than ``MAX_GRID_POINTS``
 points (``grid_points``).  Every key is set in the config file only: the
 CLI takes the file and ``--out``, nothing else.
-``canonical_text`` round-trips bit-exactly (floats via repr), and its
-sha256 (``config_hash``) stamps every output file.
+``canonical_text`` round-trips bit-exactly (floats via repr).  The sha256
+(``config_hash``) of that text without its [output] section stamps every
+output file, so ``--out`` (or ``[output] dir``) moves the files and
+changes no byte of them but the paths a manifest lists.
 
 ``samples``, ``t_min`` and ``t_max`` bound what each ``trajectory_i.csv``
 holds, by one rule for every trace: of the trace rows with
@@ -95,12 +97,10 @@ class RunConfig:
     t_min: float = _key("trajectories", 0.0, "s")
     t_max: float = _key("trajectories", 5.5e-21, "s")
     samples: int = _key("trajectories", 20001, above=1)
-    window: float = _key("trajectories", 2.0e4, "fm", above=0)  # evanescent halt window
     direction: int = _key("trajectories", 1, choices=(1, -1),
                           codec=(lambda d: "+" if d > 0 else "-", _parse_direction))
     sync: str = _key("trajectories", "psi_zero", choices=("psi_zero", "phi2_zero", "exact"))
     method: str = _key("numerics", "rk4", choices=("rk4", "euler"))
-    basis_init: str = _key("numerics", "sincos", choices=("sincos", "unit"))  # unit: (0,1),(1,0)
     grid_min: float = _key("numerics", -2000.0, "fm")
     grid_max: float = _key("numerics", 1200.0, "fm")
     grid_step: float = _key("numerics", 0.05, "fm", above=0)
@@ -136,16 +136,18 @@ class RunConfig:
                               f"[{self.grid_min!r}, {self.grid_max!r}] fm; the grid needs at least 2")
         return n
 
-    def canonical_text(self) -> str:
+    def canonical_text(self, output: bool = True) -> str:
+        """Every key, section by section; without the [output] section unless ``output``."""
         sections = {}
         for f in fields(self):
-            line = f"{_file_key(f)} = {_format(f, getattr(self, f.name))}\n"
-            sections.setdefault(f.metadata["section"], []).append(line)
+            if output or f.metadata["section"] != "output":
+                line = f"{_file_key(f)} = {_format(f, getattr(self, f.name))}\n"
+                sections.setdefault(f.metadata["section"], []).append(line)
         return "\n".join(f"[{name}]\n" + "".join(lines) for name, lines in sections.items())
 
     @property
     def hash(self) -> str:
-        return config_hash(self.canonical_text())
+        return config_hash(self.canonical_text(output=False))
 
     def to_file(self, path):
         Path(path).write_text(self.canonical_text())

@@ -33,14 +33,6 @@ class StepTooLarge(RqtError):
     """Grid step under-resolves the largest local wavenumber (|k h| > 0.1)."""
 
 
-class TurningPointInRange(RqtError):
-    """A turning point lies inside the requested trace range.
-
-    Its name is the ``halt`` event of a quadrature trace that the turning
-    point ends; the trace is returned, not raised.
-    """
-
-
 class BasisGapError(RqtError):
     """Requested positions fall outside the solution basis grid."""
 

@@ -250,11 +250,14 @@ def write_csv(path, header_comments, columns, footer_comments=()):
 def read_csv(path):
     """Read back a write_csv file: (header dict from '# key: val', columns dict).
 
-    A row whose field count differs from the header's is a ValueError."""
+    An empty or whitespace-only line is no row, and a row whose field count
+    differs from the header's is a ValueError."""
     meta = {}
     names = None
     rows = []
     for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        if not line.strip():
+            continue
         if line.startswith("#"):
             body = line[1:].strip()
             if ":" in body:

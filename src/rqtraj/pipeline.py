@@ -114,8 +114,7 @@ def _traced(cfg: RunConfig, setup, pot, basis, hp: HiddenParams):
             )
         else:
             tr = trace_constant_evanescent(
-                setup, cfg.u0, hp, cfg.x0, (cfg.t_min, cfg.t_max), cfg.samples,
-                window_fm=cfg.window,
+                setup, cfg.u0, hp, cfg.x0, (cfg.t_min, cfg.t_max), cfg.samples
             )
         if tr.t[0] > cfg.t_min:
             tr.meta["events"].update(start_t_s=float(tr.t[0]), start_x_fm=float(tr.x[0]))

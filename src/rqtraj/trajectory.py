@@ -13,9 +13,11 @@ Simpson quadrature on the basis grid (no stiffness where the velocity
 peaks, since no time stepping is involved).  The quadrature reads setup,
 basis and (a, b) from the ReducedAction it is given and runs over the
 basis's whole grid, so the grid is the one x range.  A turning point ends
-it with a ``TurningPointInRange`` halt event, whether a grid point resolves
-it (|v| under SLOW_ZONE_FRAC * c) or 1/v changes sign between two grid
-points, so every quadrature trace has strictly monotone t and x.
+it with a ``halt: TurningPointInRange`` event, whether a grid point
+resolves it (|v| under SLOW_ZONE_FRAC * c) or 1/v changes sign between two
+grid points, so every quadrature trace has strictly monotone t and x.  An
+evanescent closed form ends at its analytic divergence time t*, with a
+``halt: DivergenceReached`` event when that drops rows.
 
 Every emitted sample carries the conjugate momentum so validators can test
 the closure xdot * P = sigma * [E - V - (m0c2)^2/(E-V)] sample by sample.
@@ -30,13 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .action import ReducedAction
-from .errors import (
-    BasisGapError,
-    EnergyEqualsPotential,
-    RegimeError,
-    TooFewSamples,
-    TurningPointInRange,
-)
+from .errors import BasisGapError, EnergyEqualsPotential, RegimeError, TooFewSamples
 from .kleingordon import uniform_step
 from .model import (
     ConstantPotential,
@@ -301,16 +297,18 @@ def trace_constant_evanescent(
     x0: float,
     t_range,
     n_samples: int = 4096,
-    *,
-    window_fm: float,
 ) -> Trajectory:
     """Closed-form trajectory in the classically forbidden constant-potential case.
 
     x(t) = (hbar c / 2 sqrt(m2 - (E-U0)^2)) ln|(tan(omega_e t) + b)/a| + x0,
     omega_e = (m2 - (E-U0)^2)/(hbar (E-U0)).  The particle covers an infinite
-    distance in finite time: sampling stops, with ``halt: DivergenceReached``
-    in the events, once |x - x0| exceeds ``window_fm`` [fm], and the analytic
-    divergence time is reported in the metadata.
+    distance in finite time, at t* = ``evanescent_divergence_times`` after
+    t_range[0].  Of the ``n_samples`` times on ``t_range`` the trace keeps
+    those with t < t* whose x is finite: the rows up to the pole or log zero
+    at t*, less a first row at a log zero (b = 0 at t = 0).  When that drops
+    a row the events hold ``halt: DivergenceReached``; they always hold t*
+    (``divergence_time_s``), its kind and the prose value.  A trace that
+    keeps no row raises TooFewSamples.
     """
     regime, ev, disc = constant_regime(setup, u0)
     if regime is not Regime.EVANESCENT:
@@ -335,18 +333,15 @@ def trace_constant_evanescent(
         dxdt = scale * omega_e * sigma * (1.0 + tan_arg**2) / (tan_arg + hp.b)
         momentum = sigma * kin * setup.c_fm_s / dxdt   # [MeV/c]
 
-    inside = np.abs(x - x0) <= window_fm
-    inside &= np.isfinite(x)
+    (t_star, kind), prose_value = evanescent_divergence_times(setup, u0, hp, t_min=t_range[0])
+    keep = (t < t_star) & np.isfinite(x)
     events = {}
-    if not bool(np.all(inside)):
-        first_out = int(np.argmin(inside))  # first False
-        if first_out == 0:
-            first_out = 1
-        t, x, momentum = t[:first_out], x[:first_out], momentum[:first_out]
+    if not keep.all():
+        if not keep.any():
+            raise TooFewSamples(f"no sample of [{t_range[0]!r}, {t_range[1]!r}] s lies "
+                                f"before the divergence at {float(t_star)!r} s")
+        t, x, momentum = t[keep], x[keep], momentum[keep]
         events["halt"] = "DivergenceReached"
-
-    (t_star, kind), prose_value = evanescent_divergence_times(
-        setup, u0, hp, t_min=min(0.0, t_range[0]))
     events["divergence_time_s"] = float(t_star)
     events["divergence_kind"] = kind
     events["prose_divergence_time_s"] = float(prose_value)
@@ -501,7 +496,7 @@ def trace_quadrature(
 
     rows = slice(xs.size)
     order = slice(None) if tt[-1] > tt[0] else slice(None, None, -1)
-    events = {"halt": TurningPointInRange.__name__} if xs.size < grid.size else {}
+    events = {"halt": "TurningPointInRange"} if xs.size < grid.size else {}
 
     return Trajectory(
         t=tt[order],

@@ -81,8 +81,7 @@ def test_traces_carry_params_and_events(electron2, evanescent03):
     basis = rq.solve_numeric(electron2, pot, grid, init1=(0.0, 1.0), init2=(1.0, 0.0))
     traces = [
         rq.trace_constant_oscillatory(electron2, 0.0, hp, 0.0, (0.0, dt), 101),
-        rq.trace_constant_evanescent(evanescent03, 0.0, hp, 0.0, (0.0, 1e-21), 101,
-                                     window_fm=2e4),
+        rq.trace_constant_evanescent(evanescent03, 0.0, hp, 0.0, (0.0, 1e-21), 101),
         rq.trace_quadrature(rq.ReducedAction(basis, hp, electron2), pot, 0.0, "exact"),
     ]
     for tr in traces:

@@ -79,12 +79,10 @@ def canonical_text_oracle(cfg):
         f"t_min = {self.t_min!r} s\n"
         f"t_max = {self.t_max!r} s\n"
         f"samples = {self.samples}\n"
-        f"window = {self.window!r} fm\n"
         f"direction = {'+' if self.direction > 0 else '-'}\n"
         f"sync = {self.sync}\n"
         "\n[numerics]\n"
         f"method = {self.method}\n"
-        f"basis_init = {self.basis_init}\n"
         f"grid_min = {self.grid_min!r} fm\n"
         f"grid_max = {self.grid_max!r} fm\n"
         f"grid_step = {self.grid_step!r} fm\n"
@@ -115,11 +113,10 @@ def run_configs(draw):
         u0=draw(any_float), slope=draw(any_float), table_file=draw(path_text),
         param_sets=draw(st.lists(st.tuples(nonzero, any_float), min_size=1, max_size=4)),
         x0=draw(any_float), t_min=t_min, t_max=t_max,
-        samples=draw(st.integers(2, MAX_GRID_POINTS)), window=draw(positive),
+        samples=draw(st.integers(2, MAX_GRID_POINTS)),
         direction=draw(st.sampled_from([1, -1])),
         sync=draw(st.sampled_from(["psi_zero", "phi2_zero", "exact"])),
         method=draw(st.sampled_from(["rk4", "euler"])),
-        basis_init=draw(st.sampled_from(["sincos", "unit"])),
         grid_min=grid_min, grid_max=grid_max, grid_step=grid_step,
         out_dir=draw(path_text),
     ).validate()
@@ -138,7 +135,6 @@ def test_canonical_text_matches_oracle_and_round_trips(cfg):
     ("direction", [1, -1]),
     ("sync", ["psi_zero", "phi2_zero", "exact"]),
     ("method", ["rk4", "euler"]),
-    ("basis_init", ["sincos", "unit"]),
 ])
 def test_canonical_text_every_choice(field, values):
     for value in values:
@@ -148,13 +144,16 @@ def test_canonical_text_every_choice(field, values):
         assert getattr(parse_config_text(text), field) == value
 
 
-@pytest.mark.parametrize("name, digest", [
-    ("fig1", "6f63c3b0aff241fb17b58e7f6c9c265c0701c36676b91cd77d6b1cfb48b6af45"),
-    ("fig2", "960390210b612cbc988c806ca3f1288390f6b2499eb2a683e1fb2d8e58a7c4fc"),
-    ("fig3", "ef4387cf1191801d358c0e89a5e5cc148cdaaf19743f5a495c4f256e9c2d2190"),
-])
-def test_committed_config_hashes_are_pinned(name, digest):
-    assert parse_config(CONFIGS / f"{name}.cfg").hash == digest
+CONFIG_DIGESTS = {
+    "fig1": "539cf97bc0d6ec1bc1cc7c2364116b6e0b1266e10bc004e69d3fae792b7f03a1",
+    "fig2": "1c0c2658fa282a3077ee4eaa162345ca59ae162ddb80bc4b09afdaefaa679eb3",
+    "fig3": "38628306b14a21ea88eb681e11cb152f4edfaab6a1cf0e96e99dd7a015b3ca3a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_DIGESTS))
+def test_committed_config_hashes_are_pinned(name):
+    assert parse_config(CONFIGS / f"{name}.cfg").hash == CONFIG_DIGESTS[name]
 
 
 @pytest.mark.parametrize("text, line, words", [
@@ -162,6 +161,8 @@ def test_committed_config_hashes_are_pinned(name, digest):
     ("[particle]\nenergy = 2.0 MeV\nhbar_scale = inf\n", 3, "hbar_scale.*not a finite"),
     ("[trajectories]\nx0 = 0.0 fm\nsets = 0.2,0; 1.0,nan\n", 3, "sets.*not a finite"),
     ("[numerics]\ngrid_stpe = 5.0 fm\n", 2, "unknown key"),
+    ("[trajectories]\nsamples = 2001\nwindow = 2.0e4 fm\n", 3, "window: unknown key"),
+    ("[numerics]\nmethod = rk4\nbasis_init = sincos\n", 3, "basis_init: unknown key"),
     ("[particle]\nenergy = 2.0 MeV\n\n[numerisc]\ngrid_step = 5.0 fm\n", 4, r"unknown section \[numerisc\]"),
     ("[DEFAULT]\nenergy = 2.0 MeV\n", 1, r"unknown section \[DEFAULT\]"),
     ("[trajectories]\nsets = \n", 2, "sets.*at least one"),
@@ -255,9 +256,11 @@ def test_cli_exit_code_2_on_bad_config(tmp_path):
     ("[trajectories]\nsamples = 1e12\n", []),
     ("[trajectories]\nwindow = -5.0 fm\n", []),
     ("[trajectories]\nwindow = 0.0 fm\n", []),
+    ("[numerics]\nbasis_init = sincos\n", []),
 ])
 def test_cli_exit_code_2_on_malformed_config(tmp_path, text, extra):
-    """``extra`` lines go at the end of the file."""
+    """``extra`` lines go at the end of the file.  ``window`` and
+    ``basis_init`` are keys no more, so any value of them is an unknown key."""
     bad = tmp_path / "bad.cfg"
     bad.write_text(text + "".join(f"{line}\n" for line in extra))
     result = run_cli(["trace", "--config", str(bad), "--out", str(tmp_path / "out")])
@@ -271,6 +274,7 @@ def test_cli_exit_code_2_on_malformed_config(tmp_path, text, extra):
     ([("x_fm", [0.0, 1.0, 2.0])], "needs 2 columns"),
     ([("x_fm", [0.0, 2.0, 1.0]), ("V_MeV", [0.0, 0.0, 0.0])], "strictly increasing"),
     ("x,V\n-10,0.0\n0\n10,0.0\n", "line 3 has 1 fields; the header has 2"),
+    ("x,V\n-10,0.0\n\n0\n10,0.0\n", "line 4 has 1 fields; the header has 2"),
 ])
 def test_cli_exit_code_2_on_unreadable_table(tmp_path, table, cause):
     """``table`` is raw text, columns for ``write_csv``, or None for no file."""
@@ -309,6 +313,46 @@ def test_cli_exit_code_2_on_non_finite_table(tmp_path, command, bad):
     assert "config error" in result.output and str(path) in result.output
     assert "must be finite" in result.output
     assert not (tmp_path / "out").exists()
+
+
+def test_a_table_that_ends_in_blank_lines_traces_as_without_them(tmp_path):
+    """A hand-written table often ends in a blank line: read_csv takes an
+    empty or whitespace-only line for no row, so the trace files are those of
+    the table without it."""
+    path = tmp_path / "v.tab"
+    cfgp = tmp_path / "run.cfg"
+    RunConfig(potential_kind="tabulated", table_file=str(path), grid_min=-500.0,
+              grid_max=500.0, grid_step=0.2, x0=-500.0, param_sets=[(4.0, 2.5), (8.0, -3.0)],
+              sync="phi2_zero").to_file(cfgp)
+    rows = "".join(f"{x!r},{1e-3 * x!r}\n" for x in np.linspace(-600.0, 600.0, 201).tolist())
+    written = []
+    for ending in ("", "\n", " \t\n\n"):
+        path.write_text("x_fm,V_MeV\n" + rows + ending)
+        out = tmp_path / f"out{len(written)}"
+        result = run_cli(["trace", "--config", str(cfgp), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        written.append({f.name: f.read_bytes() for f in out.glob("*.csv")})
+    assert sorted(written[0]) == ["classical.csv", "trajectory_0.csv", "trajectory_1.csv"]
+    assert written[1] == written[0] and written[2] == written[0]
+
+
+def test_out_only_moves_the_output(tmp_path):
+    """fig1 analyze and figure 1 under two --out paths of different lengths:
+    every CSV, gnuplot script, node report and validation.json holds the
+    same bytes, and the manifests agree once the directory is replaced."""
+    outs = [tmp_path / "o", tmp_path / "a_longer_name" / "o"]
+    for out in outs:
+        for argv in (["analyze"], ["figure", "--figure", "1"]):
+            result = run_cli([*argv, "--config", str(CONFIGS / "fig1.cfg"), "--out", str(out)])
+            assert result.exit_code == 0, result.output
+    names = sorted(f.name for f in outs[0].iterdir())
+    assert names == sorted(f.name for f in outs[1].iterdir())
+    assert {"nodes.csv", "figure1.gp", "nodes_detected.json", "validation.json"} <= set(names)
+    for name in names:
+        first, second = ((out / name).read_bytes() for out in outs)
+        if name.endswith("_manifest.json"):
+            first = first.replace(str(outs[0]).encode(), str(outs[1]).encode())
+        assert first == second, name
 
 
 def test_cli_figure_exit_code_2_on_empty_sets(tmp_path):
@@ -457,7 +501,7 @@ def test_cli_trace_continues_after_per_set_error(tmp_path):
 def test_cli_trace_evanescent_divergence_marker(tmp_path):
     cfg = RunConfig(energy=0.3, potential_kind="constant", u0=0.0,
                     param_sets=[(0.25, 8.0)], t_min=0.0, t_max=1.9e-21,
-                    samples=2001, window=2.0e4, out_dir=str(tmp_path / "out"))
+                    samples=2001, out_dir=str(tmp_path / "out"))
     cfgp = tmp_path / "e.cfg"
     cfg.to_file(cfgp)
     result = run_cli(["trace", "--config", str(cfgp)])
@@ -530,21 +574,29 @@ def test_cli_trace_grid_step_that_does_not_divide_the_span(tmp_path):
 
 @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3"])
 def test_a_trace_that_ends_before_t_max_records_its_end(tmp_path, name):
-    """fig3's traces stop at the end of the grid, x = 1450 fm, before t_max:
-    each carries end_t_s and end_x_fm, its last row, in its manifest entry
-    and its CSV footer.  fig1's and fig2's closed forms run to t_max and
-    carry neither.  No trace starts after t_min, so none carries a start."""
+    """fig3's traces stop at the end of the grid, x = 1450 fm, and fig2's at
+    its divergence time t* = 1.8126e-21 s, both before t_max: each carries
+    end_t_s and end_x_fm, its last row, in its manifest entry and its CSV
+    footer, and fig2's holds the 19 081 samples before t*.  fig1's closed
+    forms run to t_max and carry neither.  No trace starts after t_min, so
+    none carries a start."""
     cfg = dataclasses.replace(parse_config(CONFIGS / f"{name}.cfg"),
                               out_dir=str(tmp_path / "out"))
     manifest = pipeline.run_trace(cfg)
     trajs = [tr for _, tr, _ in pipeline._family(cfg, *pipeline._stage(cfg))]
     assert len(trajs) == len(manifest["sets"])
     for entry, tr in zip(manifest["sets"], trajs):
-        footer, _ = read_csv(entry["file"])
-        if name == "fig3":
-            assert tr.t[-1] < cfg.t_max and tr.x[-1] == pipeline.build_grid(cfg)[-1]
+        footer, cols = read_csv(entry["file"])
+        if name == "fig2":
+            assert tr.t.size == cols["t_s"].size == 19081
+            assert tr.t[-1] < entry["divergence_time_s"] < cfg.t_max
+            assert footer["halt"] == entry["halt"] == "DivergenceReached"
+        if name != "fig1":
+            assert tr.t[-1] < cfg.t_max
             assert (entry["end_t_s"], entry["end_x_fm"]) == (tr.t[-1], tr.x[-1])
             assert (float(footer["end_t_s"]), float(footer["end_x_fm"])) == (tr.t[-1], tr.x[-1])
+            if name == "fig3":
+                assert tr.x[-1] == pipeline.build_grid(cfg)[-1]
         else:
             assert tr.t[-1] == cfg.t_max
             for key in ("end_t_s", "end_x_fm"):
@@ -574,28 +626,29 @@ def test_a_trace_that_starts_after_t_min_records_its_start(tmp_path):
 
 @pytest.mark.parametrize("name, figure, digests", [
     ("fig1", 1, {
-        "classical.csv": "88f052e42ef35da833c3cd1572b4f6ad4b1aab64bb31624709c8a63652f5306d",
-        "figure1.gp": "cc7228c3dbd68745de517e713c6a6c1730355f7929658d35702bad1c8b370c1a",
+        "classical.csv": "f8b4c95cd8c3dce0905f8f9dcc45457e5ffaf7726f93ab3927629c156d9d074d",
+        "figure1.gp": "97c70110ce9279013a4dbe6e80b3f82e3f4185bd4e0352ee1f7b127c2b2150ef",
         "figure1_manifest.json":
-            "ddbf0cff0e0a8bbda9a98376b255726466d2f0ceb9fc77c78d0d35259919f5c2",
-        "nodes.csv": "2bc36557dc888ad62baca192f978b243a6ab6d3f8d53c3182f338503b2271456",
+            "e3ec43dd86d8b78803754b6197a1ccd1a384f2a7d37293377d9c6213bcfbb945",
+        "nodes.csv": "609e90305f740e85732d220c46f8dd874ce9123d607fbd1b72f82685b080d2a4",
         "trace_manifest.json":
-            "9f71a8ac7e3a1663361dc2481db9d4b3141809f415df7c4f6a86e2e1f32164c7",
-        "trajectory_0.csv": "a7281471b0af7593e5853974f09e4779cf5e6112cee71f0d0cd4980aa68e60c8",
-        "trajectory_1.csv": "71769b89a09561176ef3884875817fe19344149bc90c8965bda55f47d7e30a86",
-        "trajectory_2.csv": "473b1cd331e272933f826db4121d78a4ea710eb09078bf3bfa73d0d7957c1c62",
+            "5395d1fcb4c20840fba1727208cd2b279433ba9e6650646ac58c39b5378dd4de",
+        "trajectory_0.csv": "10dceb552e5c542056afdef2bd00bb47eda2924adce5529f19c95cfe863be75d",
+        "trajectory_1.csv": "44822a02d25b3d804610886bd9e401213161dae28a83f8b7499b62de9143d3d7",
+        "trajectory_2.csv": "911b85341c571d3abbf406939d6de13309171cc4a55f3056e395d1b78b5060f0",
     }),
     ("fig2", 2, {
-        "figure2.gp": "5cba4442b3bd0eb97c45a191c85fd6d0418b05c4ceefb90c3a7d9a136b1a2aa4",
+        "figure2.gp": "25d2e9c3f092a126f3e1684330e1b96089b62690d258b57c4e74c4782442a31c",
         "figure2_manifest.json":
-            "7b52c65c04fac94fea4632d0be89c1cceebcdcc97c8c32859f0928b400ae37f4",
+            "7802f0aa4a41aee7767c9b4d227960902cc51b5aa3ea3f202bb5aca85a1d9f61",
         "trace_manifest.json":
-            "9edc98a043c5c3c8d7e594b49d76ced983cd8ae742b83365d64d5390f6d35a7b",
-        "trajectory_0.csv": "c8637a4f0fcf7631837fb80a3f11766c192127389cf6e2d9c46de439a9a35dcf",
+            "b662a1e788e7be891a515674fa04bf64e5e3515893f8bc09657a52b001d9def7",
+        "trajectory_0.csv": "252b45aa134c3d8fbb5bd7b83a38f7af0a85655470096ee9bc622c257e6ae8d1",
     }),
 ])
 def test_closed_form_figure_outputs_are_pinned(tmp_path, monkeypatch, name, figure, digests):
-    """Every closed-form row lies in its window, so the files keep their bytes."""
+    """Every closed-form row lies in its window, so the files keep their bytes.
+    fig2's trace holds the samples before its divergence time."""
     monkeypatch.chdir(tmp_path)              # the config's relative out dir
     cfg = parse_config(CONFIGS / f"{name}.cfg")
     pipeline.run_figure(cfg, figure)
@@ -644,33 +697,33 @@ def test_analyze_closed_form_nodes_are_the_rungs_in_the_window(tmp_path, t_min, 
 
 
 FIG3_DIGESTS = {
-    "analyze_manifest.json": "dc9e4a601b13ce8355a412eeff4e5e876ac16da938ee6b8696d21e69df196e1a",
-    "classical.csv": "71c9bb0191a2570f5df5ca08524077377245882df3e685fdc070c7e5ce717fb2",
-    "figure3.gp": "8aeec211273e5e0163275ae56bf544dc2887853a982c8f77e90aa42c3ecb2aa3",
-    "figure3_manifest.json": "b858a09d0e99a2bf61e8ad6a168e61e54d1b4ae39d559563d6fed37d6124e93d",
-    "nodes.csv": "0ea12171b379e38162fb35fe336a5a6b5e7e5a16a70dcae7e4ad6b0f3b49db44",
-    "nodes_detected.json": "b74290b4bf29d6916eea823f449227d95c0ca3fa4026a2d8c8387cd9b49127d3",
-    "trace_manifest.json": "ec01e61c090026a116df270d82cd3a9eeec75a51465b7ed2bcd1f85f336bd665",
-    "trajectory_0.csv": "d6555cbab72d7521b712036ac5d4481f5ba3771f5de2c1d509a8b3771a8d878d",
-    "trajectory_1.csv": "149cec3263c25fd3fc5637f06c31b3db97390eda34cf528b149412814111ff84",
-    "trajectory_2.csv": "8d743764dd894af2ef3adba2a73e29e6047ec9f0423141a2351ac5f48b2d5981",
-    "validation.json": "6539a4a27d4f548b2e49af5aa251443b9a785ea7251e2f9306be7b611273fd14",
+    "analyze_manifest.json": "1e88322f35793611920d45d451bbc1d16cc219bd3d54edf7214c9fb04dbfbb63",
+    "classical.csv": "8a8b95553a8249bbf8a60f681b09be6b66f9b7a90b2aff64d0b065df5ceecb69",
+    "figure3.gp": "1646ea15c71f483747d75dfe6edde31c3a96efc609f51eeed8a936ed62c18e7c",
+    "figure3_manifest.json": "f732bcf98a761db242c68e1d4434c55a6b7ecea8dcc7e147639bd7d5727ecff7",
+    "nodes.csv": "527de96b8755306f42c2e0eb05e3ffa1e8cc0750086c96c0dfd97c4799eaee38",
+    "nodes_detected.json": "6f7ba0f12d5da36e3f80fbe05c6c8557f6759b71708a21901431d6563de678d3",
+    "trace_manifest.json": "6316b66fb12a215f77aa39754630b7de5deee6edc701d542a48879bb9a95427e",
+    "trajectory_0.csv": "664246eaf43f3d5064ce159ed36163d698fde913661adcc7679b4813d49663a0",
+    "trajectory_1.csv": "11e14d822c8a581853f1e756051c27eaff66aaff27e211a725ed2231c4cb1929",
+    "trajectory_2.csv": "0a14d99f16b0ff75e509d01846cc103905895e786e426bc01f8f9f42f83f46d9",
+    "validation.json": "97b78d9c3bc0de2a747a6630d1745b856774b50c17cf6424a33249ef16802df0",
 }
 
 
 BASIS_DIGESTS = {
     "fig1": {
-        "basis_analytic.csv": "e27af5b5c21b20157020a6285d7550cb1b1c7a4006e8c56ecf29f3c0e0003f58",
-        "basis_manifest.json": "63c59ec8e022bcb311971e17a0899345e1343f4831c1aaa677e77f63be462619",
+        "basis_analytic.csv": "99bd4dad3e59abb51e8caa240425c5f13f0154f66787a15430726a14d5b3a3c9",
+        "basis_manifest.json": "fc0a24acfed8145b7d8ffe9b844a9c351bae6d58585018845286e49c3a93ad18",
     },
     "fig2": {
-        "basis_analytic.csv": "ca33a50c1769a39035865939929aa05ce6bd458503dc0f2f0a0b6d9edc67e561",
-        "basis_manifest.json": "7d8a04c5bec56e6e22a30bb7fe452f076a9e2c30d812eef1402836d3799f7162",
+        "basis_analytic.csv": "005b902c5a408d9756d3bb3d5590aedd4f95adaf93a49fa471dfc402e439b4d3",
+        "basis_manifest.json": "07aed147a53c98cf6c680e6a33803dbadcd0d17f329d2d6894987bf142242572",
     },
     "fig3": {
-        "basis_euler.csv": "8d347b487af9bb5674fd02ce001687815fd709a62e36c20ce64ea9e2a4076a16",
-        "basis_manifest.json": "f467a1cb15448398017c7b2b848832af06a9692bbbf0f7d5e7d4629d5d843bda",
-        "basis_rk4.csv": "8665ed8b82c418ee02343e5ffa5001585340cb8a2f1c2c5ce271035c31fab272",
+        "basis_euler.csv": "a07dec9431f64d0069f704fb347e84714a18516a578e9936f6a11ade69aed582",
+        "basis_manifest.json": "5aaf701555b1c4e8d4699781c24fed6b400699c1b23c9b71326b916d6745840a",
+        "basis_rk4.csv": "79ee78579226bbb69383dc3ccbc5b819b7b796a0d4864b5b09bcdc076a416fbb",
     },
 }
 
@@ -732,17 +785,17 @@ def test_fig3_live_memory_peak(tmp_path, monkeypatch, run, limit_mib):
 @pytest.mark.parametrize("name, digests", [
     ("fig1", {
         "analyze_manifest.json":
-            "176b6628ec3a500937bb9ea0f3b4e2361dd67a92930f96b8bb33604bc06546c7",
+            "d98dce0b499f2ccaebd2e732e6d57f10db69af6eb133261cb8b7e64b3ff5c4a4",
         "nodes_closed_form.json":
-            "eb8c12a2d6ec54d6ef1cc5cc7820493ab63d12e5e32f99c7e83820aa64b3127b",
+            "5c2ada9ddbb74d11eb6bf2058e4330c5e14f18805a52fd3f36caa60671671d9c",
         "nodes_detected.json":
-            "a4247b7e48a6075e8f2d241802d6408364b1688d35cba1025f0840f923141014",
-        "validation.json": "6fc4a21e6dd893b6080838bd771b1d7238ef9fe1900d9284612995da72e0e5cd",
+            "503cff07ab7972f0a29ab2f07c2b2b149d1b5e294b953df812351164a2fdd24e",
+        "validation.json": "46ad4264a272431b48c1bf5a66348ed95f38d5613faeca9540563c2d043c5e2e",
     }),
     ("fig2", {
         "analyze_manifest.json":
-            "0def5046f980ece91084af3239895421dcd758242eb46ba9f30990ad61d069f1",
-        "validation.json": "35cef0ff37fbcba5ca572761d66ca00c991a5d2819aa6399be8292c6808c97d0",
+            "129ab9e4d7575ec856965f584bb91bd2fbfb488559d5a65809e88f60f5aa9881",
+        "validation.json": "e177779ddfd5f35152530259071cc7310526b5d83bc229ecf03dca188b283047",
     }),
 ])
 def test_closed_form_analyze_outputs_are_pinned(tmp_path, monkeypatch, name, digests):
@@ -1047,8 +1100,14 @@ def test_exports_load_on_first_access():
 
 @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3"])
 def test_config_hash_is_the_sha256_of_the_canonical_text(name):
+    """The hash covers the canonical text up to its [output] section, the
+    last one: where the files go is not what they hold."""
     cfg = parse_config(CONFIGS / f"{name}.cfg")
-    assert cfg.hash == hashlib.sha256(cfg.canonical_text().encode()).hexdigest()
+    hashed, found, output = cfg.canonical_text().partition("\n[output]\n")
+    assert found and output == f"dir = {cfg.out_dir}\n"
+    assert cfg.hash == hashlib.sha256(hashed.encode()).hexdigest()
+    assert cfg.hash == dataclasses.replace(cfg, out_dir="elsewhere/else").hash
+    assert cfg.hash != dataclasses.replace(cfg, samples=cfg.samples + 1).hash
 
 
 def test_config_hash_of_non_ascii_text():

@@ -108,7 +108,7 @@ def test_turning_band_raises_on_both_sides(sign):
     calls = [
         lambda: rq.solve_constant(s, 0.0, np.linspace(0.0, 1.0, 5)),
         lambda: rq.trace_constant_oscillatory(s, 0.0, hp, 0.0, (0.0, 1e-21)),
-        lambda: rq.trace_constant_evanescent(s, 0.0, hp, 0.0, (0.0, 1e-21), window_fm=2e4),
+        lambda: rq.trace_constant_evanescent(s, 0.0, hp, 0.0, (0.0, 1e-21)),
         lambda: rq.node_period(s, 0.0),
         lambda: rq.de_broglie(s, 0.0),
     ]

@@ -347,10 +347,10 @@ def _linear_config(out_dir):
 
 
 def _evanescent_config(out_dir):
-    # the halt window sits inside the first branch, so sampling stops before t*
+    # t_max lies past t* = 1.81e-21 s, so the trace stops before t*
     return RunConfig(energy=0.3, potential_kind="constant", u0=0.0,
                      param_sets=[(0.25, 8.0)], t_min=0.0, t_max=1.9e-21, samples=2001,
-                     window=1500.0, out_dir=str(out_dir)).validate()
+                     out_dir=str(out_dir)).validate()
 
 
 @pytest.mark.parametrize("make_config", [_linear_config, _evanescent_config])

@@ -13,11 +13,10 @@ from rqtraj.errors import (
     RegimeError,
     RqtError,
     TooFewSamples,
-    TurningPointInRange,
     TurningPointSingular,
 )
-from rqtraj import trajectory
-from rqtraj.config import parse_config
+from rqtraj import pipeline, trajectory
+from rqtraj.config import RunConfig, parse_config
 from rqtraj.kleingordon import uniform_step
 from rqtraj.model import regime_tags
 from rqtraj.pipeline import _stage
@@ -212,11 +211,11 @@ def test_oscillatory_regime_guards(electron2, evanescent03):
                                       rq.HiddenParams(1.0, 0.0), 0.0, (0.0, 1e-21))
     with pytest.raises(RegimeError):
         rq.trace_constant_evanescent(electron2, 0.0, rq.HiddenParams(1.0, 0.0),
-                                     0.0, (0.0, 1e-21), window_fm=2e4)
+                                     0.0, (0.0, 1e-21))
     # E = U0 is typed, not a division by E - U0
     with pytest.raises(EnergyEqualsPotential):
         rq.trace_constant_evanescent(evanescent03, evanescent03.E, rq.HiddenParams(1.0, 0.0),
-                                     0.0, (0.0, 1e-21), window_fm=2e4)
+                                     0.0, (0.0, 1e-21))
 
 
 def test_hbar_scaling_self_similarity(electron2):
@@ -236,8 +235,7 @@ def test_hbar_scaling_self_similarity(electron2):
 
 def test_evanescent_start_position(evanescent03):
     hp = rq.HiddenParams(0.25, 8.0)
-    tr = rq.trace_constant_evanescent(evanescent03, 0.0, hp, 5.0, (0.0, 1e-21),
-                                      101, window_fm=1e9)
+    tr = rq.trace_constant_evanescent(evanescent03, 0.0, hp, 5.0, (0.0, 1e-21), 101)
     scale = evanescent03.hbar_c / (2 * np.sqrt(0.511**2 - 0.3**2))
     assert tr.x[0] == pytest.approx(scale * np.log(8.0 / 0.25) + 5.0, rel=1e-12)
 
@@ -245,8 +243,7 @@ def test_evanescent_start_position(evanescent03):
 def test_evanescent_divergence_bisection_oracle(evanescent03):
     """Reported divergence equals the bisection root of the tangent argument."""
     hp = rq.HiddenParams(0.25, 8.0)
-    tr = rq.trace_constant_evanescent(evanescent03, 0.0, hp, 0.0, (0.0, 2.5e-21), 1001,
-                                      window_fm=2e4)
+    tr = rq.trace_constant_evanescent(evanescent03, 0.0, hp, 0.0, (0.0, 2.5e-21), 1001)
     t_star = tr.meta["events"]["divergence_time_s"]
 
     m_gap = 0.511**2 - 0.3**2
@@ -265,13 +262,57 @@ def test_evanescent_divergence_bisection_oracle(evanescent03):
     assert tr.meta["events"]["prose_divergence_time_s"] == pytest.approx(t_star / 2)
 
 
-def test_evanescent_window_halt(evanescent03):
-    hp = rq.HiddenParams(0.25, 8.0)
-    tr = rq.trace_constant_evanescent(evanescent03, 0.0, hp, 0.0, (0.0, 2.5e-21),
-                                      4001, window_fm=2000.0)
-    assert tr.meta["events"]["halt"] == "DivergenceReached"
-    assert tr.t.size < 4001
-    assert np.max(np.abs(tr.x - 0.0)) <= 2000.0 * (1 + 1e-12)
+@pytest.mark.parametrize("u0", [0.0, 0.6], ids=["E-U0=+0.3", "E-U0=-0.3"])
+@pytest.mark.parametrize("direction", [+1, -1])
+@pytest.mark.parametrize("b", [8.0, -2.0, 0.0], ids=["b=8", "b=-2", "b=0"])
+def test_evanescent_trace_stops_at_t_star(evanescent03, u0, direction, b):
+    """The trace holds exactly the sampled times t < t* at which the closed
+    form is finite, and records the halt: b = 8 meets a tangent pole (or,
+    for direction -1, a log zero) first, b = -2 a log zero, and b = 0 starts
+    at a log zero, t = 0, whose row it drops.  No kept step straddles a zero
+    of cos(theta) or of sin(theta) + b cos(theta), and the step after the
+    last kept row does."""
+    setup = dataclasses.replace(evanescent03, direction=direction)
+    hp = rq.HiddenParams(0.25, b)
+    t = np.linspace(0.0, 4e-21, 4001)
+    tr = rq.trace_constant_evanescent(setup, u0, hp, 0.0, (t[0], t[-1]), t.size)
+    events = tr.meta["events"]
+    t_star = events["divergence_time_s"]
+
+    ev = setup.E - u0
+    m_gap = setup.m0c2**2 - ev**2
+    theta = direction * m_gap / (setup.hbar * ev) * t
+    with np.errstate(divide="ignore"):
+        x = setup.hbar_c / (2 * np.sqrt(m_gap)) * np.log(np.abs((np.tan(theta) + b) / hp.a))
+    kept = np.flatnonzero((t < t_star) & np.isfinite(x))
+    np.testing.assert_array_equal(tr.t, t[kept])
+    np.testing.assert_allclose(tr.x, x[kept], rtol=1e-9)
+    assert np.isfinite(tr.x).all() and np.isfinite(tr.momentum).all()
+    assert events["halt"] == "DivergenceReached"
+    assert kept[0] == (1 if b == 0 else 0)
+    last = kept[-1]
+    poles = (np.cos(theta), np.sin(theta) + b * np.cos(theta))
+    for f in poles:
+        assert not np.any(f[kept[:-1]] * f[kept[1:]] < 0)
+    assert any(f[last] * f[last + 1] < 0 for f in poles)
+    assert t[last] < t_star <= t[last + 1]
+
+
+def test_evanescent_trace_from_a_log_zero_records_its_start(tmp_path):
+    """b = 0 puts a log zero, x = -inf, at t_min = 0: the set traces from
+    the second sample, with ``_traced``'s start event, up to t*."""
+    cfg = RunConfig(energy=0.3, potential_kind="constant", u0=0.0, param_sets=[(0.25, 0.0)],
+                    t_min=0.0, t_max=1.9e-21, samples=2001,
+                    out_dir=str(tmp_path / "out")).validate()
+    (_, tr, _), = pipeline._family(cfg, *pipeline._stage(cfg))
+    t = np.linspace(cfg.t_min, cfg.t_max, cfg.samples)
+    events = tr.meta["events"]
+    assert tr.t[0] == t[1] and np.isfinite(tr.x).all()
+    assert (events["start_t_s"], events["start_x_fm"]) == (tr.t[0], tr.x[0])
+    assert events["halt"] == "DivergenceReached"
+    assert tr.t[-1] < events["divergence_time_s"] < cfg.t_max
+    manifest = pipeline.run_trace(cfg)
+    assert manifest["sets"][0]["status"] == "ok"
 
 
 def test_evanescent_log_zero_divergence(evanescent03):
@@ -289,8 +330,8 @@ def test_evanescent_divergence_is_the_first_sign_change(evanescent03, u0, direct
     the phase theta = sigma omega_e t the trace runs on."""
     setup = dataclasses.replace(evanescent03, direction=direction)
     hp = rq.HiddenParams(0.25, 8.0)
-    events = rq.trace_constant_evanescent(setup, u0, hp, 0.0, (0.0, 4e-21), 101,
-                                          window_fm=2e4).meta["events"]
+    events = rq.trace_constant_evanescent(setup, u0, hp, 0.0, (0.0, 4e-21),
+                                          101).meta["events"]
     ev = setup.E - u0
     t = np.linspace(0.0, 4e-21, 2_000_001)
     theta = direction * (setup.m0c2**2 - ev**2) / (setup.hbar * ev) * t
@@ -425,7 +466,7 @@ def test_quadrature_unresolved_turning_point_halts(fig3_past_turning):
     setup, pot, basis = fig3_past_turning
     ra = rq.ReducedAction(basis_on(basis, -500.0, 1900.0), rq.HiddenParams(2.0, 0.5), setup)
     tr = rq.trace_quadrature(ra, pot, 0.0, "exact")
-    assert tr.meta["events"] == {"halt": TurningPointInRange.__name__}
+    assert tr.meta["events"] == {"halt": "TurningPointInRange"}
     assert np.all(np.diff(tr.t) > 0)
     assert np.all(np.diff(tr.x) > 0)
     assert tr.x[0] == -500.0 and 1488.0 < tr.x[-1] < 1489.001
@@ -501,7 +542,7 @@ def test_quadrature_past_energy_equals_potential_halts_at_the_turning_point(m0c2
     ra = rq.ReducedAction(basis, rq.HiddenParams(2.0, 0.5), setup)
     x_turn = (setup.E - m0c2) / 1e-3
     tr = rq.trace_quadrature(ra, pot, 0.0, "exact")
-    assert tr.meta["events"] == {"halt": TurningPointInRange.__name__}
+    assert tr.meta["events"] == {"halt": "TurningPointInRange"}
     assert np.all(np.diff(tr.t) > 0) and np.all(np.diff(tr.x) > 0)
     assert x_turn - 0.15 < tr.x[-1] < x_turn
     past = rq.ReducedAction(basis_on(basis, 1600.0, 2400.0), ra.params, setup)
