@@ -25,7 +25,7 @@ from .model import PhysicalSetup, Potential, Regime, constant_regime, kinetic_te
 from .trajectory import Trajectory, node_period, node_spacing, window_bounds
 
 
-@dataclass
+@dataclass(eq=False)  # equality is identity: the fields are arrays
 class NodeReport:
     """Node times/positions and the per-interval spacing quantities.
 
@@ -68,7 +68,7 @@ class NodeReport:
         }
 
 
-@dataclass
+@dataclass(eq=False)  # equality is identity: the fields are arrays
 class ValidationReport:
     """Per-sample normalized residuals and their maximum."""
 

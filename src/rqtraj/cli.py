@@ -23,6 +23,12 @@ names the title, the PNG, the script and the manifest.  ``figure`` exits
 A closed standard output (``| head``) ends a command with 0 and no
 traceback: every file is written before the first line is printed.
 
+Until the command's module loads, a process (``import rqtraj.cli``, then
+parsing and checking the config) loads from the standard library only
+argparse, configparser and re with what they import, pathlib and a
+builtin sha256, and from rqtraj only ``cli``, ``config``, ``errors`` and
+``constants``: no numpy, no OpenSSL, no ``dataclasses`` and so no
+``inspect``, ``ast`` or ``dis``.
 ``basis`` loads ``build`` (numpy, the model, the solver and the writers);
 ``trace``, ``analyze`` and ``figure`` load ``pipeline``, which adds the
 action, trajectory and analysis modules.
@@ -32,8 +38,6 @@ worker threads numpy's OpenBLAS would start slow every command's start-up.
 Such a process then freezes what its imports built (``gc.freeze``), so
 neither a later collection nor the shutdown walks those objects again.
 """
-
-from __future__ import annotations
 
 import argparse
 import gc

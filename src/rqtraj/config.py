@@ -1,9 +1,11 @@
 """Run configuration: INI-style sections with explicit unit suffixes.
 
-The fields of ``RunConfig`` are the one table of config keys: each field's
-metadata holds its section, file key (where it differs from the attribute
-name), unit and allowed values, and parsing, ``canonical_text`` and
-``validate`` each loop over that table.  ``ConfigError`` names the line and
+``KEYS`` is the one table of config keys: a row per ``RunConfig``
+attribute holds its name, type, section, default, unit, file key (where it
+differs from the name), allowed values and codec, and ``RunConfig()``,
+parsing, ``canonical_text`` and ``validate`` each loop over that table.
+``RunConfig`` is a plain class, so importing this module loads neither
+``dataclasses`` nor ``inspect``.  ``ConfigError`` names the line and
 key of a missing or wrong unit (``energy = 2.0 MeV``), an unknown section or
 key, nan or inf (also in ``sets``), an empty ``sets``, a fractional
 ``samples``, ``samples`` above ``MAX_GRID_POINTS`` or a value not allowed;
@@ -12,9 +14,12 @@ code, and rejects a grid of fewer than 2 or more than ``MAX_GRID_POINTS``
 points (``grid_points``).  Every key is set in the config file only: the
 CLI takes the file and ``--out``, nothing else.
 ``canonical_text`` round-trips bit-exactly (floats via repr).  The sha256
-(``config_hash``) of that text without its [output] section stamps every
-output file, so ``--out`` (or ``[output] dir``) moves the files and
-changes no byte of them but the paths a manifest lists.
+(``config_hash``) of that text without its [output] section, followed by
+the non-blank lines of the table file a tabulated config names, stamps
+every output file.  So ``--out`` (or ``[output] dir``) moves the files and
+changes no byte of them but the paths a manifest lists, and two tables at
+one path give two hashes.  A table file that cannot be read is a
+``ConfigError``.
 
 ``samples``, ``t_min`` and ``t_max`` bound what each ``trajectory_i.csv``
 holds, by one rule for every trace: of the trace rows with
@@ -28,11 +33,9 @@ grid and is cropped and thinned.  Fewer than two rows in the window is a
 trace; node detection reads the rows inside [t_min, t_max].
 """
 
-# no `from __future__ import annotations`: the loops dispatch on field.type classes
 import configparser
 import math
 import re
-from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .constants import ELECTRON_MEV
@@ -53,8 +56,9 @@ except ImportError:
 MAX_GRID_POINTS = 10**7
 
 
-def config_hash(text: str) -> str:
-    return _sha256(text.encode()).hexdigest()
+def config_hash(text: str, table: bytes = b"") -> str:
+    """sha256 of ``text`` as UTF-8 followed by ``table``."""
+    return _sha256(text.encode() + table).hexdigest()
 
 
 def _parse_sets(raw: str) -> list:
@@ -73,45 +77,58 @@ def _parse_direction(raw: str) -> int:
     return 1 if raw.startswith("+") else -1
 
 
-def _key(section, default, unit=None, key=None, choices=None, above=None, codec=(None, None)):
-    """A dataclass field whose metadata is its row: allowed are ``choices`` or values > ``above``."""
-    meta = dict(section=section, unit=unit, key=key, choices=choices, above=above, codec=codec)
-    if isinstance(default, list):
-        return field(default_factory=lambda: list(default), metadata=meta)
-    return field(default=default, metadata=meta)
+# One row per key: name, type, section, default, unit, file key (None where it
+# is the name), choices, above and codec (format, parse).  A value is allowed
+# if it is one of ``choices``, or above ``above``, where either is given.
+KEYS = (
+    ("rest_energy", float, "particle", ELECTRON_MEV, "MeV", None, None, 0, None),
+    ("energy", float, "particle", 2.0, "MeV", None, None, None, None),          # total E
+    ("hbar_scale", float, "particle", 1.0, None, None, None, 0, None),
+    ("potential_kind", str, "potential", "constant", None, "kind",
+     ("constant", "linear", "tabulated"), None, None),
+    ("u0", float, "potential", 0.0, "MeV", None, None, None, None),
+    ("slope", float, "potential", 1e-3, "MeV/fm", None, None, None, None),
+    ("table_file", str, "potential", "", None, "file", None, None, None),
+    ("param_sets", list, "trajectories", [(0.2, 0.0), (4.0 / 3.0, -1.05), (0.25, 8.0)], None,
+     "sets", None, None, (lambda s: "; ".join(f"{a!r},{b!r}" for a, b in s), _parse_sets)),
+    ("x0", float, "trajectories", 0.0, "fm", None, None, None, None),
+    ("t_min", float, "trajectories", 0.0, "s", None, None, None, None),
+    ("t_max", float, "trajectories", 5.5e-21, "s", None, None, None, None),
+    ("samples", int, "trajectories", 20001, None, None, None, 1, None),
+    ("direction", int, "trajectories", 1, None, None, (1, -1), None,
+     (lambda d: "+" if d > 0 else "-", _parse_direction)),
+    ("sync", str, "trajectories", "psi_zero", None, None, ("psi_zero", "phi2_zero", "exact"),
+     None, None),
+    ("method", str, "numerics", "rk4", None, None, ("rk4", "euler"), None, None),
+    ("grid_min", float, "numerics", -2000.0, "fm", None, None, None, None),
+    ("grid_max", float, "numerics", 1200.0, "fm", None, None, None, None),
+    ("grid_step", float, "numerics", 0.05, "fm", None, None, 0, None),
+    ("out_dir", str, "output", "out", None, "dir", None, None, None),
+)
+
+# (section, file key) -> row, to look up each key the config file names
+_TABLE = {(row[2], row[5] or row[0]): row for row in KEYS}
 
 
-@dataclass
 class RunConfig:
-    rest_energy: float = _key("particle", ELECTRON_MEV, "MeV", above=0)
-    energy: float = _key("particle", 2.0, "MeV")              # total E
-    hbar_scale: float = _key("particle", 1.0, above=0)
-    potential_kind: str = _key("potential", "constant", key="kind",
-                               choices=("constant", "linear", "tabulated"))
-    u0: float = _key("potential", 0.0, "MeV")
-    slope: float = _key("potential", 1e-3, "MeV/fm")
-    table_file: str = _key("potential", "", key="file")
-    param_sets: list = _key("trajectories", [(0.2, 0.0), (4.0 / 3.0, -1.05), (0.25, 8.0)], key="sets",
-                            codec=(lambda s: "; ".join(f"{a!r},{b!r}" for a, b in s), _parse_sets))
-    x0: float = _key("trajectories", 0.0, "fm")
-    t_min: float = _key("trajectories", 0.0, "s")
-    t_max: float = _key("trajectories", 5.5e-21, "s")
-    samples: int = _key("trajectories", 20001, above=1)
-    direction: int = _key("trajectories", 1, choices=(1, -1),
-                          codec=(lambda d: "+" if d > 0 else "-", _parse_direction))
-    sync: str = _key("trajectories", "psi_zero", choices=("psi_zero", "phi2_zero", "exact"))
-    method: str = _key("numerics", "rk4", choices=("rk4", "euler"))
-    grid_min: float = _key("numerics", -2000.0, "fm")
-    grid_max: float = _key("numerics", 1200.0, "fm")
-    grid_step: float = _key("numerics", 0.05, "fm", above=0)
-    out_dir: str = _key("output", "out", key="dir")
+    """One attribute per row of ``KEYS``.  ``RunConfig(**keys)`` sets the
+    named keys and leaves every other at its default (a fresh copy of the
+    default ``param_sets``); a name that is no key is a TypeError."""
+
+    def __init__(self, **keys):
+        for name, _, _, default, *_ in KEYS:
+            value = keys.pop(name, default)
+            setattr(self, name, list(value) if value is default and type(value) is list else value)
+        if keys:
+            raise TypeError(f"RunConfig has no key {next(iter(keys))!r}")
 
     def validate(self):
-        for f in fields(self):
+        for row in KEYS:
+            name, _, section, _, _, key, *_ = row
             try:
-                _check(f, getattr(self, f.name))
+                _check(row, getattr(self, name))
             except ValueError as exc:
-                raise ConfigError(f"[{f.metadata['section']}] {_file_key(f)}: {exc}") from None
+                raise ConfigError(f"[{section}] {key or name}: {exc}") from None
         if self.potential_kind == "tabulated" and not self.table_file:
             raise ConfigError("[potential] tabulated kind needs file = <path>")
         if not self.grid_min < self.grid_max:
@@ -139,56 +156,62 @@ class RunConfig:
     def canonical_text(self, output: bool = True) -> str:
         """Every key, section by section; without the [output] section unless ``output``."""
         sections = {}
-        for f in fields(self):
-            if output or f.metadata["section"] != "output":
-                line = f"{_file_key(f)} = {_format(f, getattr(self, f.name))}\n"
-                sections.setdefault(f.metadata["section"], []).append(line)
+        for row in KEYS:
+            name, _, section, _, _, key, *_ = row
+            if output or section != "output":
+                line = f"{key or name} = {_format(row, getattr(self, name))}\n"
+                sections.setdefault(section, []).append(line)
         return "\n".join(f"[{name}]\n" + "".join(lines) for name, lines in sections.items())
 
     @property
     def hash(self) -> str:
-        return config_hash(self.canonical_text(output=False))
+        """``config_hash`` of the canonical text without [output] and, for a
+        tabulated potential, the table file's lines that are not blank (the
+        lines ``output.read_csv`` reads); ConfigError if that file cannot be
+        read."""
+        table = b""
+        if self.potential_kind == "tabulated":
+            try:
+                lines = Path(self.table_file).read_bytes().splitlines()
+            except OSError as exc:
+                raise ConfigError(f"[potential] file {self.table_file!r}: {exc}") from None
+            table = b"\n".join(line for line in lines if line.strip())
+        return config_hash(self.canonical_text(output=False), table)
 
     def to_file(self, path):
         Path(path).write_text(self.canonical_text())
 
 
-def _file_key(f) -> str:
-    return f.metadata["key"] or f.name
+def _format(row, value) -> str:
+    _, typ, _, _, unit, _, _, _, codec = row
+    if codec:
+        return codec[0](value)
+    text = repr(value) if typ is float else str(value)
+    return f"{text} {unit}" if unit else text
 
 
-_TABLE = {(f.metadata["section"], _file_key(f)): f for f in fields(RunConfig)}
-
-
-def _format(f, value) -> str:
-    if f.metadata["codec"][0]:
-        return f.metadata["codec"][0](value)
-    text = repr(value) if f.type is float else str(value)
-    return f"{text} {f.metadata['unit']}" if f.metadata["unit"] else text
-
-
-def _parse(f, raw: str):
-    meta = f.metadata
-    if meta["codec"][1]:
-        return meta["codec"][1](raw)
-    if meta["unit"]:
+def _parse(row, raw: str):
+    _, typ, _, _, unit, _, _, _, codec = row
+    if codec:
+        return codec[1](raw)
+    if unit:
         parts = raw.split()
-        if len(parts) != 2 or parts[1] != meta["unit"]:
-            raise ValueError(f"must be '<value> {meta['unit']}', got {raw!r}")
+        if len(parts) != 2 or parts[1] != unit:
+            raise ValueError(f"must be '<value> {unit}', got {raw!r}")
         raw = parts[0]
-    if f.type is str:
+    if typ is str:
         return raw
     value = float(raw)
-    if f.type is int and not value.is_integer():
+    if typ is int and not value.is_integer():
         raise ValueError(f"must be a whole number, got {raw!r}")
-    return f.type(value)
+    return typ(value)
 
 
-def _check(f, value):
-    """Raise ValueError unless ``value`` is finite and allowed for key ``f``."""
-    meta = f.metadata
-    numbers = [value] if f.type is float else []
-    if f.name == "param_sets":
+def _check(row, value):
+    """Raise ValueError unless ``value`` is finite and allowed for key ``row``."""
+    name, typ, _, _, _, _, choices, above, _ = row
+    numbers = [value] if typ is float else []
+    if name == "param_sets":
         if not value:
             raise ValueError("needs at least one 'a,b' entry")
         numbers = [v for pair in value for v in pair]
@@ -199,11 +222,11 @@ def _check(f, value):
     for v in numbers:
         if not math.isfinite(v):
             raise ValueError(f"{v!r} is not a finite number")
-    if meta["choices"] and value not in meta["choices"]:
-        raise ValueError(f"must be one of {', '.join(map(str, meta['choices']))}, got {value!r}")
-    if meta["above"] is not None and not value > meta["above"]:
-        raise ValueError(f"must be above {meta['above']}, got {value!r}")
-    if f.name == "samples" and value > MAX_GRID_POINTS:
+    if choices and value not in choices:
+        raise ValueError(f"must be one of {', '.join(map(str, choices))}, got {value!r}")
+    if above is not None and not value > above:
+        raise ValueError(f"must be above {above}, got {value!r}")
+    if name == "samples" and value > MAX_GRID_POINTS:
         raise ValueError(f"must be at most {MAX_GRID_POINTS}, got {value!r}")
 
 
@@ -237,14 +260,14 @@ def parse_config_text(text: str) -> RunConfig:
         if section not in {s for s, _ in _TABLE}:
             raise ConfigError(f"config line {_line_of(text, section)}: unknown section [{section}]")
         for key, raw in cp.items(section):
-            f = _TABLE.get((section, key))
+            row = _TABLE.get((section, key))
             try:
-                if f is None:
+                if row is None:
                     raise ValueError("unknown key")
-                value = _parse(f, raw.strip())
-                _check(f, value)
+                value = _parse(row, raw.strip())
+                _check(row, value)
             except ValueError as exc:
                 line = _line_of(text, section, key)
                 raise ConfigError(f"config line {line}: [{section}] {key}: {exc}") from None
-            setattr(cfg, f.name, value)
+            setattr(cfg, row[0], value)
     return cfg.validate()

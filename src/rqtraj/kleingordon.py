@@ -38,7 +38,7 @@ from .model import PhysicalSetup, Potential, Regime, constant_regime
 from .output import write_csv
 
 
-@dataclass
+@dataclass(eq=False)  # equality is identity: the fields are arrays
 class SolutionBasis:
     """Grid samples of two independent real solutions and their derivatives.
 

@@ -26,12 +26,14 @@ separator, ',' or '\\n' after the last column.  Each word is gathered from a
 text table straight into its column of the block's fields.  A value the
 kernel does not take, or one with a three-digit exponent (|v| >= 1e100 or
 |v| < 1e-99), is formatted on its own; when one of those texts is longer
-than 23 bytes, that block's float fields are as wide as the longest.  Any
-other column's block makes the text of each of its distinct values once,
-``str(v)`` or ``labels[v]`` as UTF-8, and gathers the texts by index, each
-field NUL-padded and ending in its separator.  A block is its fields side
-by side, with the NUL bytes dropped.  Files are written in binary mode as
-UTF-8.
+than 23 bytes, that block's float fields are as wide as the longest.  The
+text tables are built once per process with numpy integer arithmetic.  A
+labelled column's block gathers its fields by code from one table of the
+column's label texts as UTF-8, made once per file; any other column's
+block makes ``str(v)`` of each of its distinct values once and gathers
+those by index.  Each field is NUL-padded and ends in its separator.  A
+block is its fields side by side, with the NUL bytes dropped.  Files are
+written in binary mode as UTF-8.
 
 ``write_csv`` checks its arguments before any file or directory is
 created.  A column of any other dtype (str, bytes, object, complex,
@@ -85,18 +87,30 @@ def _powers():
     return hi, hh, hi - hh, lo
 
 
+def _words(*columns):
+    """uint32 words of four bytes, each byte from one column of byte values
+    (an array or a scalar)."""
+    return np.column_stack(np.broadcast_arrays(*columns)).astype(np.uint8).view(np.uint32).ravel()
+
+
 @functools.cache
 def _texts():
     """uint32 text tables, built on first use: NUL '1.2' or '-1.2' by the
     first two digits + 100 * sign; the 10 000 four-digit groups; the 1 000
     three-digit groups, each followed by 'e'; and the exponent's sign and
     two digits by k + 99, each followed by ',', then again by '\\n'."""
-    lead = b"".join((b"-" if sign else b"\0") + b"%d.%d" % divmod(dd, 10)
-                    for sign in (0, 1) for dd in range(100))
-    digits = b"".join(b"%04d" % g for g in range(10000))
-    tails = b"".join(b"%03de" % g for g in range(1000))
-    exps = b"".join(b"%+03d%b" % (k, sep) for sep in (b",", b"\n") for k in range(-99, 100))
-    return tuple(np.frombuffer(t, np.uint32) for t in (lead, digits, tails, exps))
+    zero = ord("0")
+    sign, dd = np.divmod(np.arange(200), 100)
+    lead = _words(np.where(sign, ord("-"), 0), zero + dd // 10, ord("."), zero + dd % 10)
+    g = np.arange(10000)
+    digits = _words(*(zero + g // 10 ** p % 10 for p in (3, 2, 1, 0)))
+    g = np.arange(1000)
+    tails = _words(*(zero + g // 10 ** p % 10 for p in (2, 1, 0)), ord("e"))
+    newline, k = np.divmod(np.arange(398), 199)
+    k -= 99
+    exps = _words(np.where(k < 0, ord("-"), ord("+")), zero + abs(k) // 10, zero + abs(k) % 10,
+                  np.where(newline, ord("\n"), ord(",")))
+    return lead, digits, tails, exps
 
 
 def _fast_digits(v):
@@ -170,22 +184,22 @@ def _float_fields(v, newline):
     return fields.reshape(rows, cols, -1)
 
 
-def _field_bytes(block, labels, end):
-    """A column's block that is not float as (rows, width) NUL-padded bytes:
-    the text of each distinct value once, ``str(v)`` or ``labels[v]``,
-    ending in the separator ``end``, then a gather."""
-    values, inverse = np.unique(block, return_inverse=True)
-    texts = (map(str, values.tolist()) if labels is None
-             else (labels[v] for v in values.tolist()))
-    text = np.array([t.encode() + end for t in texts])[inverse]
-    return text.view(np.uint8).reshape(len(block), -1)
+def _field_bytes(block, texts, end):
+    """A column's block that is not float as (rows, width) NUL-padded bytes,
+    each field ending in the separator ``end``: a labelled column gathers
+    its label texts ``texts`` by code; any other column makes ``str(v)`` of
+    each distinct value once, then gathers those."""
+    if texts is None:
+        values, block = np.unique(block, return_inverse=True)
+        texts = np.array([str(v).encode() + end for v in values.tolist()])
+    return texts[block].view(np.uint8).reshape(len(block), -1)
 
 
 def _block_fields(floats, parts, newline, lo, rows):
     """Rows lo..lo+rows-1 as (rows, width) NUL-padded bytes.  ``parts`` are
-    slices of the float columns' fields and (column, labels, separator)
-    triples of the other columns; what the block is built from is freed on
-    return."""
+    slices of the float columns' fields and (column, label texts or None,
+    separator) triples of the other columns; what the block is built from
+    is freed on return."""
     if floats:
         v = np.empty((rows, len(floats)))
         for j, arr in enumerate(floats):
@@ -225,10 +239,13 @@ def write_csv(path, header_comments, columns, footer_comments=()):
     footer = "".join(f"# {c}\n" for c in footer_comments)
     floats = [arr for arr in arrays if arr.dtype.kind == "f"]
     ends = [b","] * (len(arrays) - 1) + [b"\n"]
+    # each label's text with its column's separator, indexed by code
+    texts = [None if lab is None else np.array([t.encode() + end for t in lab])
+             for lab, end in zip(labels, ends)]
     # a run of adjacent float columns is one part of each block, a slice of
     # the block's float fields; every other column is a part of its own
     parts, f = [], 0
-    for is_float, run in itertools.groupby(zip(arrays, labels, ends),
+    for is_float, run in itertools.groupby(zip(arrays, texts, ends),
                                            lambda c: c[0].dtype.kind == "f"):
         run = list(run)
         if is_float:

@@ -49,7 +49,6 @@ beside the kept (t, x) curves and the grid alone.
 
 from __future__ import annotations
 
-from dataclasses import asdict
 from pathlib import Path
 
 from .action import ReducedAction
@@ -62,7 +61,7 @@ from .analysis import (
     rqshje_residual,
 )
 from .build import _header, build_basis, build_grid, build_potential, build_setup, run_basis
-from .config import RunConfig
+from .config import KEYS, RunConfig
 from .errors import RqtError
 from .model import HiddenParams, PhysicalSetup, Regime, constant_regime
 from .output import write_csv, write_json
@@ -155,8 +154,8 @@ def _trace_sets(cfg: RunConfig):
     """Write each set's trajectory CSV: the trace manifest so far, setup and potential."""
     setup, pot, basis = _stage(cfg)
     out = Path(cfg.out_dir)
-    manifest = {"command": "trace", "config_hash": cfg.hash,
-                "config": asdict(cfg), "sets": [], "files": []}
+    manifest = {"command": "trace", "config_hash": cfg.hash, "sets": [], "files": [],
+                "config": {name: getattr(cfg, name) for name, *_ in KEYS}}
     # no enumerate: its cached result tuple would keep the last action alive
     for hp, tr, ra in _family(cfg, setup, pot, basis):
         del ra                                  # one action alive at a time

@@ -60,7 +60,7 @@ def window_bounds(t, t_min: float, t_max: float):
             int(np.searchsorted(t, t_max, side="right")))
 
 
-@dataclass
+@dataclass(eq=False)  # equality is identity: the fields are arrays
 class Trajectory:
     """Ordered (t, x) samples with branch index, regime tags and metadata.
 

@@ -54,6 +54,11 @@ def const_basis(electron2):
     return rq.solve_constant(electron2, 0.0, np.arange(n) * h)
 
 
+def with_keys(cfg, **changes):
+    """A new ``RunConfig`` holding ``cfg``'s keys with ``changes`` applied, not validated."""
+    return type(cfg)(**{**vars(cfg), **changes})
+
+
 class CliResult(NamedTuple):
     exit_code: int
     output: str                       # stdout and stderr, interleaved

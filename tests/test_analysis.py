@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import json
@@ -18,7 +19,8 @@ from rqtraj.model import kinetic_term
 from rqtraj.config import RunConfig, parse_config
 from rqtraj.errors import InsufficientTrajectories, RegimeError, TooFewSamples
 from rqtraj.output import write_json
-from tests.conftest import classical_momentum, classical_speed, oscillatory_wavenumber
+from tests.conftest import (classical_momentum, classical_speed, oscillatory_wavenumber,
+                            with_keys)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -201,7 +203,7 @@ def test_fig3_analyze_reports_every_rung_of_the_reference(tmp_path):
     from rqtraj.output import read_csv
     from rqtraj.trajectory import _zeros_of
 
-    cfg = dataclasses.replace(parse_config(CONFIGS / "fig3.cfg"),
+    cfg = with_keys(parse_config(CONFIGS / "fig3.cfg"),
                               out_dir=str(tmp_path)).validate()
     pipeline.run_analyze(cfg)
     pipeline.run_trace(cfg)
@@ -457,7 +459,7 @@ def test_first_integral_auto_takes_the_uniform_variable(electron2):
 
 def test_analyze_records_non_uniform_trace(tmp_path, monkeypatch):
     """A non-uniform trace becomes first_integral_error, not a number."""
-    cfg = dataclasses.replace(parse_config(CONFIGS / "fig1.cfg"), samples=2001,
+    cfg = with_keys(parse_config(CONFIGS / "fig1.cfg"), samples=2001,
                               out_dir=str(tmp_path))
     trace = pipeline.trace_constant_oscillatory
 
@@ -482,7 +484,7 @@ def test_analyze_records_non_uniform_trace(tmp_path, monkeypatch):
 
 def test_analyze_records_a_check_that_cannot_run(tmp_path):
     """Two samples per trace: closure and first integral record their errors."""
-    cfg = dataclasses.replace(parse_config(CONFIGS / "fig1.cfg"), samples=2,
+    cfg = with_keys(parse_config(CONFIGS / "fig1.cfg"), samples=2,
                               out_dir=str(tmp_path)).validate()
     manifest = pipeline.run_analyze(cfg)
     per_set = json.loads((tmp_path / "validation.json").read_text())["per_set"]
@@ -753,7 +755,7 @@ def test_analyze_builds_one_reduced_action_per_set(tmp_path, monkeypatch):
 ])
 def test_first_integral_committed_configs(tmp_path, name, expected):
     """Per-set maxima pinned at the values of the oracle-checked stencil."""
-    cfg = dataclasses.replace(parse_config(CONFIGS / f"{name}.cfg"), out_dir=str(tmp_path))
+    cfg = with_keys(parse_config(CONFIGS / f"{name}.cfg"), out_dir=str(tmp_path))
     pipeline.run_analyze(cfg)
     per_set = json.loads((tmp_path / "validation.json").read_text())["per_set"]
     got = [e["first_integral_max"] for e in per_set]
@@ -816,3 +818,17 @@ def test_node_report_json(tmp_path, electron2):
     data = json.loads(path.read_text())
     assert data["units"]["positions"] == "fm"
     assert len(data["times"]) == 4
+
+
+def test_array_records_compare_by_identity(const_basis, electron2):
+    """A record of arrays equals itself only: a copy with equal arrays is
+    unequal, and comparing never tests an array's truth value."""
+    tr = rq.trace_constant_oscillatory(electron2, 0.0, rq.HiddenParams(0.2, 0.0), 0.0,
+                                       (0.0, 1e-21), 11)
+    nodes = rq.NodeReport(np.zeros(2), np.zeros(2), np.ones(1), np.ones(1), np.ones(1),
+                          np.ones(1), "closed_form")
+    for record in (const_basis, tr, nodes, rq.closure_residual(tr)):
+        twin = copy.deepcopy(record)
+        assert record == record
+        assert (record == twin) is False
+        assert record != twin

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import gc
 import hashlib
 import importlib.util
@@ -23,7 +22,7 @@ from rqtraj.config import MAX_GRID_POINTS, RunConfig, config_hash, parse_config,
 from rqtraj.errors import ConfigError
 from rqtraj.model import REGIME_TEXT
 from rqtraj.output import read_csv, write_csv
-from tests.conftest import run_cli
+from tests.conftest import run_cli, with_keys
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -46,6 +45,18 @@ def small_const_config(out_dir, **overrides):
     for k, v in overrides.items():
         setattr(cfg, k, v)
     return cfg.validate()
+
+
+def test_run_config_keeps_fresh_defaults_and_rejects_unknown_names():
+    """Each RunConfig gets its own default ``param_sets`` list, a name that
+    is no key is a TypeError, and a key can be set after construction."""
+    first, second = RunConfig(), RunConfig()
+    first.param_sets.append((1.0, 1.0))
+    assert second.param_sets == [(0.2, 0.0), (4.0 / 3.0, -1.05), (0.25, 8.0)]
+    with pytest.raises(TypeError, match="window"):
+        RunConfig(window=2e4)
+    second.out_dir = "elsewhere"
+    assert second.canonical_text().endswith("[output]\ndir = elsewhere\n")
 
 
 def test_config_round_trip_bit_exact(tmp_path):
@@ -223,7 +234,7 @@ def test_grid_cap_is_inclusive_and_far_above_fig3():
     at_cap = RunConfig(grid_min=0.0, grid_max=MAX_GRID_POINTS - 1.0, grid_step=1.0)
     assert at_cap.validate().grid_points() == MAX_GRID_POINTS
     with pytest.raises(ConfigError, match="leaves over"):
-        dataclasses.replace(at_cap, grid_max=float(MAX_GRID_POINTS)).validate()
+        with_keys(at_cap, grid_max=float(MAX_GRID_POINTS)).validate()
     assert parse_config(CONFIGS / "fig3.cfg").grid_points() == 137001
     assert MAX_GRID_POINTS >= 50 * 140001
 
@@ -231,7 +242,7 @@ def test_grid_cap_is_inclusive_and_far_above_fig3():
 def test_cli_grid_over_the_cap_is_a_config_error(tmp_path):
     path = tmp_path / "huge.cfg"
     cfg = parse_config(CONFIGS / "fig2.cfg")
-    dataclasses.replace(cfg, out_dir=str(tmp_path / "out"), grid_step=1e-12).to_file(path)
+    with_keys(cfg, out_dir=str(tmp_path / "out"), grid_step=1e-12).to_file(path)
     result = run_cli(["basis", "--config", str(path)])
     assert result.exit_code == 2, result.output
     assert "config error: [numerics] grid_step 1e-12 fm leaves over" in result.output
@@ -368,7 +379,7 @@ def test_cli_figure_exit_code_2_on_empty_sets(tmp_path):
 def edited_config(tmp_path, name, **changes):
     """Committed config ``name`` with ``changes``, written to tmp_path/out."""
     cfg = parse_config(CONFIGS / f"{name}.cfg")
-    cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / "out"), **changes).validate()
+    cfg = with_keys(cfg, out_dir=str(tmp_path / "out"), **changes).validate()
     path = tmp_path / f"{name}_edited.cfg"
     cfg.to_file(path)
     return path
@@ -427,7 +438,7 @@ def test_cli_turning_band_is_one_behaviour(tmp_path, sign):
 def test_cli_grid_of_one_point_is_a_config_error(tmp_path):
     path = tmp_path / "one_point.cfg"
     cfg = parse_config(CONFIGS / "fig1.cfg")
-    dataclasses.replace(cfg, out_dir=str(tmp_path / "out"), grid_step=5000.0).to_file(path)
+    with_keys(cfg, out_dir=str(tmp_path / "out"), grid_step=5000.0).to_file(path)
     result = run_cli(["basis", "--config", str(path)])
     assert result.exit_code == 2, result.output
     assert "config error: [numerics] grid_step 5000.0 fm leaves 1 grid point" in result.output
@@ -580,7 +591,7 @@ def test_a_trace_that_ends_before_t_max_records_its_end(tmp_path, name):
     footer, and fig2's holds the 19 081 samples before t*.  fig1's closed
     forms run to t_max and carry neither.  No trace starts after t_min, so
     none carries a start."""
-    cfg = dataclasses.replace(parse_config(CONFIGS / f"{name}.cfg"),
+    cfg = with_keys(parse_config(CONFIGS / f"{name}.cfg"),
                               out_dir=str(tmp_path / "out"))
     manifest = pipeline.run_trace(cfg)
     trajs = [tr for _, tr, _ in pipeline._family(cfg, *pipeline._stage(cfg))]
@@ -611,7 +622,7 @@ def test_a_trace_that_starts_after_t_min_records_its_start(tmp_path):
     x = -5400 fm, a few 1e-23 s before t = 0 and long after t_min, and
     carries start_t_s and start_x_fm, its first row, in its manifest entry
     and its CSV footer."""
-    cfg = dataclasses.replace(parse_config(CONFIGS / "fig3.cfg"), t_min=-1.0e-20,
+    cfg = with_keys(parse_config(CONFIGS / "fig3.cfg"), t_min=-1.0e-20,
                               out_dir=str(tmp_path / "out")).validate()
     manifest = pipeline.run_trace(cfg)
     trajs = [tr for _, tr, _ in pipeline._family(cfg, *pipeline._stage(cfg))]
@@ -669,7 +680,7 @@ def test_figure_node_markers_are_the_rungs_in_the_window(tmp_path, t_min, rungs)
     and 1.66e-21 s before the window; the family meets at the rungs before
     t = 0 too.
     """
-    cfg = dataclasses.replace(parse_config(CONFIGS / "fig1.cfg"), t_min=t_min,
+    cfg = with_keys(parse_config(CONFIGS / "fig1.cfg"), t_min=t_min,
                               out_dir=str(tmp_path / "out")).validate()
     pipeline.run_figure(cfg, 1)
     _, cols = read_csv(tmp_path / "out" / "nodes.csv")
@@ -684,7 +695,7 @@ def test_figure_node_markers_are_the_rungs_in_the_window(tmp_path, t_min, rungs)
 def test_analyze_closed_form_nodes_are_the_rungs_in_the_window(tmp_path, t_min, rungs):
     """fig1 analyze from t_min: nodes_closed_form.json lists the rungs the
     figure marks, not rungs 0-9 whatever the window."""
-    cfg = dataclasses.replace(parse_config(CONFIGS / "fig1.cfg"), t_min=t_min,
+    cfg = with_keys(parse_config(CONFIGS / "fig1.cfg"), t_min=t_min,
                               out_dir=str(tmp_path / "out")).validate()
     pipeline.run_analyze(cfg)
     nodes = json.loads((tmp_path / "out" / "nodes_closed_form.json").read_text())
@@ -813,7 +824,7 @@ def test_closed_form_analyze_outputs_are_pinned(tmp_path, monkeypatch, name, dig
 def test_energy_equals_potential_is_a_per_set_error(tmp_path):
     """fig3 moved to [1600, 2400] fm: E - V changes sign at 2000 fm."""
     cfg = parse_config(CONFIGS / "fig3.cfg")
-    cfg = dataclasses.replace(cfg, grid_min=1600.0, grid_max=2400.0, x0=1700.0,
+    cfg = with_keys(cfg, grid_min=1600.0, grid_max=2400.0, x0=1700.0,
                               sync="exact", out_dir=str(tmp_path / "out")).validate()
     manifest = pipeline.run_trace(cfg)
     assert [e["status"] for e in manifest["sets"]] == ["error"] * 3
@@ -942,8 +953,9 @@ START_UP = {"rqtraj", "rqtraj.cli", "rqtraj.config", "rqtraj.errors", "rqtraj.co
 
 def test_cli_import_loads_neither_click_nor_openssl():
     """``import rqtraj.cli`` and ``parse_config(...).validate()``, the start-up
-    every command pays, load neither click, OpenSSL, numpy nor any rqtraj
-    module but the CLI, the config and its errors and constants."""
+    every command pays, load neither click, OpenSSL, numpy, ``dataclasses``
+    and ``inspect`` nor any rqtraj module but the CLI, the config and its
+    errors and constants."""
     proc = _fresh_python(
         "import sys, rqtraj.cli\n"
         "from rqtraj.config import parse_config\n"
@@ -953,7 +965,7 @@ def test_cli_import_loads_neither_click_nor_openssl():
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "rqtraj.cli" in loaded and "click" not in loaded
-    assert "numpy" not in loaded
+    assert not loaded & {"numpy", "dataclasses", "inspect"}
     assert {m for m in loaded if m.split(".")[0] == "rqtraj"} <= START_UP
     if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
         pytest.skip("no builtin sha256 module: config_hash falls back to hashlib")
@@ -966,7 +978,8 @@ def test_cli_import_loads_neither_click_nor_openssl():
     (["trace", "--config", "{unknown_key}"], 2),
 ])
 def test_cli_exits_before_numpy_loads(tmp_path, argv, code):
-    """Help, a usage error and a config error end before numpy is imported."""
+    """Help, a usage error and a config error end before numpy,
+    ``dataclasses`` or ``inspect`` is imported."""
     unknown_key = tmp_path / "unknown_key.cfg"
     unknown_key.write_text("[numerics]\ngrid_stpe = 5.0 fm\n")
     argv = [arg.format(unknown_key=unknown_key) for arg in argv]
@@ -975,9 +988,10 @@ def test_cli_exits_before_numpy_loads(tmp_path, argv, code):
         "try:\n"
         "    rqtraj.cli.main(sys.argv[1:])\n"
         "finally:\n"
-        "    print('numpy' in sys.modules, file=sys.stderr)\n", *argv)
+        "    print(*(m in sys.modules for m in ('numpy', 'dataclasses', 'inspect')),\n"
+        "          file=sys.stderr)\n", *argv)
     assert proc.returncode == code, proc.stderr
-    assert proc.stderr.splitlines()[-1] == "False"
+    assert proc.stderr.splitlines()[-1] == "False False False"
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
@@ -1106,10 +1120,39 @@ def test_config_hash_is_the_sha256_of_the_canonical_text(name):
     hashed, found, output = cfg.canonical_text().partition("\n[output]\n")
     assert found and output == f"dir = {cfg.out_dir}\n"
     assert cfg.hash == hashlib.sha256(hashed.encode()).hexdigest()
-    assert cfg.hash == dataclasses.replace(cfg, out_dir="elsewhere/else").hash
-    assert cfg.hash != dataclasses.replace(cfg, samples=cfg.samples + 1).hash
+    assert cfg.hash == with_keys(cfg, out_dir="elsewhere/else").hash
+    assert cfg.hash != with_keys(cfg, samples=cfg.samples + 1).hash
 
 
 def test_config_hash_of_non_ascii_text():
     text = "[output]\ndir = ħc/λ — 197.3 MeV·fm ✓\n"
     assert config_hash(text) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_tabulated_config_hash_covers_the_table(tmp_path):
+    """One path holding two different tables gives two hashes, and the trace
+    files carry them; a table file that cannot be read is a config error."""
+    table = tmp_path / "v.tab"
+    cfgp = tmp_path / "run.cfg"
+    cfg = RunConfig(potential_kind="tabulated", table_file=str(table), grid_min=-500.0,
+                    grid_max=500.0, grid_step=0.2, x0=-500.0, param_sets=[(4.0, 2.5)],
+                    sync="phi2_zero")
+    cfg.to_file(cfgp)
+    x = np.linspace(-600.0, 600.0, 201)
+    stamps = []
+    for slope in (1e-3, 2e-3):
+        write_csv(table, [], [("x_fm", x), ("V_MeV", slope * x)])
+        out = tmp_path / f"out{len(stamps)}"
+        result = run_cli(["trace", "--config", str(cfgp), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        meta, _ = read_csv(out / "trajectory_0.csv")
+        assert meta["config_hash"] == cfg.hash
+        stamps.append(cfg.hash)
+    assert stamps[0] != stamps[1]
+    assert cfg.hash == with_keys(cfg, out_dir="elsewhere").hash
+    table.unlink()
+    with pytest.raises(ConfigError, match=r"\[potential\] file .*v\.tab"):
+        cfg.hash
+    result = run_cli(["trace", "--config", str(cfgp), "--out", str(tmp_path / "gone")])
+    assert result.exit_code == 2, result.output
+    assert not (tmp_path / "gone").exists()

@@ -1,6 +1,5 @@
 """CSV writer: byte parity with the per-cell reference, and CLI round trips."""
 
-import dataclasses
 import json
 import weakref
 from pathlib import Path
@@ -16,9 +15,9 @@ from rqtraj.config import RunConfig, parse_config
 from rqtraj.model import REGIME_TEXT
 from rqtraj.trajectory import _zeros_of
 from rqtraj.output import (
-    BLOCK_ROWS, FAST_MAX, FAST_MIN, LINE_BREAKS, _fast_digits, read_csv, write_csv,
+    BLOCK_ROWS, FAST_MAX, FAST_MIN, LINE_BREAKS, _fast_digits, _texts, read_csv, write_csv,
 )
-from tests.conftest import run_cli
+from tests.conftest import run_cli, with_keys
 
 
 def reference_csv(header_comments, columns, footer_comments=()):
@@ -255,6 +254,19 @@ def test_fallback_fires_on_a_handful_of_fig3_basis_values(tmp_path):
                   [(name, values[rows]) for name, values in columns])
 
 
+def test_text_tables_match_per_entry_formatting():
+    """The numpy-built text tables hold, word by word, the bytes that
+    formatting each entry on its own gives."""
+    lead = b"".join((b"-" if sign else b"\0") + b"%d.%d" % divmod(dd, 10)
+                    for sign in (0, 1) for dd in range(100))
+    digits = b"".join(b"%04d" % g for g in range(10000))
+    tails = b"".join(b"%03de" % g for g in range(1000))
+    exps = b"".join(b"%+03d%b" % (k, sep) for sep in (b",", b"\n") for k in range(-99, 100))
+    for table, expected in zip(_texts(), (lead, digits, tails, exps)):
+        assert table.dtype == np.uint32
+        assert table.tobytes() == expected
+
+
 @pytest.mark.parametrize("second", [5, 3])
 def test_write_csv_rejects_ragged_columns(tmp_path, second):
     path = tmp_path / "sub" / "ragged.csv"
@@ -414,7 +426,7 @@ def test_cli_figure_plots_the_sets_that_trace(tmp_path):
     """A set whose action cannot be built is recorded and the figure goes on
     with the others: curves, node markers and the manifest."""
     cfg = _linear_config(tmp_path / "out")
-    cfg = dataclasses.replace(cfg, param_sets=[*cfg.param_sets, (1e5, 0.0)]).validate()
+    cfg = with_keys(cfg, param_sets=[*cfg.param_sets, (1e5, 0.0)]).validate()
     cfgp = tmp_path / "run.cfg"
     cfg.to_file(cfgp)
     result = run_cli(["figure", "--config", str(cfgp), "--figure", "3"])
@@ -458,7 +470,7 @@ def test_set_loops_hold_one_action_at_a_time(tmp_path, monkeypatch, run, changes
 
     monkeypatch.setattr(pipeline, "ReducedAction", one_at_a_time)
     monkeypatch.setattr(pipeline, "build_basis", counted)
-    cfg = dataclasses.replace(_linear_config(tmp_path / "out"), **changes).validate()
+    cfg = with_keys(_linear_config(tmp_path / "out"), **changes).validate()
     run(cfg)
     passes = 2 if basis_builds is None else 1
     assert len(actions) == passes * len(cfg.param_sets)
