@@ -32,7 +32,7 @@ class NodeReport:
     One entry per node, in time order, and per interval between adjacent
     nodes dt, dx = |x_{n+1} - x_n|, mean_momentum = pi hbar c / dx (in
     MeV/c) and wavelength = 2 dx, the de Broglie wavelength reconstructed
-    from the node spacing.  ``extras`` holds what a method adds per node.
+    from the node spacing.  ``extras`` holds the arrays a method adds per node.
     """
 
     times: np.ndarray            # [s]
@@ -61,10 +61,7 @@ class NodeReport:
             "dx": list(map(float, self.dx)),
             "mean_momentum": list(map(float, self.mean_momentum)),
             "wavelength": list(map(float, self.wavelength)),
-            "extras": {
-                k: (list(map(float, v)) if isinstance(v, (list, np.ndarray)) else v)
-                for k, v in self.extras.items()
-            },
+            "extras": {k: list(map(float, v)) for k, v in self.extras.items()},
         }
 
 
@@ -116,68 +113,6 @@ def nodes_closed_form(
         wavelength=2.0 * dxs,
         method="closed-form",
     )
-
-
-def _pairwise_crossings(t, xa, xb):
-    """Meeting points of two sampled curves: sign changes and tangential touches.
-
-    A sign change is refined by linear interpolation.  A touch (the curves
-    meet without swapping order, as happens when both dwell at a node) shows
-    up as a local minimum of |d| at the interpolation-noise scale; it is
-    refined by the parabola vertex through the three neighbouring samples.
-
-    Nothing in the package calls it since ``detect_nodes`` reads arrival
-    times at the rungs.  The benchmark's traced run (``perfbench/traced.py``)
-    still names it in ``TARGETS``, so it goes together with that target when
-    the benchmark changes (ROADMAP item 1).
-    """
-    d = xa - xb
-    out_t, out_x = [], []
-
-    idx = np.nonzero(d[:-1] * d[1:] < 0)[0]
-    if idx.size:
-        frac = d[idx] / (d[idx] - d[idx + 1])
-        tc = t[idx] + frac * (t[idx + 1] - t[idx])
-        out_t.extend(tc)
-        out_x.extend(xa[idx] + frac * (xa[idx + 1] - xa[idx]))
-
-    ad = np.abs(d)
-    k = np.nonzero((ad[1:-1] < ad[:-2]) & (ad[1:-1] <= ad[2:]))[0] + 1
-    if k.size:
-        # keep minima whose depth is at the local one-step variation scale,
-        # i.e. numerically indistinguishable from zero at this resolution
-        step = np.maximum(np.abs(d[k + 1] - d[k]), np.abs(d[k] - d[k - 1]))
-        k = k[ad[k] <= 2.0 * step]
-    for j in k:
-        denom = d[j + 1] - 2.0 * d[j] + d[j - 1]
-        if denom != 0.0:
-            shift = 0.5 * (d[j - 1] - d[j + 1]) / denom * (t[j + 1] - t[j])
-        else:
-            shift = 0.0
-        tc = t[j] + np.clip(shift, -(t[j] - t[j - 1]), t[j + 1] - t[j])
-        out_t.append(float(tc))
-        out_x.append(float(0.5 * (np.interp(tc, t, xa) + np.interp(tc, t, xb))))
-
-    if not out_t:
-        return np.empty(0), np.empty(0)
-    # a single meeting can register both as a sign change and as a touch;
-    # merge same-pair events within a few resampling steps
-    order = np.argsort(out_t)
-    ts = np.asarray(out_t)[order]
-    xs = np.asarray(out_x)[order]
-    gap = 3.0 * (t[1] - t[0])
-    merged_t, merged_x, bucket_t, bucket_x = [], [], [ts[0]], [xs[0]]
-    for tc, xc in zip(ts[1:], xs[1:]):
-        if tc - bucket_t[-1] <= gap:
-            bucket_t.append(tc)
-            bucket_x.append(xc)
-        else:
-            merged_t.append(float(np.mean(bucket_t)))
-            merged_x.append(float(np.mean(bucket_x)))
-            bucket_t, bucket_x = [tc], [xc]
-    merged_t.append(float(np.mean(bucket_t)))
-    merged_x.append(float(np.mean(bucket_x)))
-    return np.asarray(merged_t), np.asarray(merged_x)
 
 
 def detect_nodes(curves, rungs, setup: PhysicalSetup, t_range) -> NodeReport:

@@ -146,7 +146,7 @@ def _parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(title="commands", dest="command", required=True)
     _command(commands, basis).add_argument(
         "--compare-methods", action="store_true",
-        help="Emit both Euler and RK4 bases with a drift comparison.")
+        help="Emit the Magnus (rk4) and Euler bases with a drift comparison.")
     _command(commands, trace)
     _command(commands, analyze)
     _command(commands, figure).add_argument(

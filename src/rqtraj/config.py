@@ -99,7 +99,7 @@ KEYS = (
      (lambda d: "+" if d > 0 else "-", _parse_direction)),
     ("sync", str, "trajectories", "psi_zero", None, None, ("psi_zero", "phi2_zero", "exact"),
      None, None),
-    ("method", str, "numerics", "rk4", None, None, ("rk4", "euler"), None, None),
+    ("method", str, "numerics", "rk4", None, None, ("rk4",), None, None),  # the Magnus step
     ("grid_min", float, "numerics", -2000.0, "fm", None, None, None, None),
     ("grid_max", float, "numerics", 1200.0, "fm", None, None, None, None),
     ("grid_step", float, "numerics", 0.05, "fm", None, None, 0, None),

@@ -33,10 +33,19 @@ def traced():
         del sys.modules[spec.name]
 
 
+# Targets the traced run still names after the program deleted them, with
+# the reason; it warns and records no span for them.  Each goes with its
+# TARGETS line, and a target missing for any other reason fails the test.
+GONE = {
+    "rqtraj.analysis._pairwise_crossings":
+        "no caller since detect_nodes reads rung arrivals; analysis.crossings read 0 before",
+}
+
+
 def test_every_traced_target_resolves(traced):
     missing = [f"{mod}.{attr}" for mod, attr, _, _ in traced.TARGETS
                if not callable(getattr(importlib.import_module(mod), attr, None))]
-    assert missing == []
+    assert missing == sorted(GONE)
 
 
 def test_the_benchmark_imports_load_every_traced_module(traced):

@@ -127,7 +127,6 @@ def run_configs(draw):
         samples=draw(st.integers(2, MAX_GRID_POINTS)),
         direction=draw(st.sampled_from([1, -1])),
         sync=draw(st.sampled_from(["psi_zero", "phi2_zero", "exact"])),
-        method=draw(st.sampled_from(["rk4", "euler"])),
         grid_min=grid_min, grid_max=grid_max, grid_step=grid_step,
         out_dir=draw(path_text),
     ).validate()
@@ -145,7 +144,7 @@ def test_canonical_text_matches_oracle_and_round_trips(cfg):
     ("potential_kind", ["constant", "linear", "tabulated"]),
     ("direction", [1, -1]),
     ("sync", ["psi_zero", "phi2_zero", "exact"]),
-    ("method", ["rk4", "euler"]),
+    ("method", ["rk4"]),
 ])
 def test_canonical_text_every_choice(field, values):
     for value in values:
@@ -183,6 +182,7 @@ def test_committed_config_hashes_are_pinned(name):
     ("[trajectories]\nsamples = 1e12\n", 2, f"samples.*at most {MAX_GRID_POINTS}"),
     ("[particle]\nrest_energy = 0.0 MeV\n", 2, "rest_energy.*above 0"),
     ("[numerics]\nmethod = rk5\n", 2, "method.*one of"),
+    ("[numerics]\nmethod = euler\n", 2, "method: must be one of rk4, got 'euler'"),
     ("# energy first\n[particle]\nEnergy = 2.0\n", 3, "energy.*MeV"),
     ("[particle]\nrest_energy = 0.5 MeV\nENERGY  : 2.0 GeV\n", 3, "energy.*MeV"),
 ])
@@ -268,10 +268,12 @@ def test_cli_exit_code_2_on_bad_config(tmp_path):
     ("[trajectories]\nwindow = -5.0 fm\n", []),
     ("[trajectories]\nwindow = 0.0 fm\n", []),
     ("[numerics]\nbasis_init = sincos\n", []),
+    ("[numerics]\nmethod = euler\n", []),
 ])
 def test_cli_exit_code_2_on_malformed_config(tmp_path, text, extra):
     """``extra`` lines go at the end of the file.  ``window`` and
-    ``basis_init`` are keys no more, so any value of them is an unknown key."""
+    ``basis_init`` are keys no more, so any value of them is an unknown key;
+    ``euler`` is the crude comparison of ``basis --compare-methods`` only."""
     bad = tmp_path / "bad.cfg"
     bad.write_text(text + "".join(f"{line}\n" for line in extra))
     result = run_cli(["trace", "--config", str(bad), "--out", str(tmp_path / "out")])
@@ -708,17 +710,17 @@ def test_analyze_closed_form_nodes_are_the_rungs_in_the_window(tmp_path, t_min, 
 
 
 FIG3_DIGESTS = {
-    "analyze_manifest.json": "1e88322f35793611920d45d451bbc1d16cc219bd3d54edf7214c9fb04dbfbb63",
+    "analyze_manifest.json": "4df127ffc4886ca449fd47c88b9f35e18f09faca84a50b8a92afc66e326cde3d",
     "classical.csv": "8a8b95553a8249bbf8a60f681b09be6b66f9b7a90b2aff64d0b065df5ceecb69",
     "figure3.gp": "1646ea15c71f483747d75dfe6edde31c3a96efc609f51eeed8a936ed62c18e7c",
-    "figure3_manifest.json": "f732bcf98a761db242c68e1d4434c55a6b7ecea8dcc7e147639bd7d5727ecff7",
-    "nodes.csv": "527de96b8755306f42c2e0eb05e3ffa1e8cc0750086c96c0dfd97c4799eaee38",
-    "nodes_detected.json": "6f7ba0f12d5da36e3f80fbe05c6c8557f6759b71708a21901431d6563de678d3",
-    "trace_manifest.json": "6316b66fb12a215f77aa39754630b7de5deee6edc701d542a48879bb9a95427e",
-    "trajectory_0.csv": "664246eaf43f3d5064ce159ed36163d698fde913661adcc7679b4813d49663a0",
-    "trajectory_1.csv": "11e14d822c8a581853f1e756051c27eaff66aaff27e211a725ed2231c4cb1929",
-    "trajectory_2.csv": "0a14d99f16b0ff75e509d01846cc103905895e786e426bc01f8f9f42f83f46d9",
-    "validation.json": "97b78d9c3bc0de2a747a6630d1745b856774b50c17cf6424a33249ef16802df0",
+    "figure3_manifest.json": "111a56314b7b93bbf28f9903d654ed2de40575955bb7c6eda975641b156e9df1",
+    "nodes.csv": "067386f13bbecd23030cfef00e4ca9befb805af28582be20dff355d3d2095553",
+    "nodes_detected.json": "67cda6df5d8f0d0d9824fa83893c8a53a9040e38862bf7e30e071cdd4a1e0f94",
+    "trace_manifest.json": "0d7de4280394895411821340a88780d8fd5622d36ebadf2e11e9abd2abe97902",
+    "trajectory_0.csv": "04c367a145b5b5e5efeaf6a5ff6b7c93f7e1ab1201bf5c4a00131ecff75d710c",
+    "trajectory_1.csv": "c750adbadfca56dc3f0cf492fd260c1fb8c03e44ffe678885a4bd6fb6fff9445",
+    "trajectory_2.csv": "0428da4a4b8eef06eb58e24f1dc57e03acaab56915a5a697bf786782a5a6a6d8",
+    "validation.json": "690cc50a95b19c818d6686efbf9916bb286ef1bfb2741563e6cd382d08785dea",
 }
 
 
@@ -733,15 +735,15 @@ BASIS_DIGESTS = {
     },
     "fig3": {
         "basis_euler.csv": "a07dec9431f64d0069f704fb347e84714a18516a578e9936f6a11ade69aed582",
-        "basis_manifest.json": "5aaf701555b1c4e8d4699781c24fed6b400699c1b23c9b71326b916d6745840a",
-        "basis_rk4.csv": "79ee78579226bbb69383dc3ccbc5b819b7b796a0d4864b5b09bcdc076a416fbb",
+        "basis_manifest.json": "3a099c5d28643c26ba4df945cbe808c2abe99ccbbab24489d698a95889d39512",
+        "basis_rk4.csv": "892def11f010f9b5958c24741a2d0d9f3508e312d9ead4733d289c5cdc4c3933",
     },
 }
 
 
 @pytest.mark.parametrize("name", sorted(BASIS_DIGESTS))
 def test_basis_outputs_are_pinned(tmp_path, monkeypatch, name):
-    """basis --compare-methods: the closed-form and RK4/Euler bases keep every byte."""
+    """basis --compare-methods: the closed-form, Magnus (rk4) and Euler bases keep every byte."""
     monkeypatch.chdir(tmp_path)              # the config's relative out dir
     cfg = parse_config(CONFIGS / f"{name}.cfg")
     pipeline.run_basis(cfg, compare_methods=True)
@@ -776,7 +778,7 @@ def test_fig3_live_memory_peak(tmp_path, monkeypatch, run, limit_mib):
     one set's action and trace alive at a time, an action of three arrays,
     checks that work in blocks, only t and x kept for node detection, which
     runs once the basis is freed, the in-place trace and a one-byte regime
-    code per trace row keep the peaks near 11.7 (the RK4 solve alone, and
+    code per trace row keep the peaks near 11.7 (the numeric solve alone, and
     basis), 12.1 (trace) and 14.1 MiB (analyze, figure).  With the
     whole-array scan and whole trajectories kept for node detection the
     peaks were 20.9, 21.0, 25.1 and 25.1 MiB (build_basis, basis, analyze,

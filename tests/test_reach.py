@@ -34,7 +34,6 @@ EXEMPT = {
     "model.Potential.d2v": "abstract: every potential overrides it",
     "config._line_of": "error path: the line of an unknown section or a rejected key",
     "config.RunConfig.to_file": "test helper: writes a config built in code",
-    "analysis._pairwise_crossings": "a target of the benchmark's traced run (ROADMAP item 1)",
     "model.f_function": "the paper's Lagrangian, for the claims ledger (ROADMAP item 7)",
     "model.lagrangian": "the paper's Lagrangian, for the claims ledger (ROADMAP item 7)",
     "model.classify_regime": "the regime check of f_function (ROADMAP item 7)",

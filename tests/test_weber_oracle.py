@@ -1,4 +1,8 @@
-"""fig3's RK4 basis against the exact solution of its wave equation.
+"""fig3's numeric basis against the exact solution of its wave equation.
+
+The basis is stepped by the fourth-order Magnus exponential (the ``rk4``
+value of ``[numerics] method``), on fig3's 0.05 fm grid and on a 0.5 fm
+grid over the same range, where the step's error is well above round-off.
 
 For V = g x the Klein-Gordon equation
 phi'' + ((E - g x)^2 - m0c2^2) / (hbar c)^2 phi = 0 becomes Weber's
@@ -23,6 +27,7 @@ from rqtraj.config import parse_config
 from rqtraj.kleingordon import wavenumber_sq
 from rqtraj.model import HiddenParams
 from rqtraj.trajectory import _zeros_of
+from tests.conftest import with_keys
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "fig3.cfg"
 POINTS = 21
@@ -30,12 +35,13 @@ POINTS = 21
 
 @pytest.fixture(scope="module")
 def fig3():
-    """The RK4 basis and, at 30 digits, the exact columns with their x
-    derivatives at POINTS grid points and the exact first, middle and last
-    zeros of phi2."""
+    """The numeric basis, the same basis at 0.5 fm, and at 30 digits the
+    exact columns with their x derivatives at POINTS grid points (shared
+    by both grids) and the exact first, middle and last zeros of phi2."""
     cfg = parse_config(CONFIG)
     setup, pot = pipeline.build_setup(cfg), pipeline.build_potential(cfg)
     basis = pipeline.build_basis(cfg, setup, pot)
+    coarse = pipeline.build_basis(with_keys(cfg, grid_step=0.5).validate(), setup, pot)
     with mp.workdps(30):
         g, hbar_c = mp.mpf(pot.slope), mp.mpf(setup.hbar_c)
         a = mp.mpf(setup.m0c2) ** 2 / (2 * g * hbar_c)
@@ -79,7 +85,7 @@ def fig3():
                        for i in picked]
         # the basis's phi1' phi2 - phi1 phi2' from the z-Wronskian of (u, v)
         wronskian = -(coef[0][0] * coef[1][1] - coef[0][1] * coef[1][0]) * dz_dx
-        return {"basis": basis, "setup": setup, "pot": pot, "a": float(a),
+        return {"basis": basis, "coarse": coarse, "setup": setup, "pot": pot, "a": float(a),
                 "z": (float(z0), float(z(basis.grid[-1]))),
                 "rows": rows, "exact": exact, "columns": columns,
                 "wronskian": float(wronskian), "exact_wronskian": wronskian,
@@ -96,17 +102,34 @@ def test_fig3_is_weber_equation_in_its_range(fig3):
 
 
 @pytest.mark.parametrize("column", ["phi1", "phi2"])
-def test_rk4_basis_matches_the_exact_solution(fig3, column):
-    """Within 2e-11 of max|phi| at every checked point (3.4e-12 for phi1,
-    6.4e-12 for phi2).  The solve steps by the grid's mean spacing; with
-    grid[1] - grid[0], 3.6e-12 relative off it, phi2 is 6.7e-10 off."""
+def test_basis_matches_the_exact_solution(fig3, column):
+    """Within 1e-13 of max|phi| at every checked point (3.6e-14 for phi1,
+    7.2e-15 for phi2): the round-off of the prefix products.  RK4 steps
+    were 3.4e-12 and 6.4e-12 off; with grid[1] - grid[0], 3.6e-12 relative
+    off the grid's mean spacing, RK4's phi2 was 6.7e-10 off."""
     phi = getattr(fig3["basis"], column)
     exact = fig3["exact"][int(column[-1]) - 1]
-    assert np.max(np.abs(phi[fig3["rows"]] - exact)) <= 2e-11 * np.max(np.abs(phi))
+    assert np.max(np.abs(phi[fig3["rows"]] - exact)) <= 1e-13 * np.max(np.abs(phi))
+
+
+@pytest.mark.parametrize("column", ["phi1", "phi2"])
+def test_coarse_basis_matches_the_exact_solution(fig3, column):
+    """At a 0.5 fm step the step's own error shows: within 2e-11 of max|phi|
+    (1.3e-14 for phi1 and 6.8e-12 for phi2 measured).  RK4 at this step
+    was 6.4e-8 off."""
+    coarse = fig3["coarse"]
+    rows = fig3["rows"] // 10
+    np.testing.assert_allclose(coarse.grid[rows], fig3["basis"].grid[fig3["rows"]],
+                               rtol=0, atol=1e-9)
+    phi = getattr(coarse, column)
+    exact = fig3["exact"][int(column[-1]) - 1]
+    assert np.max(np.abs(phi[rows] - exact)) <= 2e-11 * np.max(np.abs(phi))
 
 
 def test_rk4_wronskian_holds_the_exact_constant(fig3):
-    """The exact Wronskian is k0 at grid_min; RK4 keeps it to 4.4e-14."""
+    """The exact Wronskian is k0 at grid_min; the basis keeps it to 5.5e-14,
+    round-off of the prefix products of steps of determinant 1 (RK4 kept
+    it to 4.4e-14)."""
     basis = fig3["basis"]
     exact = fig3["wronskian"]
     assert exact == pytest.approx(basis.dphi1[0], rel=1e-14)
@@ -115,8 +138,11 @@ def test_rk4_wronskian_holds_the_exact_constant(fig3):
 
 def test_phi2_zeros_match_the_exact_zeros(fig3):
     """The first, middle and last of the 43 interpolated phi2 zeros lie
-    within 1e-8 fm of the exact ones (grid step 0.05 fm; 2.7e-9, 1.2e-9
-    and 8.1e-10 fm measured)."""
+    within 1e-8 fm of the exact ones (grid step 0.05 fm; 2.65e-9, 1.06e-9
+    and 1.9e-11 fm measured, against 2.66e-9, 1.21e-9 and 8.1e-10 fm with
+    RK4 steps).  The first zero's error comes from ``_zeros_of``'s linear
+    interpolation between grid points, not from the basis, which is within
+    1e-13 of max|phi| of the exact one."""
     assert _zeros_of(fig3["basis"].grid, fig3["basis"].phi2).size == 43
     np.testing.assert_allclose(fig3["zeros"], fig3["exact_zeros"], rtol=0, atol=1e-8)
 
@@ -124,9 +150,9 @@ def test_phi2_zeros_match_the_exact_zeros(fig3):
 @pytest.mark.parametrize("a, b", [(4.0, 2.5), (8.0, -3.0), (5.0, 2.0)])
 def test_momentum_derivatives_match_the_exact_closed_forms(fig3, a, b):
     """Pc, Pc' and Pc'' of each fig3 set against the same closed forms on
-    the exact columns: within 4e-9, 5e-9 and 2e-8 of their largest exact
-    value at the checked points (at most 1.9e-9, 2.5e-9 and 9.6e-9
-    measured)."""
+    the exact columns: within 1e-12, 1e-12 and 5e-12 of their largest
+    exact value at the checked points (at most 9.0e-14, 7.1e-14 and 5.8e-13
+    measured; 1.9e-9, 2.5e-9 and 9.6e-9 with RK4 steps)."""
     basis, rows, cols = fig3["basis"], fig3["rows"], fig3["columns"]
     setup = fig3["setup"]
     ra = ReducedAction(basis, HiddenParams(a, b), setup)
@@ -147,5 +173,5 @@ def test_momentum_derivatives_match_the_exact_closed_forms(fig3, a, b):
             exact.append([float(v) for v in (pc, -pc * dd / denom,
                                              pc * (2 * dd**2 / denom**2 - ddd / denom))])
     exact = np.array(exact).T
-    for name, value, ref, tol in zip(("Pc", "Pc'", "Pc''"), got, exact, (4e-9, 5e-9, 2e-8)):
+    for name, value, ref, tol in zip(("Pc", "Pc'", "Pc''"), got, exact, (1e-12, 1e-12, 5e-12)):
         assert np.max(np.abs(value - ref)) <= tol * np.max(np.abs(ref)), name
