@@ -22,7 +22,7 @@ from .action import ReducedAction
 from .errors import InsufficientTrajectories, RegimeError, TooFewSamples
 from .kleingordon import UNIFORM_REL_TOL, uniform_step, wavenumber_sq
 from .model import PhysicalSetup, Potential, Regime, constant_regime, kinetic_term
-from .trajectory import Trajectory, node_period, node_spacing, window_bounds
+from .trajectory import Trajectory, _cubic_at, node_period, node_spacing, window_bounds
 
 
 @dataclass(eq=False)  # equality is identity: the fields are arrays
@@ -121,8 +121,9 @@ def detect_nodes(curves, rungs, setup: PhysicalSetup, t_range) -> NodeReport:
     ``curves`` holds each trajectory's samples as a (t, x) pair of arrays,
     t ascending and x monotone; ``rungs`` the positions [fm] where the
     family meets, or None; ``setup`` the family's.  Each curve is turned so
-    that x ascends, and np.interp of t over x gives its arrival time at
-    every rung inside its x range.  t_lo and t_hi are the first and last
+    that x ascends, and the cubic of t over x through the four rows around
+    a rung (``trajectory._cubic_at``) gives its arrival time at every rung
+    inside its x range.  t_lo and t_hi are the first and last
     times that every curve holds inside ``t_range`` = (t_min, t_max), by
     ``trajectory.window_bounds``, the rule of the trajectory files, and a
     rung is a node when every arrival lies in [t_lo, t_hi].  Its time is
@@ -148,7 +149,7 @@ def detect_nodes(curves, rungs, setup: PhysicalSetup, t_range) -> NodeReport:
             t_lo, t_hi = np.inf, -np.inf        # no common rows
         if x[-1] < x[0]:
             t, x = t[::-1], x[::-1]
-        arrivals.append(np.interp(rungs, x, t, left=np.nan, right=np.nan))
+        arrivals.append(_cubic_at(x, t, rungs))
     arrivals = np.array(arrivals)
     node = np.all((t_lo <= arrivals) & (arrivals <= t_hi), axis=0)
     arrivals, positions = arrivals[:, node], rungs[node]
@@ -214,8 +215,9 @@ def _gradient_rows(f, lo: int, hi: int, h: float):
     return np.gradient(f[a:b], h, edge_order=2)[lo - a : hi - a]
 
 
-def _stencil_block(t, x, xd, hs, stride: int, lo: int, hi: int):
-    """The three derivatives at windows lo..hi-1 (centres 3*stride + lo ...).
+def _stencil_block(t, x, xd, hs, stride: int, lo: int, hi: int, weights):
+    """The derivatives of the rows of ``weights`` (a prefix of
+    ``_STENCIL_WEIGHTS``) at windows lo..hi-1 (centres 3*stride + lo ...).
 
     A uniform float grid is not exactly uniform: linspace or arange put
     sample j of a window off its ideal place t[centre] + offset * hs by
@@ -236,8 +238,8 @@ def _stencil_block(t, x, xd, hs, stride: int, lo: int, hi: int):
     c = 3 * stride
     tc = t[c + lo : c + hi]
     xc = x[c + lo : c + hi]
-    accs = [np.zeros(hi - lo) for _ in _STENCIL_WEIGHTS]
-    shifts = [np.zeros(hi - lo) for _ in _STENCIL_WEIGHTS]
+    accs = [np.zeros(hi - lo) for _ in weights]
+    shifts = [np.zeros(hi - lo) for _ in weights]
     term = np.empty(hi - lo)
     # the centre offset contributes nothing to window-centred values
     for j in (0, 1, 2, 4, 5, 6):
@@ -246,17 +248,18 @@ def _stencil_block(t, x, xd, hs, stride: int, lo: int, hi: int):
         delta = t[win] - tc
         delta -= (j - 3) * hs
         delta *= xd[j * stride : j * stride + hi - lo]
-        for (weights, _), acc, shift in zip(_STENCIL_WEIGHTS, accs, shifts):
-            acc += np.multiply(weights[j], d, out=term)
-            shift += np.multiply(weights[j], delta, out=term)
-    for k, ((_, denom), acc, shift) in enumerate(zip(_STENCIL_WEIGHTS, accs, shifts), start=1):
+        for (row, _), acc, shift in zip(weights, accs, shifts):
+            acc += np.multiply(row[j], d, out=term)
+            shift += np.multiply(row[j], delta, out=term)
+    for k, ((_, denom), acc, shift) in enumerate(zip(weights, accs, shifts), start=1):
         acc -= shift
         acc /= denom * hs**k
     return accs
 
 
-def _stencil_blocks(t, x, stride: int):
-    """The checked 7-point stencil: (m, an iterator of (lo, hi, (d1, d2, d3))).
+def _stencil_blocks(t, x, stride: int, weights=_STENCIL_WEIGHTS):
+    """The checked 7-point stencil: (m, an iterator of (lo, hi, derivatives)),
+    the derivatives those of the rows of ``weights``, by default (d1, d2, d3).
 
     Raises TooFewSamples below 6*stride + 1 samples and RegimeError when t
     is not uniform by ``kleingordon.uniform_step`` before it returns; the
@@ -280,7 +283,7 @@ def _stencil_blocks(t, x, stride: int):
         for lo in range(0, m, STENCIL_BLOCK):
             hi = min(lo + STENCIL_BLOCK, m)
             xd = _gradient_rows(x, lo, hi + 6 * stride, h)
-            derivs = _stencil_block(t, x, xd, hs, stride, lo, hi)
+            derivs = _stencil_block(t, x, xd, hs, stride, lo, hi, weights)
             del xd                          # not kept while the caller runs
             yield lo, hi, derivs
 
@@ -288,31 +291,35 @@ def _stencil_blocks(t, x, stride: int):
 
 
 def closure_residual(traj: Trajectory) -> ValidationReport:
-    """Law-of-motion closure |xdot P / (sigma kin) - 1| with centered-difference xdot.
+    """Law-of-motion closure |xdot P / (sigma kin) - 1| with xdot from the
+    7-point stencil.
 
     Setup (with the direction sign sigma) and potential are the trace's own,
     ``traj.meta["setup"]`` and ``traj.meta["potential"]``.
 
     P is the trace's own closed-form momentum, so the residual tests how the
-    emitted trace is sampled: the centred difference's truncation and
-    round-off, and a quadrature trace's Simpson error.
+    emitted trace is sampled: the stencil's truncation and round-off, and a
+    quadrature trace's own error.
 
-    xdot at sample i is the centred difference (x[i+1] - x[i-1]) / (t[i+1] -
-    t[i-1]).  Interior samples are evaluated in blocks of ``STENCIL_BLOCK``
-    into one residual array; every value comes from the same operations as
-    that difference and ``model.kinetic_term`` on the whole trace, so the
-    residuals are bit-identical to it.
+    xdot is the first-derivative row of the stencil of ``firqnl_residual``
+    (``_stencil_blocks``, with its shift correction) at stride 1, along the
+    variable the trace samples uniformly: d1 of x(t) when t is uniform,
+    1 / d1 of t(x) otherwise.  So both sampled checks measure the same
+    sampling, at sixth order in the spacing.  Only that row is evaluated,
+    block by block into one residual array, at the window centres, from the
+    fourth sample to the fourth from last.  TooFewSamples below 7 samples,
+    RegimeError when neither variable is uniform.
     """
     setup, pot = traj.setup, traj.potential
-    t, x, p = traj.t, traj.x, traj.momentum
-    if t.size < 3:
-        raise TooFewSamples("closure needs at least 3 samples")
-    res = np.empty(t.size - 2)
-    for lo in range(0, res.size, STENCIL_BLOCK):
-        hi = min(lo + STENCIL_BLOCK, res.size)
-        xd = (x[lo + 2 : hi + 2] - x[lo:hi]) / (t[lo + 2 : hi + 2] - t[lo:hi])    # [fm/s]
-        kin = kinetic_term(setup, pot, x[lo + 1 : hi + 1])
-        res[lo:hi] = np.abs(xd * p[lo + 1 : hi + 1] / (setup.direction * setup.c_fm_s * kin)
+    along_t = uniform_step(traj.t) is not None
+    u, y = (traj.t, traj.x) if along_t else (traj.x, traj.t)
+    m, blocks = _stencil_blocks(u, y, 1, _STENCIL_WEIGHTS[:1])
+    res = np.empty(m)
+    for lo, hi, (d1,) in blocks:
+        xd = d1 if along_t else np.divide(1.0, d1, out=d1)         # [fm/s]
+        rows = slice(3 + lo, 3 + hi)
+        kin = kinetic_term(setup, pot, traj.x[rows])
+        res[lo:hi] = np.abs(xd * traj.momentum[rows] / (setup.direction * setup.c_fm_s * kin)
                             - 1.0)
     return _summary("closure", res)
 

@@ -51,7 +51,7 @@ except ImportError:
         from hashlib import sha256 as _sha256
 
 
-# the basis alone would take 400 MB here, five float64 columns (fig3: 137 001 points);
+# the basis alone would take 400 MB here, five float64 columns (fig3: 34 251 points);
 # it also caps ``samples``, the rows of each closed-form trace
 MAX_GRID_POINTS = 10**7
 

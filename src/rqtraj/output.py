@@ -29,11 +29,14 @@ kernel does not take, or one with a three-digit exponent (|v| >= 1e100 or
 than 23 bytes, that block's float fields are as wide as the longest.  The
 text tables are built once per process with numpy integer arithmetic.  A
 labelled column's block gathers its fields by code from one table of the
-column's label texts as UTF-8, made once per file; any other column's
-block makes ``str(v)`` of each of its distinct values once and gathers
-those by index.  Each field is NUL-padded and ends in its separator.  A
-block is its fields side by side, with the NUL bytes dropped.  Files are
-written in binary mode as UTF-8.
+column's label texts as UTF-8, made once per file.  An int or uint column
+whose min..max range is no wider than its row count gets one table of
+``str(v)`` over that range, also made once per file, and gathers by value
+minus min.  Any other column's block (bool, or ints spread wider) makes
+``str(v)`` of each of its distinct values once and gathers those by
+index.  Each field is NUL-padded and ends in its separator.  A block is
+its fields side by side, with the NUL bytes dropped.  Files are written
+in binary mode as UTF-8.
 
 ``write_csv`` checks its arguments before any file or directory is
 created.  A column of any other dtype (str, bytes, object, complex,
@@ -184,22 +187,26 @@ def _float_fields(v, newline):
     return fields.reshape(rows, cols, -1)
 
 
-def _field_bytes(block, texts, end):
+def _field_bytes(block, texts, end, low):
     """A column's block that is not float as (rows, width) NUL-padded bytes,
-    each field ending in the separator ``end``: a labelled column gathers
-    its label texts ``texts`` by code; any other column makes ``str(v)`` of
-    each distinct value once, then gathers those."""
+    each field ending in the separator ``end``: with a table ``texts`` the
+    block gathers its texts by value minus ``low`` (a labelled column's
+    codes, or an int column's values over its min..max range); any other
+    column makes ``str(v)`` of each distinct value once, then gathers
+    those."""
     if texts is None:
         values, block = np.unique(block, return_inverse=True)
         texts = np.array([str(v).encode() + end for v in values.tolist()])
+    elif low:
+        block = block - low
     return texts[block].view(np.uint8).reshape(len(block), -1)
 
 
 def _block_fields(floats, parts, newline, lo, rows):
     """Rows lo..lo+rows-1 as (rows, width) NUL-padded bytes.  ``parts`` are
-    slices of the float columns' fields and (column, label texts or None,
-    separator) triples of the other columns; what the block is built from
-    is freed on return."""
+    slices of the float columns' fields and (column, texts or None,
+    separator, low) of the other columns; what the block is built from is
+    freed on return."""
     if floats:
         v = np.empty((rows, len(floats)))
         for j, arr in enumerate(floats):
@@ -239,13 +246,23 @@ def write_csv(path, header_comments, columns, footer_comments=()):
     footer = "".join(f"# {c}\n" for c in footer_comments)
     floats = [arr for arr in arrays if arr.dtype.kind == "f"]
     ends = [b","] * (len(arrays) - 1) + [b"\n"]
-    # each label's text with its column's separator, indexed by code
-    texts = [None if lab is None else np.array([t.encode() + end for t in lab])
-             for lab, end in zip(labels, ends)]
+    # each label's text with its column's separator, indexed by code; an
+    # int column whose min..max range is no wider than its rows gets the
+    # texts of that range, indexed by value minus min
+    texts, lows = [], []
+    for arr, lab, end in zip(arrays, labels, ends):
+        low = 0
+        if lab is not None:
+            lab = np.array([t.encode() + end for t in lab])
+        elif arr.dtype.kind in "iu" and n and int(arr.max()) - int(arr.min()) < n:
+            low = arr.min()
+            lab = np.array([str(v).encode() + end for v in range(int(low), int(arr.max()) + 1)])
+        texts.append(lab)
+        lows.append(low)
     # a run of adjacent float columns is one part of each block, a slice of
     # the block's float fields; every other column is a part of its own
     parts, f = [], 0
-    for is_float, run in itertools.groupby(zip(arrays, texts, ends),
+    for is_float, run in itertools.groupby(zip(arrays, texts, ends, lows),
                                            lambda c: c[0].dtype.kind == "f"):
         run = list(run)
         if is_float:

@@ -17,10 +17,14 @@ the first failed set.
 
 Nodes are the rungs where every (a, b) of the family meets: the
 closed-form ladder for an oscillatory constant potential, the zeros of
-phi2 on the basis grid for a quadrature config, none for an evanescent
-family.  ``analyze`` and the node pass of ``figure`` give them to
-``analysis.detect_nodes``, which reports each trace's arrival time there
-inside [t_min, t_max].
+phi2 on the basis grid for a quadrature config (placed on the cubic
+Hermite of phi2 and phi2'), none for an evanescent family.  ``analyze``
+and the node pass of ``figure`` give them to ``analysis.detect_nodes``,
+which reports each trace's arrival time there inside [t_min, t_max].
+
+``analyze``'s closure and first-integral checks run the 7-point stencil at
+stride 1 on every trace, along t for a closed form and along x for a
+quadrature trace, so they measure the sampling the trace was computed on.
 
 The sets run one at a time, each in one order: its action is built, its
 trace is taken from it, ``analyze`` runs the quantum-HJ check on the
@@ -139,8 +143,9 @@ def _family(cfg: RunConfig, setup, pot, basis):
 
 
 def _phi2_zeros(basis):
-    """The zeros of phi2 on the basis grid, or None without a basis."""
-    return None if basis is None else _zeros_of(basis.grid, basis.phi2)
+    """The zeros of phi2 on the basis grid, placed on the cubic Hermite of
+    (phi2, phi2'), or None without a basis."""
+    return None if basis is None else _zeros_of(basis.grid, basis.phi2, basis.dphi2)
 
 
 def _detected_nodes(cfg: RunConfig, curves, rungs, setup):
@@ -204,11 +209,12 @@ def run_trace(cfg: RunConfig) -> dict:
 
 # Each set's residual checks, in summary order: key stem in validation.json
 # ("<stem>_max", or "<stem>_error" when the check raises), summary label,
-# and the check of a trace (with its stride) or of an action (with V).
+# and the check of a trace or of an action (with V).  Both trace checks run
+# the 7-point stencil at stride 1 on every sample.  The checks look their
+# functions up when they run, so a wrapper bound to the module name is seen.
 _CHECKS = (
-    ("closure", "closure", "trace", lambda tr, stride: closure_residual(tr)),
-    ("first_integral", "first-integral", "trace",
-     lambda tr, stride: firqnl_residual(tr, stride=stride)),
+    ("closure", "closure", "trace", lambda tr: closure_residual(tr)),
+    ("first_integral", "first-integral", "trace", lambda tr: firqnl_residual(tr)),
     ("quantum_hj", "quantum-HJ", "action", lambda ra, pot: rqshje_residual(ra, pot=pot)),
 )
 
@@ -238,7 +244,7 @@ def run_analyze(cfg: RunConfig) -> dict:
         if ra is not None:
             _validate(per_set[-1], "action", ra, pot)
         del ra                                  # no check reads it from here on
-        _validate(per_set[-1], "trace", tr, 1 if basis is None else 4)
+        _validate(per_set[-1], "trace", tr)
         curves.append((tr.t, tr.x))
         del tr                                  # node detection reads t and x only
     zeros = _phi2_zeros(basis)

@@ -8,12 +8,20 @@ with sigma = +-1 the direction sign.  For a constant potential the time
 equation inverts in closed form to an arctan-of-tan staircase whose branch
 constant advances by pi at every node crossing; the node pattern
 (t_n, x_n) is shared by the whole (a, b) family.  For general potentials
-the right side depends on x only, so t(x) is accumulated by composite
-Simpson quadrature on the basis grid (no stiffness where the velocity
-peaks, since no time stepping is involved).  The quadrature reads setup,
-basis and (a, b) from the ReducedAction it is given and runs over the
-basis's whole grid, so the grid is the one x range.  A turning point ends
-it with a ``halt: TurningPointInRange`` event, whether a grid point
+the right side depends on x only, so t(x) is accumulated over the basis
+grid by the phase rule: t = (hbar / sigma) integral of dtheta / kin, with
+theta = S0 / hbar, by the end-corrected trapezoid in theta, fourth order
+in the step (no stiffness where the velocity peaks, since no time stepping
+is involved, and a weight 1/kin that varies on the scale of the potential,
+not of the nodes).  For a constant potential the rule is the closed form.
+Points between grid rows are placed with the derivative the rows carry:
+zeros of phi2 and of a phi1 + b phi2 on the cubic Hermite of the value
+and its x derivative (``_zeros_of``), times on the cubic through four rows
+(``_cubic_at``).  The quadrature reads setup, basis and (a, b) from the
+ReducedAction it is given and runs over the basis's whole grid, so the
+grid is the one x range.  ``classical_trace`` keeps Simpson quadrature of
+1/v for its tabulated and flat curves.  A turning point ends it with a
+``halt: TurningPointInRange`` event, whether a grid point
 resolves it (|v| under SLOW_ZONE_FRAC * c) or 1/v changes sign between two
 grid points, so every quadrature trace has strictly monotone t and x.  An
 evanescent closed form ends at its analytic divergence time t*, with a
@@ -361,25 +369,67 @@ def trace_constant_evanescent(
     )
 
 
-def _zeros_of(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Sign-change zeros of ``y`` on the grid ``x``, linearly interpolated.
+def _zeros_of(x: np.ndarray, y: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Sign-change zeros of ``y`` on the grid ``x``, placed on the cubic Hermite
+    interpolant of (y, dy) over their step, ``dy`` the x derivative of y.
 
     A step changes sign when one end is below 0 and the other above it; an
-    exact zero (of either sign) or a NaN at an end is no sign change.
+    exact zero (of either sign) or a NaN at an end is no sign change.  Each
+    zero starts from the secant's and takes three Newton steps on the cubic
+    in the step's unit variable s, kept in [0, 1]: the linear start is off
+    by O(h^2) and each step squares the error, so the cubic's own O(h^4)
+    error is what remains.
     """
     below, above = y < 0, y > 0
     change = below[:-1] & above[1:]
     change |= above[:-1] & below[1:]
     idx = np.flatnonzero(change)
-    return x[idx] - y[idx] * (x[idx + 1] - x[idx]) / (y[idx + 1] - y[idx])
+    h = x[idx + 1] - x[idx]
+    y0, y1 = y[idx], y[idx + 1]
+    m0, m1 = dy[idx] * h, dy[idx + 1] * h
+    # y0 + m0 s + c2 s^2 + c3 s^3 on s in [0, 1]
+    c2 = 3.0 * (y1 - y0) - 2.0 * m0 - m1
+    c3 = 2.0 * (y0 - y1) + m0 + m1
+    s = y0 / (y0 - y1)
+    for _ in range(3):
+        s -= (y0 + s * (m0 + s * (c2 + s * c3))) / (m0 + s * (2.0 * c2 + s * (3.0 * c3)))
+        np.clip(s, 0.0, 1.0, out=s)
+    return x[idx] + s * h
 
 
-def _zero_near(grid: np.ndarray, values: np.ndarray, x_target: float, what: str) -> float:
-    """Position of the sign-change zero of ``values`` nearest x_target."""
-    xz = _zeros_of(grid, values)
+def _zero_near(grid: np.ndarray, values: np.ndarray, derivs: np.ndarray, x_target: float,
+               what: str) -> float:
+    """Position of the sign-change zero of ``values`` (x derivative ``derivs``)
+    nearest x_target, by ``_zeros_of``."""
+    xz = _zeros_of(grid, values, derivs)
     if xz.size == 0:
         raise BasisGapError(f"no zero of {what} inside the basis grid")
     return float(xz[np.argmin(np.abs(xz - x_target))])
+
+
+def _cubic_at(x: np.ndarray, y: np.ndarray, xq):
+    """y at each xq from the cubic through the four rows of the ascending
+    ``x`` around it (all rows when there are fewer), NaN outside
+    [x[0], x[-1]].
+
+    The rows are the two on either side of xq, shifted inward at the ends.
+    The Lagrange weights are products of ratios, so at a row's own x they
+    are exactly 1 and 0 and the value is that row's y.
+    """
+    xq = np.asarray(xq, dtype=float)
+    k = min(x.size, 4)
+    first = np.clip(np.searchsorted(x, xq) - 2, 0, x.size - k)
+    rows = first[..., None] + np.arange(k)
+    xs, ys = x[rows], y[rows]
+    out = np.zeros(xq.shape)
+    for j in range(k):
+        weight = np.ones(xq.shape)
+        for m in range(k):
+            if m != j:
+                weight *= (xq - xs[..., m]) / (xs[..., j] - xs[..., m])
+        out += weight * ys[..., j]
+    out[(xq < x[0]) | (xq > x[-1])] = np.nan
+    return out
 
 
 def trace_quadrature(
@@ -388,7 +438,7 @@ def trace_quadrature(
     x0: float,
     sync: str,
 ) -> Trajectory:
-    """Trajectory t(x) by composite Simpson quadrature of 1/v over the whole basis grid.
+    """Trajectory t(x) by the phase rule over the whole basis grid.
 
     Setup, basis and (a, b) are those of ``action``, the direction sign
     that of ``action.setup``, and the x range that of ``action.basis``: the
@@ -401,30 +451,40 @@ def trace_quadrature(
     members of the (a, b) family cross at the same phase, so every synced
     trajectory passes through it at t = 0.  Either zero convention makes a
     family share its nodes (exactly for a constant potential, to within a
-    slow drift otherwise).  An x0 outside the grid, or a grid of fewer than
+    slow drift otherwise).  The zero is placed by ``_zeros_of`` and its
+    time by ``_cubic_at``.  An x0 outside the grid, or a grid of fewer than
     3 points, raises BasisGapError.
+
+    The phase rule: the law of motion gives dt = (hbar / sigma) g dtheta,
+    with theta = S0 / hbar and g = 1 / kin, kin = E - V - m0c2^2 / (E - V).
+    g varies on the scale of the potential, while 1/v peaks at every node.
+    Each step's dtheta is atan2 of the step's two (phi2, a phi1 + b phi2)
+    vectors, not a difference of ``s0_grid``, whose round-off grows with
+    S0.  Each step adds the trapezoid in theta with its Euler-Maclaurin end
+    correction (Davis and Rabinowitz 1984),
+    (hbar / sigma) [dtheta (g_i + g_i+1) / 2 - dtheta^2 / 12 (gdot_i+1 - gdot_i)],
+    gdot = dg/dtheta = g' hbar c / Pc, g' = V' (1 + m0c2^2 / (E - V)^2) / kin^2
+    in closed form: fourth order in the step.  For a constant potential
+    gdot = 0 and the rule is the closed form t = hbar dtheta / (sigma kin).
 
     A turning point ends the trace, with ``halt: TurningPointInRange`` in
     the events: the trace stops before the first grid point where |v| falls
-    under SLOW_ZONE_FRAC * c, and, after the Simpson table, before the
-    first step whose dt is zero or has the opposite sign to the first step
-    (a turning point between grid points, where 1/v changes sign).  So t(x)
-    is strictly monotone, and the samples come out in grid order or
-    reversed, as views of the grid and of the action's arrays, with t
-    ascending and x strictly monotone.  E = V on the rows the trace keeps,
-    or between the last of them and the first row it drops, raises
-    EnergyEqualsPotential: the law of motion divides by E - V, and 1/v
-    changes sign there.  So a grid that reaches past a turning point
-    halts there whether or not a grid point falls in the slow zone.
+    under SLOW_ZONE_FRAC * c, and before the first step whose dt is zero,
+    not finite or has the opposite sign to the first step, or over which
+    kin changes sign (a turning point between grid points, where 1/v
+    changes sign).  So t(x) is strictly monotone, and the samples come out
+    in grid order or reversed, as views of the grid and of the action's
+    arrays, with t ascending and x strictly monotone.  E = V on the rows
+    the trace keeps, or between the last of them and the first row it
+    drops, raises EnergyEqualsPotential: the law of motion divides by
+    E - V, and 1/v changes sign there.  So a grid that reaches past a
+    turning point halts there whether or not a grid point falls in the
+    slow zone.
 
-    kin, v and 1/v share one grid-long buffer, the Simpson table is built
-    in place (``cumulative_simpson``), so are the dt sign test and the
-    regime tags, and the time shift is subtracted in place.  E - V is
-    freed once the regime tags are taken, before the Simpson table, and
-    recomputed on the kept rows and the first row dropped for the E = V
-    check.  Every value comes from the same operations as in an evaluation
-    into fresh arrays, which the tests keep as the oracle, so the five
-    columns are bit-identical to it.
+    The per-step arrays share buffers, the time shift is subtracted in
+    place, and every value comes from the same operations as in an
+    evaluation into fresh arrays, which the tests keep as the oracle, so
+    the five columns are bit-identical to it.
     """
     setup, basis, hp = action.setup, action.basis, action.params
     grid = basis.grid
@@ -432,40 +492,65 @@ def trace_quadrature(
         raise BasisGapError("x0 outside the basis grid")
     if grid.size < 3:
         raise BasisGapError("fewer than 3 points in the basis grid")
-    h = uniform_step(grid)
-    if h is None:
+    if uniform_step(grid) is None:
         raise ValueError("quadrature requires a uniform basis grid")
 
     # model.kinetic_term inline: its E = V check would look at every row of
-    # the grid, where the one below looks at the rows the trace keeps.
-    # kin [MeV], then v = sigma c kin / Pc [fm/s], then 1/v, in one buffer
+    # the grid, where the one below looks at the rows the trace keeps
+    pc = action.momentum_grid
     ev = setup.E - np.asarray(pot.v(grid), dtype=float)
     with np.errstate(divide="ignore"):                # E = V is checked below
-        v = np.divide(setup.rest_sq, ev)
-    np.subtract(ev, v, out=v)
-    np.multiply(setup.direction * setup.c_fm_s, v, out=v)
-    v /= action.momentum_grid
+        kin = np.divide(setup.rest_sq, ev)
+    np.subtract(ev, kin, out=kin)                     # [MeV]
 
-    # turning point on a grid point: the slow zone, |v| < SLOW_ZONE_FRAC c
+    # turning point on a grid point: the slow zone, |v| < SLOW_ZONE_FRAC c,
+    # v = sigma c kin / Pc
+    v = np.multiply(setup.direction * setup.c_fm_s, kin)
+    v /= pc
     v_slow = SLOW_ZONE_FRAC * setup.c_fm_s
     slow = v < v_slow
     slow &= v > -v_slow
+    del v
     cut = int(np.argmax(slow)) if slow.any() else grid.size
     del slow
     if cut < 3:
         raise RegimeError("entire grid is inside the slow/turning zone")
-    xs, v = grid[:cut], v[:cut]
+    xs, ev, kin, pc = grid[:cut], ev[:cut], kin[:cut], pc[:cut]
+    regime = regime_tags(setup, ev)
 
-    regime = regime_tags(setup, ev[:cut])
-    del ev                                            # recomputed for the E = V check
-
-    tt = cumulative_simpson(np.divide(1.0, v, out=v), h)
-    del v                                             # the buffer is spent
-    # turning point between grid points: 1/v, and so dt, changes sign
-    dt = np.diff(tt)
-    dt *= np.sign(tt[1] - tt[0])
-    turned = ~(dt > 0)
-    del dt
+    with np.errstate(divide="ignore", invalid="ignore"):  # E = V rows: checked below
+        # gdot = dg/dtheta = V' (1 + m0c2^2 / (E - V)^2) / kin^2 * hbar c / Pc,
+        # in the buffer of E - V
+        gdot = np.divide(setup.rest_sq, np.square(ev, out=ev), out=ev)
+        del ev
+        gdot += 1.0
+        gdot *= np.asarray(pot.dv(xs), dtype=float)
+        gdot /= np.square(kin)
+        gdot *= setup.hbar_c
+        gdot /= pc
+        g = np.divide(1.0, kin, out=kin)
+        del kin
+        # dtheta of each step, from its two (phi2, psi) vectors
+        phi2 = basis.phi2[:cut]
+        psi = np.multiply(hp.a, basis.phi1[:cut])
+        psi += np.multiply(hp.b, phi2)
+        dth = np.arctan2(psi[1:] * phi2[:-1] - psi[:-1] * phi2[1:],
+                         phi2[:-1] * phi2[1:] + psi[:-1] * psi[1:])
+        del psi
+        # dt = sigma hbar [dth (g_i + g_i+1) / 2 - dth^2 / 12 (gdot_i+1 - gdot_i)]
+        corr = np.subtract(gdot[1:], gdot[:-1])
+        del gdot
+        corr *= np.square(dth) / 12.0
+        dt = np.add(g[:-1], g[1:])
+        dt *= dth
+        dt *= 0.5
+        dt -= corr
+        dt *= setup.direction * setup.hbar
+        del dth, corr
+    # turning point between grid points: kin, and so dt, changes sign
+    turned = ~(dt * np.sign(dt[0]) > 0)
+    turned |= ~(g[:-1] * g[1:] > 0)
+    del g
     cut = int(np.argmax(turned)) + 1 if turned.any() else xs.size
     del turned
     # E = V on the kept rows or between the last of them and the first row
@@ -478,21 +563,27 @@ def trace_quadrature(
         )
     if cut < 3:
         raise RegimeError("turning point within two grid steps of the grid start")
-    xs, regime, tt = xs[:cut], regime[:cut], tt[:cut]
+    xs, regime = xs[:cut], regime[:cut]
+    tt = np.empty(cut)
+    tt[0] = 0.0
+    np.cumsum(dt[:cut - 1], out=tt[1:])
+    del dt
 
     # time origin
     if sync == "psi_zero":
         psi = hp.a * basis.phi1 + hp.b * basis.phi2
-        anchor = _zero_near(basis.grid, psi, x0, "a*phi1 + b*phi2")
+        dpsi = hp.a * basis.dphi1 + hp.b * basis.dphi2
+        anchor = _zero_near(basis.grid, psi, dpsi, x0, "a*phi1 + b*phi2")
+        del psi, dpsi
         anchor = min(max(anchor, xs[0]), xs[-1])
     elif sync == "phi2_zero":
-        anchor = _zero_near(basis.grid, basis.phi2, x0, "phi2")
+        anchor = _zero_near(basis.grid, basis.phi2, basis.dphi2, x0, "phi2")
         anchor = min(max(anchor, xs[0]), xs[-1])
     elif sync == "exact":
         anchor = xs[int(np.argmin(np.abs(xs - x0)))]
     else:
         raise ValueError(f"unknown sync mode {sync!r}")
-    tt -= np.interp(anchor, xs, tt)
+    tt -= _cubic_at(xs, tt, anchor)
 
     rows = slice(xs.size)
     order = slice(None) if tt[-1] > tt[0] else slice(None, None, -1)

@@ -182,7 +182,7 @@ def test_detect_nodes_linear_potential(electron2):
     from rqtraj.trajectory import _zeros_of
 
     pot, basis, trajs = linear_pipeline(electron2)
-    zeros = _zeros_of(basis.grid, basis.phi2)
+    zeros = _zeros_of(basis.grid, basis.phi2, basis.dphi2)
     curves = [(tr.t, tr.x) for tr in trajs]
     t_range = (-1.0, 1.0)                      # every row of every trace
     rep = rq.detect_nodes(curves, zeros, electron2, t_range)
@@ -209,7 +209,7 @@ def test_fig3_analyze_reports_every_rung_of_the_reference(tmp_path):
     pipeline.run_trace(cfg)
     pipeline.run_basis(cfg)
     _, basis = read_csv(tmp_path / "basis_rk4.csv")
-    zeros = _zeros_of(basis["x_fm"], basis["phi2"])
+    zeros = _zeros_of(basis["x_fm"], basis["phi2"], basis["dphi2_per_fm"])
     curves = []
     for i in range(len(cfg.param_sets)):
         _, cols = read_csv(tmp_path / f"trajectory_{i}.csv")
@@ -219,8 +219,61 @@ def test_fig3_analyze_reports_every_rung_of_the_reference(tmp_path):
     assert len(nodes["positions"]) == reference.size == 42
     np.testing.assert_array_equal(nodes["positions"], reference)
     np.testing.assert_array_equal(reference, zeros[1:])
+    # the benchmark places its reference zeros by the secant: the same count
+    x, y = basis["x_fm"], basis["phi2"]
+    i = np.flatnonzero(np.sign(y[:-1]) * np.sign(y[1:]) < 0)
+    secant = x[i] - y[i] * (x[i + 1] - x[i]) / (y[i + 1] - y[i])
+    assert _zeros_in_window(secant, curves, (cfg.t_min, cfg.t_max)).size == 42
     assert len(nodes["extras"]["arrival_spread_s"]) == 42
     assert len(nodes["extras"]["arrival_spread_per_period"]) == 42
+
+
+def _family_arrivals(cfg):
+    """(setup, rungs, each set's arrival times at the rungs, the (t, x)
+    curves) of a config's family, as ``analyze`` traces it: the phi2 zeros
+    of a quadrature config, the closed-form ladder of a constant one."""
+    setup, pot, basis = pipeline._stage(cfg)
+    curves = []
+    for _, tr, ra in pipeline._family(cfg, setup, pot, basis):
+        del ra
+        curves.append((tr.t, tr.x))
+    if basis is None:
+        rungs = rq.nodes_closed_form(setup, cfg.u0, (cfg.t_min, cfg.t_max), x0=cfg.x0).positions
+    else:
+        rungs = pipeline._phi2_zeros(basis)
+    return setup, rungs, np.array([trajectory._cubic_at(x, t, rungs) for t, x in curves]), curves
+
+
+def test_fig3_arrivals_converge_to_a_fine_grid_run():
+    """fig3 on its 0.2 fm grid against the same run at 0.0125 fm: every
+    set's arrival at each of the 43 rungs agrees within 1e-10 node periods
+    at x0 (2.81e-22 s; 6.8e-11 measured).  With Simpson of 1/v, linear
+    zeros and linear arrivals the 0.2 fm run was 1.7e-7 to 5.7e-7 periods
+    off, and the 0.05 fm run 7e-9 to 2.3e-8."""
+    cfg = parse_config(CONFIGS / "fig3.cfg")
+    setup, rungs, arrivals, _ = _family_arrivals(cfg)
+    _, fine_rungs, fine, _ = _family_arrivals(with_keys(cfg, grid_step=0.0125).validate())
+    period = rq.node_period(setup, float(pipeline.build_potential(cfg).v(cfg.x0)))
+    assert rungs.size == fine_rungs.size == 43
+    assert np.max(np.abs(rungs - fine_rungs)) <= 1e-10
+    assert np.all(np.isfinite(arrivals))
+    assert np.max(np.abs(arrivals - fine)) <= 1e-10 * period
+
+
+def test_fig1_arrivals_match_the_closed_form_ladder():
+    """fig1's three sets arrive at each rung of the closed-form ladder at its
+    closed-form time within 1e-11 node periods (1.4e-15, 3.4e-15 and
+    8.6e-13 measured; linear interpolation of t over x gave 3e-13, 8.1e-9
+    and 6.2e-8), and analyze's node times carry that."""
+    cfg = parse_config(CONFIGS / "fig1.cfg")
+    setup, rungs, arrivals, curves = _family_arrivals(cfg)
+    closed = rq.nodes_closed_form(setup, cfg.u0, (cfg.t_min, cfg.t_max), x0=cfg.x0)
+    period = rq.node_period(setup, cfg.u0)
+    assert closed.times.size == 5
+    assert np.max(np.abs(arrivals - closed.times)) <= 1e-11 * period
+    nodes = rq.detect_nodes(curves, rungs, setup, (cfg.t_min, cfg.t_max))
+    assert np.max(np.abs(nodes.times - closed.times)) <= 1e-11 * period
+    assert np.max(nodes.extras["arrival_spread_s"]) <= 2e-11 * period
 
 
 def test_mean_momentum_is_parameter_free(electron2):
@@ -483,13 +536,14 @@ def test_analyze_records_non_uniform_trace(tmp_path, monkeypatch):
 
 
 def test_analyze_records_a_check_that_cannot_run(tmp_path):
-    """Two samples per trace: closure and first integral record their errors."""
+    """Two samples per trace: closure and first integral record their errors
+    (both stencils need 7 samples)."""
     cfg = with_keys(parse_config(CONFIGS / "fig1.cfg"), samples=2,
                               out_dir=str(tmp_path)).validate()
     manifest = pipeline.run_analyze(cfg)
     per_set = json.loads((tmp_path / "validation.json").read_text())["per_set"]
     for entry in per_set:
-        assert entry["closure_error"] == "closure needs at least 3 samples"
+        assert entry["closure_error"] == "need at least 7 samples"
         assert "closure_max" not in entry and "first_integral_error" in entry
         assert "quantum_hj_max" in entry
     assert not any(label.startswith("closure") for label, _ in manifest["summary"])
@@ -708,25 +762,80 @@ def test_gradient_rows_are_bit_equal_to_the_whole_trace_gradient(kind, stride):
 
 def closure_whole_array(traj):
     """``closure_residual`` as one pass over the whole trace, kept as the
-    oracle of the blocked evaluation."""
+    oracle of the blocked evaluation: xdot from the first row of
+    ``stencil_whole_array`` at stride 1, along the uniform variable."""
     setup, pot = traj.setup, traj.potential
-    xd = (traj.x[2:] - traj.x[:-2]) / (traj.t[2:] - traj.t[:-2])
-    kin = kinetic_term(setup, pot, traj.x[1:-1])
-    return np.abs(xd * traj.momentum[1:-1] / (setup.direction * setup.c_fm_s * kin) - 1.0)
+    if uniform_step(traj.t) is not None:
+        xd = stencil_whole_array(traj.t, traj.x, 1)[0]
+    else:
+        xd = 1.0 / stencil_whole_array(traj.x, traj.t, 1)[0]
+    kin = kinetic_term(setup, pot, traj.x[3:-3])
+    return np.abs(xd * traj.momentum[3:-3] / (setup.direction * setup.c_fm_s * kin) - 1.0)
 
 
 @pytest.mark.parametrize("n", [3, 4, STENCIL_BLOCK + 1, STENCIL_BLOCK + 2, STENCIL_BLOCK + 3,
                                2 * STENCIL_BLOCK + 3])
 @pytest.mark.parametrize("var", ["t", "x"])
 def test_blocked_closure_is_bit_equal(block_traces, var, n):
+    """n - 2 windows, the count of the centred difference this check used on
+    n samples: 1 and 2 windows, and the block edges STENCIL_BLOCK - 1,
+    STENCIL_BLOCK, STENCIL_BLOCK + 1 and 2 STENCIL_BLOCK + 1.  Six samples
+    are too few."""
     _, traces, _ = block_traces
     full = traces[var]
-    rows = slice(0, n)
+    rows = slice(0, n + 4)
     tr = dataclasses.replace(full, t=full.t[rows], x=full.x[rows], branch=full.branch[rows],
                              regime=full.regime[rows], momentum=full.momentum[rows])
     got = rq.closure_residual(tr).residuals
     assert got.size == n - 2
     assert np.array_equal(got.view(np.int64), closure_whole_array(tr).view(np.int64))
+    short = dataclasses.replace(tr, t=tr.t[:6], x=tr.x[:6], branch=tr.branch[:6],
+                                regime=tr.regime[:6], momentum=tr.momentum[:6])
+    with pytest.raises(TooFewSamples, match="7 samples"):
+        rq.closure_residual(short)
+
+
+def test_closure_converges_at_the_stencil_order(electron2):
+    """The closure check's xdot is the 7-point first derivative, so on a
+    trace sampled coarsely enough that truncation dominates, halving the
+    spacing divides the residual by at least 30 (sixth order: 64; 52 to 63
+    measured).  Along t on a closed form, and along x on a linear-potential
+    quadrature trace.  The centred difference it replaced divided it by 4."""
+    dt = rq.node_period(electron2, 0.0)
+    along_t = [rq.closure_residual(rq.trace_constant_oscillatory(
+                   electron2, 0.0, rq.HiddenParams(4 / 3, -1.05), 0.0, (0.0, 3 * dt), n)
+               ).max_residual for n in (151, 301, 601, 1201)]
+    along_x = []
+    for h in (1.6, 0.8, 0.4):
+        _, _, trajs = linear_pipeline(electron2, lo=-2000.0, hi=0.0, h=h, x0=-1000.0)
+        along_x.append(rq.closure_residual(trajs[0]).max_residual)
+    for residuals in (along_t, along_x):
+        assert residuals[-1] > 1e-11                   # still above round-off
+        for coarse, fine in zip(residuals, residuals[1:]):
+            assert coarse / fine >= 30, residuals
+
+
+# Per-set maxima of fig3's analyze with the Simpson trace on the 0.05 fm
+# grid, the stencil at stride 4 and the centred-difference closure: (closure,
+# first integral) for (4, 2.5), (8, -3) and (5, 2).
+FIG3_SIMPSON_MAXIMA = ((3.5091051e-05, 5.9399953e-05), (9.6322039e-05, 4.2731929e-04),
+                       (3.7585367e-05, 6.8151050e-05))
+
+
+def test_fig3_residuals_stay_at_or_below_the_simpson_trace(tmp_path):
+    """A grid, stride or rule change cannot raise fig3's residuals silently.
+    Each set's closure maximum stays at or below the Simpson trace's (it is
+    2.5e-8, 4.8e-7 and 3.0e-8 now), and each first-integral maximum at or
+    below it to 1e-3 of its value: the (4, 2.5) maximum reads 5.94179e-5
+    against 5.93999e-5, and noise of 1e-16 relative in t alone doubles it,
+    so its late digits are round-off of t."""
+    cfg = with_keys(parse_config(CONFIGS / "fig3.cfg"), out_dir=str(tmp_path))
+    pipeline.run_analyze(cfg)
+    per_set = json.loads((tmp_path / "validation.json").read_text())["per_set"]
+    assert [(e["a"], e["b"]) for e in per_set] == list(FIG3_SETS)
+    for entry, (closure, first_integral) in zip(per_set, FIG3_SIMPSON_MAXIMA):
+        assert entry["closure_max"] <= closure
+        assert entry["first_integral_max"] <= first_integral * (1 + 1e-3)
 
 
 def test_analyze_builds_one_reduced_action_per_set(tmp_path, monkeypatch):
@@ -751,10 +860,13 @@ def test_analyze_builds_one_reduced_action_per_set(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name, expected", [
     ("fig1", (5.731321e-4, 3.298805e-4, 2.759214e-2)),
-    ("fig3", (5.939995e-5, 4.273193e-4, 6.815105e-5)),
+    ("fig3", (5.941793e-5, 4.183189e-4, 6.790526e-5)),
 ])
 def test_first_integral_committed_configs(tmp_path, name, expected):
-    """Per-set maxima pinned at the values of the oracle-checked stencil."""
+    """Per-set maxima pinned at the values of the oracle-checked stencil.
+    fig3's are those of the phase-rule trace on its 0.2 fm grid at stride 1
+    (5.939995e-5, 4.273193e-4 and 6.815105e-5 for the Simpson trace on the
+    0.05 fm grid at stride 4)."""
     cfg = with_keys(parse_config(CONFIGS / f"{name}.cfg"), out_dir=str(tmp_path))
     pipeline.run_analyze(cfg)
     per_set = json.loads((tmp_path / "validation.json").read_text())["per_set"]

@@ -157,7 +157,7 @@ def test_canonical_text_every_choice(field, values):
 CONFIG_DIGESTS = {
     "fig1": "539cf97bc0d6ec1bc1cc7c2364116b6e0b1266e10bc004e69d3fae792b7f03a1",
     "fig2": "1c0c2658fa282a3077ee4eaa162345ca59ae162ddb80bc4b09afdaefaa679eb3",
-    "fig3": "38628306b14a21ea88eb681e11cb152f4edfaab6a1cf0e96e99dd7a015b3ca3a",
+    "fig3": "e6cc409b3b51d1bb98631ca14bbdef30f19d08f4b9adcb6b7f60ec7b808a7453",
 }
 
 
@@ -235,7 +235,7 @@ def test_grid_cap_is_inclusive_and_far_above_fig3():
     assert at_cap.validate().grid_points() == MAX_GRID_POINTS
     with pytest.raises(ConfigError, match="leaves over"):
         with_keys(at_cap, grid_max=float(MAX_GRID_POINTS)).validate()
-    assert parse_config(CONFIGS / "fig3.cfg").grid_points() == 137001
+    assert parse_config(CONFIGS / "fig3.cfg").grid_points() == 34251
     assert MAX_GRID_POINTS >= 50 * 140001
 
 
@@ -710,17 +710,17 @@ def test_analyze_closed_form_nodes_are_the_rungs_in_the_window(tmp_path, t_min, 
 
 
 FIG3_DIGESTS = {
-    "analyze_manifest.json": "4df127ffc4886ca449fd47c88b9f35e18f09faca84a50b8a92afc66e326cde3d",
-    "classical.csv": "8a8b95553a8249bbf8a60f681b09be6b66f9b7a90b2aff64d0b065df5ceecb69",
-    "figure3.gp": "1646ea15c71f483747d75dfe6edde31c3a96efc609f51eeed8a936ed62c18e7c",
-    "figure3_manifest.json": "111a56314b7b93bbf28f9903d654ed2de40575955bb7c6eda975641b156e9df1",
-    "nodes.csv": "067386f13bbecd23030cfef00e4ca9befb805af28582be20dff355d3d2095553",
-    "nodes_detected.json": "67cda6df5d8f0d0d9824fa83893c8a53a9040e38862bf7e30e071cdd4a1e0f94",
-    "trace_manifest.json": "0d7de4280394895411821340a88780d8fd5622d36ebadf2e11e9abd2abe97902",
-    "trajectory_0.csv": "04c367a145b5b5e5efeaf6a5ff6b7c93f7e1ab1201bf5c4a00131ecff75d710c",
-    "trajectory_1.csv": "c750adbadfca56dc3f0cf492fd260c1fb8c03e44ffe678885a4bd6fb6fff9445",
-    "trajectory_2.csv": "0428da4a4b8eef06eb58e24f1dc57e03acaab56915a5a697bf786782a5a6a6d8",
-    "validation.json": "690cc50a95b19c818d6686efbf9916bb286ef1bfb2741563e6cd382d08785dea",
+    "analyze_manifest.json": "44a6e0e32945f916697ecd145518a2bcba80d38063d24aa12103e635c757cee8",
+    "classical.csv": "d1daa0675beb96fb8f5ce96dcb4ea1004fa544f6857ddb5ec58625fc833ae44d",
+    "figure3.gp": "f01605e260ad3e5bfcde24698c01ba2ec3fc2b34ab51eb0471184dbbc695f948",
+    "figure3_manifest.json": "0cf3eaf25df8dbb57e308e561a3eee6ced24f2f8a93b9ca5953620d9654ea58d",
+    "nodes.csv": "9c7067b0969d33d96620f4cc1b09abfccfaffd3f6d8569aa03bad703b6440f6b",
+    "nodes_detected.json": "14eab44ac189bc520da87e8f639578a754a5d4fcd9445a4805a93e7a8a446b47",
+    "trace_manifest.json": "501edd9f78db42e71506a2e10f9252aeacf7cb68d34364c8c5623e30e3d3e0a3",
+    "trajectory_0.csv": "2ed08e3158bd3ab93b723d66ef67dbdc5f82fb2970583b19d3b616d2494a71a8",
+    "trajectory_1.csv": "a9c65d9c2a50c792a674fbcedf83c1102cca08f998de2bdf5c0496acf5f31cdb",
+    "trajectory_2.csv": "03511715ce975514bda108afdfd933af60cd0a8459800362f91b049a6e697c26",
+    "validation.json": "b6774a4afcf58978f3f2ba4333b1fbb8a739de22abfd355cd2c5fb2608f09b60",
 }
 
 
@@ -734,9 +734,9 @@ BASIS_DIGESTS = {
         "basis_manifest.json": "07aed147a53c98cf6c680e6a33803dbadcd0d17f329d2d6894987bf142242572",
     },
     "fig3": {
-        "basis_euler.csv": "a07dec9431f64d0069f704fb347e84714a18516a578e9936f6a11ade69aed582",
-        "basis_manifest.json": "3a099c5d28643c26ba4df945cbe808c2abe99ccbbab24489d698a95889d39512",
-        "basis_rk4.csv": "892def11f010f9b5958c24741a2d0d9f3508e312d9ead4733d289c5cdc4c3933",
+        "basis_euler.csv": "f39ca9671efad5832986f6b466ae7866ecdb8a8c74fd5354e654a2cd22c81135",
+        "basis_manifest.json": "f5d0d1e5add4f2ac42d7abfd7445432bff1bd7bc86613e6d92828d273c70fd5d",
+        "basis_rk4.csv": "8b0785f49446d2df85884e4d27c296084b922099045d34b95108d872c2b9306d",
     },
 }
 
@@ -766,11 +766,11 @@ def test_quadrature_outputs_are_pinned(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("run, limit_mib", [
     (lambda cfg: pipeline.build_basis(cfg, pipeline.build_setup(cfg),
-                                      pipeline.build_potential(cfg)), 12.5),
-    (lambda cfg: pipeline.run_basis(cfg, compare_methods=True), 12.5),
-    (pipeline.run_trace, 12.5),
-    (pipeline.run_analyze, 14.5),
-    (lambda cfg: pipeline.run_figure(cfg, 3), 14.5),
+                                      pipeline.build_potential(cfg)), 4.5),
+    (lambda cfg: pipeline.run_basis(cfg, compare_methods=True), 8.0),
+    (pipeline.run_trace, 6.5),
+    (pipeline.run_analyze, 6.5),
+    (lambda cfg: pipeline.run_figure(cfg, 3), 6.5),
 ], ids=["build_basis", "basis", "trace", "analyze", "figure"])
 def test_fig3_live_memory_peak(tmp_path, monkeypatch, run, limit_mib):
     """Live data of each fig3 command, by tracemalloc in process.  The
@@ -778,8 +778,11 @@ def test_fig3_live_memory_peak(tmp_path, monkeypatch, run, limit_mib):
     one set's action and trace alive at a time, an action of three arrays,
     checks that work in blocks, only t and x kept for node detection, which
     runs once the basis is freed, the in-place trace and a one-byte regime
-    code per trace row keep the peaks near 11.7 (the numeric solve alone, and
-    basis), 12.1 (trace) and 14.1 MiB (analyze, figure).  With the
+    code per trace row keep the peaks of fig3's 34 251-point grid near 3.7
+    (the numeric solve alone), 7.0 (basis, whose CSV blocks dominate), 5.5
+    (trace, figure) and 5.2 MiB (analyze).  On the 137 001-point grid of
+    0.05 fm they were 11.7 (solve, basis), 12.1 (trace) and 14.1 MiB
+    (analyze, figure).  With the
     whole-array scan and whole trajectories kept for node detection the
     peaks were 20.9, 21.0, 25.1 and 25.1 MiB (build_basis, basis, analyze,
     figure); with an action that kept psi, psi' and D and whole-trace
@@ -798,17 +801,17 @@ def test_fig3_live_memory_peak(tmp_path, monkeypatch, run, limit_mib):
 @pytest.mark.parametrize("name, digests", [
     ("fig1", {
         "analyze_manifest.json":
-            "d98dce0b499f2ccaebd2e732e6d57f10db69af6eb133261cb8b7e64b3ff5c4a4",
+            "c2c2111d178b2fa141b867b003f2b796e8d5bf017fa788acc683a567bffe10b8",
         "nodes_closed_form.json":
             "5c2ada9ddbb74d11eb6bf2058e4330c5e14f18805a52fd3f36caa60671671d9c",
         "nodes_detected.json":
-            "503cff07ab7972f0a29ab2f07c2b2b149d1b5e294b953df812351164a2fdd24e",
-        "validation.json": "46ad4264a272431b48c1bf5a66348ed95f38d5613faeca9540563c2d043c5e2e",
+            "c6b2429ef61e464d3cc4c49507ef4728905087341d9adf018713e48e495a1faa",
+        "validation.json": "86f09955ae50a33e1af691d7e2472761277d4caddc606f58c33338eba81226aa",
     }),
     ("fig2", {
         "analyze_manifest.json":
-            "129ab9e4d7575ec856965f584bb91bd2fbfb488559d5a65809e88f60f5aa9881",
-        "validation.json": "e177779ddfd5f35152530259071cc7310526b5d83bc229ecf03dca188b283047",
+            "36a6e8daba67a27aae89d5f68a3f71e7f5577bdd9a2ec337fe669ed9e3f3dd80",
+        "validation.json": "865fb0f44ac68229642a53abffa94debfdfd02fcc9d9e7ab5ab9867f9a19617d",
     }),
 ])
 def test_closed_form_analyze_outputs_are_pinned(tmp_path, monkeypatch, name, digests):

@@ -285,10 +285,10 @@ def test_constant_u_is_exact(sign):
 
 
 def test_rk4_drift_on_fig3_grid():
-    """The 137 001-point fig3 basis keeps its Wronskian to round-off."""
+    """The 34 251-point fig3 basis keeps its Wronskian to round-off."""
     cfg = parse_config(CONFIGS / "fig3.cfg")
     basis = build_basis(cfg, build_setup(cfg), build_potential(cfg))
-    assert basis.grid.size == 137001
+    assert basis.grid.size == 34251
     assert kg.wronskian_drift(basis) < 1e-12
 
 
@@ -312,5 +312,5 @@ def test_scan_is_bit_equal_on_the_fig3_grid():
     h = float(grid[1] - grid[0])
     u = -kg.wavenumber_sq(setup, pot, grid)
     u_mid = -kg.wavenumber_sq(setup, pot, grid[:-1] + 0.5 * h)
-    assert grid.size == 137001 and kg.SCAN_CHUNK < grid.size
+    assert grid.size == 34251 and kg.SCAN_CHUNK < grid.size
     _assert_bit_equal(u, u_mid, h, (0.0, 0.019, 1.0, 0.0))

@@ -124,6 +124,18 @@ INT_COLUMNS = {
     "bool": np.random.default_rng(8).integers(0, 2, BLOCK_ROWS + 5).astype(bool),
     "every value distinct": np.random.default_rng(9).permutation(
         np.arange(BLOCK_ROWS + 1, dtype=np.int64) * 1_000_003 - 10**12),
+    # a min..max range no wider than the rows: one table per file
+    "branch counter": np.repeat(np.arange(-3, 41), 500),
+    "narrow range below int64 max": INT64.max - np.random.default_rng(10).integers(
+        0, 5, 2 * BLOCK_ROWS + 3, dtype=np.int64),
+    "narrow range above int64 min": INT64.min + np.random.default_rng(11).integers(
+        0, 5, 2 * BLOCK_ROWS + 3, dtype=np.int64),
+    "narrow range below uint64 max": np.uint64(2**64 - 1) - np.random.default_rng(12).integers(
+        0, 5, BLOCK_ROWS + 3, dtype=np.uint64),
+    "range one short of the rows": np.random.default_rng(13).permutation(
+        np.arange(BLOCK_ROWS + 1, dtype=np.int64)),
+    "range as wide as the rows": np.delete(np.arange(BLOCK_ROWS + 2, dtype=np.int64), 5),
+    "one row": np.array([-7], dtype=np.int64),
 }
 
 
@@ -131,6 +143,18 @@ INT_COLUMNS = {
 def test_parity_int_columns(tmp_path, name):
     values = INT_COLUMNS[name]
     assert_parity(tmp_path / "i.csv", [], [("v", values), ("w", values[::-1].copy())])
+
+
+def test_narrow_int_column_makes_no_distinct_values_per_block(tmp_path, monkeypatch):
+    """A branch counter's texts come from one table over its min..max range,
+    made once per file: no np.unique of a block."""
+    def refused(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    columns = [("n", INT_COLUMNS["branch counter"])]
+    monkeypatch.setattr(np, "unique", refused)
+    write_csv(tmp_path / "n.csv", [], columns)
+    assert (tmp_path / "n.csv").read_bytes() == reference_csv([], columns)
 
 
 def test_parity_no_columns(tmp_path):
@@ -490,7 +514,7 @@ def test_node_detection_runs_after_the_basis_is_freed(tmp_path, monkeypatch, run
 
     def recorded_basis(*args, **kwargs):
         basis = build_basis(*args, **kwargs)
-        bases.append((weakref.ref(basis), _zeros_of(basis.grid, basis.phi2)))
+        bases.append((weakref.ref(basis), _zeros_of(basis.grid, basis.phi2, basis.dphi2)))
         return basis
 
     def after_the_basis(curves, rungs, setup, t_range):

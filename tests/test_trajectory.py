@@ -98,11 +98,25 @@ def test_cumulative_simpson_matches_gather_oracle(n):
     assert np.array_equal(f.view(np.int64), kept.view(np.int64))       # input untouched
 
 
-def zeros_of_sign_product(x, y):
-    """``_zeros_of`` as it was, from the product of np.sign; kept as its oracle."""
+def sign_change_steps(y):
+    """The steps whose ends have opposite signs, from the product of np.sign:
+    the oracle of the steps ``_zeros_of`` places a zero in."""
     s = np.sign(y)
-    idx = np.nonzero(s[:-1] * s[1:] < 0)[0]
-    return x[idx] - y[idx] * (x[idx + 1] - x[idx]) / (y[idx + 1] - y[idx])
+    return np.nonzero(s[:-1] * s[1:] < 0)[0]
+
+
+def hermite_roots(x, y, dy):
+    """The zero in each sign-change step of its cubic Hermite on (y, dy),
+    by np.roots: the oracle of ``_zeros_of``'s Newton steps."""
+    out = []
+    for i in sign_change_steps(y):
+        h = x[i + 1] - x[i]
+        y0, y1, m0, m1 = y[i], y[i + 1], dy[i] * h, dy[i + 1] * h
+        roots = np.roots([2 * (y0 - y1) + m0 + m1, 3 * (y1 - y0) - 2 * m0 - m1, m0, y0])
+        s = roots.real[(np.abs(roots.imag) < 1e-9) & (roots.real >= 0) & (roots.real <= 1)]
+        assert s.size == 1, (i, roots)
+        out.append(x[i] + s[0] * h)
+    return np.array(out)
 
 
 @pytest.mark.parametrize("y", [
@@ -114,19 +128,28 @@ def zeros_of_sign_product(x, y):
     np.array([]),
 ])
 def test_zeros_of_matches_the_sign_product(y):
+    """One zero inside each step the sign product marks, and no other."""
     x = np.arange(y.size, dtype=float) * 0.5 - 1.0
-    got = trajectory._zeros_of(x, y)
-    ref = zeros_of_sign_product(x, y)
-    assert np.array_equal(got, ref, equal_nan=True)
+    steps = sign_change_steps(y)
+    for dy in (np.zeros(y.size), np.full(y.size, 0.25)):
+        got = trajectory._zeros_of(x, y, dy)
+        assert got.size == steps.size
+        assert np.all((x[steps] <= got) & (got <= x[steps + 1]))
 
 
 def test_zeros_of_matches_the_sign_product_on_fig3():
+    """fig3's 43 phi2 zeros: the roots of the cubic Hermite of each step to
+    an ulp of x (the three Newton steps converge), and within 1e-6 fm of the
+    secant's zeros, the rule before (1.7e-7 fm apart at the 0.2 fm step)."""
     cfg = parse_config(CONFIGS / "fig3.cfg")
     _, _, basis = _stage(cfg)
-    got = trajectory._zeros_of(basis.grid, basis.phi2)
+    x, y = basis.grid, basis.phi2
+    got = trajectory._zeros_of(x, y, basis.dphi2)
     assert got.size == 43
-    assert np.array_equal(got.view(np.int64),
-                          zeros_of_sign_product(basis.grid, basis.phi2).view(np.int64))
+    np.testing.assert_allclose(got, hermite_roots(x, y, basis.dphi2), rtol=4e-16, atol=0)
+    i = sign_change_steps(y)
+    secant = x[i] - y[i] * (x[i + 1] - x[i]) / (y[i + 1] - y[i])
+    assert 1e-8 < np.max(np.abs(got - secant)) < 1e-6
 
 
 def test_regime_tags_of_a_scalar_a_0d_array_and_nan():
@@ -366,6 +389,45 @@ def test_quadrature_matches_closed_form(electron2, const_pot):
     assert rq.closure_residual(tq).max_residual < 1e-4
 
 
+@pytest.mark.parametrize("a, b", [(2.0, 0.5), (0.2, 0.0), (4 / 3, -1.05), (0.25, 8.0)])
+def test_quadrature_phase_rule_is_the_closed_form_for_constant_v(electron2, const_pot, a, b):
+    """With V' = 0 the phase rule's end correction vanishes and each step
+    adds hbar dtheta / kin, the closed form: on solve_constant's basis at
+    |k h| = 0.05, synced on the grid row where a phi1 + b phi2 vanishes (the
+    closed form's t = 0), every row lies on trace_constant_oscillatory's x(t)
+    to round-off.  Measured: 1.8e-15 node spacings, 1.5e-12 for (0.25, 8),
+    whose staircase is steepest."""
+    k = oscillatory_wavenumber(electron2)
+    h = 0.05 / k
+    x_star = np.arctan(-b / a) / k
+    n = int(round(2.6 * np.pi / k / h))
+    grid = x_star + h * (np.arange(n) - n // 2)
+    hp = rq.HiddenParams(a, b)
+    basis = rq.solve_constant(electron2, 0.0, grid)
+    tq = rq.trace_quadrature(rq.ReducedAction(basis, hp, electron2), const_pot, x_star, "exact")
+    assert tq.t.size == n
+    closed = [rq.trace_constant_oscillatory(electron2, 0.0, hp, 0.0, (t, t), 1).x[0]
+              for t in tq.t]
+    assert np.max(np.abs(tq.x - closed)) <= 1e-11 * rq.node_spacing(electron2, 0.0)
+
+
+def test_cubic_at_is_exact_on_rows_and_cubics():
+    """``_cubic_at`` gives a row's own value at its x, any cubic to
+    round-off, NaN outside the rows, and takes all rows below four."""
+    x = np.cumsum(np.random.default_rng(3).uniform(0.5, 1.5, 40))
+    y = np.sin(x)
+    assert np.array_equal(trajectory._cubic_at(x, y, x), y)
+    cubic = lambda s: 2.0 - s + 0.3 * s**2 - 0.01 * s**3
+    xq = np.linspace(x[0], x[-1], 301)
+    np.testing.assert_allclose(trajectory._cubic_at(x, cubic(x), xq), cubic(xq),
+                               rtol=1e-12, atol=0)
+    out = trajectory._cubic_at(x, y, [x[0] - 1e-9, x[-1] + 1e-9, x[0], x[-1]])
+    assert np.isnan(out[:2]).all() and np.array_equal(out[2:], y[[0, -1]])
+    two = trajectory._cubic_at(x[:2], cubic(x[:2]), 0.5 * (x[0] + x[1]))
+    assert two == pytest.approx(0.5 * (cubic(x[0]) + cubic(x[1])), rel=1e-14)
+    assert trajectory._cubic_at(x, y, np.empty(0)).size == 0
+
+
 def test_quadrature_velocity_identity(electron2, const_pot, const_basis):
     """Emitted v equals kinetic term over momentum pointwise."""
     ra = rq.ReducedAction(const_basis, rq.HiddenParams(4 / 3, -1.05), electron2)
@@ -546,8 +608,28 @@ def test_quadrature_past_energy_equals_potential_halts_at_the_turning_point(m0c2
     assert np.all(np.diff(tr.t) > 0) and np.all(np.diff(tr.x) > 0)
     assert x_turn - 0.15 < tr.x[-1] < x_turn
     past = rq.ReducedAction(basis_on(basis, 1600.0, 2400.0), ra.params, setup)
-    with pytest.raises(EnergyEqualsPotential, match=r"inside \[1600.0, 2000.05"):
+    with pytest.raises(EnergyEqualsPotential, match=r"inside \[1600.0, 2000.0\] fm"):
         rq.trace_quadrature(past, pot, 1700.0, "exact")
+
+
+@pytest.mark.parametrize("offset", np.linspace(0.0, 0.2, 10, endpoint=False))
+def test_quadrature_halts_before_a_turning_point_between_rows(offset):
+    """fig3's particle on 0.2 fm grids shifted by ``offset`` across the
+    turning point at 1489.001 fm: every trace halts within two rows before
+    it (the end correction, which grows as 1/kin^2, can turn the last step
+    before it).  The trapezoid of the step over the turning point can keep
+    the first step's sign: without the cut on the sign of kin, 126 of 360
+    such traces kept a row past it."""
+    setup = rq.PhysicalSetup(E=2.0, m0c2=0.510999)
+    pot = rq.LinearPotential(1e-3)
+    x_turn = (setup.E - setup.m0c2) / 1e-3
+    grid = 1000.0 + offset + 0.2 * np.arange(4500)
+    basis = rq.solve_numeric(setup, pot, grid)
+    for a, b in ((2.0, 0.5), (4.0, 2.5), (0.3, -4.0)):
+        tr = rq.trace_quadrature(rq.ReducedAction(basis, rq.HiddenParams(a, b), setup), pot,
+                                 1100.0, "exact")
+        assert tr.meta["events"] == {"halt": "TurningPointInRange"}
+        assert x_turn - 0.4 < tr.x[-1] < x_turn, (a, b)
 
 
 def test_quadrature_takes_only_its_own_action(const_pot, const_basis):
@@ -718,13 +800,11 @@ def test_window_rows_is_the_identity_for_closed_forms(electron2):
 
 
 def trace_quadrature_whole_array(action, pot, x0, sync):
-    """The five columns of ``trace_quadrature`` as it computed them before it
-    worked in place: each step into a new array.  Kept as the oracle of the
-    in-place trace (checks omitted), with the same step h, the grid's mean
-    spacing."""
+    """The five columns of ``trace_quadrature`` with each step of the phase
+    rule into a new array, kept as the oracle of the in-place trace (checks
+    omitted)."""
     setup, basis, hp = action.setup, action.basis, action.params
     grid = basis.grid
-    h = uniform_step(grid)
     ev = setup.E - np.asarray(pot.v(grid), dtype=float)
     with np.errstate(divide="ignore"):
         kin = ev - setup.rest_sq / ev
@@ -732,22 +812,31 @@ def trace_quadrature_whole_array(action, pot, x0, sync):
     v = setup.direction * setup.c_fm_s * kin / pc
     slow = np.abs(v) < trajectory.SLOW_ZONE_FRAC * setup.c_fm_s
     cut = int(np.argmax(slow)) if slow.any() else grid.size
-    xs, v = grid[:cut], v[:cut]
-    regime = regime_tags(setup, ev[:cut])
-    tt = trajectory.cumulative_simpson(1.0 / v, h)
-    turned = ~(np.diff(tt) * np.sign(tt[1] - tt[0]) > 0)
+    xs, ev, kin, pc = grid[:cut], ev[:cut], kin[:cut], pc[:cut]
+    regime = regime_tags(setup, ev)
+    gdot = (setup.rest_sq / ev**2 + 1.0) * pot.dv(xs) / kin**2 * setup.hbar_c / pc
+    g = 1.0 / kin
+    phi2 = basis.phi2[:cut]
+    psi = hp.a * basis.phi1[:cut] + hp.b * phi2
+    dth = np.arctan2(psi[1:] * phi2[:-1] - psi[:-1] * phi2[1:],
+                     phi2[:-1] * phi2[1:] + psi[:-1] * psi[1:])
+    dt = (((g[:-1] + g[1:]) * dth * 0.5 - (gdot[1:] - gdot[:-1]) * (dth**2 / 12.0))
+          * (setup.direction * setup.hbar))
+    turned = ~(dt * np.sign(dt[0]) > 0) | ~(g[:-1] * g[1:] > 0)
     cut = int(np.argmax(turned)) + 1 if turned.any() else xs.size
-    xs, regime, tt = xs[:cut], regime[:cut], tt[:cut]
+    xs, regime = xs[:cut], regime[:cut]
+    tt = np.concatenate(([0.0], np.cumsum(dt[:cut - 1])))
     if sync == "psi_zero":
-        psi = hp.a * basis.phi1 + hp.b * basis.phi2
-        anchor = trajectory._zero_near(basis.grid, psi, x0, "a*phi1 + b*phi2")
+        dpsi = hp.a * basis.dphi1 + hp.b * basis.dphi2
+        anchor = trajectory._zero_near(basis.grid, hp.a * basis.phi1 + hp.b * basis.phi2, dpsi,
+                                       x0, "a*phi1 + b*phi2")
         anchor = min(max(anchor, xs[0]), xs[-1])
     elif sync == "phi2_zero":
-        anchor = trajectory._zero_near(basis.grid, basis.phi2, x0, "phi2")
+        anchor = trajectory._zero_near(basis.grid, basis.phi2, basis.dphi2, x0, "phi2")
         anchor = min(max(anchor, xs[0]), xs[-1])
     else:
         anchor = xs[int(np.argmin(np.abs(xs - x0)))]
-    tt = tt - np.interp(anchor, xs, tt)
+    tt = tt - trajectory._cubic_at(xs, tt, anchor)
     rows = slice(xs.size)
     order = slice(None) if tt[-1] > tt[0] else slice(None, None, -1)
     return (tt[order], xs[order], action.branch_grid[rows][order], regime[order],

@@ -1,8 +1,9 @@
 """fig3's numeric basis against the exact solution of its wave equation.
 
 The basis is stepped by the fourth-order Magnus exponential (the ``rk4``
-value of ``[numerics] method``), on fig3's 0.05 fm grid and on a 0.5 fm
-grid over the same range, where the step's error is well above round-off.
+value of ``[numerics] method``) over fig3's range on three explicit grids:
+0.05 fm, where the step's error is below round-off; fig3's own 0.2 fm; and
+0.5 fm, where the step's error is well above round-off.
 
 For V = g x the Klein-Gordon equation
 phi'' + ((E - g x)^2 - m0c2^2) / (hbar c)^2 phi = 0 becomes Weber's
@@ -35,13 +36,15 @@ POINTS = 21
 
 @pytest.fixture(scope="module")
 def fig3():
-    """The numeric basis, the same basis at 0.5 fm, and at 30 digits the
-    exact columns with their x derivatives at POINTS grid points (shared
-    by both grids) and the exact first, middle and last zeros of phi2."""
+    """fig3's basis on the 0.05, 0.2 and 0.5 fm grids, and at 30 digits the
+    exact columns with their x derivatives at POINTS points of the 0.05 fm
+    grid that all three grids share (1 fm apart at least), and the exact
+    first, middle and last zeros of phi2."""
     cfg = parse_config(CONFIG)
     setup, pot = pipeline.build_setup(cfg), pipeline.build_potential(cfg)
-    basis = pipeline.build_basis(cfg, setup, pot)
-    coarse = pipeline.build_basis(with_keys(cfg, grid_step=0.5).validate(), setup, pot)
+    basis, mid, coarse = (pipeline.build_basis(with_keys(cfg, grid_step=step).validate(),
+                                               setup, pot)
+                          for step in (0.05, 0.2, 0.5))
     with mp.workdps(30):
         g, hbar_c = mp.mpf(pot.slope), mp.mpf(setup.hbar_c)
         a = mp.mpf(setup.m0c2) ** 2 / (2 * g * hbar_c)
@@ -69,7 +72,7 @@ def fig3():
         start = mp.matrix([[w(z0), w(-z0)], [dz_dx * dw(z0), -dz_dx * dw(-z0)]])
         coef = [mp.lu_solve(start, mp.matrix([phi[0], dphi[0]]))
                 for phi, dphi in ((basis.phi1, basis.dphi1), (basis.phi2, basis.dphi2))]
-        rows = np.linspace(0, basis.grid.size - 1, POINTS).astype(int)
+        rows = 20 * np.round(np.linspace(0, basis.grid.size - 1, POINTS) / 20).astype(int)
         columns = {name: [] for name in ("phi1", "dphi1", "phi2", "dphi2")}
         for x in basis.grid[rows]:
             s = z(x)
@@ -78,18 +81,19 @@ def fig3():
                 columns[phi].append(c_u * u + c_v * v)
                 columns[dphi].append(c_u * du + c_v * dv)
         exact = np.array([[float(v) for v in columns[name]] for name in ("phi1", "phi2")])
-        zeros = _zeros_of(basis.grid, basis.phi2)
+        zeros = _zeros_of(basis.grid, basis.phi2, basis.dphi2)
         picked = [0, zeros.size // 2, zeros.size - 1]
         exact_zeros = [float(mp.findroot(lambda x: coef[1][0] * w(z(x)) + coef[1][1] * w(-z(x)),
                                          mp.mpf(zeros[i])))
                        for i in picked]
         # the basis's phi1' phi2 - phi1 phi2' from the z-Wronskian of (u, v)
         wronskian = -(coef[0][0] * coef[1][1] - coef[0][1] * coef[1][0]) * dz_dx
-        return {"basis": basis, "coarse": coarse, "setup": setup, "pot": pot, "a": float(a),
+        return {"basis": basis, "mid": mid, "coarse": coarse, "setup": setup, "pot": pot,
+                "a": float(a),
                 "z": (float(z0), float(z(basis.grid[-1]))),
                 "rows": rows, "exact": exact, "columns": columns,
                 "wronskian": float(wronskian), "exact_wronskian": wronskian,
-                "zeros": zeros[picked], "exact_zeros": exact_zeros,
+                "picked": picked, "exact_zeros": exact_zeros,
                 "unit_wronskian": float(-w(z0) * dw(-z0) - dw(z0) * w(-z0)),
                 "dw_vs_diff": float(max(abs(dw(s) - mp.diff(w, s)) for s in (z0, -z0)))}
 
@@ -112,18 +116,32 @@ def test_basis_matches_the_exact_solution(fig3, column):
     assert np.max(np.abs(phi[fig3["rows"]] - exact)) <= 1e-13 * np.max(np.abs(phi))
 
 
+def _error_on(fig3, name, column, ratio):
+    """max|phi - exact| / max|phi| at the checked points of the basis
+    ``name``, whose step is ``ratio`` times 0.05 fm."""
+    basis = fig3[name]
+    rows = fig3["rows"] // ratio
+    np.testing.assert_allclose(basis.grid[rows], fig3["basis"].grid[fig3["rows"]],
+                               rtol=0, atol=1e-9)
+    phi = getattr(basis, column)
+    exact = fig3["exact"][int(column[-1]) - 1]
+    return np.max(np.abs(phi[rows] - exact)) / np.max(np.abs(phi))
+
+
+@pytest.mark.parametrize("column, bound", [("phi1", 1.7e-14), ("phi2", 3.5e-13)])
+def test_fig3_step_basis_matches_the_exact_solution(fig3, column, bound):
+    """At fig3's own 0.2 fm step: within twice the measured error, 8.0e-15
+    of max|phi| for phi1 and 1.7e-13 for phi2 (3.6e-14 and 7.2e-15 at
+    0.05 fm)."""
+    assert _error_on(fig3, "mid", column, 4) <= bound
+
+
 @pytest.mark.parametrize("column", ["phi1", "phi2"])
 def test_coarse_basis_matches_the_exact_solution(fig3, column):
     """At a 0.5 fm step the step's own error shows: within 2e-11 of max|phi|
     (1.3e-14 for phi1 and 6.8e-12 for phi2 measured).  RK4 at this step
     was 6.4e-8 off."""
-    coarse = fig3["coarse"]
-    rows = fig3["rows"] // 10
-    np.testing.assert_allclose(coarse.grid[rows], fig3["basis"].grid[fig3["rows"]],
-                               rtol=0, atol=1e-9)
-    phi = getattr(coarse, column)
-    exact = fig3["exact"][int(column[-1]) - 1]
-    assert np.max(np.abs(phi[rows] - exact)) <= 2e-11 * np.max(np.abs(phi))
+    assert _error_on(fig3, "coarse", column, 10) <= 2e-11
 
 
 def test_rk4_wronskian_holds_the_exact_constant(fig3):
@@ -137,14 +155,18 @@ def test_rk4_wronskian_holds_the_exact_constant(fig3):
 
 
 def test_phi2_zeros_match_the_exact_zeros(fig3):
-    """The first, middle and last of the 43 interpolated phi2 zeros lie
-    within 1e-8 fm of the exact ones (grid step 0.05 fm; 2.65e-9, 1.06e-9
-    and 1.9e-11 fm measured, against 2.66e-9, 1.21e-9 and 8.1e-10 fm with
-    RK4 steps).  The first zero's error comes from ``_zeros_of``'s linear
-    interpolation between grid points, not from the basis, which is within
-    1e-13 of max|phi| of the exact one."""
-    assert _zeros_of(fig3["basis"].grid, fig3["basis"].phi2).size == 43
-    np.testing.assert_allclose(fig3["zeros"], fig3["exact_zeros"], rtol=0, atol=1e-8)
+    """The first, middle and last of the 43 phi2 zeros, placed on the cubic
+    Hermite of (phi2, phi2') by ``_zeros_of``, lie within 1e-10 fm of the
+    exact ones on the 0.05 and the 0.2 fm grid (measured: 0, 4.5e-13 and
+    1.1e-13 fm at 0.05 fm; 5.5e-12, 6.8e-12 and 2.0e-11 fm at 0.2 fm).
+    Linear interpolation left 2.65e-9, 1.06e-9 and 1.9e-11 fm at 0.05 fm,
+    and its first zero was 1.7e-7 fm off at 0.2 fm."""
+    for name in ("basis", "mid"):
+        basis = fig3[name]
+        zeros = _zeros_of(basis.grid, basis.phi2, basis.dphi2)
+        assert zeros.size == 43, name
+        np.testing.assert_allclose(zeros[fig3["picked"]], fig3["exact_zeros"], rtol=0,
+                                   atol=1e-10, err_msg=name)
 
 
 @pytest.mark.parametrize("a, b", [(4.0, 2.5), (8.0, -3.0), (5.0, 2.0)])
