@@ -19,7 +19,7 @@ _EXPORTS = {
     "model": ["ConstantPotential", "HiddenParams", "LinearPotential", "PhysicalSetup",
               "Potential", "Regime", "TabulatedPotential", "classify_regime", "f_function",
               "kinetic_term", "lagrangian"],
-    "trajectory": ["Trajectory", "classical_trace", "cumulative_simpson",
+    "trajectory": ["Trajectory", "classical_trace",
                    "evanescent_divergence_times", "node_period", "node_spacing",
                    "trace_constant_evanescent", "trace_constant_oscillatory",
                    "trace_quadrature"],

@@ -19,11 +19,12 @@ zeros of phi2 and of a phi1 + b phi2 on the cubic Hermite of the value
 and its x derivative (``_zeros_of``), times on the cubic through four rows
 (``_cubic_at``).  The quadrature reads setup, basis and (a, b) from the
 ReducedAction it is given and runs over the basis's whole grid, so the
-grid is the one x range.  ``classical_trace`` keeps Simpson quadrature of
-1/v for its tabulated and flat curves.  A turning point ends it with a
-``halt: TurningPointInRange`` event, whether a grid point
-resolves it (|v| under SLOW_ZONE_FRAC * c) or 1/v changes sign between two
-grid points, so every quadrature trace has strictly monotone t and x.  An
+grid is the one x range.  A turning point ends the quadrature trace with
+a ``halt: TurningPointInRange`` event, whether a grid point resolves it
+(|v| under SLOW_ZONE_FRAC * c) or 1/v changes sign between two grid
+points, so every quadrature trace has strictly monotone t and x.  The
+classical reference of a tabulated or flat potential takes the same
+end-corrected trapezoid (``_end_corrected_steps``), of 1/v in x.  An
 evanescent closed form ends at its analytic divergence time t*, with a
 ``halt: DivergenceReached`` event when that drops rows.
 
@@ -139,49 +140,6 @@ class Trajectory:
             ],
             footer_comments=footer,
         )
-
-
-def cumulative_simpson(f: np.ndarray, h: float) -> np.ndarray:
-    """Cumulative integral of samples f on a uniform grid, Simpson weights.
-
-    Even indices see plain composite Simpson; odd indices add the half-pair
-    rule h/12 (5 f0 + 8 f1 - f2), so the whole table is fourth order.
-
-    The table is built in place: the pair increments h/3 (f0 + 4 f1 + f2)
-    go into the odd entries, their running sum into the even ones, and then
-    the odd entries get their own values, so one temporary of half the
-    length is all it makes besides the table.  Every sum and product is the
-    one of the evaluation into fresh arrays, which the tests keep as the
-    oracle, so the table is bit-identical to it.
-    """
-    n = f.size
-    out = np.zeros(n)
-    if n < 2:
-        return out
-    if n == 2:
-        out[1] = 0.5 * h * (f[0] + f[1])
-        return out
-
-    npairs = (n - 1) // 2
-    f0 = f[0 : 2 * npairs : 2]
-    f1 = f[1 : 2 * npairs : 2]
-    f2 = f[2 : 2 * npairs + 1 : 2]
-    even, odd = out[0 : 2 * npairs + 1 : 2], out[1 : 2 * npairs : 2]
-    np.add(f0, np.multiply(4.0, f1, out=odd), out=odd)
-    odd += f2
-    odd *= h / 3.0
-    np.cumsum(odd, out=even[1:])
-    np.multiply(5.0, f0, out=odd)
-    odd += 8.0 * f1
-    odd -= f2
-    odd *= h / 12.0
-    odd += even[:-1]
-    if n % 2 == 0:
-        # trailing odd interval: right half of the last full parabola
-        out[n - 1] = out[n - 2] + h / 12.0 * (
-            -f[n - 3] + 8.0 * f[n - 2] + 5.0 * f[n - 1]
-        )
-    return out
 
 
 def _reduce_phase(theta: np.ndarray):
@@ -432,6 +390,21 @@ def _cubic_at(x: np.ndarray, y: np.ndarray, xq):
     return out
 
 
+def _end_corrected_steps(d, f, fdot) -> np.ndarray:
+    """Per-step integrals d (f_i + f_i+1) / 2 - d^2 / 12 (fdot_i+1 - fdot_i)
+    of the trapezoid with its Euler-Maclaurin end correction (Davis and
+    Rabinowitz 1984): fourth order in the step d (one value, or one per
+    step), exact for a cubic f.  ``fdot`` is df/d(variable of d) at each
+    sample."""
+    corr = np.subtract(fdot[1:], fdot[:-1])
+    corr *= np.square(d) / 12.0
+    out = np.add(f[:-1], f[1:])
+    out *= d
+    out *= 0.5
+    out -= corr
+    return out
+
+
 def trace_quadrature(
     action: ReducedAction,
     pot: Potential,
@@ -537,16 +510,9 @@ def trace_quadrature(
         dth = np.arctan2(psi[1:] * phi2[:-1] - psi[:-1] * phi2[1:],
                          phi2[:-1] * phi2[1:] + psi[:-1] * psi[1:])
         del psi
-        # dt = sigma hbar [dth (g_i + g_i+1) / 2 - dth^2 / 12 (gdot_i+1 - gdot_i)]
-        corr = np.subtract(gdot[1:], gdot[:-1])
-        del gdot
-        corr *= np.square(dth) / 12.0
-        dt = np.add(g[:-1], g[1:])
-        dt *= dth
-        dt *= 0.5
-        dt -= corr
+        dt = _end_corrected_steps(dth, g, gdot)
         dt *= setup.direction * setup.hbar
-        del dth, corr
+        del dth, gdot
     # turning point between grid points: kin, and so dt, changes sign
     turned = ~(dt * np.sign(dt[0]) > 0)
     turned |= ~(g[:-1] * g[1:] > 0)
@@ -616,10 +582,14 @@ def classical_trace(
 
     Constant potential: straight line sampled over t_range.  Linear
     potential of non-zero slope: closed-form decelerated arc sampled over
-    x_range (stops at the turning point).  Otherwise (tabulated, or slope
-    0): Simpson quadrature of 1/v over x_range.  The regime column is
-    ``model.regime_tags`` of E - V at the sampled x, so a turning point that
-    ends the arc is tagged as one.
+    x_range clipped at the turning point; a range wholly past it raises
+    RegimeError.  Otherwise (tabulated, or slope 0): the end-corrected
+    trapezoid of 1/v = (E - V) / (sigma c Pc) over x_range, stepping by
+    ``uniform_step``, with d(1/v)/dx = sigma V' m0c2^2 / (c Pc^3) in closed
+    form, and t = 0 at x0 by ``_cubic_at``; an x0 outside x_range raises
+    BasisGapError.  The samples come out with t ascending.  The regime column
+    is ``model.regime_tags`` of E - V at the sampled x, so a turning point
+    that ends the arc is tagged as one.
     """
     sigma = setup.direction
     if isinstance(pot, ConstantPotential):
@@ -643,32 +613,39 @@ def classical_trace(
             hi = min(hi, x_turn)
         else:
             lo = max(lo, x_turn)
+        if not lo < hi:
+            raise RegimeError(f"x_range holds no span on the allowed side of the turning "
+                              f"point at {x_turn!r} fm")
         x = np.linspace(lo, hi, n_samples)
         ev = setup.E - g * x
-        disc = np.maximum(ev * ev - setup.rest_sq, 0.0)
+        pc = np.sqrt(np.maximum(ev * ev - setup.rest_sq, 0.0))
         ev0 = setup.E - g * x0
         disc0 = ev0 * ev0 - setup.rest_sq
         if disc0 <= 0 or ev0 <= 0:
             raise RegimeError("x0 is not in the classically allowed region")
-        t = sigma * (np.sqrt(disc0) - np.sqrt(disc)) / (g * setup.c_fm_s)
-        pc = np.sqrt(np.maximum(disc, 0.0))
-        order = np.argsort(t)
-        t, x, pc = t[order], x[order], pc[order]
-        keep = np.concatenate(([True], np.diff(t) > 0))
-        t, x, pc = t[keep], x[keep], pc[keep]
+        t = sigma * (np.sqrt(disc0) - pc) / (g * setup.c_fm_s)
+        # Pc falls toward the turning point on either slope, so t rises with x
+        # for sigma = +1 and falls for -1
+        t, x, pc = t[::sigma], x[::sigma], pc[::sigma]
     else:
-        if x_range is None or not min(x_range) < max(x_range):
-            raise ValueError("x_range with two distinct ends required for a non-constant potential")
+        if x_range is None or not min(x_range) < max(x_range) or n_samples < 2:
+            raise ValueError("x_range with two distinct ends and n_samples >= 2 required "
+                             "for a non-constant potential")
         x = np.linspace(float(min(x_range)), float(max(x_range)), n_samples)
-        h = uniform_step(x)
+        if not x[0] <= x0 <= x[-1]:
+            raise BasisGapError(f"x0 = {float(x0)!r} fm outside x_range "
+                                f"[{float(x[0])!r}, {float(x[-1])!r}] fm")
         ev = setup.E - np.asarray(pot.v(x), dtype=float)
         disc = ev * ev - setup.rest_sq
         if np.any(disc <= 0) or np.any(ev <= 0):
             raise RegimeError("classically forbidden point inside x_range")
-        vel = sigma * setup.c_fm_s * np.sqrt(disc) / ev
-        t = cumulative_simpson(1.0 / vel, h)
-        t = t - np.interp(x0, x, t)
         pc = np.sqrt(disc)
+        # 1/v = (E - V) / (sigma c Pc), d(1/v)/dx = sigma V' m0c2^2 / (c Pc^3)
+        cpc = sigma * setup.c_fm_s * pc
+        dinv_v = np.asarray(pot.dv(x), dtype=float) * setup.rest_sq / (cpc * disc)
+        t = np.concatenate(([0.0], np.cumsum(_end_corrected_steps(uniform_step(x), ev / cpc,
+                                                                  dinv_v))))
+        t -= _cubic_at(x, t, x0)
         # 1/v keeps the sign of sigma, so t(x) runs up for sigma = +1, down for -1
         t, x, pc = t[::sigma], x[::sigma], pc[::sigma]
 

@@ -838,6 +838,24 @@ def test_energy_equals_potential_is_a_per_set_error(tmp_path):
     assert not list((tmp_path / "out").glob("trajectory_*.csv"))
 
 
+def test_tabulated_classical_curve_with_x0_off_the_grid_is_an_error(tmp_path):
+    """A tabulated V with x0 50 fm below the grid: the classical curve has
+    no t = 0 on its range, so the manifest records the error and no
+    classical.csv is written (the curve was once clamped to the grid end)."""
+    table = tmp_path / "v.tab"
+    x = np.linspace(-600.0, 600.0, 201)
+    write_csv(table, [], [("x_fm", x), ("V_MeV", 1e-3 * x)])
+    cfg = RunConfig(potential_kind="tabulated", table_file=str(table), grid_min=-500.0,
+                    grid_max=500.0, grid_step=0.2, x0=-550.0, param_sets=[(4.0, 2.5)],
+                    sync="phi2_zero", out_dir=str(tmp_path / "out")).validate()
+    manifest = json.loads(json.dumps(pipeline.run_trace(cfg)))
+    assert manifest == json.loads((tmp_path / "out" / "trace_manifest.json").read_text())
+    assert manifest["classical_error"] == ("BasisGapError: x0 = -550.0 fm outside x_range "
+                                           "[-500.0, 500.0] fm")
+    assert "classical" not in manifest
+    assert not (tmp_path / "out" / "classical.csv").exists()
+
+
 def test_cli_outputs_are_deterministic(tmp_path):
     cfgp = tmp_path / "c.cfg"
     small_const_config(tmp_path / "out", samples=2001).to_file(cfgp)

@@ -25,77 +25,36 @@ from tests.conftest import classical_speed, oscillatory_wavenumber
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-def test_cumulative_simpson_fourth_order():
-    exact = lambda x: 1.0 - np.cos(x)
+@pytest.mark.parametrize("n", [2, 3, 11])
+def test_end_corrected_steps_are_exact_for_a_cubic(n):
+    """The end-corrected trapezoid integrates a cubic exactly, with one
+    step for all or one per step, down to a single step."""
+    f = lambda x: 1.0 + 2.0 * x - 3.0 * x**2 + 0.5 * x**3
+    fdot = lambda x: 2.0 - 6.0 * x + 1.5 * x**2
+    prim = lambda x: x + x**2 - x**3 + x**4 / 8.0
+    uniform = np.linspace(-1.0, 2.5, n)
+    uneven = -1.0 + 3.5 * np.linspace(0.0, 1.0, n) ** 1.5
+    for x, d in ((uniform, uniform_step(uniform)), (uneven, np.diff(uneven))):
+        got = np.cumsum(trajectory._end_corrected_steps(d, f(x), fdot(x)))
+        np.testing.assert_allclose(got, prim(x[1:]) - prim(x[0]), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("direction", [+1, -1])
+def test_classical_trace_tabulated_converges_at_fourth_order(direction):
+    """A tabulated V = 1e-3 x on fig3's span against the closed-form arc of
+    LinearPotential(1e-3), in either direction: the error falls at least 12x
+    per halving of the step, and at 20 001 samples it is round-off."""
+    setup = rq.PhysicalSetup(E=2.0, m0c2=0.510999, direction=direction)
+    xt = np.linspace(-6000.0, 2000.0, 5)
+    tab, arc = rq.TabulatedPotential(xt, 1e-3 * xt), rq.LinearPotential(1e-3)
     errs = []
-    for n in (201, 401):
-        x = np.linspace(0.0, 3.0, n)
-        t = rq.cumulative_simpson(np.sin(x), x[1] - x[0])
-        errs.append(np.max(np.abs(t - exact(x))))
-    assert errs[0] / errs[1] > 12  # fourth order: ~16x per halving
-
-
-def test_cumulative_simpson_small_inputs():
-    assert np.allclose(rq.cumulative_simpson(np.array([1.0]), 0.1), [0.0])
-    two = rq.cumulative_simpson(np.array([1.0, 3.0]), 0.5)
-    assert two == pytest.approx([0.0, 1.0])  # trapezoid fallback
-
-
-def cumulative_simpson_gather(f, h):
-    """The index-array form of ``cumulative_simpson`` kept as its oracle."""
-    n = f.size
-    out = np.zeros(n)
-    if n < 2:
-        return out
-    if n == 2:
-        out[1] = 0.5 * h * (f[0] + f[1])
-        return out
-    npairs = (n - 1) // 2
-    i = 2 * np.arange(npairs)
-    pair_inc = h / 3.0 * (f[i] + 4.0 * f[i + 1] + f[i + 2])
-    even_vals = np.concatenate(([0.0], np.cumsum(pair_inc)))
-    out[2 * np.arange(npairs + 1)] = even_vals
-    j = 2 * np.arange(npairs)
-    out[j + 1] = out[j] + h / 12.0 * (5.0 * f[j] + 8.0 * f[j + 1] - f[j + 2])
-    if n % 2 == 0:
-        out[n - 1] = out[n - 2] + h / 12.0 * (
-            -f[n - 3] + 8.0 * f[n - 2] + 5.0 * f[n - 1]
-        )
-    return out
-
-
-def cumulative_simpson_fresh(f, h):
-    """``cumulative_simpson`` as it was before it built the table in place:
-    each step into a new array.  Kept as the oracle of the in-place table."""
-    n = f.size
-    out = np.zeros(n)
-    if n < 2:
-        return out
-    if n == 2:
-        out[1] = 0.5 * h * (f[0] + f[1])
-        return out
-    npairs = (n - 1) // 2
-    f0 = f[0 : 2 * npairs : 2]
-    f1 = f[1 : 2 * npairs : 2]
-    f2 = f[2 : 2 * npairs + 1 : 2]
-    pair_inc = h / 3.0 * (f0 + 4.0 * f1 + f2)
-    out[0 : 2 * npairs + 1 : 2] = np.concatenate(([0.0], np.cumsum(pair_inc)))
-    out[1 : 2 * npairs : 2] = out[0 : 2 * npairs : 2] + h / 12.0 * (5.0 * f0 + 8.0 * f1 - f2)
-    if n % 2 == 0:
-        out[n - 1] = out[n - 2] + h / 12.0 * (
-            -f[n - 3] + 8.0 * f[n - 2] + 5.0 * f[n - 1]
-        )
-    return out
-
-
-@pytest.mark.parametrize("n", [*range(0, 10), 100_001, 100_002])
-def test_cumulative_simpson_matches_gather_oracle(n):
-    f = np.random.default_rng(n).normal(size=n) * 1e-21
-    kept = f.copy()
-    got = rq.cumulative_simpson(f, 0.05)
-    assert np.array_equal(got.view(np.int64), cumulative_simpson_gather(f, 0.05).view(np.int64))
-    assert np.array_equal(got.view(np.int64), cumulative_simpson_fresh(f, 0.05).view(np.int64))
-    assert np.array_equal(f.view(np.int64), kept.view(np.int64))       # input untouched
+    for n in (501, 1001, 2001, 20001):
+        got, ref = (rq.classical_trace(setup, pot, -5400.0, x_range=(-5400.0, 1400.0),
+                                       n_samples=n) for pot in (tab, arc))
+        assert np.array_equal(got.x, ref.x)
+        errs.append(np.max(np.abs(got.t - ref.t)) / (ref.t[-1] - ref.t[0]))
+    assert errs[0] / errs[1] >= 12 and errs[1] / errs[2] >= 12, errs
+    assert errs[3] <= 1e-13, errs
 
 
 def sign_change_steps(y):
@@ -690,6 +649,42 @@ def test_classical_trace_tags_its_turning_point():
     assert set(names[:-1].tolist()) == {"oscillatory"}
 
 
+@pytest.mark.parametrize("slope", [1e-3, -1e-3])
+@pytest.mark.parametrize("direction", [+1, -1])
+def test_classical_trace_linear_arc_runs_in_t_without_a_sort(direction, slope):
+    """On either slope Pc falls toward the turning point, so t rises with x
+    for direction +1 and falls for -1: the arc comes out ordered by a
+    reversal, with P = 0 on its turning row."""
+    setup = rq.PhysicalSetup(E=2.0, m0c2=0.510999, direction=direction)
+    x_turn = (2.0 - 0.510999) / slope
+    tr = rq.classical_trace(setup, rq.LinearPotential(slope), -500.0 * np.sign(slope),
+                            x_range=(-2400.0, 2400.0), n_samples=2001)
+    assert tr.t.size == 2001 and np.all(direction * np.diff(tr.x) > 0)
+    turn = -1 if direction * slope > 0 else 0
+    assert tr.x[turn] == pytest.approx(x_turn, rel=1e-12) and tr.momentum[turn] == 0.0
+
+
+@pytest.mark.parametrize("slope", [1e-3, -1e-3])
+def test_classical_trace_linear_arc_past_the_turning_point_is_an_error(slope):
+    """fig3's particle on [2000, 3000] fm (mirrored for the negative slope)
+    lies wholly past its turning point at 1489.001 fm: no arc, where one
+    evanescent row was once returned."""
+    setup = rq.PhysicalSetup(E=2.0, m0c2=0.510999)
+    with pytest.raises(RegimeError, match="no span on the allowed side"):
+        rq.classical_trace(setup, rq.LinearPotential(slope), 0.0,
+                           x_range=(2000.0 * np.sign(slope), 3000.0 * np.sign(slope)))
+
+
+@pytest.mark.parametrize("x0", [-5000.0, 5000.0])
+def test_classical_trace_quadrature_x0_outside_the_range_is_an_error(x0):
+    """A flat table traced on [-900, 900] fm has no t = 0 at x0 = +-5000 fm;
+    it was once clamped to the range end, 2.28 time spans off."""
+    setup = rq.PhysicalSetup(E=2.0, m0c2=0.510999)
+    pot = rq.TabulatedPotential(np.linspace(-1000.0, 1000.0, 5), np.zeros(5))
+    with pytest.raises(BasisGapError, match="outside x_range"):
+        rq.classical_trace(setup, pot, x0, x_range=(-900.0, 900.0), n_samples=101)
+
+
 @pytest.mark.parametrize("direction", [+1, -1])
 def test_classical_trace_zero_slope_is_the_free_line(direction):
     """V = 0 x has no turning point: the free straight line x0 + v t."""
@@ -705,8 +700,8 @@ def test_classical_trace_zero_slope_is_the_free_line(direction):
                                  rq.TabulatedPotential(np.linspace(-6000.0, 2000.0, 5), np.zeros(5))],
                          ids=["linear", "tabulated"])
 def test_classical_trace_quadrature_steps_by_the_mean_step(pot):
-    """On fig3's span the Simpson quadrature of a flat V is the free line
-    t = (x - x0) / v to 1e-13: it steps by ``uniform_step``, where the first
+    """On fig3's span the end-corrected trapezoid of a flat V is the free
+    line t = (x - x0) / v to 1e-13: it steps by ``uniform_step``, where the first
     step of the linspace, ulps of 5400 fm off, gave 4.8e-13.  A range
     without two distinct ends has no step."""
     setup = rq.PhysicalSetup(E=2.0, m0c2=0.510999)
@@ -716,12 +711,14 @@ def test_classical_trace_quadrature_steps_by_the_mean_step(pot):
     assert np.max(np.abs(tr.t - exact)) <= 2e-13 * np.max(np.abs(exact))
     with pytest.raises(ValueError, match="two distinct ends"):
         rq.classical_trace(setup, pot, 0.0, x_range=(0.0, 0.0), n_samples=11)
+    with pytest.raises(ValueError, match="n_samples >= 2"):
+        rq.classical_trace(setup, pot, 0.0, x_range=(0.0, 1.0), n_samples=1)
 
 
 @pytest.mark.parametrize("direction", [+1, -1])
 def test_classical_trace_tabulated_is_monotone_without_a_sort(direction):
-    """The tabulated classical curve is a Simpson quadrature of 1/v, whose
-    sign is the direction's: the samples come out reversed for -1."""
+    """The tabulated classical curve is the end-corrected trapezoid of 1/v,
+    whose sign is the direction's: the samples come out reversed for -1."""
     setup = rq.PhysicalSetup(E=2.0, m0c2=0.511, direction=direction)
     xt = np.linspace(-1000.0, 1000.0, 401)
     pot = rq.TabulatedPotential(xt, 1e-4 * xt + 0.05 * np.sin(xt / 200.0))
