@@ -9,7 +9,8 @@ existing file, a ``--figure`` other than 1, 2 or 3) and what
 ``window`` and ``basis_init``, an empty ``sets``, a fractional ``samples``
 or one above ``config.MAX_GRID_POINTS``, a nan or inf value such as
 ``hbar_scale = nan``, a grid of fewer than two or more than
-``config.MAX_GRID_POINTS`` points), all reported before numpy loads; the
+``config.MAX_GRID_POINTS`` points, an ``x0`` outside the grid of a linear
+or tabulated potential), all reported before numpy loads; the
 command's module loads after them and checks the tabulated-potential file
 (missing, fewer than two columns, a non-blank row whose field count
 differs from the header's, no increasing grid, a nan or inf entry).  Then

@@ -11,8 +11,11 @@ key, nan or inf (also in ``sets``), an empty ``sets``, a fractional
 ``samples``, ``samples`` above ``MAX_GRID_POINTS`` or a value not allowed;
 ``validate`` repeats the per-key checks for a config built or changed in
 code, and rejects a grid of fewer than 2 or more than ``MAX_GRID_POINTS``
-points (``grid_points``).  Every key is set in the config file only: the
-CLI takes the file and ``--out``, nothing else.
+points (``grid_points``) and, for a non-constant potential, an ``x0`` off
+[grid_min, min(grid_max, ``build.build_grid``'s last point)], where no
+trace has a t = 0; a closed form takes any x0 as its origin.  Every key
+is set in the config file only: the CLI takes the file and ``--out``,
+nothing else.
 ``canonical_text`` round-trips bit-exactly (floats via repr).  The sha256
 (``config_hash``) of that text without its [output] section, followed by
 the non-blank lines of the table file a tabulated config names, stamps
@@ -133,7 +136,10 @@ class RunConfig:
             raise ConfigError("[potential] tabulated kind needs file = <path>")
         if not self.grid_min < self.grid_max:
             raise ConfigError("[numerics] grid_min must lie below grid_max")
-        self.grid_points()
+        hi = min(self.grid_max, self.grid_min + self.grid_step * (self.grid_points() - 1))
+        if self.potential_kind != "constant" and not self.grid_min <= self.x0 <= hi:
+            raise ConfigError(f"[trajectories] x0 {self.x0!r} fm lies outside the grid "
+                              f"[{self.grid_min!r}, {hi!r}] fm")
         if not self.t_min < self.t_max:
             raise ConfigError("[trajectories] t_min must lie below t_max")
         return self

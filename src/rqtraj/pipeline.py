@@ -25,12 +25,14 @@ which reports each trace's arrival time there inside [t_min, t_max].
 ``analyze``'s closure and first-integral checks run the 7-point stencil at
 stride 1 on every trace, along t for a closed form and along x for a
 quadrature trace, so they measure the sampling the trace was computed on.
+Its quantum-HJ check runs on quadrature actions only: a constant potential
+builds no basis and no action (a test checks the closed-form algebra).
 
-The sets run one at a time, each in one order: its action is built, its
-trace is taken from it, ``analyze`` runs the quantum-HJ check on the
-action, the action is dropped, ``analyze`` runs the closure and
-first-integral checks on the trace, and only the trace's t and x are kept
-for node detection (``analyze`` and the node pass of ``figure``).  The
+The sets run one at a time, each in one order: a quadrature set's action
+is built, its trace is taken from it, ``analyze`` runs the quantum-HJ
+check on the action, the action is dropped, ``analyze`` runs the closure
+and first-integral checks on the trace, and only the trace's t and x are
+kept for node detection (``analyze`` and the node pass of ``figure``).  The
 trace pass of ``trace`` and ``figure`` drops each trace once its file is
 written.  So no more than one set's action and trace are alive at a time.
 
@@ -99,7 +101,8 @@ def _traced(cfg: RunConfig, setup, pot, basis, hp: HiddenParams):
     """(set ``hp``'s trajectory or the RqtError that ended it, its
     ReducedAction on ``basis``, or None without a basis).
 
-    A quadrature trace is built from the action; closed forms ignore it.
+    With a basis the trace is a quadrature of the action, which ``analyze``'s
+    quantum-HJ check also reads; without one it is a closed form.
     A trace whose first row lies after t_min gets ``start_t_s`` and
     ``start_x_fm`` events, and one whose last row lies before t_max gets
     ``end_t_s`` and ``end_x_fm``: that row's t and x, so the CSV footer and
@@ -109,16 +112,11 @@ def _traced(cfg: RunConfig, setup, pot, basis, hp: HiddenParams):
     try:
         if basis is not None:
             ra = ReducedAction(basis, hp, setup)
-        if cfg.potential_kind != "constant":
             tr = trace_quadrature(ra, pot, cfg.x0, cfg.sync)
-        elif _oscillatory_constant(cfg, setup):
-            tr = trace_constant_oscillatory(
-                setup, cfg.u0, hp, cfg.x0, (cfg.t_min, cfg.t_max), cfg.samples
-            )
         else:
-            tr = trace_constant_evanescent(
-                setup, cfg.u0, hp, cfg.x0, (cfg.t_min, cfg.t_max), cfg.samples
-            )
+            closed = (trace_constant_oscillatory if _oscillatory_constant(cfg, setup)
+                      else trace_constant_evanescent)
+            tr = closed(setup, cfg.u0, hp, cfg.x0, (cfg.t_min, cfg.t_max), cfg.samples)
         if tr.t[0] > cfg.t_min:
             tr.meta["events"].update(start_t_s=float(tr.t[0]), start_x_fm=float(tr.x[0]))
         if tr.t[-1] < cfg.t_max:
@@ -186,13 +184,8 @@ def _close_trace(cfg: RunConfig, manifest: dict, setup, pot) -> dict:
     """Add the classical curve where it exists and write trace_manifest.json."""
     out = Path(cfg.out_dir)
     try:
-        if cfg.potential_kind == "constant":
-            cl = classical_trace(setup, pot, cfg.x0, t_range=(cfg.t_min, cfg.t_max),
-                                 n_samples=cfg.samples)
-        else:
-            cl = classical_trace(setup, pot, cfg.x0,
-                                 x_range=(cfg.grid_min, cfg.grid_max),
-                                 n_samples=cfg.samples)
+        cl = classical_trace(setup, pot, cfg.x0, t_range=(cfg.t_min, cfg.t_max),
+                             x_range=(cfg.grid_min, cfg.grid_max), n_samples=cfg.samples)
         path = out / "classical.csv"
         cl.to_csv(path, header=_header(cfg, ["curve: classical"]))
         manifest["classical"] = str(path)
@@ -209,9 +202,10 @@ def run_trace(cfg: RunConfig) -> dict:
 
 # Each set's residual checks, in summary order: key stem in validation.json
 # ("<stem>_max", or "<stem>_error" when the check raises), summary label,
-# and the check of a trace or of an action (with V).  Both trace checks run
-# the 7-point stencil at stride 1 on every sample.  The checks look their
-# functions up when they run, so a wrapper bound to the module name is seen.
+# and the check of a trace or of a quadrature action (with V; closed forms
+# build none).  Both trace checks run the 7-point stencil at stride 1 on
+# every sample.  The checks look their functions up when they run, so a
+# wrapper bound to the module name is seen.
 _CHECKS = (
     ("closure", "closure", "trace", lambda tr: closure_residual(tr)),
     ("first_integral", "first-integral", "trace", lambda tr: firqnl_residual(tr)),
@@ -232,12 +226,8 @@ def _validate(entry: dict, subject: str, *args):
 def run_analyze(cfg: RunConfig) -> dict:
     setup, pot, basis = _stage(cfg)
     out = Path(cfg.out_dir)
-    oscillatory_const = _oscillatory_constant(cfg, setup)
-
-    # the quantum-HJ check needs an action, so closed forms get a basis too
-    hj_basis = build_basis(cfg, setup, pot) if oscillatory_const else basis
     curves, per_set = [], []
-    for hp, tr, ra in _family(cfg, setup, pot, hj_basis):
+    for hp, tr, ra in _family(cfg, setup, pot, basis):
         if isinstance(tr, RqtError):
             raise tr
         per_set.append({"a": hp.a, "b": hp.b})
@@ -248,13 +238,13 @@ def run_analyze(cfg: RunConfig) -> dict:
         curves.append((tr.t, tr.x))
         del tr                                  # node detection reads t and x only
     zeros = _phi2_zeros(basis)
-    del basis, hj_basis                         # freed before node detection
+    del basis                                   # freed before node detection
 
     manifest = {"command": "analyze", "config_hash": cfg.hash, "files": []}
     summary = []
 
     closed = (nodes_closed_form(setup, cfg.u0, x0=cfg.x0, t_range=(cfg.t_min, cfg.t_max))
-              if oscillatory_const else None)
+              if _oscillatory_constant(cfg, setup) else None)
     nodes = _detected_nodes(cfg, curves, zeros if closed is None else closed.positions, setup)
     if nodes is not None:
         nodes_path = out / "nodes_detected.json"

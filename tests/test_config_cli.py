@@ -118,12 +118,19 @@ def run_configs(draw):
     grid_step = (grid_max - grid_min) / draw(st.integers(1, MAX_GRID_POINTS - 1))
     assume(0 < grid_step < math.inf)
     t_min, t_max = draw(ordered)
+    kind = draw(st.sampled_from(["constant", "linear", "tabulated"]))
+    if kind == "constant":
+        x0 = draw(any_float)
+    else:
+        # a linear or tabulated x0 lies on the grid, up to build_grid's last point
+        last = grid_min + grid_step * round((grid_max - grid_min) / grid_step)
+        x0 = draw(st.floats(min_value=grid_min, max_value=min(grid_max, last)))
     return RunConfig(
         rest_energy=draw(positive), energy=draw(any_float), hbar_scale=draw(positive),
-        potential_kind=draw(st.sampled_from(["constant", "linear", "tabulated"])),
+        potential_kind=kind,
         u0=draw(any_float), slope=draw(any_float), table_file=draw(path_text),
         param_sets=draw(st.lists(st.tuples(nonzero, any_float), min_size=1, max_size=4)),
-        x0=draw(any_float), t_min=t_min, t_max=t_max,
+        x0=x0, t_min=t_min, t_max=t_max,
         samples=draw(st.integers(2, MAX_GRID_POINTS)),
         direction=draw(st.sampled_from([1, -1])),
         sync=draw(st.sampled_from(["psi_zero", "phi2_zero", "exact"])),
@@ -801,12 +808,12 @@ def test_fig3_live_memory_peak(tmp_path, monkeypatch, run, limit_mib):
 @pytest.mark.parametrize("name, digests", [
     ("fig1", {
         "analyze_manifest.json":
-            "c2c2111d178b2fa141b867b003f2b796e8d5bf017fa788acc683a567bffe10b8",
+            "e966067a96a7b1ac412b8d6f4ad5545f10a3ba8c69d804079b5d9b3cd2b57114",
         "nodes_closed_form.json":
             "5c2ada9ddbb74d11eb6bf2058e4330c5e14f18805a52fd3f36caa60671671d9c",
         "nodes_detected.json":
             "c6b2429ef61e464d3cc4c49507ef4728905087341d9adf018713e48e495a1faa",
-        "validation.json": "86f09955ae50a33e1af691d7e2472761277d4caddc606f58c33338eba81226aa",
+        "validation.json": "0b09db15ad8ce4044f8567f01a286c59f29d912e69468bf2841de1323276f025",
     }),
     ("fig2", {
         "analyze_manifest.json":
@@ -817,7 +824,10 @@ def test_fig3_live_memory_peak(tmp_path, monkeypatch, run, limit_mib):
 def test_closed_form_analyze_outputs_are_pinned(tmp_path, monkeypatch, name, digests):
     """fig1 and fig2 analyze: node reports and validators keep every byte.
 
-    fig1's closed-form ladder holds the five rungs up to t_max = 5.5e-21 s."""
+    fig1's closed-form ladder holds the five rungs up to t_max = 5.5e-21 s.
+    fig1's validation.json and manifest hold no quantum-HJ maxima: a closed
+    form builds no action (``test_quantum_hj_analytic_basis`` checks that
+    algebra on fig1's basis)."""
     monkeypatch.chdir(tmp_path)              # the config's relative out dir
     cfg = parse_config(CONFIGS / f"{name}.cfg")
     pipeline.run_analyze(cfg)
@@ -839,21 +849,44 @@ def test_energy_equals_potential_is_a_per_set_error(tmp_path):
 
 
 def test_tabulated_classical_curve_with_x0_off_the_grid_is_an_error(tmp_path):
-    """A tabulated V with x0 50 fm below the grid: the classical curve has
-    no t = 0 on its range, so the manifest records the error and no
-    classical.csv is written (the curve was once clamped to the grid end)."""
+    """A tabulated V with x0 50 fm below the grid is a config error, exit 2
+    before numpy loads and with no file written: neither the quadrature
+    trace nor the classical curve has a t = 0 there (the classical curve
+    was once clamped to the grid end, and every set once failed after the
+    whole basis was built).  The grid ends at build_grid's last point where
+    that lies below grid_max, as the basis does."""
     table = tmp_path / "v.tab"
     x = np.linspace(-600.0, 600.0, 201)
     write_csv(table, [], [("x_fm", x), ("V_MeV", 1e-3 * x)])
     cfg = RunConfig(potential_kind="tabulated", table_file=str(table), grid_min=-500.0,
                     grid_max=500.0, grid_step=0.2, x0=-550.0, param_sets=[(4.0, 2.5)],
-                    sync="phi2_zero", out_dir=str(tmp_path / "out")).validate()
-    manifest = json.loads(json.dumps(pipeline.run_trace(cfg)))
-    assert manifest == json.loads((tmp_path / "out" / "trace_manifest.json").read_text())
-    assert manifest["classical_error"] == ("BasisGapError: x0 = -550.0 fm outside x_range "
-                                           "[-500.0, 500.0] fm")
-    assert "classical" not in manifest
-    assert not (tmp_path / "out" / "classical.csv").exists()
+                    sync="phi2_zero", out_dir=str(tmp_path / "out"))
+    with pytest.raises(ConfigError, match=re.escape(
+            "[trajectories] x0 -550.0 fm lies outside the grid [-500.0, 500.0] fm")):
+        cfg.validate()
+    cfgp = tmp_path / "off.cfg"
+    cfg.to_file(cfgp)
+    proc = _fresh_python(
+        "import sys, rqtraj.cli\n"
+        "try:\n"
+        "    rqtraj.cli.main(sys.argv[1:])\n"
+        "finally:\n"
+        "    print('numpy' in sys.modules, file=sys.stderr)\n", "trace", "--config", str(cfgp))
+    assert proc.returncode == 2, proc.stderr
+    assert "config error: [trajectories] x0 -550.0 fm lies outside" in proc.stderr
+    assert proc.stderr.splitlines()[-1] == "False"
+    assert not (tmp_path / "out").exists()
+
+    # 0.3 fm steps on [0, 1] fm: the last grid point is 0.3 * 3 < 0.9 < 1
+    last = 0.3 * 3
+    for kind in ("linear", "tabulated"):
+        short = with_keys(cfg, potential_kind=kind, grid_min=0.0, grid_max=1.0,
+                          grid_step=0.3, x0=last)
+        assert short.validate().x0 == last
+        with pytest.raises(ConfigError, match=rf"x0 0.95 fm lies outside the grid \[0.0, {last!r}\]"):
+            with_keys(short, x0=0.95).validate()
+    # a constant potential's closed forms take any x0 as their origin
+    assert with_keys(cfg, potential_kind="constant").validate().x0 == -550.0
 
 
 def test_cli_outputs_are_deterministic(tmp_path):
@@ -886,7 +919,6 @@ def test_cli_analyze_summary(tmp_path):
     # tolerance at criterion-grade sampling
     val = json.loads((tmp_path / "out" / "validation.json").read_text())
     assert all(e["closure_max"] < 5e-3 for e in val["per_set"])
-    assert all(e["quantum_hj_max"] < 1e-9 for e in val["per_set"])
 
 
 def test_cli_analyze_epsilon_scaling(tmp_path):
