@@ -1,25 +1,25 @@
 """Reduced action S0 and conjugate momentum built from a solution basis.
 
 S0(x) = hbar * arctan(a phi1/phi2 + b), continued across the zeros of phi2
-by integer multiples of pi so it stays monotone.  The continuous phase is
-exactly atan2(a phi1 + b phi2, phi2) unwrapped along the grid; its x
+by integer multiples of pi so it stays monotone.  The continuous phase
+theta = S0 / hbar is the angle of the vector (phi2, a phi1 + b phi2); its x
 derivative gives the closed-form momentum
 
     P c = hbar c * a W(x) / [phi2^2 + (a phi1 + b phi2)^2]   [MeV],
 
 which never vanishes (a != 0, W != 0, positive denominator).
 
-The unwrap (``unwrap_phase``) is bit-equal to ``np.unwrap`` and runs in
-place: it applies numpy's own correction at the few steps whose jump
-reaches pi and adds the running sum of those sparse corrections to each
-stretch of the grid between two of them, instead of some dozen full
-passes over the grid.
+theta advances between two grid rows by the angle between the rows' two
+vectors (``phase_steps``), and S0 is hbar times its value at the grid
+origin plus the running sum of those steps, so the phase rule's trace,
+which integrates the same steps, reads the same phase as S0.
 
 A ``ReducedAction`` keeps three grid-long arrays, S0, P and the branch
-counter, built in place in the buffers of psi = a phi1 + b phi2 and of the
-phase.  psi, psi' and the denominator D = phi2^2 + psi^2 are rebuilt from
-the basis for the rows that ``momentum_derivatives`` is asked for, so the
-quantum-HJ check evaluates them one block at a time.
+counter.  The phase steps, and psi = a phi1 + b phi2, psi' and the
+denominator D = phi2^2 + psi^2, are rebuilt from the basis when they are
+asked for: ``phase_steps`` for the rows up to a cut, and
+``momentum_derivatives`` for a block of rows, so the quantum-HJ check
+evaluates them one block at a time.
 """
 
 from __future__ import annotations
@@ -29,32 +29,6 @@ import numpy as np
 from .errors import BranchResolutionError
 from .kleingordon import SolutionBasis
 from .model import HiddenParams, PhysicalSetup
-
-
-def unwrap_phase(p: np.ndarray) -> np.ndarray:
-    """Unwrap a 1-D float array in place; returns it, equal to ``np.unwrap(p)``
-    bit for bit.
-
-    Only steps d with |d| >= pi (or NaN) are corrected, each by numpy's
-    rule mod(d + pi, 2 pi) - pi - d, with a step of exactly +pi kept at +pi
-    (numpy's boundary rule).  numpy adds the cumulative sum of a correction
-    that is exactly 0 at every other step; adding 0.0 leaves that sum as it
-    is, so each stretch after a corrected step gets the running sum of the
-    corrections so far, and the stretch before the first one gets the +0.0
-    that turns a -0.0 into +0.0, as in numpy.
-    """
-    d = np.diff(p)
-    jump = np.flatnonzero(~(np.abs(d, out=d) < np.pi))
-    del d
-    dj = p[jump + 1] - p[jump]
-    ddmod = np.mod(dj + np.pi, 2 * np.pi) - np.pi
-    ddmod[(ddmod == -np.pi) & (dj > 0)] = np.pi
-    level = np.cumsum(ddmod - dj)
-    starts = [1, *(jump + 1).tolist()]
-    ends = [*starts[1:], p.size]
-    for lo, hi, add in zip(starts, ends, [0.0, *level.tolist()]):
-        p[lo:hi] += add
-    return p
 
 
 class ReducedAction:
@@ -67,24 +41,26 @@ class ReducedAction:
 
         a, b = params.a, params.b
         phi2 = basis.phi2
+        steps = self.phase_steps()
+        if steps.size:
+            i = int(np.argmax(np.abs(steps)))
+            if abs(steps[i]) > 0.95 * np.pi:
+                raise BranchResolutionError(
+                    f"phase step of {steps[i]:.4g} rad between x = {float(basis.grid[i])!r} "
+                    f"and {float(basis.grid[i + 1])!r} fm approaches pi; refine the basis grid"
+                )
         psi = np.multiply(a, basis.phi1)
-        theta = np.multiply(b, phi2)
-        psi += theta                                    # a phi1 + b phi2
-        unwrap_phase(np.arctan2(psi, phi2, out=theta))
-        jumps = np.diff(theta)
-        if jumps.size and np.max(np.abs(jumps, out=jumps)) > 0.95 * np.pi:
-            raise BranchResolutionError(
-                "per-step phase jump approaches pi; refine the basis grid"
-            )
-        del jumps
+        branch = np.multiply(b, phi2)
+        psi += branch                                   # a phi1 + b phi2
 
         # arctan branch values: phi2 -> 0 gives +-pi/2 via IEEE infinities
         with np.errstate(divide="ignore"):
-            branch = np.divide(psi, phi2)
+            np.divide(psi, phi2, out=branch)
         np.arctan(branch, out=branch)
         # anchor: S0 at the grid origin sits on branch zero
-        theta -= theta[0]
-        theta += branch[0]
+        theta = np.concatenate(([branch[0]], steps))
+        del steps
+        np.cumsum(theta, out=theta)
         np.subtract(theta, branch, out=branch)
         branch /= np.pi
         self.branch_grid = np.rint(branch, out=branch).astype(int)
@@ -101,6 +77,21 @@ class ReducedAction:
     @property
     def grid(self) -> np.ndarray:
         return self.basis.grid
+
+    def phase_steps(self, stop: int | None = None) -> np.ndarray:
+        """The step of theta = S0 / hbar between each pair of neighbouring
+        rows among grid points 0 ... stop - 1 [rad].
+
+        Each step is the atan2 of the rows' two (phi2, a phi1 + b phi2)
+        vectors, so it is exact to round-off of the step itself, however
+        far theta has run, and lies in (-pi, pi].
+        """
+        bs, a, b = self.basis, self.params.a, self.params.b
+        phi2 = bs.phi2[:stop]
+        psi = np.multiply(a, bs.phi1[:stop])
+        psi += np.multiply(b, phi2)
+        return np.arctan2(psi[1:] * phi2[:-1] - psi[:-1] * phi2[1:],
+                          phi2[:-1] * phi2[1:] + psi[:-1] * psi[1:])
 
     def momentum_derivatives(self, u_nodes: np.ndarray, rows: slice = slice(None)):
         """(Pc, Pc', Pc'') on grid[rows], closed form [MeV, MeV/fm, MeV/fm^2].

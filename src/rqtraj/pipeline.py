@@ -40,9 +40,12 @@ What is alive at each stage of a quadrature run (n grid points):
 
 * basis: the grid and phi1, phi1', phi2, phi2' (5 n floats), kept until
   the set loop ends;
-* action: its three arrays S0, P and branch (``action``); the quantum-HJ
-  check rebuilds what else it reads one block at a time;
+* action: its three arrays S0, P and branch (``action``); S0 is the
+  running sum of the phase steps, which the action rebuilds from the
+  basis when the trace asks for them, and the quantum-HJ check rebuilds
+  what else it reads one block at a time;
 * trace: its t and regime columns and views of the grid and the action;
+  the phase steps and the per-step times live only while it is taken;
   the closure and first-integral checks work in blocks and make only
   their residual arrays;
 * the t and x of each earlier set, while node detection needs them; x is

@@ -431,10 +431,12 @@ def trace_quadrature(
     The phase rule: the law of motion gives dt = (hbar / sigma) g dtheta,
     with theta = S0 / hbar and g = 1 / kin, kin = E - V - m0c2^2 / (E - V).
     g varies on the scale of the potential, while 1/v peaks at every node.
-    Each step's dtheta is atan2 of the step's two (phi2, a phi1 + b phi2)
-    vectors, not a difference of ``s0_grid``, whose round-off grows with
-    S0.  Each step adds the trapezoid in theta with its Euler-Maclaurin end
-    correction (Davis and Rabinowitz 1984),
+    Each step's dtheta is the action's ``phase_steps``, the atan2 of the
+    step's two (phi2, a phi1 + b phi2) vectors, whose running sum is S0 /
+    hbar.  A difference of neighbouring ``s0_grid`` rows would give the same
+    step with the round-off of the sum, which grows with S0.  Each step adds
+    the trapezoid in theta with its Euler-Maclaurin end correction (Davis
+    and Rabinowitz 1984),
     (hbar / sigma) [dtheta (g_i + g_i+1) / 2 - dtheta^2 / 12 (gdot_i+1 - gdot_i)],
     gdot = dg/dtheta = g' hbar c / Pc, g' = V' (1 + m0c2^2 / (E - V)^2) / kin^2
     in closed form: fourth order in the step.  For a constant potential
@@ -503,13 +505,7 @@ def trace_quadrature(
         gdot /= pc
         g = np.divide(1.0, kin, out=kin)
         del kin
-        # dtheta of each step, from its two (phi2, psi) vectors
-        phi2 = basis.phi2[:cut]
-        psi = np.multiply(hp.a, basis.phi1[:cut])
-        psi += np.multiply(hp.b, phi2)
-        dth = np.arctan2(psi[1:] * phi2[:-1] - psi[:-1] * phi2[1:],
-                         phi2[:-1] * phi2[1:] + psi[:-1] * psi[1:])
-        del psi
+        dth = action.phase_steps(cut)
         dt = _end_corrected_steps(dth, g, gdot)
         dt *= setup.direction * setup.hbar
         del dth, gdot

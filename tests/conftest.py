@@ -45,6 +45,20 @@ def classical_speed(setup):
     return setup.c * classical_momentum(setup) / setup.E
 
 
+def s0_at(ra, x):
+    """S0 of the action ``ra`` at x [MeV s], by the cubic Hermite of
+    (S0, Pc / c) over the grid step that holds x: fourth order in the step,
+    where linear interpolation of S0 is second order."""
+    grid = ra.grid
+    i = min(max(int(np.searchsorted(grid, x)) - 1, 0), grid.size - 2)
+    h = grid[i + 1] - grid[i]
+    s = (x - grid[i]) / h
+    y0, y1 = ra.s0_grid[i], ra.s0_grid[i + 1]
+    m0, m1 = ra.momentum_grid[i:i + 2] * (h / ra.setup.c_fm_s)   # dS0/ds [MeV s]
+    return (y0 * (1 + 2 * s) * (1 - s) ** 2 + m0 * s * (1 - s) ** 2
+            + y1 * s**2 * (3 - 2 * s) - m1 * s**2 * (1 - s))
+
+
 @pytest.fixture
 def const_basis(electron2):
     """Analytic basis over ~3.2 wavelengths at step 1/(100 k)."""

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 import rqtraj as rq
 from rqtraj import pipeline
-from rqtraj.action import unwrap_phase
 from rqtraj.config import parse_config
 from rqtraj.errors import BranchResolutionError
-from tests.conftest import oscillatory_wavenumber
+from tests.conftest import oscillatory_wavenumber, s0_at
 
 
 def test_s0_is_linear_for_classical_params(electron2, const_basis):
@@ -90,7 +89,9 @@ def test_branch_resolution_guard(electron2):
     k = oscillatory_wavenumber(electron2)
     grid = np.arange(0.0, 2 * 2 * np.pi / k, 1.0 / (70 * k))
     basis = rq.solve_constant(electron2, 0.0, grid)
-    with pytest.raises(BranchResolutionError):
+    with pytest.raises(BranchResolutionError,
+                       match=r"^phase step of -?\d\.\d+ rad between x = \d+\.\d+ and "
+                             r"\d+\.\d+ fm approaches pi"):
         rq.ReducedAction(basis, rq.HiddenParams(0.02, 40.0), electron2)
 
 
@@ -99,64 +100,11 @@ def test_s0_increment_between_nodes_is_pi_hbar(electron2, const_basis):
     k = oscillatory_wavenumber(electron2)
     ra = rq.ReducedAction(const_basis, rq.HiddenParams(4 / 3, -1.05), electron2)
     x_a, x_b = np.pi / (2 * k), 3 * np.pi / (2 * k)  # adjacent phi2 zeros
-    s_a = np.interp(x_a, const_basis.grid, ra.s0_grid)
-    s_b = np.interp(x_b, const_basis.grid, ra.s0_grid)
-    assert s_b - s_a == pytest.approx(np.pi * electron2.hbar, rel=1e-4)
+    assert s0_at(ra, x_b) - s0_at(ra, x_a) == pytest.approx(np.pi * electron2.hbar, rel=1e-9)
 
 
 def _bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.int64)
-
-
-def test_unwrap_phase_matches_numpy_on_the_fig3_basis():
-    """The sparse unwrap is np.unwrap bit for bit on every fig3 set's phase."""
-    cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / "fig3.cfg")
-    setup = pipeline.build_setup(cfg)
-    pot = pipeline.build_potential(cfg)
-    basis = pipeline.build_basis(cfg, setup, pot)
-    for a, b in cfg.param_sets:
-        p = np.arctan2(a * basis.phi1 + b * basis.phi2, basis.phi2)
-        assert np.count_nonzero(np.abs(np.diff(p)) >= np.pi) > 0
-        assert np.array_equal(_bits(unwrap_phase(p.copy())), _bits(np.unwrap(p))), (a, b)
-
-
-@pytest.mark.parametrize("p", [
-    np.linspace(-1.0, 1.0, 101),                       # no cut at all
-    np.array([0.0, np.pi, 0.0, -np.pi, 0.0]),          # steps of exactly +pi and -pi
-    np.array([1.0, 1.0 + np.pi, 1.0, 1.0 - np.pi]),    # the same away from zero
-    np.array([3.0, -3.0, 3.0, 2 * np.pi + 3.0, -7.0]),  # cuts and multi-period jumps
-    np.array([-0.0, -0.0, 0.5, -0.0]),                 # signed zeros
-    np.array([0.0, np.nan, 1.0, 5.0]),                 # nan spreads as in numpy
-    np.array([2.0]),
-    np.array([]),
-])
-def test_unwrap_phase_matches_numpy(p):
-    assert np.array_equal(_bits(unwrap_phase(p.copy())), _bits(np.unwrap(p)))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.floats(-20.0, 20.0), min_size=0, max_size=60))
-def test_unwrap_phase_matches_numpy_on_random_phases(values):
-    p = np.array(values, dtype=float)
-    assert np.array_equal(_bits(unwrap_phase(p.copy())), _bits(np.unwrap(p)))
-
-
-@pytest.mark.parametrize("p", [
-    np.array([-0.0, -0.0, -0.0]),                      # no jump: +0.0 is added all along
-    np.array([-0.0, -0.0, 4.0, -0.0]),                 # -0.0 before and after a jump
-    np.array([-0.0, np.pi, -0.0, -np.pi]),             # exact +-pi steps after a leading -0.0
-])
-def test_unwrap_phase_keeps_numpys_signed_zeros(p):
-    got = unwrap_phase(p.copy())
-    assert np.array_equal(_bits(got), _bits(np.unwrap(p)))
-    assert np.signbit(got[0]) and not np.signbit(got[1])
-
-
-def test_unwrap_phase_works_in_place():
-    p = np.array([3.0, -3.0, 3.0, 2 * np.pi + 3.0, -7.0])
-    ref = np.unwrap(p)
-    assert unwrap_phase(p) is p
-    assert np.array_equal(_bits(p), _bits(ref))
 
 
 def momentum_derivatives_stored(ra, u_nodes, rows=slice(None)):
@@ -206,28 +154,40 @@ def test_momentum_derivatives_per_block_match_the_stored_arrays(fig3_stage):
 
 
 def reduced_action_arrays(basis, hp, setup):
-    """S0, P and the branch counter as ``ReducedAction`` built them into
-    fresh arrays, kept as the oracle of the in-place construction."""
+    """S0, P, the branch counter and the unwrapped S0 in fresh arrays, kept
+    as the oracle of the in-place construction.  S0 is the running sum of
+    each step's two-vector atan2 from the arctan branch value at the grid
+    origin; P and the branch counter are built as they were from the
+    ``np.unwrap`` of the absolute angle, whose S0 comes last."""
     a, b = hp.a, hp.b
-    psi = a * basis.phi1 + b * basis.phi2
-    denom = basis.phi2**2 + psi**2
-    theta = np.unwrap(np.arctan2(psi, basis.phi2))
+    phi2 = basis.phi2
+    psi = a * basis.phi1 + b * phi2
+    denom = phi2**2 + psi**2
     with np.errstate(divide="ignore"):
-        branch0 = np.arctan(psi / basis.phi2)
-    theta = theta - theta[0] + branch0[0]
+        branch0 = np.arctan(psi / phi2)
+    steps = np.arctan2(psi[1:] * phi2[:-1] - psi[:-1] * phi2[1:],
+                       phi2[:-1] * phi2[1:] + psi[:-1] * psi[1:])
+    theta = np.cumsum(np.concatenate(([branch0[0]], steps)))
+    unwrapped = np.unwrap(np.arctan2(psi, phi2))
+    unwrapped = unwrapped - unwrapped[0] + branch0[0]
     return (setup.hbar * theta, setup.hbar_c * a * basis.wronskian / denom,
-            np.rint((theta - branch0) / np.pi).astype(int))
+            np.rint((unwrapped - branch0) / np.pi).astype(int), setup.hbar * unwrapped)
 
 
 def test_reduced_action_is_bit_equal_to_fresh_arrays(fig3_stage, electron2, const_basis):
+    """S0 bit for bit against the running sum of the steps, and within 1e-11
+    rad of the unwrapped phase; P and the branch counter bit for bit against
+    the unwrap oracle, so the emitted branch column is the unwrap's."""
     cfg, setup, _, basis = fig3_stage
     cases = [(basis, setup, (a, b)) for a, b in cfg.param_sets]
     cases += [(const_basis, electron2, ab) for ab in ((1.0, 0.0), (4 / 3, -1.05), (0.25, 8.0))]
     for bs, su, ab in cases:
         ra = rq.ReducedAction(bs, rq.HiddenParams(*ab), su)
+        *oracle, s0_unwrapped = reduced_action_arrays(bs, rq.HiddenParams(*ab), su)
         got = (ra.s0_grid, ra.momentum_grid, ra.branch_grid)
-        for g, r in zip(got, reduced_action_arrays(bs, rq.HiddenParams(*ab), su)):
+        for g, r in zip(got, oracle):
             assert g.dtype == r.dtype and np.array_equal(g.view(np.int64), r.view(np.int64)), ab
+        assert np.max(np.abs(ra.s0_grid - s0_unwrapped)) <= 1e-11 * su.hbar, ab
 
 
 def test_reduced_action_owns_three_grid_long_arrays(fig3_stage):

@@ -20,7 +20,7 @@ from rqtraj.config import RunConfig, parse_config
 from rqtraj.errors import InsufficientTrajectories, RegimeError, TooFewSamples
 from rqtraj.output import write_json
 from tests.conftest import (classical_momentum, classical_speed, oscillatory_wavenumber,
-                            with_keys)
+                            s0_at, with_keys)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -291,12 +291,12 @@ def test_mean_momentum_is_parameter_free(electron2):
     values = []
     for a, b in ((1.0, 0.0), (0.2, 0.0), (4 / 3, -1.05), (0.25, 8.0), (2.0, 0.5)):
         ra = rq.ReducedAction(basis, rq.HiddenParams(a, b), electron2)
-        ds = np.interp(x_b, grid, ra.s0_grid) - np.interp(x_a, grid, ra.s0_grid)
+        ds = s0_at(ra, x_b) - s0_at(ra, x_a)
         values.append(ds / (x_b - x_a) * electron2.c_fm_s)
-    assert np.ptp(values) / p_cl < 1e-6
+    assert np.ptp(values) / p_cl < 1e-9
     for v in values:
-        assert v == pytest.approx(p_cl, rel=1e-6)
-        assert v == pytest.approx(np.pi * electron2.hbar_c / (x_b - x_a), rel=1e-6)
+        assert v == pytest.approx(p_cl, rel=1e-9)
+        assert v == pytest.approx(np.pi * electron2.hbar_c / (x_b - x_a), rel=1e-9)
     # the S0 rows of the grid points nearest the nodes agree at the snap resolution
     ra = rq.ReducedAction(basis, rq.HiddenParams(1.0, 0.0), electron2)
     i, j = (int(np.argmin(np.abs(grid - x))) for x in (x_a, x_b))
@@ -325,12 +325,11 @@ def test_mean_momentum_telescopes(electron2):
     ra = rq.ReducedAction(basis, rq.HiddenParams(0.25, 8.0), electron2)
 
     def mean_between(x_a, x_b):
-        ds = np.interp(x_b, grid, ra.s0_grid) - np.interp(x_a, grid, ra.s0_grid)
-        return ds / (x_b - x_a) * electron2.c_fm_s
+        return (s0_at(ra, x_b) - s0_at(ra, x_a)) / (x_b - x_a) * electron2.c_fm_s
 
     p_one = mean_between(np.pi / (2 * k), 3 * np.pi / (2 * k))
     p_many = mean_between(np.pi / (2 * k), 7 * np.pi / (2 * k))
-    assert p_many == pytest.approx(p_one, rel=1e-6)
+    assert p_many == pytest.approx(p_one, rel=1e-9)
 
 
 def test_first_integral_closed_form(electron2):

@@ -34,9 +34,9 @@ EXEMPT = {
     "model.Potential.d2v": "abstract: every potential overrides it",
     "config._line_of": "error path: the line of an unknown section or a rejected key",
     "config.RunConfig.to_file": "test helper: writes a config built in code",
-    "model.f_function": "the paper's Lagrangian, for the claims ledger (ROADMAP item 7)",
-    "model.lagrangian": "the paper's Lagrangian, for the claims ledger (ROADMAP item 7)",
-    "model.classify_regime": "the regime check of f_function (ROADMAP item 7)",
+    "model.f_function": "the paper's Lagrangian, for the claims ledger (ROADMAP item 9)",
+    "model.lagrangian": "the paper's Lagrangian, for the claims ledger (ROADMAP item 9)",
+    "model.classify_regime": "the regime check of f_function (ROADMAP item 9)",
 }
 
 
