@@ -4,7 +4,10 @@ The nodes of an (a, b) family are the rungs where S0 = hbar arctan(a phi1 /
 phi2 + b) takes the same value for every (a, b): the zeros of phi2, which
 for a constant potential are the closed-form ladder (``nodes_closed_form``).
 ``detect_nodes`` takes the rungs as given and reports when each trajectory
-arrives there, so it needs no threshold of its own.
+arrives there, so it needs no threshold of its own.  It streams: a per-curve
+step (``curve_arrivals``) keeps of each curve only its span inside
+[t_min, t_max] and its arrival at each rung, and a combining step
+(``nodes_from_arrivals``) turns those into the nodes.
 
 Validators are residual-based and dimensionless: each equation's terms are
 evaluated in MeV-based units and the sum is normalized by the largest term
@@ -19,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .action import ReducedAction
+from .constants import BLOCK
 from .errors import InsufficientTrajectories, RegimeError, TooFewSamples
 from .kleingordon import UNIFORM_REL_TOL, uniform_step, wavenumber_sq
 from .model import PhysicalSetup, Potential, Regime, constant_regime, kinetic_term
@@ -115,46 +119,47 @@ def nodes_closed_form(
     )
 
 
-def detect_nodes(curves, rungs, setup: PhysicalSetup, t_range) -> NodeReport:
-    """Nodes of one trajectory family: its arrival times at the rungs.
+def curve_arrivals(t, x, rungs, t_range):
+    """The per-curve step of ``detect_nodes``: (t_first, t_last, arrivals).
 
-    ``curves`` holds each trajectory's samples as a (t, x) pair of arrays,
-    t ascending and x monotone; ``rungs`` the positions [fm] where the
-    family meets, or None; ``setup`` the family's.  Each curve is turned so
-    that x ascends, and the cubic of t over x through the four rows around
-    a rung (``trajectory._cubic_at``) gives its arrival time at every rung
-    inside its x range.  t_lo and t_hi are the first and last
-    times that every curve holds inside ``t_range`` = (t_min, t_max), by
-    ``trajectory.window_bounds``, the rule of the trajectory files, and a
-    rung is a node when every arrival lies in [t_lo, t_hi].  Its time is
-    the mean arrival, its position the rung.  The extras give each node's
+    t_first and t_last are the curve's first and last times inside
+    ``t_range`` = (t_min, t_max), by ``trajectory.window_bounds``, the rule
+    of the trajectory files (inf and -inf when no row lies inside).  The
+    curve is turned so that x ascends, and ``arrivals`` holds the cubic of
+    t over x through the four rows around each of the ``rungs`` [fm], an
+    array (``trajectory._cubic_at``): the curve's arrival time there, NaN
+    outside its x range.  Nothing of the curve's length is kept.
+    """
+    lo, hi = window_bounds(t, t_range[0], t_range[1])
+    first, last = (t[lo], t[hi - 1]) if hi > lo else (np.inf, -np.inf)
+    if x[-1] < x[0]:
+        t, x = t[::-1], x[::-1]
+    return first, last, _cubic_at(x, t, rungs)
+
+
+def nodes_from_arrivals(arrivals, rungs, setup: PhysicalSetup) -> NodeReport:
+    """The combining step of ``detect_nodes``: the nodes of a family from
+    each curve's ``curve_arrivals`` at the ``rungs`` (an array).
+
+    t_lo and t_hi are the latest first time and the earliest last time,
+    the span every curve holds inside [t_min, t_max], and a rung is a node
+    when every arrival lies in [t_lo, t_hi].  Its time is the mean arrival,
+    its position the rung.  The extras give each node's
     ``arrival_spread_s``, latest minus earliest arrival, and from two nodes
     up ``arrival_spread_per_period``, that spread over the local node
-    period (np.gradient of the node times).  No common rows, or no rung
-    inside them, gives an empty report.
+    period (np.gradient of the node times).  No common span, or no rung
+    inside it, gives an empty report; fewer than two curves raise
+    InsufficientTrajectories.
     """
-    curves = list(curves)
-    if len(curves) < 2:
+    if len(arrivals) < 2:
         raise InsufficientTrajectories("need at least two trajectories")
-    rungs = np.empty(0) if rungs is None else np.asarray(rungs, dtype=float)
-
-    t_min, t_max = t_range
-    t_lo, t_hi = -np.inf, np.inf
-    arrivals = []
-    for t, x in curves:
-        lo, hi = window_bounds(t, t_min, t_max)
-        if hi > lo:
-            t_lo, t_hi = max(t_lo, t[lo]), min(t_hi, t[hi - 1])
-        else:
-            t_lo, t_hi = np.inf, -np.inf        # no common rows
-        if x[-1] < x[0]:
-            t, x = t[::-1], x[::-1]
-        arrivals.append(_cubic_at(x, t, rungs))
-    arrivals = np.array(arrivals)
+    t_lo = max(first for first, _, _ in arrivals)
+    t_hi = min(last for _, last, _ in arrivals)
+    arrivals = np.array([at for _, _, at in arrivals])
     node = np.all((t_lo <= arrivals) & (arrivals <= t_hi), axis=0)
     arrivals, positions = arrivals[:, node], rungs[node]
 
-    times = arrivals.sum(axis=0) / len(curves)
+    times = arrivals.sum(axis=0) / arrivals.shape[0]
     order = np.argsort(times)
     times, positions, arrivals = times[order], positions[order], arrivals[:, order]
     dxs = np.abs(np.diff(positions))
@@ -175,6 +180,27 @@ def detect_nodes(curves, rungs, setup: PhysicalSetup, t_range) -> NodeReport:
         method="rung-arrivals",
         extras=extras,
     )
+
+
+def detect_nodes(curves, rungs, setup: PhysicalSetup, t_range) -> NodeReport:
+    """Nodes of one trajectory family: its arrival times at the rungs.
+
+    ``curves`` yields each trajectory's samples as a (t, x) pair of arrays,
+    t ascending and x monotone; ``rungs`` holds the positions [fm] where
+    the family meets, or None; ``setup`` is the family's and ``t_range`` =
+    (t_min, t_max).  Node detection streams: each curve, as it comes,
+    is reduced to its ``curve_arrivals`` and dropped before the next one is
+    asked for, so a generator that makes the curves one at a time never has
+    two alive here.  ``nodes_from_arrivals`` then combines the arrivals,
+    and fewer than two curves raise InsufficientTrajectories once
+    ``curves`` is exhausted.
+    """
+    rungs = np.empty(0) if rungs is None else np.asarray(rungs, dtype=float)
+    arrivals = []
+    for curve in curves:
+        arrivals.append(curve_arrivals(*curve, rungs, t_range))
+        del curve                               # not alive while the next is made
+    return nodes_from_arrivals(arrivals, rungs, setup)
 
 
 def de_broglie(setup: PhysicalSetup, u0: float) -> float:
@@ -198,12 +224,6 @@ _STENCIL_WEIGHTS = (
     ((2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0), 180.0),
     ((1.0, -8.0, 13.0, 0.0, -13.0, 8.0, -1.0), 8.0),
 )
-
-
-# Windows (or grid points) evaluated per block: a block's temporaries
-# (about 20 arrays of this many float64s) stay in the processor's caches,
-# where whole-trace arrays would stream through memory once per operation.
-STENCIL_BLOCK = 16384
 
 
 def _gradient_rows(f, lo: int, hi: int, h: float):
@@ -264,7 +284,7 @@ def _stencil_blocks(t, x, stride: int, weights=_STENCIL_WEIGHTS):
     Raises TooFewSamples below 6*stride + 1 samples and RegimeError when t
     is not uniform by ``kleingordon.uniform_step`` before it returns; the
     iterator then evaluates the windows in blocks lo..hi-1 of at most
-    ``STENCIL_BLOCK``.  Each block takes np.gradient of x on the mean step
+    ``constants.BLOCK``.  Each block takes np.gradient of x on the mean step
     h (the shift correction of ``_stencil_block``) on its own samples plus
     a one-sample halo (``_gradient_rows``), so the only array of the
     trace's length made here is the np.diff of ``uniform_step``.
@@ -280,8 +300,8 @@ def _stencil_blocks(t, x, stride: int, weights=_STENCIL_WEIGHTS):
     m = n - 6 * stride
 
     def blocks():
-        for lo in range(0, m, STENCIL_BLOCK):
-            hi = min(lo + STENCIL_BLOCK, m)
+        for lo in range(0, m, BLOCK):
+            hi = min(lo + BLOCK, m)
             xd = _gradient_rows(x, lo, hi + 6 * stride, h)
             derivs = _stencil_block(t, x, xd, hs, stride, lo, hi, weights)
             del xd                          # not kept while the caller runs
@@ -433,7 +453,7 @@ def rqshje_residual(
     up to round-off: it tests the basis's Wronskian, and through it the
     closed-form algebra, but not a phase error that keeps W constant.
 
-    Grid points are evaluated in blocks of ``STENCIL_BLOCK`` into one
+    Grid points are evaluated in blocks of ``constants.BLOCK`` into one
     residual array, psi, psi' and D too (``ReducedAction.momentum_derivatives``
     rebuilds them from the basis per block); every value comes from the
     same operations as on the whole grid, so the residuals are
@@ -443,8 +463,8 @@ def rqshje_residual(
     if pot is None:
         raise ValueError("potential required")
     res = np.empty(ra.grid.size)
-    for lo in range(0, res.size, STENCIL_BLOCK):
-        rows = slice(lo, lo + STENCIL_BLOCK)
+    for lo in range(0, res.size, BLOCK):
+        rows = slice(lo, lo + BLOCK)
         x = ra.grid[rows]
         pc, pcp, pcpp = ra.momentum_derivatives(-wavenumber_sq(setup, pot, x), rows)
         # in place: t2 in pcp's buffer, t3 in that of E - V

@@ -1,4 +1,5 @@
-"""Physical constants in the internal unit system (MeV, fm, s).
+"""Physical constants in the internal unit system (MeV, fm, s), and the block
+size of the array work.
 
 Energies are carried in MeV, lengths in fm and times in seconds, so hbar and
 hbar*c are the only bridge constants.  hbar*c is derived from hbar and c
@@ -14,3 +15,10 @@ FM_PER_M = 1e15
 HBARC_MEV_FM = HBAR_MEV_S * C_M_PER_S * FM_PER_M
 
 ELECTRON_MEV = 0.510999         # electron rest energy [MeV]
+
+# Values per temporary array of every stage that works in blocks: the
+# closed-form traces, the stencil and quantum-HJ checks and the CSV writer
+# (per float column).  8192 float64 take 64 KiB, so a stage's working set is
+# bounded by its count of temporaries (about 20 for the stencil, 1.25 MiB)
+# and not by the length of the trace or grid.
+BLOCK = 8192

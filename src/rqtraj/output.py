@@ -6,14 +6,17 @@ Every float value goes out as ``%.16e`` (17 significant digits, enough for
 the residual validators), every int, uint or bool value as ``str()``.
 Identical inputs give byte-identical files; headers carry provenance.
 
-Rows are streamed in blocks of ``BLOCK_ROWS`` and each block becomes bytes
-in one pass of numpy array operations.  The block's float columns are
-stacked into one (rows, k) float64 array (the cast is exact, the same
-``float()`` the ``%`` operator applies) and the exact digit kernel runs once
-on all of it: with k = floor(log10|v|), y = |v| * 10**(16 - k) is formed as
-a double-double product (Dekker's exact product against a table of 10**q
-split into a correctly rounded double and its correctly rounded remainder)
-and rounded to the nearest integer D.  A value takes the per-value
+Rows are streamed in blocks and each block becomes bytes in one pass of
+numpy array operations.  A block holds ``constants.BLOCK`` float values,
+``rows_per_block(k)`` = BLOCK // k rows of a file with k float columns
+(BLOCK rows when it has none), so the digit kernel's per-value temporaries
+hold at most BLOCK values whatever the column count.  The block's float
+columns are stacked into one (rows, k) float64 array (the cast is exact,
+the same ``float()`` the ``%`` operator applies) and the exact digit kernel
+runs once on all of it: with k = floor(log10|v|), y = |v| * 10**(16 - k)
+is formed as a double-double product (Dekker's exact product against a
+table of 10**q split into a correctly rounded double and its correctly
+rounded remainder) and rounded to the nearest integer D.  A value takes the per-value
 ``'%.16e' % v`` instead when that rounding cannot be proved correct or the
 fast path does not apply: y's fraction within 1e-6 of one half (exact ties
 round half to even there), floor(y) below 10**16 or D at 10**17 (log10 was
@@ -57,7 +60,7 @@ from pathlib import Path
 
 import numpy as np
 
-BLOCK_ROWS = 8192
+from .constants import BLOCK
 
 # the boundaries str.splitlines() splits at, as read_csv does
 LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
@@ -67,6 +70,12 @@ _BREAKS = re.compile(f"[,\0{LINE_BREAKS}]")
 FAST_MIN, FAST_MAX = 1e-280, 1e280
 _K_MIN, _K_MAX = -281, 280        # floor(log10|v|) over the range, one low at its end
 _SPLIT = 134217729.0              # 2**27 + 1, Veltkamp's splitting factor
+
+
+def rows_per_block(floats: int) -> int:
+    """Rows of a block of a file with ``floats`` float columns: BLOCK
+    values, or BLOCK rows when there is no float column."""
+    return BLOCK // max(floats, 1)
 
 
 @functools.cache
@@ -274,9 +283,10 @@ def write_csv(path, header_comments, columns, footer_comments=()):
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write((header + ",".join(names) + "\n").encode("utf-8"))
-        for lo in range(0, n, BLOCK_ROWS):
+        rows = rows_per_block(len(floats))
+        for lo in range(0, n, rows):
             # one expression, so no name holds a block while the next is built
-            fh.write(_block_fields(floats, parts, newline, lo, min(BLOCK_ROWS, n - lo))
+            fh.write(_block_fields(floats, parts, newline, lo, min(rows, n - lo))
                      .tobytes().replace(b"\0", b""))
         fh.write(footer.encode("utf-8"))
 

@@ -19,8 +19,10 @@ Nodes are the rungs where every (a, b) of the family meets: the
 closed-form ladder for an oscillatory constant potential, the zeros of
 phi2 on the basis grid for a quadrature config (placed on the cubic
 Hermite of phi2 and phi2'), none for an evanescent family.  ``analyze``
-and the node pass of ``figure`` give them to ``analysis.detect_nodes``,
-which reports each trace's arrival time there inside [t_min, t_max].
+and the node pass of ``figure`` take the rungs before the set loop and
+give them, with each set's (t, x) as the loop yields it, to
+``analysis.detect_nodes``, which keeps of each trace only its span inside
+[t_min, t_max] and its arrival time at every rung.
 
 ``analyze``'s closure and first-integral checks run the 7-point stencil at
 stride 1 on every trace, along t for a closed form and along x for a
@@ -31,10 +33,11 @@ builds no basis and no action (a test checks the closed-form algebra).
 The sets run one at a time, each in one order: a quadrature set's action
 is built, its trace is taken from it, ``analyze`` runs the quantum-HJ
 check on the action, the action is dropped, ``analyze`` runs the closure
-and first-integral checks on the trace, and only the trace's t and x are
-kept for node detection (``analyze`` and the node pass of ``figure``).  The
-trace pass of ``trace`` and ``figure`` drops each trace once its file is
-written.  So no more than one set's action and trace are alive at a time.
+and first-integral checks on the trace, node detection takes the trace's
+arrivals (``analyze`` and the node pass of ``figure``), and the trace is
+dropped.  The trace pass of ``trace`` and ``figure`` drops each trace once
+its file is written.  So no more than one set's action and trace are
+alive at a time, and no trace outlives its set.
 
 What is alive at each stage of a quadrature run (n grid points):
 
@@ -48,12 +51,14 @@ What is alive at each stage of a quadrature run (n grid points):
   the phase steps and the per-step times live only while it is taken;
   the closure and first-integral checks work in blocks and make only
   their residual arrays;
-* the t and x of each earlier set, while node detection needs them; x is
-  a view of the grid.
+* the rungs, and each earlier set's arrival at every rung with its first
+  and last time inside [t_min, t_max].
 
-Once the set loop ends, ``analyze`` and the node pass of ``figure`` take
-the zeros of phi2 from the basis and drop it, so node detection runs
-beside the kept (t, x) curves and the grid alone.
+A closed-form trace (constant potential) owns its five columns and
+computes them one block of ``constants.BLOCK`` samples at a time; the
+checks and the CSV writer work in blocks of the same size, so their
+temporaries do not grow with the trace.  Once the set loop ends the basis
+is freed, and node detection combines the arrivals.
 """
 
 from __future__ import annotations
@@ -71,7 +76,7 @@ from .analysis import (
 )
 from .build import _header, build_basis, build_grid, build_potential, build_setup, run_basis
 from .config import KEYS, RunConfig
-from .errors import RqtError
+from .errors import InsufficientTrajectories, RqtError
 from .model import HiddenParams, PhysicalSetup, Regime, constant_regime
 from .output import write_csv, write_json
 from .trajectory import (
@@ -143,6 +148,16 @@ def _family(cfg: RunConfig, setup, pot, basis):
         yield (hp, *_traced(cfg, setup, pot, basis, hp))
 
 
+def _traced_curves(family):
+    """The (t, x) of each set of ``family`` that traced; each action is
+    dropped at once, and each trajectory before the next set is traced."""
+    for _, tr, ra in family:
+        del ra                                  # one action alive at a time
+        if not isinstance(tr, RqtError):
+            yield tr.t, tr.x
+        del tr                                  # node detection has its arrivals
+
+
 def _phi2_zeros(basis):
     """The zeros of phi2 on the basis grid, placed on the cubic Hermite of
     (phi2, phi2'), or None without a basis."""
@@ -150,10 +165,12 @@ def _phi2_zeros(basis):
 
 
 def _detected_nodes(cfg: RunConfig, curves, rungs, setup):
-    """The traced curves' (t, x) arrivals at the rungs inside [t_min, t_max];
-    None below two curves."""
-    return (detect_nodes(curves, rungs, setup, (cfg.t_min, cfg.t_max))
-            if len(curves) > 1 else None)
+    """``detect_nodes`` of the (t, x) pairs ``curves`` yields, at the rungs
+    inside [t_min, t_max]; None when it yields fewer than two."""
+    try:
+        return detect_nodes(curves, rungs, setup, (cfg.t_min, cfg.t_max))
+    except InsufficientTrajectories:
+        return None
 
 
 def _trace_sets(cfg: RunConfig):
@@ -226,10 +243,11 @@ def _validate(entry: dict, subject: str, *args):
                 entry[f"{stem}_error"] = str(exc)
 
 
-def run_analyze(cfg: RunConfig) -> dict:
-    setup, pot, basis = _stage(cfg)
-    out = Path(cfg.out_dir)
-    curves, per_set = [], []
+def _checked(cfg: RunConfig, setup, pot, basis, per_set: list):
+    """Each set's (t, x), once its checks have run; its entry with their
+    maxima goes on ``per_set``.  The first set that fails raises.  The
+    action is dropped before the trace checks run, and the trajectory
+    before the next set is traced."""
     for hp, tr, ra in _family(cfg, setup, pot, basis):
         if isinstance(tr, RqtError):
             raise tr
@@ -238,17 +256,23 @@ def run_analyze(cfg: RunConfig) -> dict:
             _validate(per_set[-1], "action", ra, pot)
         del ra                                  # no check reads it from here on
         _validate(per_set[-1], "trace", tr)
-        curves.append((tr.t, tr.x))
-        del tr                                  # node detection reads t and x only
-    zeros = _phi2_zeros(basis)
-    del basis                                   # freed before node detection
+        yield tr.t, tr.x
+        del tr                                  # node detection has its arrivals
+
+
+def run_analyze(cfg: RunConfig) -> dict:
+    setup, pot, basis = _stage(cfg)
+    out = Path(cfg.out_dir)
+    closed = (nodes_closed_form(setup, cfg.u0, x0=cfg.x0, t_range=(cfg.t_min, cfg.t_max))
+              if _oscillatory_constant(cfg, setup) else None)
+    rungs = _phi2_zeros(basis) if closed is None else closed.positions
+    per_set = []
+    sets = _checked(cfg, setup, pot, basis, per_set)
+    del basis                                   # freed with the set loop
+    nodes = _detected_nodes(cfg, sets, rungs, setup)
 
     manifest = {"command": "analyze", "config_hash": cfg.hash, "files": []}
     summary = []
-
-    closed = (nodes_closed_form(setup, cfg.u0, x0=cfg.x0, t_range=(cfg.t_min, cfg.t_max))
-              if _oscillatory_constant(cfg, setup) else None)
-    nodes = _detected_nodes(cfg, curves, zeros if closed is None else closed.positions, setup)
     if nodes is not None:
         nodes_path = out / "nodes_detected.json"
         payload = nodes.to_dict()
@@ -336,15 +360,10 @@ def run_figure(cfg: RunConfig, figure: int) -> dict:
     elif cfg.potential_kind != "constant":
         # the node pass builds the basis and traces the family again
         setup, pot, basis = _stage(cfg)
-        curves = []
-        for _, tr, ra in _family(cfg, setup, pot, basis):
-            del ra                              # one action alive at a time
-            if not isinstance(tr, RqtError):
-                curves.append((tr.t, tr.x))
-            del tr                              # node detection reads t and x only
-        zeros = _phi2_zeros(basis)
-        del basis                               # freed before node detection
-        nodes = _detected_nodes(cfg, curves, zeros, setup)
+        rungs = _phi2_zeros(basis)
+        traced = _traced_curves(_family(cfg, setup, pot, basis))
+        del basis                               # freed with the set loop
+        nodes = _detected_nodes(cfg, traced, rungs, setup)
     if nodes is not None and len(nodes.times):
         nodes_path = out / "nodes.csv"
         write_csv(nodes_path, _header(cfg, ["curve: nodes"]),

@@ -26,7 +26,8 @@ points, so every quadrature trace has strictly monotone t and x.  The
 classical reference of a tabulated or flat potential takes the same
 end-corrected trapezoid (``_end_corrected_steps``), of 1/v in x.  An
 evanescent closed form ends at its analytic divergence time t*, with a
-``halt: DivergenceReached`` event when that drops rows.
+``halt: DivergenceReached`` event when that drops rows.  Both closed forms
+are evaluated one block of samples at a time into their output columns.
 
 Every emitted sample carries the conjugate momentum so validators can test
 the closure xdot * P = sigma * [E - V - (m0c2)^2/(E-V)] sample by sample.
@@ -41,6 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .action import ReducedAction
+from .constants import BLOCK
 from .errors import BasisGapError, EnergyEqualsPotential, RegimeError, TooFewSamples
 from .kleingordon import uniform_step
 from .model import (
@@ -89,8 +91,12 @@ class Trajectory:
     def __post_init__(self):
         if getattr(self.regime, "dtype", None) != np.uint8 or self.regime.shape != self.t.shape:
             raise TypeError("regime must be one uint8 code into model.REGIMES per sample")
-        if self.t.size >= 2 and not np.all(np.diff(self.t) > 0):
-            raise ValueError("sample times must be strictly increasing")
+        # block by block, so the check makes no array of the trace's length
+        steps = self.t.size - 1
+        for lo in range(0, steps, BLOCK):
+            hi = min(lo + BLOCK, steps)
+            if not np.all(self.t[lo + 1:hi + 1] > self.t[lo:hi]):
+                raise ValueError("sample times must be strictly increasing")
 
     @property
     def setup(self) -> PhysicalSetup:
@@ -194,30 +200,35 @@ def trace_constant_oscillatory(
     ``x0`` is the additive constant of the closed form (the basis origin
     shared by a trajectory family; node positions are x0 + (n + 1/2) pi/k).
     x(0) = x0 + arctan(-b/a)/k, which is x0 exactly when b = 0.
+
+    The closed form is evaluated ``constants.BLOCK`` samples at a time into
+    the x, branch and momentum columns, so its temporaries do not grow with
+    ``n_samples``; every value is elementwise, the same as in one pass.
     """
     k, omega = _constant_oscillatory_fields(setup, u0)
     a, b = hp.a, hp.b
     sigma = setup.direction
 
     t = np.linspace(t_range[0], t_range[1], n_samples)
-    tau = sigma * t
-    theta = omega * tau
-    n_branch, theta_res = _reduce_phase(theta)
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = (np.tan(theta_res) - b) / a
-    phase = np.arctan(u) + np.sign(a) * np.pi * n_branch
-    x = phase / k + x0
-    n_branch = n_branch.astype(int)
-
-    # direction only mirrors x(t); samples stay ascending in t
-    d = np.cos(phase) ** 2 + (a * np.sin(phase) + b * np.cos(phase)) ** 2
-    momentum = setup.hbar_c * a * k / d       # [MeV/c]
+    x, momentum = np.empty(t.shape), np.empty(t.shape)
+    branch, tags = np.empty(t.shape, dtype=int), np.zeros(t.shape, np.uint8)
+    for lo in range(0, t.size, BLOCK):
+        rows = slice(lo, lo + BLOCK)
+        n_branch, theta_res = _reduce_phase(omega * (sigma * t[rows]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = (np.tan(theta_res) - b) / a
+        phase = np.arctan(u) + np.sign(a) * np.pi * n_branch
+        x[rows] = phase / k + x0
+        branch[rows] = n_branch
+        # direction only mirrors x(t); samples stay ascending in t
+        d = np.cos(phase) ** 2 + (a * np.sin(phase) + b * np.cos(phase)) ** 2
+        momentum[rows] = setup.hbar_c * a * k / d       # [MeV/c]
 
     return Trajectory(
         t=t,
         x=x,
-        branch=n_branch,
-        regime=np.zeros(t.shape, np.uint8),
+        branch=branch,
+        regime=tags,
         momentum=momentum,
         meta={
             "setup": setup,
@@ -274,7 +285,10 @@ def trace_constant_evanescent(
     at t*, less a first row at a log zero (b = 0 at t = 0).  When that drops
     a row the events hold ``halt: DivergenceReached``; they always hold t*
     (``divergence_time_s``), its kind and the prose value.  A trace that
-    keeps no row raises TooFewSamples.
+    keeps no row raises TooFewSamples.  Like the oscillatory form it is
+    evaluated ``constants.BLOCK`` samples at a time into its columns; each
+    block's kept rows move down over the rows dropped before it, and the
+    columns are the first rows of those arrays.
     """
     regime, ev, disc = constant_regime(setup, u0)
     if regime is not Regime.EVANESCENT:
@@ -288,25 +302,36 @@ def trace_constant_evanescent(
     omega_e = m_gap / (setup.hbar * ev)       # [1/s]
     sigma = setup.direction
 
-    t = np.linspace(t_range[0], t_range[1], n_samples)
-    tau = sigma * t
-    _, theta_res = _reduce_phase(omega_e * tau)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        tan_arg = np.tan(theta_res)
-        log_arg = (tan_arg + hp.b) / hp.a
-        x = scale * np.log(np.abs(log_arg)) + x0
-        # analytic velocity -> momentum through the closure identity
-        dxdt = scale * omega_e * sigma * (1.0 + tan_arg**2) / (tan_arg + hp.b)
-        momentum = sigma * kin * setup.c_fm_s / dxdt   # [MeV/c]
-
     (t_star, kind), prose_value = evanescent_divergence_times(setup, u0, hp, t_min=t_range[0])
-    keep = (t < t_star) & np.isfinite(x)
+    t = np.linspace(t_range[0], t_range[1], n_samples)
+    x, momentum = np.empty(t.shape), np.empty(t.shape)
+    branch, tags = np.zeros(t.shape, dtype=int), np.ones(t.shape, np.uint8)
+    kept = 0
+    for lo in range(0, t.size, BLOCK):
+        tb = t[lo:lo + BLOCK]
+        _, theta_res = _reduce_phase(omega_e * (sigma * tb))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            tan_arg = np.tan(theta_res)
+            log_arg = (tan_arg + hp.b) / hp.a
+            xb = scale * np.log(np.abs(log_arg)) + x0
+            # analytic velocity -> momentum through the closure identity
+            dxdt = scale * omega_e * sigma * (1.0 + tan_arg**2) / (tan_arg + hp.b)
+            pb = sigma * kin * setup.c_fm_s / dxdt   # [MeV/c]
+        # the block's rows before t* with a finite x, moved down over the
+        # rows dropped so far (the indexed copies are made before the writes)
+        keep = tb < t_star
+        keep &= np.isfinite(xb)
+        end = kept + int(np.count_nonzero(keep))
+        t[kept:end], x[kept:end], momentum[kept:end] = tb[keep], xb[keep], pb[keep]
+        kept = end
+
     events = {}
-    if not keep.all():
-        if not keep.any():
+    if kept < t.size:
+        if not kept:
             raise TooFewSamples(f"no sample of [{t_range[0]!r}, {t_range[1]!r}] s lies "
                                 f"before the divergence at {float(t_star)!r} s")
-        t, x, momentum = t[keep], x[keep], momentum[keep]
+        t, x, branch, tags, momentum = (t[:kept], x[:kept], branch[:kept], tags[:kept],
+                                        momentum[:kept])
         events["halt"] = "DivergenceReached"
     events["divergence_time_s"] = float(t_star)
     events["divergence_kind"] = kind
@@ -315,8 +340,8 @@ def trace_constant_evanescent(
     return Trajectory(
         t=t,
         x=x,
-        branch=np.zeros(t.shape, dtype=int),
-        regime=np.ones(t.shape, np.uint8),
+        branch=branch,
+        regime=tags,
         momentum=momentum,
         meta={
             "setup": setup,

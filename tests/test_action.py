@@ -137,16 +137,16 @@ def fig3_stage():
 def test_momentum_derivatives_per_block_match_the_stored_arrays(fig3_stage):
     """Every fig3 set, on the first block, a middle one, the short last one
     and the whole grid: Pc, Pc' and Pc'' bit for bit."""
-    from rqtraj.analysis import STENCIL_BLOCK
+    from rqtraj.constants import BLOCK
     from rqtraj.kleingordon import wavenumber_sq
 
     cfg, setup, pot, basis = fig3_stage
     n = basis.grid.size
-    last = (n - 1) // STENCIL_BLOCK * STENCIL_BLOCK
+    last = (n - 1) // BLOCK * BLOCK
     for a, b in cfg.param_sets:
         ra = rq.ReducedAction(basis, rq.HiddenParams(a, b), setup)
-        for rows in (slice(0, STENCIL_BLOCK), slice(3 * STENCIL_BLOCK, 4 * STENCIL_BLOCK),
-                     slice(last, last + STENCIL_BLOCK), slice(None)):
+        for rows in (slice(0, BLOCK), slice(3 * BLOCK, 4 * BLOCK),
+                     slice(last, last + BLOCK), slice(None)):
             u = -wavenumber_sq(setup, pot, basis.grid[rows])
             got = ra.momentum_derivatives(u, rows)
             for g, r in zip(got, momentum_derivatives_stored(ra, u, rows)):

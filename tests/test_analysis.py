@@ -12,11 +12,12 @@ import pytest
 import rqtraj as rq
 from rqtraj import build, pipeline, trajectory
 from rqtraj.analysis import (
-    STENCIL_BLOCK, _STENCIL_WEIGHTS, _firqnl_terms, _gradient_rows, _stencil_blocks,
+    _STENCIL_WEIGHTS, _firqnl_terms, _gradient_rows, _stencil_blocks,
 )
 from rqtraj.kleingordon import UNIFORM_REL_TOL, uniform_step, wavenumber_sq
 from rqtraj.model import kinetic_term
 from rqtraj.config import RunConfig, parse_config
+from rqtraj.constants import BLOCK
 from rqtraj.errors import InsufficientTrajectories, RegimeError, TooFewSamples
 from rqtraj.output import write_json
 from tests.conftest import (classical_momentum, classical_speed, oscillatory_wavenumber,
@@ -691,13 +692,19 @@ def firqnl_whole_array(traj, setup, pot, independent_var, stride):
     return np.abs(total) / np.max(pieces, axis=0)
 
 
+# The block-edge cases of the blocked checks straddle the second block edge
+# (EDGE - 1, EDGE, EDGE + 1 windows or grid points) and run one past the
+# fourth (2 EDGE + 1).
+EDGE = 2 * BLOCK
+
+
 @pytest.fixture(scope="module")
 def block_traces():
-    """Traces long enough for 2 * STENCIL_BLOCK + 1 windows at stride 4:
+    """Traces long enough for 2 * EDGE + 1 windows at stride 4:
     a closed form (uniform t) and a linear-potential quadrature (uniform x),
     and a tabulated potential whose dV and d2V are both non-zero."""
     setup = rq.PhysicalSetup(E=2.0, m0c2=0.511)
-    n = 2 * STENCIL_BLOCK + 1 + 24
+    n = 2 * EDGE + 1 + 24
     closed = rq.trace_constant_oscillatory(setup, 0.0, rq.HiddenParams(4 / 3, -1.05), 0.0,
                                            (0.0, 4e-21), n)
     lo = -1000.0
@@ -713,8 +720,8 @@ def block_traces():
 
 
 @pytest.mark.parametrize("stride", [1, 4])
-@pytest.mark.parametrize("windows", [1, STENCIL_BLOCK - 1, STENCIL_BLOCK, STENCIL_BLOCK + 1,
-                                     2 * STENCIL_BLOCK + 1])
+@pytest.mark.parametrize("windows", [1, EDGE - 1, EDGE, EDGE + 1,
+                                     2 * EDGE + 1])
 @pytest.mark.parametrize("var", ["t", "x"])
 def test_blocked_first_integral_is_bit_equal(block_traces, var, windows, stride):
     setup, traces, tab = block_traces
@@ -738,7 +745,7 @@ def test_blocked_first_integral_is_bit_equal(block_traces, var, windows, stride)
 def stencil_gradient_rows(n, stride):
     """(lo, hi) of the gradient rows each block of ``_stencil_blocks`` reads."""
     m = n - 6 * stride
-    return [(lo, min(lo + STENCIL_BLOCK, m) + 6 * stride) for lo in range(0, m, STENCIL_BLOCK)]
+    return [(lo, min(lo + BLOCK, m) + 6 * stride) for lo in range(0, m, BLOCK)]
 
 
 @pytest.mark.parametrize("stride", [1, 4])
@@ -748,7 +755,7 @@ def test_gradient_rows_are_bit_equal_to_the_whole_trace_gradient(kind, stride):
     single rows at both ends: np.gradient of the whole trace on its mean
     step, bit for bit.  A step of 0.75 is exact, so 0.75 * arange has all
     steps equal; linspace steps differ in their last bits."""
-    n = 2 * STENCIL_BLOCK + 6 * stride + 101
+    n = 2 * EDGE + 6 * stride + 101
     t = np.linspace(-3.0, 7.0, n) if kind == "linspace" else 0.75 * np.arange(n)
     x = np.sin(t / 7.0) + 1e-3 * t**2
     h = uniform_step(t)
@@ -772,13 +779,13 @@ def closure_whole_array(traj):
     return np.abs(xd * traj.momentum[3:-3] / (setup.direction * setup.c_fm_s * kin) - 1.0)
 
 
-@pytest.mark.parametrize("n", [3, 4, STENCIL_BLOCK + 1, STENCIL_BLOCK + 2, STENCIL_BLOCK + 3,
-                               2 * STENCIL_BLOCK + 3])
+@pytest.mark.parametrize("n", [3, 4, EDGE + 1, EDGE + 2, EDGE + 3,
+                               2 * EDGE + 3])
 @pytest.mark.parametrize("var", ["t", "x"])
 def test_blocked_closure_is_bit_equal(block_traces, var, n):
     """n - 2 windows, the count of the centred difference this check used on
-    n samples: 1 and 2 windows, and the block edges STENCIL_BLOCK - 1,
-    STENCIL_BLOCK, STENCIL_BLOCK + 1 and 2 STENCIL_BLOCK + 1.  Six samples
+    n samples: 1 and 2 windows, and the block edges EDGE - 1,
+    EDGE, EDGE + 1 and 2 EDGE + 1.  Six samples
     are too few."""
     _, traces, _ = block_traces
     full = traces[var]
@@ -959,8 +966,8 @@ def rqshje_whole_array(ra, pot):
     return np.abs(t1 + t2 + t3) / scale
 
 
-@pytest.mark.parametrize("n", [STENCIL_BLOCK - 1, STENCIL_BLOCK, STENCIL_BLOCK + 1,
-                               2 * STENCIL_BLOCK + 1])
+@pytest.mark.parametrize("n", [EDGE - 1, EDGE, EDGE + 1,
+                               2 * EDGE + 1])
 @pytest.mark.parametrize("kind", ["linear", "tabulated"])
 def test_blocked_quantum_hj_is_bit_equal(electron2, n, kind):
     xt = np.linspace(-2000.0, 2000.0, 4001)

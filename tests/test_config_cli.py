@@ -771,37 +771,63 @@ def test_quadrature_outputs_are_pinned(tmp_path, monkeypatch):
     assert written == FIG3_DIGESTS
 
 
+def traced_peak(run, cfg):
+    """tracemalloc's peak of ``run(cfg)``, in bytes."""
+    tracemalloc.start()
+    try:
+        run(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("run, limit_mib", [
     (lambda cfg: pipeline.build_basis(cfg, pipeline.build_setup(cfg),
-                                      pipeline.build_potential(cfg)), 4.5),
-    (lambda cfg: pipeline.run_basis(cfg, compare_methods=True), 8.0),
-    (pipeline.run_trace, 6.5),
-    (pipeline.run_analyze, 6.5),
-    (lambda cfg: pipeline.run_figure(cfg, 3), 6.5),
+                                      pipeline.build_potential(cfg)), 4.3),
+    (lambda cfg: pipeline.run_basis(cfg, compare_methods=True), 4.4),
+    (pipeline.run_trace, 4.5),
+    (pipeline.run_analyze, 4.3),
+    (lambda cfg: pipeline.run_figure(cfg, 3), 4.5),
 ], ids=["build_basis", "basis", "trace", "analyze", "figure"])
 def test_fig3_live_memory_peak(tmp_path, monkeypatch, run, limit_mib):
     """Live data of each fig3 command, by tracemalloc in process.  The
     in-place scan, one basis alive at a time in basis --compare-methods,
     one set's action and trace alive at a time, an action of three arrays,
-    checks that work in blocks, only t and x kept for node detection, which
-    runs once the basis is freed, the in-place trace and a one-byte regime
-    code per trace row keep the peaks of fig3's 34 251-point grid near 3.7
-    (the numeric solve alone), 7.0 (basis, whose CSV blocks dominate), 5.5
-    (trace, figure) and 5.2 MiB (analyze).  On the 137 001-point grid of
-    0.05 fm they were 11.7 (solve, basis), 12.1 (trace) and 14.1 MiB
-    (analyze, figure).  With the
+    checks and CSV blocks of ``constants.BLOCK`` values, node detection
+    that keeps each set's arrivals only, the in-place trace and a one-byte
+    regime code per trace row keep the peaks of fig3's 34 251-point grid
+    near 3.7 (the numeric solve alone, and analyze), 3.8 (basis) and
+    3.9 MiB (trace, figure), each limit about 15 % above.  With CSV blocks
+    of 8192 rows (49 k values on the six-column basis files), stencil
+    blocks of 16 384 windows and every set's (t, x) kept for node
+    detection they were 7.0 (basis), 5.5 (trace, figure) and 5.2 MiB
+    (analyze).  On the 137 001-point grid of 0.05 fm they were 11.7
+    (solve, basis), 12.1 (trace) and 14.1 MiB (analyze, figure).  With the
     whole-array scan and whole trajectories kept for node detection the
     peaks were 20.9, 21.0, 25.1 and 25.1 MiB (build_basis, basis, analyze,
     figure); with an action that kept psi, psi' and D and whole-trace
     gradients, 16.6 (trace) and 18.6 MiB (analyze, figure)."""
     monkeypatch.chdir(tmp_path)              # the config's relative out dir
-    cfg = parse_config(CONFIGS / "fig3.cfg")
-    tracemalloc.start()
-    try:
-        run(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(run, parse_config(CONFIGS / "fig3.cfg"))
+    assert peak <= limit_mib * 2**20, f"{peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("run, limit_mib", [
+    (pipeline.run_trace, 2.9),
+    (pipeline.run_analyze, 3.35),
+    (lambda cfg: pipeline.run_figure(cfg, 1), 2.9),
+], ids=["trace", "analyze", "figure"])
+def test_fig1_live_memory_peak(tmp_path, monkeypatch, run, limit_mib):
+    """Live data of each fig1 command (three closed-form sets of 50 001
+    samples), by tracemalloc in process: 2.55 (trace, figure) and 2.9 MiB
+    (analyze), each limit about 15 % above.  One trace's five columns take
+    1.6 MB; the closed form, the checks and the CSV writer add one block
+    of temporaries each, and analyze keeps of each earlier set only its
+    arrivals at the five rungs.  With whole-array closed forms, stencil
+    blocks of 16 384 windows and every set's (t, x) kept for node
+    detection the peaks were 4.4 (trace, figure) and 5.8 MiB (analyze)."""
+    monkeypatch.chdir(tmp_path)              # the config's relative out dir
+    peak = traced_peak(run, parse_config(CONFIGS / "fig1.cfg"))
     assert peak <= limit_mib * 2**20, f"{peak / 2**20:.2f} MiB"
 
 

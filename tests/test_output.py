@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rqtraj import pipeline
+from rqtraj import analysis, pipeline
+from rqtraj.constants import BLOCK
 from rqtraj.config import RunConfig, parse_config
 from rqtraj.model import REGIME_TEXT
 from rqtraj.trajectory import _zeros_of
 from rqtraj.output import (
-    BLOCK_ROWS, FAST_MAX, FAST_MIN, LINE_BREAKS, _fast_digits, _texts, read_csv, write_csv,
+    FAST_MAX, FAST_MIN, LINE_BREAKS, _fast_digits, _texts, read_csv, rows_per_block, write_csv,
 )
 from tests.conftest import run_cli, with_keys
 
@@ -76,8 +77,47 @@ def test_parity_column_dtypes(tmp_path):
     assert_parity(tmp_path / "d.csv", ["a: 1", "b: 2"], columns, footer=["halt: x"])
 
 
-@pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
-                               2 * BLOCK_ROWS + 1])
+def edges(rows):
+    """Row counts that end one row short of, on and one row past the first
+    block edge, and one row past the second, for ``rows`` rows a block."""
+    return [rows - 1, rows, rows + 1, 2 * rows + 1]
+
+
+# the float column count of each kind of file the pipeline writes: one
+# float column (with ints and labels), three (a trajectory), six (a basis),
+# and int and label columns only
+FILE_KINDS = {"1 float": 1, "3 floats": 3, "6 floats": 6, "ints and labels": 0}
+
+
+def file_of_kind(kind, n, rng):
+    """Columns of ``kind`` over n rows: its float columns, with an int and a
+    label column in their middle."""
+    floats = FILE_KINDS[kind]
+    columns = [(f"f{j}", rng.standard_normal(n) * 10.0 ** rng.integers(-25, 25, n))
+               for j in range(floats)]
+    columns[floats // 2:floats // 2] = [
+        ("branch_n", rng.integers(-5, 5, n)),
+        ("regime", rng.integers(0, 3, n, dtype=np.uint8), REGIME_TEXT),
+    ]
+    return columns
+
+
+@pytest.mark.parametrize("kind, n", [(kind, n) for kind, floats in FILE_KINDS.items()
+                                     for n in edges(rows_per_block(floats))])
+def test_parity_block_edges_of_each_file_kind(tmp_path, kind, n):
+    """Each kind of file, on both sides of its first block edge and past its
+    second.  A block holds as many rows as fit in BLOCK float values (BLOCK
+    rows without float columns), so the edge moves with the column count."""
+    width = max(FILE_KINDS[kind], 1)
+    rows = rows_per_block(FILE_KINDS[kind])
+    assert rows * width <= BLOCK < (rows + 1) * width
+    assert_parity(tmp_path / "k.csv", ["h: 1"], file_of_kind(kind, n, np.random.default_rng(n)),
+                  footer=["f: 1"])
+
+
+# two float columns: 4096 rows a block, so 8191 .. 8193 straddle the second
+# block edge and 16385 runs one row into the fifth block
+@pytest.mark.parametrize("n", [0, 1, *edges(2 * rows_per_block(2))])
 def test_parity_block_edges(tmp_path, n):
     rng = np.random.default_rng(n)
     columns = [
@@ -97,44 +137,46 @@ def test_parity_three_digit_exponents_at_block_edges(tmp_path):
     (the last one ends its row with a newline); block 2, between them,
     holds none, only the largest double whose exponent has two digits.
     """
-    n = 3 * BLOCK_ROWS + 5
+    rows = rows_per_block(3)
+    n = 3 * rows + 5
     rng = np.random.default_rng(16)
     first, middle, last = (rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
                            for _ in range(3))
     longest_short = np.nextafter(1e100, 0)
     assert len(b"%.16e" % longest_short) == 22 and len(b"%.16e" % -1e-100) == 24
     long_values = [-1e-100, 1e100, 5e-324, -5e-324]
-    for rows, column in (([0, BLOCK_ROWS - 1, BLOCK_ROWS, n - 1], first),
-                         ([n - 1, BLOCK_ROWS, BLOCK_ROWS - 1, 0], last)):
-        column[rows] = long_values
-    first[[1, 2 * BLOCK_ROWS]] = longest_short
-    last[[2 * BLOCK_ROWS, 3 * BLOCK_ROWS - 1]] = -longest_short
+    for at, column in (([0, rows - 1, rows, n - 1], first),
+                       ([n - 1, rows, rows - 1, 0], last)):
+        column[at] = long_values
+    first[[1, 2 * rows]] = longest_short
+    last[[2 * rows, 3 * rows - 1]] = -longest_short
     columns = [("first", first), ("middle", middle), ("last", last)]
     assert_parity(tmp_path / "x.csv", ["h: 1"], columns)
 
 
 INT64 = np.iinfo(np.int64)
+INT_ROWS = rows_per_block(0)        # the rows of a block of a file without float columns
 INT_COLUMNS = {
     "random full-range int64": np.random.default_rng(7).integers(
-        INT64.min, INT64.max, 2 * BLOCK_ROWS + 3, dtype=np.int64, endpoint=True),
+        INT64.min, INT64.max, 2 * INT_ROWS + 3, dtype=np.int64, endpoint=True),
     "int64 min and max": np.array([INT64.min, INT64.max, -1, 0, 1, INT64.min + 1,
                                    INT64.max - 1, INT64.min], dtype=np.int64),
     "uint64 above 2**63": np.array([2**63, 2**63 + 1, 2**64 - 1, 0, 2**63 - 1, 2**64 - 1],
                                    dtype=np.uint64),
-    "bool": np.random.default_rng(8).integers(0, 2, BLOCK_ROWS + 5).astype(bool),
+    "bool": np.random.default_rng(8).integers(0, 2, INT_ROWS + 5).astype(bool),
     "every value distinct": np.random.default_rng(9).permutation(
-        np.arange(BLOCK_ROWS + 1, dtype=np.int64) * 1_000_003 - 10**12),
+        np.arange(INT_ROWS + 1, dtype=np.int64) * 1_000_003 - 10**12),
     # a min..max range no wider than the rows: one table per file
     "branch counter": np.repeat(np.arange(-3, 41), 500),
     "narrow range below int64 max": INT64.max - np.random.default_rng(10).integers(
-        0, 5, 2 * BLOCK_ROWS + 3, dtype=np.int64),
+        0, 5, 2 * INT_ROWS + 3, dtype=np.int64),
     "narrow range above int64 min": INT64.min + np.random.default_rng(11).integers(
-        0, 5, 2 * BLOCK_ROWS + 3, dtype=np.int64),
+        0, 5, 2 * INT_ROWS + 3, dtype=np.int64),
     "narrow range below uint64 max": np.uint64(2**64 - 1) - np.random.default_rng(12).integers(
-        0, 5, BLOCK_ROWS + 3, dtype=np.uint64),
+        0, 5, INT_ROWS + 3, dtype=np.uint64),
     "range one short of the rows": np.random.default_rng(13).permutation(
-        np.arange(BLOCK_ROWS + 1, dtype=np.int64)),
-    "range as wide as the rows": np.delete(np.arange(BLOCK_ROWS + 2, dtype=np.int64), 5),
+        np.arange(INT_ROWS + 1, dtype=np.int64)),
+    "range as wide as the rows": np.delete(np.arange(INT_ROWS + 2, dtype=np.int64), 5),
     "one row": np.array([-7], dtype=np.int64),
 }
 
@@ -168,7 +210,6 @@ def test_parity_random_float64(tmp_path_factory, values):
     assert_parity(path, ["h: 1"], [("a", values), ("b", values[::-1].copy())])
 
 
-ROW_COUNTS = [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]
 _BREAKING = ",\0" + LINE_BREAKS
 # each kind of column: its dtype and the values a column of it is drawn from;
 # a labelled column draws its labels, and its codes are indices into them
@@ -187,9 +228,10 @@ KINDS = {
 @st.composite
 def tables(draw):
     """1-7 columns, 1-3 of them float, placed first, in the middle or last;
-    each column tiles a drawn pool of values over one of ROW_COUNTS rows."""
-    n = draw(st.sampled_from(ROW_COUNTS))
+    each column tiles a drawn pool of values over 0 or 1 rows or a row count
+    at the block edges of the table's float column count."""
     floats = draw(st.lists(st.sampled_from(["float64", "float32"]), min_size=1, max_size=3))
+    n = draw(st.sampled_from([0, 1, *edges(rows_per_block(len(floats)))]))
     others = draw(st.lists(st.sampled_from([k for k in KINDS if not k.startswith("float")]),
                            max_size=4))
     place = draw(st.sampled_from(["first", "middle", "last"]))
@@ -508,40 +550,61 @@ def test_set_loops_hold_one_action_at_a_time(tmp_path, monkeypatch, run, changes
 ], ids=["analyze", "figure"])
 def test_node_detection_runs_after_the_basis_is_freed(tmp_path, monkeypatch, run):
     """Node detection gets the zeros of phi2 as its rungs, taken from the
-    basis of the set loop, and runs once every basis is dead."""
-    bases, detected = [], []
-    build_basis, detect = pipeline.build_basis, pipeline.detect_nodes
+    basis of the set loop before the loop traces a set, and combines the
+    arrivals once every basis is dead."""
+    bases, traced, detected, combined = [], [], [], []
+    build_basis, trace = pipeline.build_basis, pipeline.trace_quadrature
+    detect, combine = pipeline.detect_nodes, analysis.nodes_from_arrivals
 
     def recorded_basis(*args, **kwargs):
         basis = build_basis(*args, **kwargs)
         bases.append((weakref.ref(basis), _zeros_of(basis.grid, basis.phi2, basis.dphi2)))
+        traced.clear()                          # the sets traced on this basis
         return basis
 
-    def after_the_basis(curves, rungs, setup, t_range):
-        assert all(ref() is None for ref, _ in bases), "a basis is alive"
+    def counted_trace(*args, **kwargs):
+        traced.append(len(bases))
+        return trace(*args, **kwargs)
+
+    def rungs_first(curves, rungs, setup, t_range):
+        assert not traced, "a set was traced on this basis before the rungs were taken"
+        assert bases[-1][0]() is not None
         assert np.array_equal(rungs, bases[-1][1])
-        detected.append(len(curves))
+        detected.append(rungs)
         return detect(curves, rungs, setup, t_range)
 
+    def after_the_basis(arrivals, rungs, setup):
+        assert all(ref() is None for ref, _ in bases), "a basis is alive"
+        assert np.array_equal(rungs, bases[-1][1])
+        combined.append(len(arrivals))
+        return combine(arrivals, rungs, setup)
+
     monkeypatch.setattr(pipeline, "build_basis", recorded_basis)
-    monkeypatch.setattr(pipeline, "detect_nodes", after_the_basis)
+    monkeypatch.setattr(pipeline, "trace_quadrature", counted_trace)
+    monkeypatch.setattr(pipeline, "detect_nodes", rungs_first)
+    monkeypatch.setattr(analysis, "nodes_from_arrivals", after_the_basis)
     cfg = _linear_config(tmp_path / "out")
     run(cfg)
-    assert detected == [len(cfg.param_sets)]
+    assert len(detected) == 1 and detected[0].size >= 2
+    assert combined == [len(cfg.param_sets)]
 
 
 @pytest.mark.parametrize("run, checks, n_traces", [
     (pipeline.run_analyze, 4, 2),
     (lambda cfg: pipeline.run_figure(cfg, 3), 0, 4),
 ], ids=["analyze", "figure"])
-def test_set_loops_keep_only_t_and_x(tmp_path, monkeypatch, run, checks, n_traces):
-    """A set's ReducedAction is dead before its closure and first-integral
-    checks run, and its trajectory before the next set's action is built.
-    Once analyze's set loop or figure's node pass ends, no trajectory is
-    alive: node detection gets each trace's own t and x arrays."""
-    actions, traces, checked = [], [], []
-    new_action, trace, detect = (pipeline.ReducedAction, pipeline.trace_quadrature,
-                                 pipeline.detect_nodes)
+def test_set_loops_keep_only_arrivals(tmp_path, monkeypatch, run, checks, n_traces):
+    """No trajectory outlives its set: a set's ReducedAction is dead before
+    its closure and first-integral checks run, and its trajectory before
+    the next set's action is built.  Node detection's per-curve step gets
+    each trace of the node pass (``analyze``'s set loop, ``figure``'s
+    second pass), its own t and x arrays, while the trace is alive; the
+    combining step gets, once every trajectory is dead, arrivals only: per
+    trace its first and last time inside [t_min, t_max] and its arrival at
+    each rung, equal to what the per-curve step gives for that trace."""
+    actions, traces, checked, per_curve, combined = [], [], [], [], []
+    new_action, trace = pipeline.ReducedAction, pipeline.trace_quadrature
+    arrivals_of, combine = analysis.curve_arrivals, analysis.nodes_from_arrivals
 
     def dead(refs):
         return all(ref() is None for ref in refs)
@@ -565,18 +628,32 @@ def test_set_loops_keep_only_t_and_x(tmp_path, monkeypatch, run, checks, n_trace
             return check(tr, *args, **kwargs)
         return checked_once_dead
 
-    def from_t_and_x(curves, rungs, setup, t_range):
+    def of_the_live_trace(t, x, rungs, t_range):
+        ref, kt, kx = traces[-1]
+        assert ref() is not None and t is kt and x is kx
+        assert dead(ref for ref, _, _ in traces[:-1]), "an earlier trajectory is alive"
+        per_curve.append((t, x, rungs, t_range))
+        return arrivals_of(t, x, rungs, t_range)
+
+    def arrivals_only(arrivals, rungs, setup):
         assert dead(ref for ref, _, _ in traces), "a trajectory is alive"
-        kept = traces[-len(curves):]
-        assert all(t is kt and x is kx for (t, x), (_, kt, kx) in zip(curves, kept))
-        return detect(curves, rungs, setup, t_range)
+        assert len(arrivals) == len(per_curve)
+        for (first, last, at), args in zip(arrivals, per_curve):
+            assert np.ndim(first) == np.ndim(last) == 0
+            assert isinstance(at, np.ndarray) and at.shape == rungs.shape
+            ref = arrivals_of(*args)
+            assert (first, last) == ref[:2] and np.array_equal(at, ref[2], equal_nan=True)
+        combined.append(len(arrivals))
+        return combine(arrivals, rungs, setup)
 
     monkeypatch.setattr(pipeline, "ReducedAction", recorded_action)
     monkeypatch.setattr(pipeline, "trace_quadrature", recorded_trace)
     for name in ("closure_residual", "firqnl_residual"):
         monkeypatch.setattr(pipeline, name, after_the_action(getattr(pipeline, name)))
-    monkeypatch.setattr(pipeline, "detect_nodes", from_t_and_x)
+    monkeypatch.setattr(analysis, "curve_arrivals", of_the_live_trace)
+    monkeypatch.setattr(analysis, "nodes_from_arrivals", arrivals_only)
     run(_linear_config(tmp_path / "out"))
     assert len(traces) == n_traces
     assert len(checked) == checks
+    assert combined == [len(per_curve)] and len(per_curve) == 2
     assert len(traces) >= 2 and dead(ref for ref, _, _ in traces)

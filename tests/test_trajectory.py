@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from rqtraj.errors import (
 )
 from rqtraj import pipeline, trajectory
 from rqtraj.config import RunConfig, parse_config
+from rqtraj.constants import BLOCK
 from rqtraj.kleingordon import uniform_step
 from rqtraj.model import regime_tags
 from rqtraj.pipeline import _stage
@@ -324,6 +326,119 @@ def test_evanescent_divergence_is_the_first_sign_change(evanescent03, u0, direct
     kind = min(first, key=first.get)
     assert events["divergence_kind"] == kind
     assert abs(events["divergence_time_s"] - first[kind]) <= t[1]
+
+
+def oscillatory_whole_array(setup, u0, hp, x0, t_range, n):
+    """``trace_constant_oscillatory``'s columns (t, x, branch, momentum) in
+    one pass over all n samples, kept as the oracle of the blocked
+    evaluation."""
+    k, omega = trajectory._constant_oscillatory_fields(setup, u0)
+    t = np.linspace(t_range[0], t_range[1], n)
+    n_branch, theta_res = trajectory._reduce_phase(omega * (setup.direction * t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = (np.tan(theta_res) - hp.b) / hp.a
+    phase = np.arctan(u) + np.sign(hp.a) * np.pi * n_branch
+    d = np.cos(phase) ** 2 + (hp.a * np.sin(phase) + hp.b * np.cos(phase)) ** 2
+    return t, phase / k + x0, n_branch.astype(int), setup.hbar_c * hp.a * k / d
+
+
+def evanescent_whole_array(setup, u0, hp, x0, t_range, n):
+    """``trace_constant_evanescent``'s columns (t, x, momentum) in one pass
+    over all n samples, cut to the rows before t* with a finite x: the
+    oracle of the blocked evaluation."""
+    ev = setup.E - u0
+    m_gap = setup.rest_sq - ev * ev
+    kin = rq.kinetic_term(setup, rq.ConstantPotential(u0), x0)
+    scale = setup.hbar_c / (2.0 * np.sqrt(m_gap))
+    omega_e = m_gap / (setup.hbar * ev)
+    sigma = setup.direction
+    t = np.linspace(t_range[0], t_range[1], n)
+    _, theta_res = trajectory._reduce_phase(omega_e * (sigma * t))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        tan_arg = np.tan(theta_res)
+        x = scale * np.log(np.abs((tan_arg + hp.b) / hp.a)) + x0
+        dxdt = scale * omega_e * sigma * (1.0 + tan_arg**2) / (tan_arg + hp.b)
+        momentum = sigma * kin * setup.c_fm_s / dxdt
+    (t_star, _), _ = rq.evanescent_divergence_times(setup, u0, hp, t_min=t_range[0])
+    keep = (t < t_star) & np.isfinite(x)
+    return t[keep], x[keep], momentum[keep]
+
+
+def assert_bits(got, ref):
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert np.array_equal(got.view(np.uint8), ref.view(np.uint8))
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("direction", [+1, -1])
+@pytest.mark.parametrize("u0", [0.0, 4.3], ids=["E-U0=+2", "E-U0=-2.3"])
+def test_blocked_oscillatory_trace_is_bit_equal(electron2, u0, direction, n):
+    """Every column of the blocked closed form, over several nodes, on
+    either side of a block edge, bit for bit against one pass."""
+    setup = dataclasses.replace(electron2, direction=direction)
+    for hp in (rq.HiddenParams(0.2, 0.0), rq.HiddenParams(4 / 3, -1.05),
+               rq.HiddenParams(-0.25, 8.0)):
+        tr = rq.trace_constant_oscillatory(setup, u0, hp, 30.0, (-1e-21, 5.5e-21), n)
+        ref = oscillatory_whole_array(setup, u0, hp, 30.0, (-1e-21, 5.5e-21), n)
+        for got, want in zip((tr.t, tr.x, tr.branch, tr.momentum), ref):
+            assert_bits(got, want)
+        assert_bits(tr.regime, np.zeros(n, np.uint8))
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("past", [0.5 / BLOCK, 1 / 3], ids=["last row", "a quarter"])
+@pytest.mark.parametrize("direction", [+1, -1])
+@pytest.mark.parametrize("b", [8.0, -2.0, 0.0], ids=["b=8", "b=-2", "b=0"])
+def test_blocked_evanescent_trace_is_bit_equal(evanescent03, b, direction, past, n):
+    """The blocked evanescent closed form, cut at t* and, for b = 0, at its
+    first row: every kept column bit for bit against one pass.  t_max lies
+    past t* by ``past`` of t*, so the trace drops its last row (which lies
+    past the block edge when n does) or its last quarter (from inside the
+    second block at 2 BLOCK + 1 samples)."""
+    setup = dataclasses.replace(evanescent03, direction=direction)
+    hp = rq.HiddenParams(0.25, b)
+    (t_star, _), _ = rq.evanescent_divergence_times(setup, 0.0, hp)
+    t_range = (0.0, t_star * (1.0 + past))
+    tr = rq.trace_constant_evanescent(setup, 0.0, hp, 12.0, t_range, n)
+    ref = evanescent_whole_array(setup, 0.0, hp, 12.0, t_range, n)
+    assert tr.t.size < n
+    for got, want in zip((tr.t, tr.x, tr.momentum), ref):
+        assert_bits(got, want)
+    assert_bits(tr.branch, np.zeros(tr.t.size, int))
+    assert_bits(tr.regime, np.ones(tr.t.size, np.uint8))
+
+
+def transient_bytes(trace, *args):
+    """tracemalloc's peak of ``trace(*args)`` minus what is still allocated
+    once it returns, with the trajectory alive: its working set beyond its
+    output arrays."""
+    tracemalloc.start()
+    try:
+        tr = trace(*args)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del tr
+    return peak - current
+
+
+@pytest.mark.parametrize("kind", ["oscillatory", "evanescent"])
+def test_closed_form_working_set_does_not_grow_with_the_samples(electron2, evanescent03, kind):
+    """The closed forms work in blocks: beyond their output arrays they
+    hold the same memory at 20 001 and at 200 001 samples, to 4 KiB, where
+    one temporary byte per sample would add 176 KiB.  The evanescent trace
+    runs past t*, so it drops rows."""
+    trace, setup, hp, t_max = {
+        "oscillatory": (rq.trace_constant_oscillatory, electron2,
+                        rq.HiddenParams(4 / 3, -1.05), 5.5e-21),
+        "evanescent": (rq.trace_constant_evanescent, evanescent03,
+                       rq.HiddenParams(0.25, 8.0), 4e-21),
+    }[kind]
+    trace(setup, 0.0, hp, 0.0, (0.0, t_max), 20_001)     # numpy's first-call allocations
+    small, large = (transient_bytes(trace, setup, 0.0, hp, 0.0, (0.0, t_max), n)
+                    for n in (20_001, 200_001))
+    assert abs(large - small) <= 4096, (small, large)
+    assert small <= 16 * 8 * BLOCK, small
 
 
 def test_quadrature_matches_closed_form(electron2, const_pot):
